@@ -12,15 +12,19 @@
 
 use std::collections::HashMap;
 
-use spfail_netsim::{FaultProfile, MetricsSnapshot, PolicyCacheStats, SimDuration};
-use spfail_trace::{Phase, Trace, TraceConfig};
-use spfail_world::{DomainId, HostId, Population, Timeline, World};
+use spfail_netsim::{FaultProfile, MetricsSnapshot, PolicyCacheStats, SimDuration, SimTime};
+use spfail_trace::{Phase, Trace, TraceConfig, Tracer};
+use spfail_world::{DomainId, HostId, HostRecord, Population, Timeline, World};
 
 use crate::classify::Classification;
-use crate::ethics::EthicsAudit;
+use crate::ethics::{EthicsAudit, MAX_CONCURRENT};
 use crate::probe::{
-    ProbeOptions, ProbeOutcome, ProbeTest, ProbeVerdict, Prober, RetryPolicy,
+    ProbeContext, ProbeOptions, ProbeOutcome, ProbeTest, ProbeVerdict, Prober, RetryPolicy,
 };
+
+/// The initial sweep clears a worker's query log once it holds more
+/// entries than this; a probe only ever reads its own window.
+pub(crate) const QUERY_LOG_BOUND: usize = 50_000;
 
 /// Which shard a host belongs to when the campaign is split `shards` ways.
 ///
@@ -269,9 +273,9 @@ impl CampaignData {
 /// Wall-clock numbers on one machine mostly measure the scheduler; the
 /// quantity sharding actually improves is how long the campaign keeps
 /// probers busy in *simulated* time — connection latency, SMTP
-/// round trips, contact-spacing waits, greylist retries. The sequential
-/// engine serialises every probe on one clock, so a sweep costs the sum
-/// of its probes; a sharded sweep costs only its busiest shard. The
+/// round trips, contact-spacing waits, greylist retries. One worker
+/// serialises every probe on one clock, so a sweep costs the sum of its
+/// probes; with several workers a sweep costs only its busiest one. The
 /// `scaling` benchmark reports the resulting speedup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignTiming {
@@ -327,8 +331,8 @@ impl PartialEq for CampaignRun {
 
 /// The one way to configure and run a measurement campaign.
 ///
-/// Every axis is a named builder method and the defaults reproduce the
-/// reference sequential engine exactly.
+/// Every axis is a named builder method; the defaults are the reference
+/// configuration: one worker, no faults, no retries.
 ///
 /// ```
 /// use spfail_netsim::FaultProfile;
@@ -356,21 +360,19 @@ pub struct CampaignBuilder {
     pub(crate) incremental: bool,
     /// Inverted so the zero-value default keeps the cache *on*.
     pub(crate) no_policy_cache: bool,
-    /// Streaming is an execution strategy, not measurement state: it is
-    /// never checkpointed, and a resumed campaign may run in either mode.
-    pub(crate) streaming: bool,
 }
 
 impl CampaignBuilder {
-    /// A sequential, fault-free, no-retry, untimed campaign — the
+    /// A one-worker, fault-free, no-retry, untimed campaign — the
     /// reference configuration.
     pub fn new() -> CampaignBuilder {
         CampaignBuilder::default()
     }
 
     /// Split the campaign across `shards` parallel workers (0 and 1
-    /// both mean sequential). Any shard count produces bit-for-bit the
-    /// data of the sequential engine, under any fault profile.
+    /// both mean one worker, run on the calling thread). Every shard
+    /// count runs the same worker lifecycle and produces bit-for-bit the
+    /// same data, under any fault profile.
     pub fn shards(mut self, shards: usize) -> CampaignBuilder {
         self.shards = shards;
         self
@@ -424,19 +426,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Run the campaign in streaming mode: synthesize each host on
-    /// demand from the world seed instead of reading a materialized
-    /// [`World`], and fold initial results into bounded-size
-    /// [`HostMask`](crate::HostMask)/[`OnlineAggregate`](crate::OnlineAggregate)
-    /// summaries. Peak memory is O(tracked + aggregate) instead of
-    /// O(hosts); the longitudinal measurements, traces, exhibits, and
-    /// checkpoints are bit-for-bit those of eager mode
-    /// (`tests/streaming_equivalence.rs`).
-    pub fn streaming(mut self) -> CampaignBuilder {
-        self.streaming = true;
-        self
-    }
-
     /// Open a staged [`Session`](crate::Session) for this configuration:
     /// the caller drives `initial_sweep` → `advance_round`* → `finish`
     /// explicitly and may checkpoint between stages.
@@ -444,15 +433,31 @@ impl CampaignBuilder {
         crate::Session::new(self, world)
     }
 
+    /// How many probing workers the campaign runs: one per shard (0 and
+    /// 1 both mean one).
+    pub(crate) fn worker_count(&self) -> usize {
+        self.shards.max(1)
+    }
+
+    /// A fresh probing worker over `pop` recording into `tracer`: its
+    /// own isolated directory, query log and clock, its own policy cache
+    /// (unless disabled), and its share of the concurrency budget, so
+    /// the fleet-wide cap holds for any worker count.
+    pub(crate) fn worker_prober<'w>(&self, pop: &'w dyn Population, tracer: &Tracer) -> Prober<'w> {
+        Prober::with_options(
+            pop,
+            "s1",
+            ProbeContext::isolated(pop)
+                .with_tracer(tracer.clone())
+                .with_policy_cache(!self.no_policy_cache),
+            (MAX_CONCURRENT / self.worker_count()).max(1),
+            self.options,
+        )
+    }
+
     /// Run the configured campaign against `world` — the staged
-    /// [`Session`](crate::Session) driven end to end in one call. With
-    /// [`CampaignBuilder::streaming`] toggled the world is re-synthesized
-    /// lazily from its config (the materialized `world` is only read for
-    /// its seed and scale).
+    /// [`Session`](crate::Session) driven end to end in one call.
     pub fn run(self, world: &World) -> CampaignRun {
-        if self.streaming {
-            return self.run_streaming(world.config.clone()).run;
-        }
         let mut session = self.session(world);
         session.initial_sweep();
         while session.advance_round().is_some() {}
@@ -475,47 +480,70 @@ impl CampaignBuilder {
 
 /// The shared sweep primitives behind the staged
 /// [`Session`](crate::Session) engine (and therefore behind
-/// [`CampaignBuilder::run`]). Each helper is one self-contained stage
-/// step; the session composes them into the sequential and sharded
-/// engines.
+/// [`CampaignBuilder::run`]) and the streamed sweep. Each helper is one
+/// self-contained stage step over one worker's prober; the session runs
+/// it on every worker.
 pub(crate) struct Campaign;
 
 impl Campaign {
-    /// The initial sweep over `hosts` (the whole world for the
-    /// sequential engine, one partition per shard worker).
-    pub(crate) fn initial_sweep(
-        prober: &mut Prober<'_>,
-        counts: &mut HashMap<HostId, u32>,
-        hosts: &[HostId],
-    ) -> (InitialMeasurement, SimDuration) {
-        let query_log = prober.context().query_log.clone();
-        prober.context().tracer.set_phase(Phase::Initial);
+    /// Open a sweep on `prober`: label its trace records with `phase`,
+    /// move its clock to `day`, drop the query log's earlier entries
+    /// (each probe reads only its own window) and reset the ethics
+    /// guard's per-sweep dedup. Returns the sweep's start time.
+    pub(crate) fn begin_sweep(prober: &mut Prober<'_>, phase: Phase, day: u16) -> SimTime {
+        prober.context().tracer.set_phase(phase);
         prober
             .context()
             .clock
-            .advance_to(Timeline::day_to_time(Timeline::INITIAL));
+            .advance_to(Timeline::day_to_time(day));
+        prober.context().query_log.clear();
         prober.ethics_mut().begin_sweep();
-        let start = prober.context().clock.now();
+        prober.context().clock.now()
+    }
+
+    /// Both initial probes of one host: NoMsg first, then BlankMsg only
+    /// when NoMsg ran but elicited no SPF (§5.1). Returns the result and
+    /// the connections spent (the host's blacklist counter).
+    pub(crate) fn probe_initial(
+        prober: &mut Prober<'_>,
+        host: HostId,
+        record: &HostRecord,
+    ) -> (HostInitialResult, u32) {
+        let (nomsg, mut seen) =
+            prober.probe_with_retry_record(host, record, Timeline::INITIAL, ProbeTest::NoMsg, 0);
+        let blankmsg = if !nomsg.refused() && !nomsg.smtp_failure() && !nomsg.spf_measured() {
+            let (outcome, attempts) = prober.probe_with_retry_record(
+                host,
+                record,
+                Timeline::INITIAL,
+                ProbeTest::BlankMsg,
+                seen,
+            );
+            seen += attempts;
+            Some(outcome)
+        } else {
+            None
+        };
+        (HostInitialResult { nomsg, blankmsg }, seen)
+    }
+
+    /// The initial sweep over one worker's partition of `world`.
+    pub(crate) fn initial_sweep(
+        prober: &mut Prober<'_>,
+        world: &dyn Population,
+        counts: &mut HashMap<HostId, u32>,
+        hosts: &[HostId],
+    ) -> (InitialMeasurement, SimDuration) {
+        let start = Self::begin_sweep(prober, Phase::Initial, Timeline::INITIAL);
+        let query_log = prober.context().query_log.clone();
         let mut results = HashMap::with_capacity(hosts.len());
         for &host in hosts {
-            let (nomsg, attempts) =
-                prober.probe_with_retry(host, Timeline::INITIAL, ProbeTest::NoMsg, 0);
-            let mut seen = attempts;
-            // BlankMsg only when NoMsg ran but elicited no SPF (§5.1).
-            let blankmsg = if !nomsg.refused() && !nomsg.smtp_failure() && !nomsg.spf_measured()
-            {
-                let (outcome, attempts) =
-                    prober.probe_with_retry(host, Timeline::INITIAL, ProbeTest::BlankMsg, seen);
-                seen += attempts;
-                Some(outcome)
-            } else {
-                None
-            };
+            let (result, seen) = Self::probe_initial(prober, host, world.host(host));
             counts.insert(host, seen);
-            results.insert(host, HostInitialResult { nomsg, blankmsg });
+            results.insert(host, result);
             // Keep the query log bounded: each probe reads only its own
             // window, so anything older is dead weight.
-            if query_log.len() > 50_000 {
+            if query_log.len() > QUERY_LOG_BOUND {
                 query_log.clear();
             }
         }
@@ -563,31 +591,6 @@ impl Campaign {
         (tracked, vulnerable_domains, preferred)
     }
 
-    /// One longitudinal round over `hosts` as of `day`.
-    pub(crate) fn round_sweep(
-        prober: &mut Prober<'_>,
-        day: u16,
-        hosts: &[HostId],
-        preferred: &HashMap<HostId, ProbeTest>,
-        counts: &mut HashMap<HostId, u32>,
-    ) -> (HashMap<HostId, RoundStatus>, SimDuration) {
-        prober.context().tracer.set_phase(Phase::Round(day));
-        prober.context().clock.advance_to(Timeline::day_to_time(day));
-        prober.context().query_log.clear();
-        prober.ethics_mut().begin_sweep();
-        let start = prober.context().clock.now();
-        let mut statuses = HashMap::new();
-        for &host in hosts {
-            let seen = counts.entry(host).or_insert(0);
-            let test = preferred[&host];
-            let (outcome, attempts) = prober.probe_with_retry(host, day, test, *seen);
-            *seen += attempts;
-            statuses.insert(host, Self::round_status(&outcome));
-        }
-        let busy = prober.context().clock.now().since(start);
-        (statuses, busy)
-    }
-
     /// The snapshot's probe targets: for each initially vulnerable
     /// domain, its freshly re-resolved hosts that are tracked; plus the
     /// deduplicated, sorted union (each host is probed exactly once even
@@ -613,15 +616,15 @@ impl Campaign {
         (targets, domain_hosts)
     }
 
-    /// Probe each snapshot target once (with one retry when the first
-    /// attempt was inconclusive) and record its February status.
+    /// Probe each of one worker's snapshot targets once (with one retry
+    /// when the first attempt was inconclusive) on the snapshot day and
+    /// record its February status.
     pub(crate) fn snapshot_sweep(
         prober: &mut Prober<'_>,
         hosts: &[HostId],
         preferred: &HashMap<HostId, ProbeTest>,
     ) -> (HashMap<HostId, RoundStatus>, SimDuration) {
-        prober.context().tracer.set_phase(Phase::Snapshot);
-        let start = prober.context().clock.now();
+        let start = Self::begin_sweep(prober, Phase::Snapshot, Timeline::END);
         let mut statuses = HashMap::new();
         for &host in hosts {
             let test = preferred.get(&host).copied().unwrap_or(ProbeTest::BlankMsg);

@@ -3,9 +3,11 @@
 //! [`CampaignState`] is the complete durable-state inventory of a
 //! campaign at a round boundary (see the [`crate::session`] module docs
 //! for why this list is exhaustive): configuration, world identity,
-//! stage progress, the sweep results so far, merged audit/network
-//! totals, each live worker's clock/ethics/metrics/counters, and the
-//! trace records emitted so far.
+//! stage progress, the sweep results so far, each worker's
+//! clock/ethics/metrics/counters, and the trace records emitted so far.
+//! Workers live from the initial sweep to the snapshot, so every audit
+//! and network counter of the campaign so far sits in some worker's
+//! state.
 //!
 //! The on-disk form is a hand-rolled line-oriented text format — one
 //! `keyword operand…` line per fact, every collection in canonical
@@ -80,20 +82,16 @@ pub struct CampaignState {
     pub initial: Vec<(HostId, HostInitialResult)>,
     /// Completed rounds: `(day, host-sorted statuses)`.
     pub rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)>,
-    /// Audit merged from already-retired workers.
-    pub ethics_total: EthicsAudit,
-    /// Network counters merged from already-retired workers.
-    pub network_total: MetricsSnapshot,
-    /// Sharded only: per-host attempt counts merged from the initial
-    /// phase (consumed when round workers are created), host-sorted.
-    pub merged_counts: Vec<(HostId, u32)>,
-    /// The live workers' durable state, in shard order.
+    /// The workers' durable state, one per shard, in shard order.
     pub workers: Vec<WorkerState>,
     /// Every trace record emitted so far (empty when tracing is off).
     pub trace_records: Vec<ProbeRecord>,
 }
 
-const MAGIC: &str = "spfail-checkpoint v1";
+/// The header line. v2 dropped v1's campaign-level audit/network totals
+/// and merged connection counts: every worker now lives from the
+/// initial sweep on, so its own state carries them.
+const MAGIC: &str = "spfail-checkpoint v2";
 
 fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -487,15 +485,6 @@ impl CampaignState {
             "stats {} {}",
             self.stats.round_probes_issued, self.stats.round_probes_skipped
         );
-        out.push_str("ethics-total ");
-        write_ethics(&mut out, &self.ethics_total);
-        out.push('\n');
-        out.push_str("network-total ");
-        write_metrics(&mut out, &self.network_total);
-        out.push('\n');
-        for (host, n) in &self.merged_counts {
-            let _ = writeln!(out, "mcount {} {}", host.0, n);
-        }
         for (host, result) in &self.initial {
             let _ = write!(out, "init {} ", host.0);
             outcome_tokens(&mut out, &result.nomsg);
@@ -554,6 +543,12 @@ impl CampaignState {
         let Some((_, first)) = lines.next() else {
             return Err("empty checkpoint".to_string());
         };
+        if first == "spfail-checkpoint v1" {
+            return Err(format!(
+                "checkpoint format spfail-checkpoint v1 is no longer readable; \
+                 this build reads {MAGIC} (re-run the campaign to write one)"
+            ));
+        }
         if first != MAGIC {
             return Err(format!("not a checkpoint: first line {first:?}"));
         }
@@ -564,9 +559,6 @@ impl CampaignState {
         let mut rounds_done: Option<usize> = None;
         let mut busy: Option<(SimDuration, SimDuration)> = None;
         let mut stats = SessionStats::default();
-        let mut ethics_total = EthicsAudit::default();
-        let mut network_total = MetricsSnapshot::default();
-        let mut merged_counts = Vec::new();
         let mut masks: Option<(usize, Vec<u32>)> = None;
         let mut initial = Vec::new();
         let mut rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)> = Vec::new();
@@ -683,17 +675,6 @@ impl CampaignState {
                         round_probes_issued: parse_num(issued, "issued").map_err(err)?,
                         round_probes_skipped: parse_num(skipped, "skipped").map_err(err)?,
                     };
-                }
-                "ethics-total" => ethics_total = parse_ethics(&toks).map_err(err)?,
-                "network-total" => network_total = parse_metrics(&toks).map_err(err)?,
-                "mcount" => {
-                    let [host, n] = toks[..] else {
-                        return Err(err("mcount wants 2 operands".to_string()));
-                    };
-                    merged_counts.push((
-                        HostId(parse_num(host, "host").map_err(err)?),
-                        parse_num(n, "count").map_err(err)?,
-                    ));
                 }
                 "init" => {
                     if toks.len() != 7 && toks.len() != 13 {
@@ -841,9 +822,6 @@ impl CampaignState {
             },
             incremental,
             no_policy_cache,
-            // An execution strategy, not measurement state: a resumed
-            // campaign picks its own mode.
-            streaming: false,
         };
         let (initial_busy, rounds_busy) = busy.ok_or("missing busy line")?;
         let masks = match masks {
@@ -869,9 +847,6 @@ impl CampaignState {
             masks,
             initial,
             rounds,
-            ethics_total,
-            network_total,
-            merged_counts,
             workers,
             trace_records,
         })
@@ -940,7 +915,6 @@ mod tests {
                 trace: TraceConfig { enabled: true },
                 incremental: true,
                 no_policy_cache: true,
-                streaming: false,
             },
             world_seed: 2024,
             world_scale: 0.004,
@@ -981,19 +955,6 @@ mod tests {
                     ],
                 ),
             ],
-            ethics_total: EthicsAudit {
-                immediate: 5,
-                spaced: 2,
-                greylist_waits: 1,
-                dedup_suppressed: 0,
-                peak_concurrency: 3,
-            },
-            network_total: MetricsSnapshot {
-                dns_queries: 120,
-                bytes_sent: 4096,
-                ..MetricsSnapshot::default()
-            },
-            merged_counts: vec![(HostId(3), 2), (HostId(9), 3)],
             workers: vec![WorkerState {
                 clock_micros: 1_296_000_000_000,
                 ethics: EthicsAudit {
@@ -1006,6 +967,8 @@ mod tests {
                 )],
                 metrics: MetricsSnapshot {
                     connections_attempted: 9,
+                    dns_queries: 120,
+                    bytes_sent: 4096,
                     ..MetricsSnapshot::default()
                 },
                 occurrences: vec![((3, 15, 0, 2), 1)],
@@ -1065,6 +1028,18 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert!(CampaignState::parse(&headerless).is_err());
+    }
+
+    /// A v1 checkpoint (with the campaign-level totals and merged
+    /// counts v2 dropped) is refused up front, naming both versions.
+    #[test]
+    fn v1_checkpoints_are_rejected_by_version() {
+        let text = sample_state()
+            .to_text()
+            .replacen(MAGIC, "spfail-checkpoint v1", 1);
+        let err = CampaignState::parse(&text).expect_err("a v1 header is refused");
+        assert!(err.contains("spfail-checkpoint v1"), "{err}");
+        assert!(err.contains("spfail-checkpoint v2"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Driving one probe transaction against one simulated host.
 
 use std::collections::HashMap;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 use spfail_dns::{Directory, QueryLog, SpfTestAuthority};
@@ -168,9 +168,12 @@ pub struct ProbeOptions {
 /// authority), that zone's query log, and the clock the ethics spacing
 /// rules are enforced on.
 ///
-/// The sequential engine probes through the world's shared surfaces;
-/// the sharded engine gives each worker an isolated copy so probing on
-/// one shard never observes another shard's queries or clock waits.
+/// Every campaign worker, for any shard count, probes through its own
+/// [`ProbeContext::isolated`] copy, so probing on one shard never
+/// observes another shard's queries or clock waits; the session mirrors
+/// the snapshot's clock and queries back onto the world when it
+/// finishes. [`ProbeContext::shared`] serves standalone probers
+/// ([`Prober::new`]).
 #[derive(Debug, Clone)]
 pub struct ProbeContext {
     /// DNS directory the probed MTAs resolve through.
@@ -190,8 +193,8 @@ pub struct ProbeContext {
 }
 
 impl ProbeContext {
-    /// The population's own directory, log, and clock (sequential
-    /// probing).
+    /// The population's own directory, log, and clock (a standalone
+    /// prober).
     pub fn shared(pop: &dyn Population) -> ProbeContext {
         let runtime = pop.runtime();
         ProbeContext {
@@ -203,7 +206,7 @@ impl ProbeContext {
         }
     }
 
-    /// A private directory, log, and clock for one shard worker. The
+    /// A private directory, log, and clock for one campaign worker. The
     /// clock starts at the population's current time; the directory holds
     /// a fresh measurement-zone authority recording into the private log.
     pub fn isolated(pop: &dyn Population) -> ProbeContext {
@@ -366,8 +369,8 @@ impl<'w> Prober<'w> {
     }
 
     /// A prober probing through an explicit context with an explicit
-    /// concurrency budget (the sharded engine splits [`MAX_CONCURRENT`]
-    /// across its workers so the fleet-wide cap still holds).
+    /// concurrency budget (a campaign splits [`MAX_CONCURRENT`] across
+    /// its workers so the fleet-wide cap still holds).
     ///
     /// The base RNG depends only on the world seed and suite — never on
     /// the context or budget — so probers on different shards draw from
@@ -467,19 +470,23 @@ impl<'w> Prober<'w> {
         self.occurrences = entries.into_iter().collect();
     }
 
-    /// Drop the probe-repetition counters of every host not in `keep`
-    /// (sorted). Sound only when those hosts will never be probed again
-    /// on this prober — the streaming sweep prunes to the tracked set,
-    /// whose future probes are the only ones the counters can affect.
-    pub(crate) fn occurrences_retain(&mut self, keep: &[HostId]) {
+    /// Forget every per-host fact — probe-repetition counters and ethics
+    /// contact history — of the hosts outside `keep` (host-sorted).
+    /// Sound only when those hosts are never probed again on this
+    /// prober: after the initial sweep a worker re-probes only its
+    /// tracked hosts, and host addresses are unique. Audit counters and
+    /// metrics are untouched.
+    pub(crate) fn retain_hosts(&mut self, keep: &[(HostId, Ipv4Addr)]) {
         self.occurrences
-            .retain(|&(h, _, _, _), _| keep.binary_search(&HostId(h)).is_ok());
+            .retain(|&(h, _, _, _), _| keep.binary_search_by_key(&HostId(h), |&(k, _)| k).is_ok());
+        let mut ips: Vec<IpAddr> = keep.iter().map(|&(_, ip)| IpAddr::V4(ip)).collect();
+        ips.sort_unstable();
+        self.ethics.contacts_retain(&ips);
     }
 
     /// Replace the context's compiled-policy cache with `cache` — the
-    /// streaming handoff passes the sweep's warm cache to the rebuilt
-    /// round worker, mirroring the eager sequential engine's single
-    /// long-lived prober.
+    /// streamed sweep hands each worker's warm cache to the session's
+    /// restored worker for the same shard.
     pub(crate) fn set_policy_cache(&mut self, cache: Option<PolicyCacheHandle>) {
         self.ctx.policy_cache = cache;
     }
@@ -627,9 +634,9 @@ impl<'w> Prober<'w> {
         }
 
         // Injected reachability window: evaluated at the probe's
-        // scheduled day, never at `clock.now()` — the sequential engine
-        // shares one clock across all hosts while each shard has its
-        // own, and only the scheduled day is common to both.
+        // scheduled day, never at `clock.now()` — a worker's clock is
+        // shared by every host of its partition, which depends on the
+        // shard count, and only the scheduled day is common to all.
         if let Some(window) = self
             .options
             .faults

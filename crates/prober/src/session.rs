@@ -10,6 +10,21 @@
 //! 3. [`Session::finish`] — the re-resolving February snapshot and the
 //!    assembled [`CampaignRun`].
 //!
+//! **One worker lifecycle for every shard count.** The initial sweep
+//! creates one worker per shard (`shards(1)` is simply one worker), each
+//! probing its [`shard_of`](crate::shard_of) partition through its own
+//! isolated [`ProbeContext`](crate::ProbeContext). After the sweep each
+//! worker forgets the per-host state of every host outside its
+//! partition of the tracked set, then keeps its prober — clock, ethics
+//! guard, policy cache — through every round. The snapshot runs on
+//! fresh per-shard workers, and `finish` mirrors the snapshot's clock
+//! and query log onto the world. Each stage runs its workers through
+//! one helper: inline for one worker, on scoped threads for several.
+//! Shard count is therefore only an execution strategy: the data,
+//! trace and exhibits are bit-for-bit the same for every count
+//! (`tests/parallel.rs`); only the cache tallies differ, since each
+//! worker caches its own partition's policies.
+//!
 //! Between stages the session can be serialised with
 //! [`Session::checkpoint`] and later continued with
 //! [`Session::restore`]: killing a campaign at *any* round boundary and
@@ -59,8 +74,9 @@ use std::io;
 use std::path::Path;
 
 use spfail_dns::QueryLog;
+use spfail_mta::PolicyCacheHandle;
 use spfail_netsim::{MetricsSnapshot, PolicyCacheStats, SimDuration, SimTime};
-use spfail_trace::{Trace, Tracer};
+use spfail_trace::{Phase, Trace, Tracer};
 use spfail_world::{DomainId, HostId, Population, Timeline};
 
 use crate::aggregate::{CampaignSummary, HostMask};
@@ -69,8 +85,8 @@ use crate::campaign::{
     InitialMeasurement, RoundStatus,
 };
 use crate::checkpoint::{CampaignState, WorkerState};
-use crate::ethics::{EthicsAudit, MAX_CONCURRENT};
-use crate::probe::{ProbeContext, ProbeTest, Prober};
+use crate::ethics::EthicsAudit;
+use crate::probe::{ProbeTest, Prober};
 
 /// Probe-volume counters for a session's longitudinal rounds — the
 /// incremental engine's savings, measured.
@@ -84,15 +100,68 @@ pub struct SessionStats {
     pub round_probes_skipped: u64,
 }
 
-/// One live probing worker: the sequential engine has exactly one (kept
-/// across the initial sweep and every round, like the original
-/// monolithic engine), the sharded engine one per shard for the round
-/// phase.
+/// One live probing worker, one per shard. A worker probes its
+/// partition of the world in the initial sweep, keeps its prober (clock,
+/// ethics guard, policy cache) through every round, and probes its
+/// partition of the tracked hosts there.
 struct Worker<'w> {
     prober: Prober<'w>,
     tracer: Tracer,
     counts: HashMap<HostId, u32>,
     hosts: Vec<HostId>,
+}
+
+impl<'w> Worker<'w> {
+    fn new(pop: &'w dyn Population, builder: &CampaignBuilder, hosts: Vec<HostId>) -> Worker<'w> {
+        let tracer = Tracer::new(builder.trace);
+        Worker {
+            prober: builder.worker_prober(pop, &tracer),
+            tracer,
+            counts: HashMap::new(),
+            hosts,
+        }
+    }
+}
+
+impl WorkerState {
+    /// Capture a worker's durable state: its clock, ethics guard,
+    /// metrics and probe-repetition counters, plus `counts`, its
+    /// per-host blacklist counters.
+    pub(crate) fn capture(prober: &Prober<'_>, counts: &HashMap<HostId, u32>) -> WorkerState {
+        let (ethics, contacts) = prober.ethics().export();
+        let mut counts: Vec<_> = counts.iter().map(|(&h, &n)| (h, n)).collect();
+        counts.sort_unstable_by_key(|(h, _)| *h);
+        WorkerState {
+            clock_micros: prober.context().clock.now().as_micros(),
+            ethics,
+            contacts,
+            metrics: prober.metrics().snapshot(),
+            occurrences: prober.occurrences_export(),
+            counts,
+        }
+    }
+}
+
+/// Run `step` on every worker and collect the results in worker order:
+/// inline when there is one worker, on scoped threads when there are
+/// several. Every worker starts a stage at the same simulated day, so a
+/// stage costs its slowest worker.
+fn on_workers<W: Send, T: Send>(workers: &mut [W], step: impl Fn(&mut W) -> T + Sync) -> Vec<T> {
+    if let [only] = workers {
+        return vec![step(only)];
+    }
+    let step = &step;
+    crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .map(|w| s.spawn(move |_| step(w)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    })
+    .expect("scope")
 }
 
 /// A staged, checkpointable campaign run. See the module docs.
@@ -107,29 +176,19 @@ pub struct Session<'w> {
     vulnerable_domains: Vec<DomainId>,
     preferred: HashMap<HostId, ProbeTest>,
     rounds: Vec<(u16, HashMap<HostId, RoundStatus>)>,
-    /// Audit/counters merged from workers already retired (the sharded
-    /// initial phase); live workers keep theirs until `finish`.
-    ethics_total: EthicsAudit,
-    network_total: MetricsSnapshot,
-    /// Compiled-policy cache tallies merged from retired workers. Purely
-    /// derived state: never checkpointed, and a restored session counts
-    /// from zero again (its rebuilt workers start with cold caches).
-    cache_total: PolicyCacheStats,
     initial_busy: SimDuration,
     rounds_busy: SimDuration,
-    /// Trace records drained from retired workers and checkpoints; the
-    /// final trace is the identity-ordered merge of these with the live
-    /// tracers, so draining points leave no mark.
+    /// Trace records drained at checkpoints; the final trace is the
+    /// identity-ordered merge of these with the workers' tracers, so
+    /// draining points leave no mark.
     trace_parts: Vec<Trace>,
     /// Per-host last conclusive measurement `(day, status)` — the
     /// incremental engine's carried state. Derivable from `initial` +
     /// `rounds`, so it is never checkpointed.
     last_conclusive: HashMap<HostId, (u16, RoundStatus)>,
     stats: SessionStats,
+    /// One per shard from the initial sweep on; retired in `finish`.
     workers: Vec<Worker<'w>>,
-    /// Sharded only: per-host attempt counts merged from the initial
-    /// phase, consumed when the round workers are created.
-    merged_counts: HashMap<HostId, u32>,
     /// Streaming mode: the initial sweep's per-host results compressed
     /// to one [`HostMask`] per host (index = host id). When set, the
     /// session's `initial` is an empty sentinel (the sweep ran, its
@@ -152,30 +211,14 @@ impl<'w> Session<'w> {
             vulnerable_domains: Vec::new(),
             preferred: HashMap::new(),
             rounds: Vec::new(),
-            ethics_total: EthicsAudit::default(),
-            network_total: MetricsSnapshot::default(),
-            cache_total: PolicyCacheStats::default(),
             initial_busy: SimDuration::ZERO,
             rounds_busy: SimDuration::ZERO,
             trace_parts: Vec::new(),
             last_conclusive: HashMap::new(),
             stats: SessionStats::default(),
             workers: Vec::new(),
-            merged_counts: HashMap::new(),
             streamed: None,
         }
-    }
-
-    fn shards(&self) -> usize {
-        self.builder.shards.max(1)
-    }
-
-    fn sharded(&self) -> bool {
-        self.builder.shards > 1
-    }
-
-    fn cache_enabled(&self) -> bool {
-        !self.builder.no_policy_cache
     }
 
     /// The hosts tracked longitudinally (set by the initial sweep).
@@ -207,6 +250,10 @@ impl<'w> Session<'w> {
     /// Stage 1: probe every unique server address once (day 0) and
     /// derive the longitudinal tracking set.
     ///
+    /// Each worker sweeps its partition of the world, then forgets the
+    /// per-host state of every host outside its partition of the
+    /// tracked set, which it never probes again.
+    ///
     /// # Panics
     ///
     /// If the initial sweep already ran (including via restore).
@@ -220,102 +267,33 @@ impl<'w> Session<'w> {
             .full_host_count()
             .expect("the eager initial sweep needs the full population");
         let all_hosts: Vec<HostId> = (0..host_count as u32).map(HostId).collect();
-        if !self.sharded() {
-            let tracer = Tracer::new(self.builder.trace);
-            let mut prober = Prober::with_options(
-                world,
-                "s1",
-                ProbeContext::shared(world)
-                    .with_tracer(tracer.clone())
-                    .with_policy_cache(self.cache_enabled()),
-                MAX_CONCURRENT,
-                self.builder.options,
-            );
-            let mut counts = HashMap::new();
-            let (initial, busy) = Campaign::initial_sweep(&mut prober, &mut counts, &all_hosts);
-            self.initial_busy = busy;
-            self.note_tracking(&initial);
-            self.initial = Some(initial);
-            // The sequential engine keeps this one prober (and clock)
-            // across the initial sweep and every round.
-            self.workers.push(Worker {
-                prober,
-                tracer,
-                counts,
-                hosts: self.tracked.clone(),
-            });
-            return;
-        }
-
-        // Sharded: one worker per shard, retired at the join. The scope
-        // is the barrier — tracking derivation needs every shard's
-        // results.
-        let shards = self.shards();
-        let budget = (MAX_CONCURRENT / shards).max(1);
-        let partitions = partition_hosts(&all_hosts, shards);
-        let opts = self.builder.options;
-        let trace = self.builder.trace;
-        let cache_on = self.cache_enabled();
-        type SweepOut = (
-            InitialMeasurement,
-            HashMap<HostId, u32>,
-            EthicsAudit,
-            MetricsSnapshot,
-            PolicyCacheStats,
-            SimDuration,
-            Trace,
-        );
-        let sweep_outputs: Vec<SweepOut> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = partitions
-                .iter()
-                .map(|part| {
-                    s.spawn(move |_| {
-                        let tracer = Tracer::new(trace);
-                        let mut prober = Prober::with_options(
-                            world,
-                            "s1",
-                            ProbeContext::isolated(world)
-                                .with_tracer(tracer.clone())
-                                .with_policy_cache(cache_on),
-                            budget,
-                            opts,
-                        );
-                        let mut counts = HashMap::new();
-                        let (initial, busy) =
-                            Campaign::initial_sweep(&mut prober, &mut counts, part);
-                        (
-                            initial,
-                            counts,
-                            prober.ethics().audit().clone(),
-                            prober.metrics().snapshot(),
-                            prober.policy_cache_stats(),
-                            busy,
-                            tracer.finish(),
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
+        let shards = self.builder.worker_count();
+        let mut workers: Vec<Worker<'w>> = partition_hosts(&all_hosts, shards)
+            .into_iter()
+            .map(|part| Worker::new(world, &self.builder, part))
+            .collect();
+        let (initial, busy) = on_workers(&mut workers, |w| {
+            Campaign::initial_sweep(&mut w.prober, world, &mut w.counts, &w.hosts)
         })
-        .expect("scope");
-
-        let mut initial = InitialMeasurement::default();
-        for (part_initial, part_counts, part_audit, part_network, part_cache, busy, part_trace) in
-            sweep_outputs
-        {
-            initial.results.extend(part_initial.results);
-            self.merged_counts.extend(part_counts);
-            self.ethics_total = self.ethics_total.merge(&part_audit);
-            self.network_total = self.network_total.merge(&part_network);
-            self.cache_total = self.cache_total.merge(&part_cache);
-            self.initial_busy = self.initial_busy.max(busy);
-            self.trace_parts.push(part_trace);
-        }
+        .into_iter()
+        .reduce(|(mut initial, busy), (part, part_busy)| {
+            initial.results.extend(part.results);
+            (initial, busy.max(part_busy))
+        })
+        .expect("a campaign has at least one worker");
+        self.initial_busy = busy;
         self.note_tracking(&initial);
         self.initial = Some(initial);
+        for (w, part) in workers
+            .iter_mut()
+            .zip(partition_hosts(&self.tracked, shards))
+        {
+            let keep: Vec<_> = part.iter().map(|&h| (h, world.host(h).ip)).collect();
+            w.prober.retain_hosts(&keep);
+            w.counts.retain(|h, _| part.binary_search(h).is_ok());
+            w.hosts = part;
+        }
+        self.workers = workers;
     }
 
     /// Derive tracking from the merged initial sweep and seed the
@@ -351,40 +329,6 @@ impl<'w> Session<'w> {
         self.full_rescan_next = false;
     }
 
-    /// The round phase's shard workers, created on the first round (the
-    /// monolithic engine created them at the same point: fresh probers
-    /// with fresh clocks, seeded with the initial sweep's per-host
-    /// attempt counts).
-    fn ensure_round_workers(&mut self) {
-        if !self.workers.is_empty() {
-            return;
-        }
-        let shards = self.shards();
-        let budget = (MAX_CONCURRENT / shards).max(1);
-        for part in partition_hosts(&self.tracked, shards) {
-            let tracer = Tracer::new(self.builder.trace);
-            let prober = Prober::with_options(
-                self.pop,
-                "s1",
-                ProbeContext::isolated(self.pop)
-                    .with_tracer(tracer.clone())
-                    .with_policy_cache(self.cache_enabled()),
-                budget,
-                self.builder.options,
-            );
-            let counts = part
-                .iter()
-                .map(|h| (*h, self.merged_counts.get(h).copied().unwrap_or(0)))
-                .collect();
-            self.workers.push(Worker {
-                prober,
-                tracer,
-                counts,
-                hosts: part,
-            });
-        }
-    }
-
     /// Stage 2: run the next longitudinal round. Returns the round's
     /// day, or `None` when all rounds have run.
     ///
@@ -397,52 +341,23 @@ impl<'w> Session<'w> {
             "Session::advance_round: run initial_sweep first"
         );
         let day = *Timeline::all_round_days().get(self.rounds_done)?;
-        if self.sharded() {
-            self.ensure_round_workers();
-        }
-        let incremental = self.builder.incremental;
-        let full_rescan = self.full_rescan_next;
+        // A non-incremental round is a full rescan every time.
+        let full_rescan = self.full_rescan_next || !self.builder.incremental;
         let world = self.pop;
         let preferred = &self.preferred;
         let last_conclusive = &self.last_conclusive;
-        let workers = &mut self.workers;
-        type RoundOut = (HashMap<HostId, RoundStatus>, SimDuration, u64, u64);
-        let step = |w: &mut Worker<'w>| -> RoundOut {
-            if incremental {
-                incremental_round_sweep(
-                    &mut w.prober,
-                    day,
-                    &w.hosts,
-                    preferred,
-                    &mut w.counts,
-                    last_conclusive,
-                    world,
-                    full_rescan,
-                )
-            } else {
-                let (statuses, busy) =
-                    Campaign::round_sweep(&mut w.prober, day, &w.hosts, preferred, &mut w.counts);
-                let issued = w.hosts.len() as u64;
-                (statuses, busy, issued, 0)
-            }
-        };
-        let outputs: Vec<RoundOut> = if workers.len() == 1 {
-            vec![step(&mut workers[0])]
-        } else {
-            // Every shard starts the round at the same simulated day, so
-            // the round costs its slowest shard.
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = workers
-                    .iter_mut()
-                    .map(|w| s.spawn(move |_| step(w)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-            .expect("scope")
-        };
+        let outputs = on_workers(&mut self.workers, |w| {
+            incremental_round_sweep(
+                &mut w.prober,
+                day,
+                &w.hosts,
+                preferred,
+                &mut w.counts,
+                last_conclusive,
+                world,
+                full_rescan,
+            )
+        });
         let mut statuses = HashMap::new();
         let mut round_busy = SimDuration::ZERO;
         for (part_statuses, busy, issued, skipped) in outputs {
@@ -469,142 +384,60 @@ impl<'w> Session<'w> {
             "Session::finish: advance_round until all rounds have run"
         );
         let world = self.pop;
-        let opts = self.builder.options;
-        let trace = self.builder.trace;
-        let sharded = self.sharded();
-
-        // Retire the round workers. Sequentially there is exactly one,
-        // and its tracer keeps serving the snapshot prober — the
-        // monolithic sequential engine used one tracer throughout.
-        let mut seq_tracer = None;
-        for Worker { prober, tracer, .. } in self.workers.drain(..) {
-            self.ethics_total = self.ethics_total.merge(prober.ethics().audit());
-            self.network_total = self.network_total.merge(&prober.metrics().snapshot());
-            self.cache_total = self.cache_total.merge(&prober.policy_cache_stats());
-            if sharded {
-                self.trace_parts.push(tracer.finish());
-            } else {
-                seq_tracer = Some(tracer);
-            }
-        }
 
         // The snapshot re-resolves addresses (§5.1, §7.2): fresh
         // resolution reaches the provider's current servers, so the
         // campaign's accumulated blacklisting does not apply. It is its
-        // own measurement sweep with its own prober(s): contact-spacing
+        // own measurement sweep on fresh workers: contact-spacing
         // decisions then depend only on the snapshot's own probe
         // sequence, never on how close the last longitudinal round
         // happened to finish.
         let (targets, domain_hosts) =
             Campaign::snapshot_targets(world, &self.vulnerable_domains, &self.tracked);
+        let mut snapshot_workers: Vec<Worker<'w>> =
+            partition_hosts(&targets, self.builder.worker_count())
+                .into_iter()
+                .map(|part| Worker::new(world, &self.builder, part))
+                .collect();
         let preferred = &self.preferred;
-        let mut snapshot_busy = SimDuration::ZERO;
+        let outputs = on_workers(&mut snapshot_workers, |w| {
+            Campaign::snapshot_sweep(&mut w.prober, &w.hosts, preferred)
+        });
         let mut host_statuses: HashMap<HostId, RoundStatus> = HashMap::new();
-        if !sharded {
-            let tracer = seq_tracer.unwrap_or_else(|| Tracer::new(trace));
-            let mut prober = Prober::with_options(
-                world,
-                "s1",
-                ProbeContext::shared(world)
-                    .with_tracer(tracer.clone())
-                    .with_policy_cache(self.cache_enabled()),
-                MAX_CONCURRENT,
-                opts,
-            );
-            prober
-                .context()
-                .clock
-                .advance_to(Timeline::day_to_time(Timeline::END));
-            prober.context().query_log.clear();
-            prober.ethics_mut().begin_sweep();
-            let (statuses, busy) = Campaign::snapshot_sweep(&mut prober, &targets, preferred);
-            host_statuses = statuses;
-            snapshot_busy = busy;
-            self.ethics_total = self.ethics_total.merge(prober.ethics().audit());
-            self.network_total = self.network_total.merge(&prober.metrics().snapshot());
-            self.cache_total = self.cache_total.merge(&prober.policy_cache_stats());
-            self.trace_parts.push(tracer.finish());
-        } else {
-            let shards = self.shards();
-            let budget = (MAX_CONCURRENT / shards).max(1);
-            let target_parts = partition_hosts(&targets, shards);
-            let cache_on = self.cache_enabled();
-            type SnapOut = (
-                HashMap<HostId, RoundStatus>,
-                EthicsAudit,
-                MetricsSnapshot,
-                PolicyCacheStats,
-                QueryLog,
-                SimDuration,
-                Trace,
-            );
-            let snapshot_outputs: Vec<SnapOut> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = target_parts
-                    .iter()
-                    .map(|part| {
-                        s.spawn(move |_| {
-                            let tracer = Tracer::new(trace);
-                            let mut prober = Prober::with_options(
-                                world,
-                                "s1",
-                                ProbeContext::isolated(world)
-                                    .with_tracer(tracer.clone())
-                                    .with_policy_cache(cache_on),
-                                budget,
-                                opts,
-                            );
-                            prober
-                                .context()
-                                .clock
-                                .advance_to(Timeline::day_to_time(Timeline::END));
-                            prober.ethics_mut().begin_sweep();
-                            let (statuses, busy) =
-                                Campaign::snapshot_sweep(&mut prober, part, preferred);
-                            let log = prober.context().query_log.clone();
-                            (
-                                statuses,
-                                prober.ethics().audit().clone(),
-                                prober.metrics().snapshot(),
-                                prober.policy_cache_stats(),
-                                log,
-                                busy,
-                                tracer.finish(),
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-            .expect("scope");
-
-            let mut snapshot_logs = Vec::new();
-            for (statuses, part_audit, part_network, part_cache, log, busy, part_trace) in
-                snapshot_outputs
-            {
-                host_statuses.extend(statuses);
-                self.ethics_total = self.ethics_total.merge(&part_audit);
-                self.network_total = self.network_total.merge(&part_network);
-                self.cache_total = self.cache_total.merge(&part_cache);
-                snapshot_logs.push(log);
-                snapshot_busy = snapshot_busy.max(busy);
-                self.trace_parts.push(part_trace);
-            }
-
-            // Leave the world's shared surfaces where the sequential
-            // engine leaves them: clock at the snapshot day, query log
-            // holding the snapshot phase's queries in simulated-time
-            // order.
-            let runtime = world.runtime();
-            runtime.clock.advance_to(Timeline::day_to_time(Timeline::END));
-            runtime.query_log.clear();
-            runtime
-                .query_log
-                .extend(QueryLog::merged(snapshot_logs.iter()).snapshot());
+        let mut snapshot_busy = SimDuration::ZERO;
+        for (statuses, busy) in outputs {
+            host_statuses.extend(statuses);
+            snapshot_busy = snapshot_busy.max(busy);
         }
         let snapshot = Campaign::aggregate_snapshot(&domain_hosts, &host_statuses);
+
+        // Leave the world's shared surfaces at the snapshot: clock on
+        // the snapshot day, query log holding the snapshot's queries in
+        // simulated-time order.
+        let runtime = world.runtime();
+        runtime
+            .clock
+            .advance_to(Timeline::day_to_time(Timeline::END));
+        runtime.query_log.clear();
+        runtime.query_log.extend(
+            QueryLog::merged(
+                snapshot_workers
+                    .iter()
+                    .map(|w| &w.prober.context().query_log),
+            )
+            .snapshot(),
+        );
+
+        // Retire every worker, merging in a fixed order.
+        let mut ethics = EthicsAudit::default();
+        let mut network = MetricsSnapshot::default();
+        let mut cache = PolicyCacheStats::default();
+        for w in self.workers.drain(..).chain(snapshot_workers) {
+            ethics = ethics.merge(w.prober.ethics().audit());
+            network = network.merge(&w.prober.metrics().snapshot());
+            cache = cache.merge(&w.prober.policy_cache_stats());
+            self.trace_parts.push(w.tracer.finish());
+        }
 
         let data = CampaignData {
             initial: self.initial.take().expect("initial sweep ran"),
@@ -612,8 +445,8 @@ impl<'w> Session<'w> {
             rounds: self.rounds,
             snapshot,
             vulnerable_domains: self.vulnerable_domains,
-            ethics: self.ethics_total,
-            network: self.network_total,
+            ethics,
+            network,
         };
         // The cross-mode comparison surface: a streamed session carried
         // its initial results as masks; an eager one compresses them now.
@@ -637,16 +470,17 @@ impl<'w> Session<'w> {
         // Identity-order merge: neither which worker recorded a probe
         // nor where a checkpoint drained the tracer leaves any mark, so
         // this equals the uninterrupted single-tracer trace exactly.
-        let trace = trace
+        let trace = self
+            .builder
+            .trace
             .enabled
             .then(|| Trace::merge(self.trace_parts.drain(..)));
-        let cache = (!self.builder.no_policy_cache).then_some(self.cache_total);
         CampaignRun {
             data,
             summary,
             timing: self.builder.timed.then_some(timing),
             trace,
-            cache,
+            cache: (!self.builder.no_policy_cache).then_some(cache),
         }
     }
 
@@ -686,19 +520,7 @@ impl<'w> Session<'w> {
         let workers = self
             .workers
             .iter()
-            .map(|w| {
-                let (ethics, contacts) = w.prober.ethics().export();
-                let mut counts: Vec<_> = w.counts.iter().map(|(&h, &n)| (h, n)).collect();
-                counts.sort_by_key(|(h, _)| *h);
-                WorkerState {
-                    clock_micros: w.prober.context().clock.now().as_micros(),
-                    ethics,
-                    contacts,
-                    metrics: w.prober.metrics().snapshot(),
-                    occurrences: w.prober.occurrences_export(),
-                    counts,
-                }
-            })
+            .map(|w| WorkerState::capture(&w.prober, &w.counts))
             .collect();
         // Drain the live tracers so the state holds every record
         // emitted so far; the handles stay usable for the next stage.
@@ -710,12 +532,6 @@ impl<'w> Session<'w> {
             .iter()
             .flat_map(|t| t.records.iter().cloned())
             .collect();
-        let mut merged_counts: Vec<_> = self
-            .merged_counts
-            .iter()
-            .map(|(&h, &n)| (h, n))
-            .collect();
-        merged_counts.sort_by_key(|(h, _)| *h);
         let config = &self.pop.runtime().config;
         CampaignState {
             builder: self.builder,
@@ -728,9 +544,6 @@ impl<'w> Session<'w> {
             stats: self.stats,
             initial: initial_sorted,
             rounds,
-            ethics_total: self.ethics_total.clone(),
-            network_total: self.network_total,
-            merged_counts,
             workers,
             trace_records,
         }
@@ -805,9 +618,6 @@ impl<'w> Session<'w> {
         session.initial_busy = state.initial_busy;
         session.rounds_busy = state.rounds_busy;
         session.stats = state.stats;
-        session.ethics_total = state.ethics_total;
-        session.network_total = state.network_total;
-        session.merged_counts = state.merged_counts.into_iter().collect();
         for (day, hosts) in state.rounds {
             session.note_round(day, hosts.into_iter().collect());
         }
@@ -826,67 +636,30 @@ impl<'w> Session<'w> {
         // Rebuild the live workers: a prober's durable state is its
         // clock, ethics guard, metrics, and probe-repetition counters —
         // everything else is a pure function of the world seed and the
-        // suite label, so `with_options` + restore reproduces the
-        // worker exactly.
-        let sharded = session.sharded();
-        let shards = session.shards();
-        let budget = if sharded {
-            (MAX_CONCURRENT / shards).max(1)
-        } else {
-            MAX_CONCURRENT
-        };
-        let expected = if sharded {
-            // Before the first round the sharded engine has no live
-            // workers (they are created lazily with the merged counts).
-            if state.workers.is_empty() { 0 } else { shards }
-        } else {
-            1
-        };
-        if state.workers.len() != expected {
+        // suite label, so a fresh worker plus restore reproduces it
+        // exactly. Rebuilt workers start with cold policy caches: the
+        // cache is derived state, deliberately absent from checkpoints,
+        // and re-warming it is invisible to every measurement surface.
+        let shards = session.builder.worker_count();
+        if state.workers.len() != shards {
             return Err(format!(
-                "checkpoint has {} worker states, expected {expected} for {} shard(s)",
-                state.workers.len(),
-                shards
+                "checkpoint has {} worker states, expected one per shard ({shards})",
+                state.workers.len()
             ));
         }
         let parts = partition_hosts(&session.tracked, shards);
-        for (i, ws) in state.workers.into_iter().enumerate() {
-            let tracer = Tracer::new(session.builder.trace);
-            // Rebuilt workers start with cold policy caches: the cache is
-            // derived state, deliberately absent from checkpoints, and
-            // re-warming it is invisible to every measurement surface.
-            let ctx = if sharded {
-                ProbeContext::isolated(world)
-            } else {
-                ProbeContext::shared(world)
-            }
-            .with_policy_cache(session.cache_enabled());
-            let mut prober = Prober::with_options(
-                world,
-                "s1",
-                ctx.with_tracer(tracer.clone()),
-                budget,
-                session.builder.options,
-            );
-            prober
+        for (ws, part) in state.workers.into_iter().zip(parts) {
+            let mut w = Worker::new(world, &session.builder, part);
+            w.prober
                 .context()
                 .clock
                 .advance_to(SimTime::from_micros(ws.clock_micros));
-            prober.ethics_mut().restore(ws.ethics, ws.contacts);
-            prober.metrics().add_snapshot(&ws.metrics);
-            prober.occurrences_restore(ws.occurrences);
-            let hosts = if sharded {
-                parts[i].clone()
-            } else {
-                session.tracked.clone()
-            };
-            session.workers.push(Worker {
-                prober,
-                tracer,
-                // lint:allow(det-hash-iter) ws.counts is the checkpoint's sorted Vec, not a hash map; the name merely matches the Worker field
-                counts: ws.counts.into_iter().collect(),
-                hosts,
-            });
+            w.prober.ethics_mut().restore(ws.ethics, ws.contacts);
+            w.prober.metrics().add_snapshot(&ws.metrics);
+            w.prober.occurrences_restore(ws.occurrences);
+            // lint:allow(det-hash-iter) ws.counts is the checkpoint's sorted Vec, not a hash map; the name merely matches the Worker field
+            w.counts = ws.counts.into_iter().collect();
+            session.workers.push(w);
         }
         Ok(session)
     }
@@ -907,31 +680,22 @@ impl<'w> Session<'w> {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
-    /// Streaming handoff only: hand the (single, sequential) worker the
-    /// live policy cache the streamed initial sweep warmed, so cache
-    /// tallies accumulate across the sweep→rounds boundary exactly as
-    /// the eager sequential engine's one long-lived prober does.
-    ///
-    /// # Panics
-    ///
-    /// If the session does not have exactly one worker.
-    pub(crate) fn adopt_policy_cache(&mut self, cache: Option<spfail_mta::PolicyCacheHandle>) {
-        assert_eq!(self.workers.len(), 1, "adopt_policy_cache: sequential only");
-        self.workers[0].prober.set_policy_cache(cache);
-    }
-
-    /// Streaming handoff only: seed the retired-worker cache tally with
-    /// the streamed initial sweep's stats (the sharded eager engine
-    /// merges its initial-phase workers' stats here at their retirement).
-    pub(crate) fn seed_cache_total(&mut self, stats: PolicyCacheStats) {
-        self.cache_total = self.cache_total.merge(&stats);
+    /// Streaming handoff only: give each worker the warm policy cache
+    /// of the streamed sweep worker for the same shard, so cache tallies
+    /// accumulate across the sweep→rounds boundary exactly as an eager
+    /// session's long-lived workers do. Workers beyond `caches` keep
+    /// their cold caches.
+    pub(crate) fn hand_off_caches(&mut self, caches: &[Option<PolicyCacheHandle>]) {
+        for (w, cache) in self.workers.iter_mut().zip(caches) {
+            w.prober.set_policy_cache(cache.clone());
+        }
     }
 }
 
-/// One incremental longitudinal round: identical to
-/// `Campaign::round_sweep` except that hosts inside the skip horizon
-/// answer from carried state. Returns the round statuses, the busy
-/// time, and the issued/skipped probe counts.
+/// One longitudinal round over one worker's `hosts`. Hosts inside the
+/// incremental skip horizon answer from carried state; with
+/// `full_rescan` every host is probed. Returns the round statuses, the
+/// busy time, and the issued/skipped probe counts.
 #[allow(clippy::too_many_arguments)]
 fn incremental_round_sweep(
     prober: &mut Prober<'_>,
@@ -943,17 +707,7 @@ fn incremental_round_sweep(
     world: &dyn Population,
     full_rescan: bool,
 ) -> (HashMap<HostId, RoundStatus>, SimDuration, u64, u64) {
-    prober
-        .context()
-        .tracer
-        .set_phase(spfail_trace::Phase::Round(day));
-    prober
-        .context()
-        .clock
-        .advance_to(Timeline::day_to_time(day));
-    prober.context().query_log.clear();
-    prober.ethics_mut().begin_sweep();
-    let start = prober.context().clock.now();
+    let start = Campaign::begin_sweep(prober, Phase::Round(day), day);
     let faults_active = prober.options().faults.is_active();
     let retries_active = prober.options().retry.max_attempts > 1;
     let mut statuses = HashMap::new();
@@ -962,33 +716,38 @@ fn incremental_round_sweep(
     for &host in hosts {
         let seen = counts.entry(host).or_insert(0);
         let test = preferred[&host];
-        let profile = &world.host(host).profile;
         // The skip horizon. A host's round probe can be answered from
         // carried state only when nothing that can change the answer
         // lies in between — and injected faults perturb every probe, so
         // they disable skipping wholesale.
         let carried = if full_rescan || faults_active {
             None
-        } else if let Some(limit) = profile.blacklist_after {
-            // A host past its blacklist threshold rejects every
-            // connection at the banner, so the round is Inconclusive no
-            // matter what (even a flaky connect times out into the same
-            // verdict) and a no-retry probe spends exactly one attempt.
-            // Pre-threshold probes run for real — one probe can open
-            // more than one connection (greylisting), so predicting the
-            // crossing is not worth the machinery — as do retried ones,
-            // whose attempt count depends on the rejection banner drawn.
-            (*seen >= limit && !retries_active).then_some(RoundStatus::Inconclusive)
         } else {
-            // Deterministic host: its last conclusive status survives
-            // if no patch event lies in the window since and this
-            // round's probe would miss the host's flaky roll (replayed
-            // from the probe's identity rng without issuing it).
-            last_conclusive
-                .get(&host)
-                .filter(|(last_day, _)| !profile.status_event_in(*last_day, day))
-                .map(|&(_, status)| status)
-                .filter(|_| !prober.would_flake(host, day, test, *seen))
+            let profile = &world.host(host).profile;
+            match profile.blacklist_after {
+                // A host past its blacklist threshold rejects every
+                // connection at the banner, so the round is Inconclusive
+                // no matter what (even a flaky connect times out into
+                // the same verdict) and a no-retry probe spends exactly
+                // one attempt. Pre-threshold probes run for real — one
+                // probe can open more than one connection (greylisting),
+                // so predicting the crossing is not worth the machinery
+                // — as do retried ones, whose attempt count depends on
+                // the rejection banner drawn.
+                Some(limit) => {
+                    (*seen >= limit && !retries_active).then_some(RoundStatus::Inconclusive)
+                }
+                // Deterministic host: its last conclusive status
+                // survives if no patch event lies in the window since
+                // and this round's probe would miss the host's flaky
+                // roll (replayed from the probe's identity rng without
+                // issuing it).
+                None => last_conclusive
+                    .get(&host)
+                    .filter(|(last_day, _)| !profile.status_event_in(*last_day, day))
+                    .map(|&(_, status)| status)
+                    .filter(|_| !prober.would_flake(host, day, test, *seen)),
+            }
         };
         if let Some(status) = carried {
             // A full rescan would spend exactly one deterministic,

@@ -6,25 +6,30 @@
 //! peak heap O(hosts). This driver runs the same campaign in three
 //! bounded passes:
 //!
-//! 1. **Sweep** — drive a [`LazyWorld`] host stream through the initial
-//!    sweep, folding each host's results into one [`HostMask`] the
-//!    moment they exist and recording only the vulnerable `(host, ip)`
-//!    pairs. Host records live exactly as long as their synthesis step;
-//!    prober-side per-host state (repetition counters, contact history,
-//!    blacklist counters) is pruned to the vulnerable set as the sweep
-//!    goes, which is sound because host addresses are unique and every
-//!    later phase re-probes only tracked hosts.
+//! 1. **Sweep** — feed a [`LazyWorld`] host stream over bounded
+//!    channels to one worker per shard (one worker for `shards(1)`),
+//!    each the same worker an eager [`Session`] sweeps with, folding
+//!    each host's results into one [`HostMask`] the moment they exist
+//!    and recording only the vulnerable `(host, ip)` pairs. Host
+//!    records live exactly as long as their synthesis step; prober-side
+//!    per-host state (repetition counters, contact history, blacklist
+//!    counters) is pruned to the vulnerable set as the sweep goes — the
+//!    same rule an eager session applies at the end of its sweep, and
+//!    sound because host addresses are unique and every later phase
+//!    re-probes only tracked hosts.
 //! 2. **Retention replay** — re-drive the synthesis stream (identical by
 //!    construction) keeping just the tracked host records and the
 //!    domains that reference them: a [`SparsePopulation`] of O(tracked)
 //!    records over the *live* runtime surface of pass 1.
 //! 3. **Handoff** — assemble the sweep into an in-memory
 //!    [`CampaignState`] (the same structure a checkpoint serialises,
-//!    with the mask column as its `aggregate v1` section) and continue
+//!    with the mask column as its `aggregate v1` section and every
+//!    worker's state, identical to an eager session's) and continue
 //!    through the ordinary staged [`Session`]: the rounds, snapshot,
 //!    trace merge, and summary are *the checkpoint-resume path*, which
 //!    `tests/session_checkpoint.rs` already proves byte-identical to an
-//!    uninterrupted run.
+//!    uninterrupted run. Each restored worker adopts its sweep worker's
+//!    warm policy cache, so cache tallies match the eager engine's too.
 //!
 //! Peak heap is O(shards + tracked + masks) — the mask column is 4
 //! bytes per host, the one deliberately compact O(hosts) term — instead
@@ -32,23 +37,20 @@
 //! (`crates/bench/tests/alloc_count.rs` pins the budget).
 
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::Ipv4Addr;
 use std::sync::mpsc::{sync_channel, Receiver};
 
-use spfail_netsim::{PolicyCacheStats, SimDuration};
-use spfail_trace::{Phase, Tracer};
+use spfail_mta::PolicyCacheHandle;
+use spfail_netsim::SimDuration;
+use spfail_trace::{Phase, ProbeRecord, Tracer};
 use spfail_world::{
     HostId, HostRecord, LazyWorld, RuntimePopulation, SparsePopulation, Timeline, WorldConfig,
     WorldRuntime,
 };
 
 use crate::aggregate::HostMask;
-use crate::campaign::{
-    shard_of, CampaignBuilder, CampaignRun, HostInitialResult,
-};
-use crate::checkpoint::CampaignState;
-use crate::ethics::MAX_CONCURRENT;
-use crate::probe::{ProbeContext, ProbeTest, Prober};
+use crate::campaign::{shard_of, Campaign, CampaignBuilder, CampaignRun, QUERY_LOG_BOUND};
+use crate::checkpoint::{CampaignState, WorkerState};
 use crate::session::{Session, SessionStats};
 
 /// How many hosts a sweep worker probes between prunes of its per-host
@@ -80,14 +82,11 @@ pub struct StreamingRun {
 pub struct StreamedCampaign {
     population: SparsePopulation,
     state: CampaignState,
-    /// Sequential sweeps hand their live policy cache to the rebuilt
-    /// round worker — the eager sequential engine keeps one warm cache
-    /// across all phases.
-    cache: Option<spfail_mta::PolicyCacheHandle>,
-    /// Sharded sweeps retire their workers at the sweep join; their
-    /// cache tallies seed the session's merged total, as the eager
-    /// sharded join does.
-    cache_seed: PolicyCacheStats,
+    /// Each sweep worker's warm policy cache, in shard order, handed to
+    /// the session's worker for the same shard — an eager session keeps
+    /// one cache per worker across the sweep and every round. Empty for
+    /// an adopted checkpoint, whose workers start cold.
+    caches: Vec<Option<PolicyCacheHandle>>,
 }
 
 impl StreamedCampaign {
@@ -97,16 +96,8 @@ impl StreamedCampaign {
     pub fn sweep(builder: CampaignBuilder, config: WorldConfig) -> StreamedCampaign {
         let lazy = LazyWorld::new(config.clone());
         let runtime = lazy.runtime().clone();
-        let sharded = builder.shards > 1;
-        let sweep = if sharded {
-            sweep_sharded(&builder, lazy, &runtime)
-        } else {
-            sweep_sequential(&builder, lazy, &runtime)
-        };
-        let tracked: Vec<HostId> = sweep.vulnerable.iter().map(|&(h, _)| h).collect();
-        let population = retain(config.clone(), runtime, &tracked);
-        let mut counts: Vec<(HostId, u32)> = sweep.counts.into_iter().collect();
-        counts.sort_by_key(|(h, _)| *h);
+        let sweep = sweep_stream(&builder, lazy, &runtime);
+        let population = retain(config.clone(), runtime, &sweep.tracked);
         let state = CampaignState {
             builder,
             world_seed: config.seed,
@@ -118,19 +109,13 @@ impl StreamedCampaign {
             stats: SessionStats::default(),
             initial: Vec::new(),
             rounds: Vec::new(),
-            ethics_total: sweep.ethics_total,
-            network_total: sweep.network_total,
-            // The sharded engine consumes these when it creates its
-            // round workers; the sequential worker carries its own.
-            merged_counts: if sharded { counts } else { Vec::new() },
             workers: sweep.workers,
             trace_records: sweep.trace_records,
         };
         StreamedCampaign {
             population,
             state,
-            cache: sweep.cache,
-            cache_seed: sweep.cache_seed,
+            caches: sweep.caches,
         }
     }
 
@@ -165,8 +150,7 @@ impl StreamedCampaign {
             state,
             // A resumed session starts with cold caches in either mode
             // (the cache is derived state, absent from checkpoints).
-            cache: None,
-            cache_seed: PolicyCacheStats::default(),
+            caches: Vec::new(),
         }
     }
 
@@ -185,10 +169,7 @@ impl StreamedCampaign {
     /// checkpoint-resume path.
     pub fn session(&self) -> Result<Session<'_>, String> {
         let mut session = Session::from_state(self.state.clone(), &self.population)?;
-        if self.cache.is_some() {
-            session.adopt_policy_cache(self.cache.clone());
-        }
-        session.seed_cache_total(self.cache_seed);
+        session.hand_off_caches(&self.caches);
         Ok(session)
     }
 }
@@ -208,226 +189,76 @@ pub(crate) fn run_streaming(builder: CampaignBuilder, config: WorldConfig) -> St
     }
 }
 
-/// What one sweep pass hands to the session, whichever engine ran it.
+/// What the streamed sweep hands to the session.
 struct SweepOutput {
     /// One [`HostMask`] per host, index = host id — the 4-bytes-per-host
     /// column that replaces the eager engine's per-host results.
     masks: Vec<u32>,
-    /// The tracked hosts and their (unique) addresses, id-sorted.
-    vulnerable: Vec<(HostId, Ipv4Addr)>,
-    /// Blacklist counters of the tracked hosts.
-    counts: HashMap<HostId, u32>,
-    /// Sharded: totals merged at the sweep join (sequential sweeps carry
-    /// everything in their single worker instead).
-    ethics_total: crate::EthicsAudit,
-    network_total: spfail_netsim::MetricsSnapshot,
-    /// Sequential: the single live worker's durable state (exactly one
-    /// entry). Sharded: empty — round workers are created fresh.
-    workers: Vec<crate::checkpoint::WorkerState>,
-    trace_records: Vec<spfail_trace::ProbeRecord>,
+    /// The tracked hosts, id-sorted.
+    tracked: Vec<HostId>,
+    /// Each worker's durable state, pruned to its tracked hosts, in
+    /// shard order.
+    workers: Vec<WorkerState>,
+    /// Each worker's policy cache, in shard order.
+    caches: Vec<Option<PolicyCacheHandle>>,
+    trace_records: Vec<ProbeRecord>,
     busy: SimDuration,
-    cache: Option<spfail_mta::PolicyCacheHandle>,
-    cache_seed: PolicyCacheStats,
 }
 
-/// Probe one streamed host: NoMsg first, BlankMsg where NoMsg elicited
-/// no SPF — the per-host body of `Campaign::initial_sweep`, folded to a
-/// mask the moment the outcomes exist.
-fn sweep_host(prober: &mut Prober<'_>, host: HostId, record: &HostRecord) -> (HostMask, u32) {
-    let (nomsg, attempts) =
-        prober.probe_with_retry_record(host, record, Timeline::INITIAL, ProbeTest::NoMsg, 0);
-    let mut seen = attempts;
-    let blankmsg = if !nomsg.refused() && !nomsg.smtp_failure() && !nomsg.spf_measured() {
-        let (outcome, attempts) = prober.probe_with_retry_record(
-            host,
-            record,
-            Timeline::INITIAL,
-            ProbeTest::BlankMsg,
-            seen,
-        );
-        seen += attempts;
-        Some(outcome)
-    } else {
-        None
-    };
-    let result = HostInitialResult { nomsg, blankmsg };
-    (HostMask::from_initial(&result), seen)
+/// One sweep worker's results.
+struct ShardOut {
+    /// Masks of this shard's hosts in arrival (id) order; host id =
+    /// `shard + i * shards`, so the stride reconstructs the column
+    /// without shipping ids.
+    masks: Vec<u32>,
+    tracked: Vec<HostId>,
+    state: WorkerState,
+    cache: Option<PolicyCacheHandle>,
+    trace: Vec<ProbeRecord>,
+    busy: SimDuration,
 }
 
-/// Prune a sweep worker's per-host state down to the vulnerable hosts
-/// seen so far. Sound mid-sweep: the sweep never revisits a host, host
-/// addresses are unique, and every later phase re-probes only tracked
-/// hosts — so the dropped entries can never be read again. Audit
-/// counters and metrics are untouched.
-fn prune(prober: &mut Prober<'_>, vulnerable: &[(HostId, Ipv4Addr)]) {
-    let hosts: Vec<HostId> = vulnerable.iter().map(|&(h, _)| h).collect();
-    prober.occurrences_retain(&hosts);
-    let mut ips: Vec<IpAddr> = vulnerable.iter().map(|&(_, ip)| IpAddr::V4(ip)).collect();
-    ips.sort();
-    prober.ethics_mut().contacts_retain(&ips);
-}
-
-/// The sequential streamed sweep: one prober over the shared runtime
-/// surfaces, hosts probed in id order as the stream synthesizes them —
-/// the same probe sequence, clock, and query log as
-/// `Session::initial_sweep`'s sequential arm over an eager world.
-fn sweep_sequential(
-    builder: &CampaignBuilder,
-    lazy: LazyWorld,
-    runtime: &WorldRuntime,
-) -> SweepOutput {
-    let pop = RuntimePopulation(runtime.clone());
-    let tracer = Tracer::new(builder.trace);
-    let mut prober = Prober::with_options(
-        &pop,
-        "s1",
-        ProbeContext::shared(&pop)
-            .with_tracer(tracer.clone())
-            .with_policy_cache(!builder.no_policy_cache),
-        MAX_CONCURRENT,
-        builder.options,
-    );
-    let query_log = prober.context().query_log.clone();
-    prober.context().tracer.set_phase(Phase::Initial);
-    prober
-        .context()
-        .clock
-        .advance_to(Timeline::day_to_time(Timeline::INITIAL));
-    prober.ethics_mut().begin_sweep();
-    let start = prober.context().clock.now();
-
-    let mut masks: Vec<u32> = Vec::new();
-    let mut vulnerable: Vec<(HostId, Ipv4Addr)> = Vec::new();
-    let mut counts: HashMap<HostId, u32> = HashMap::new();
-    for step in lazy {
-        let first = step.first_fresh.0;
-        for (offset, record) in step.fresh.iter().enumerate() {
-            let host = HostId(first + offset as u32);
-            let (mask, seen) = sweep_host(&mut prober, host, record);
-            masks.push(mask.0);
-            if mask.tracked() {
-                vulnerable.push((host, record.ip));
-                counts.insert(host, seen);
-            }
-            // Keep the query log bounded, as the eager sweep does.
-            if query_log.len() > 50_000 {
-                query_log.clear();
-            }
-            if masks.len() % PRUNE_INTERVAL == 0 {
-                prune(&mut prober, &vulnerable);
-            }
-        }
-    }
-    prune(&mut prober, &vulnerable);
-    let busy = prober.context().clock.now().since(start);
-
-    // Export the one live worker exactly as `Session::to_state` would.
-    let (ethics, contacts) = prober.ethics().export();
-    let mut counts_sorted: Vec<(HostId, u32)> = counts.iter().map(|(&h, &n)| (h, n)).collect();
-    counts_sorted.sort_by_key(|(h, _)| *h);
-    let worker = crate::checkpoint::WorkerState {
-        clock_micros: prober.context().clock.now().as_micros(),
-        ethics,
-        contacts,
-        metrics: prober.metrics().snapshot(),
-        occurrences: prober.occurrences_export(),
-        counts: counts_sorted,
-    };
-    let cache = prober.context().policy_cache.clone();
-    drop(prober);
-    SweepOutput {
-        masks,
-        vulnerable,
-        counts,
-        ethics_total: crate::EthicsAudit::default(),
-        network_total: spfail_netsim::MetricsSnapshot::default(),
-        workers: vec![worker],
-        trace_records: tracer.finish().records,
-        busy,
-        cache,
-        cache_seed: PolicyCacheStats::default(),
-    }
-}
-
-/// The sharded streamed sweep: the synthesis stream is dispatched to
-/// per-shard workers over bounded channels ([`shard_of`] keys the
-/// partition, so each worker receives exactly its eager partition in id
-/// order), each worker probing through an isolated context with the
-/// eager engine's per-shard budget. The join merges audits, network
-/// counters, cache tallies, busy times, and traces exactly as
-/// `Session::initial_sweep`'s sharded arm retires its workers.
-fn sweep_sharded(
-    builder: &CampaignBuilder,
-    lazy: LazyWorld,
-    runtime: &WorldRuntime,
-) -> SweepOutput {
-    let shards = builder.shards.max(1);
-    let budget = (MAX_CONCURRENT / shards).max(1);
-    let opts = builder.options;
-    let trace = builder.trace;
-    let cache_on = !builder.no_policy_cache;
-
-    struct ShardOut {
-        /// Masks of this shard's hosts in arrival (id) order; host id =
-        /// `shard + i * shards`, so the stride reconstructs the column
-        /// without shipping ids.
-        masks: Vec<u32>,
-        vulnerable: Vec<(HostId, Ipv4Addr)>,
-        counts: HashMap<HostId, u32>,
-        ethics: crate::EthicsAudit,
-        network: spfail_netsim::MetricsSnapshot,
-        cache: PolicyCacheStats,
-        busy: SimDuration,
-        trace: spfail_trace::Trace,
-    }
-
+/// The streamed sweep: the synthesis stream is dispatched to one worker
+/// per shard over bounded channels ([`shard_of`] keys the partition, so
+/// each worker receives exactly its eager partition in id order), each
+/// worker probing through its own prober exactly as
+/// `Session::initial_sweep`'s workers do. Each worker folds every host
+/// into its [`HostMask`] the moment its probes finish and prunes its
+/// per-host state to the tracked hosts as it goes.
+fn sweep_stream(builder: &CampaignBuilder, lazy: LazyWorld, runtime: &WorldRuntime) -> SweepOutput {
+    let shards = builder.worker_count();
     let worker = |rx: Receiver<(HostId, HostRecord)>| -> ShardOut {
         let pop = RuntimePopulation(runtime.clone());
-        let tracer = Tracer::new(trace);
-        let mut prober = Prober::with_options(
-            &pop,
-            "s1",
-            ProbeContext::isolated(&pop)
-                .with_tracer(tracer.clone())
-                .with_policy_cache(cache_on),
-            budget,
-            opts,
-        );
+        let tracer = Tracer::new(builder.trace);
+        let mut prober = builder.worker_prober(&pop, &tracer);
         let query_log = prober.context().query_log.clone();
-        prober.context().tracer.set_phase(Phase::Initial);
-        prober
-            .context()
-            .clock
-            .advance_to(Timeline::day_to_time(Timeline::INITIAL));
-        prober.ethics_mut().begin_sweep();
-        let start = prober.context().clock.now();
+        let start = Campaign::begin_sweep(&mut prober, Phase::Initial, Timeline::INITIAL);
         let mut masks = Vec::new();
         let mut vulnerable: Vec<(HostId, Ipv4Addr)> = Vec::new();
         let mut counts = HashMap::new();
         while let Ok((host, record)) = rx.recv() {
-            let (mask, seen) = sweep_host(&mut prober, host, &record);
+            let (result, seen) = Campaign::probe_initial(&mut prober, host, &record);
+            let mask = HostMask::from_initial(&result);
             masks.push(mask.0);
             if mask.tracked() {
                 vulnerable.push((host, record.ip));
                 counts.insert(host, seen);
             }
-            if query_log.len() > 50_000 {
+            if query_log.len() > QUERY_LOG_BOUND {
                 query_log.clear();
             }
             if masks.len() % PRUNE_INTERVAL == 0 {
-                prune(&mut prober, &vulnerable);
+                prober.retain_hosts(&vulnerable);
             }
         }
-        let busy = prober.context().clock.now().since(start);
+        prober.retain_hosts(&vulnerable);
         ShardOut {
             masks,
-            vulnerable,
-            counts,
-            ethics: prober.ethics().audit().clone(),
-            network: prober.metrics().snapshot(),
-            cache: prober.policy_cache_stats(),
-            busy,
-            trace: tracer.finish(),
+            tracked: vulnerable.into_iter().map(|(h, _)| h).collect(),
+            state: WorkerState::capture(&prober, &counts),
+            cache: prober.context().policy_cache.clone(),
+            trace: tracer.finish().records,
+            busy: prober.context().clock.now().since(start),
         }
     };
 
@@ -438,7 +269,6 @@ fn sweep_sharded(
         txs.push(tx);
         rxs.push(rx);
     }
-    let host_count_hint = lazy.domain_count(); // lower bound, resized below
     let shard_outputs: Vec<ShardOut> = crossbeam::thread::scope(|s| {
         let handles: Vec<_> = rxs.into_iter().map(|rx| s.spawn(|_| worker(rx))).collect();
         // The feeder: synthesize on this thread, dispatch each fresh
@@ -460,41 +290,27 @@ fn sweep_sharded(
     })
     .expect("scope");
 
-    let mut masks = vec![0u32; host_count_hint];
-    let mut vulnerable = Vec::new();
-    let mut counts = HashMap::new();
-    let mut ethics_total = crate::EthicsAudit::default();
-    let mut network_total = spfail_netsim::MetricsSnapshot::default();
-    let mut cache_seed = PolicyCacheStats::default();
-    let mut busy = SimDuration::ZERO;
-    let mut trace_records = Vec::new();
     let total: usize = shard_outputs.iter().map(|o| o.masks.len()).sum();
-    masks.resize(total, 0);
-    for (shard, out) in shard_outputs.into_iter().enumerate() {
-        for (i, m) in out.masks.into_iter().enumerate() {
-            masks[shard + i * shards] = m;
+    let mut out = SweepOutput {
+        masks: vec![0u32; total],
+        tracked: Vec::new(),
+        workers: Vec::with_capacity(shards),
+        caches: Vec::with_capacity(shards),
+        trace_records: Vec::new(),
+        busy: SimDuration::ZERO,
+    };
+    for (shard, shard_out) in shard_outputs.into_iter().enumerate() {
+        for (i, m) in shard_out.masks.into_iter().enumerate() {
+            out.masks[shard + i * shards] = m;
         }
-        vulnerable.extend(out.vulnerable);
-        counts.extend(out.counts);
-        ethics_total = ethics_total.merge(&out.ethics);
-        network_total = network_total.merge(&out.network);
-        cache_seed = cache_seed.merge(&out.cache);
-        busy = busy.max(out.busy);
-        trace_records.extend(out.trace.records);
+        out.tracked.extend(shard_out.tracked);
+        out.workers.push(shard_out.state);
+        out.caches.push(shard_out.cache);
+        out.trace_records.extend(shard_out.trace);
+        out.busy = out.busy.max(shard_out.busy);
     }
-    vulnerable.sort_by_key(|&(h, _)| h);
-    SweepOutput {
-        masks,
-        vulnerable,
-        counts,
-        ethics_total,
-        network_total,
-        workers: Vec::new(),
-        trace_records,
-        busy,
-        cache: None,
-        cache_seed,
-    }
+    out.tracked.sort_unstable();
+    out
 }
 
 /// The retention replay: re-drive the synthesis stream (bit-identical

@@ -132,7 +132,13 @@ fn shard_count_beyond_host_count_still_matches() {
 
 #[test]
 fn sharded_engine_leaves_world_clock_at_snapshot_day() {
-    let world = build_world(11, 0.002);
-    let _ = CampaignBuilder::new().shards(4).run(&world);
-    assert_eq!(world.clock.now(), Timeline::day_to_time(Timeline::END));
+    for shards in [1usize, 4] {
+        let world = build_world(11, 0.002);
+        let _ = CampaignBuilder::new().shards(shards).run(&world);
+        assert_eq!(
+            world.clock.now(),
+            Timeline::day_to_time(Timeline::END),
+            "{shards} shard(s)"
+        );
+    }
 }

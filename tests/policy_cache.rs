@@ -15,6 +15,11 @@ use spfail::prober::{
 };
 use spfail::world::{Timeline, World, WorldConfig};
 
+/// The cache tallies of a run; panics when the cache was disabled.
+fn tallies(run: &CampaignRun) -> spfail::netsim::PolicyCacheStats {
+    run.cache.expect("the cache is on by default")
+}
+
 const SEEDS: [u64; 3] = [11, 2024, 77];
 const SCALE: f64 = 0.002;
 
@@ -203,4 +208,30 @@ fn checkpoint_text_does_not_serialize_the_cache() {
         session.finish().cache.is_none(),
         "policy_cache(false) did not survive the checkpoint round trip"
     );
+}
+
+/// Every worker keeps one cache from the initial sweep through the last
+/// round, in either mode: a streamed session's workers adopt their sweep
+/// workers' warm caches, so eager and streaming runs tally the same
+/// hits, misses and interned policies for every shard count.
+#[test]
+fn cache_tallies_match_across_modes_for_every_shard_count() {
+    for shards in [1usize, 2, 4] {
+        let config = WorldConfig {
+            scale: SCALE,
+            ..WorldConfig::small(2024)
+        };
+        let builder = CampaignBuilder::new().shards(shards);
+        let eager = builder.run(&World::generate(config.clone()));
+        let streamed = builder.run_streaming(config).run;
+        assert_eq!(
+            tallies(&eager),
+            tallies(&streamed),
+            "{shards} shard(s): cache tallies differ across modes"
+        );
+        assert!(
+            tallies(&eager).hits > 0,
+            "{shards} shard(s): cache never hit"
+        );
+    }
 }

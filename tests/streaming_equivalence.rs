@@ -13,7 +13,7 @@
 //!    and vice versa. Resume *output* equality is the contract — the
 //!    checkpoint files themselves legitimately differ across modes (an
 //!    eager checkpoint carries per-host `init` lines, a streamed one
-//!    the `aggregate v1` mask column and pruned worker state).
+//!    the `aggregate v1` mask column); their worker sections agree.
 
 use spfail::netsim::{FaultPlan, FaultProfile, FlakyWindow, SimDuration};
 use spfail::prober::{
@@ -172,6 +172,45 @@ fn streamed_checkpoint_text_round_trips_at_every_boundary() {
         if session.advance_round().is_none() {
             break;
         }
+    }
+}
+
+/// Both engines run the same workers: right after the initial sweep an
+/// eager session and a streamed session of one builder write identical
+/// worker sections — clocks, audits, contact ledgers, metrics,
+/// repetition and blacklist counters, each pruned to the shard's
+/// tracked hosts.
+#[test]
+fn eager_and_streamed_sweeps_write_identical_worker_sections() {
+    fn worker_section(text: &str) -> Vec<&str> {
+        text.lines()
+            .skip_while(|l| *l != "worker")
+            .take_while(|l| !l.starts_with("trace "))
+            .collect()
+    }
+    for shards in [1usize, 4] {
+        let builder = builder(shards, true);
+        let world = World::generate(config(77));
+        let mut eager = builder.session(&world);
+        eager.initial_sweep();
+        let eager_text = eager.to_state().to_text();
+        let streamed = StreamedCampaign::sweep(builder, config(77));
+        let streamed_text = streamed
+            .session()
+            .expect("handoff state is self-consistent")
+            .to_state()
+            .to_text();
+        let eager_workers = worker_section(&eager_text);
+        assert_eq!(
+            eager_workers.iter().filter(|l| **l == "worker").count(),
+            shards,
+            "{shards} shard(s): one worker section per shard"
+        );
+        assert_eq!(
+            eager_workers,
+            worker_section(&streamed_text),
+            "{shards} shard(s): worker sections differ across modes"
+        );
     }
 }
 
