@@ -9,14 +9,18 @@
 //! per-lookup allocation fails tier-1 here — long before criterion noise
 //! could hide it.
 //!
-//! Every measurement takes the shared [`measure_lock`], so parallel test
-//! threads never pollute each other's window — essential now that the
-//! streaming-vs-eager peak-heap tests below run whole campaigns (millions
-//! of allocations) in the same binary as the ≤12-alloc resolve budgets.
+//! Allocation counts are per thread: only allocations made by the thread
+//! inside [`count_allocs`] are counted, so fixtures other test threads
+//! build — or the backtraces they print when they fail — never land in a
+//! budget. No budgeted closure spawns threads, so this is every
+//! allocation the measured code makes. Peak-heap windows (whole
+//! campaigns, which do spawn worker threads) stay process-wide, and
+//! every window takes the shared [`measure_lock`] so two never overlap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use spfail_dns::{Directory, Name, RecordType, Resolver, StaticAuthority, ZoneBuilder};
@@ -25,9 +29,20 @@ use spfail_netsim::{Link, SimClock, SimRng};
 struct CountingAllocator;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Depth of measurement scopes; counting only while > 0 keeps test-harness
-/// bookkeeping out of the numbers.
-static MEASURING: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on the thread inside [`count_allocs`]; only its allocations
+    /// count. `const`-initialized with no destructor, so reading it never
+    /// allocates (which would recurse into the allocator).
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is inside a counting window. `try_with`
+/// answers `false` during thread teardown instead of panicking.
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
 /// Live heap bytes right now. Tracked from the first allocation of the
 /// process, so every dealloc pairs with a tracked alloc and the counter
 /// never underflows.
@@ -37,7 +52,7 @@ static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.load(Ordering::Relaxed) > 0 {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         let now = CURRENT_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed)
@@ -52,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.load(Ordering::Relaxed) > 0 {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         CURRENT_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
@@ -74,14 +89,14 @@ fn measure_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Heap allocations performed by `f`.
+/// Heap allocations performed by `f` on the calling thread.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let _window = measure_lock();
-    MEASURING.fetch_add(1, Ordering::SeqCst);
     let before = ALLOCS.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let out = f();
+    COUNTING.with(|c| c.set(false));
     let after = ALLOCS.load(Ordering::SeqCst);
-    MEASURING.fetch_sub(1, Ordering::SeqCst);
     (after - before, out)
 }
 

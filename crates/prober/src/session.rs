@@ -618,7 +618,41 @@ impl<'w> Session<'w> {
         session.initial_busy = state.initial_busy;
         session.rounds_busy = state.rounds_busy;
         session.stats = state.stats;
-        for (day, hosts) in state.rounds {
+        // Only rounds the engine can write restore: each on the
+        // timeline's day for its position (so days strictly increase),
+        // naming tracked hosts in strictly ascending order (as
+        // `to_state` writes them, so no host twice). The report's
+        // longitudinal view relies on exactly this.
+        let round_days = Timeline::all_round_days();
+        for (i, (day, hosts)) in state.rounds.into_iter().enumerate() {
+            if round_days.get(i) != Some(&day) {
+                return Err(format!(
+                    "checkpoint round {} is on day {day}, off the timeline's strictly \
+                     increasing round days",
+                    i + 1
+                ));
+            }
+            // One merge walk against the sorted tracked list.
+            let mut pos = 0;
+            let mut prev = None;
+            for &(host, _) in &hosts {
+                if prev >= Some(host) {
+                    return Err(format!(
+                        "checkpoint round on day {day} names host {} twice or out of host order",
+                        host.0
+                    ));
+                }
+                prev = Some(host);
+                while session.tracked.get(pos).is_some_and(|&t| t < host) {
+                    pos += 1;
+                }
+                if session.tracked.get(pos) != Some(&host) {
+                    return Err(format!(
+                        "checkpoint round on day {day} names host {} outside the tracked set",
+                        host.0
+                    ));
+                }
+            }
             session.note_round(day, hosts.into_iter().collect());
         }
         if session.rounds_done != state.rounds_done {
@@ -765,4 +799,94 @@ fn incremental_round_sweep(
     }
     let busy = prober.context().clock.now().since(start);
     (statuses, busy, issued, skipped)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spfail_world::{World, WorldConfig};
+
+    fn world() -> World {
+        World::generate(WorldConfig {
+            scale: 0.004,
+            ..WorldConfig::small(11)
+        })
+    }
+
+    /// A checkpoint after two rounds, plus the session's tracked hosts.
+    fn two_round_state(world: &World) -> (CampaignState, Vec<HostId>) {
+        let mut session = CampaignBuilder::new().session(world);
+        session.initial_sweep();
+        session.advance_round();
+        session.advance_round();
+        (session.to_state(), session.tracked().to_vec())
+    }
+
+    fn restore_error(state: CampaignState, world: &World) -> String {
+        match Session::from_state(state, world) {
+            Ok(_) => panic!("a round the engine cannot write must not restore"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn from_state_restores_engine_written_rounds() {
+        let world = world();
+        let (state, _) = two_round_state(&world);
+        let session = Session::from_state(state, &world).expect("engine-written state restores");
+        assert_eq!(session.rounds_done(), 2);
+    }
+
+    #[test]
+    fn from_state_rejects_a_round_naming_an_untracked_host() {
+        let world = world();
+        let (mut state, tracked) = two_round_state(&world);
+        let outsider = (0..world.hosts.len() as u32)
+            .map(HostId)
+            .find(|h| !tracked.contains(h))
+            .expect("some host is not tracked");
+        let round = &mut state.rounds[1].1;
+        let at = round.partition_point(|(h, _)| *h < outsider);
+        round.insert(at, (outsider, RoundStatus::Patched));
+        let err = restore_error(state, &world);
+        assert!(err.contains("outside the tracked set"), "{err}");
+    }
+
+    #[test]
+    fn from_state_rejects_round_days_that_do_not_strictly_increase() {
+        let world = world();
+        let (state, _) = two_round_state(&world);
+        let mut swapped = state.clone();
+        let (first, second) = (swapped.rounds[0].0, swapped.rounds[1].0);
+        swapped.rounds[0].0 = second;
+        swapped.rounds[1].0 = first;
+        let err = restore_error(swapped, &world);
+        assert!(err.contains("strictly increasing"), "{err}");
+
+        let mut repeated = state;
+        repeated.rounds[1].0 = repeated.rounds[0].0;
+        let err = restore_error(repeated, &world);
+        assert!(err.contains("strictly increasing"), "{err}");
+    }
+
+    #[test]
+    fn from_state_rejects_a_round_naming_a_host_twice() {
+        let world = world();
+        let (state, _) = two_round_state(&world);
+        let mut twice = state.clone();
+        let (host, status) = twice.rounds[0].1[0];
+        let flipped = if status == RoundStatus::Patched {
+            RoundStatus::Vulnerable
+        } else {
+            RoundStatus::Patched
+        };
+        twice.rounds[0].1.insert(1, (host, flipped));
+        let err = restore_error(twice, &world);
+        assert!(err.contains("twice"), "{err}");
+
+        let mut unordered = state;
+        unordered.rounds[0].1.swap(0, 1);
+        let err = restore_error(unordered, &world);
+        assert!(err.contains("out of host order"), "{err}");
+    }
 }

@@ -4,11 +4,25 @@
 //! figures only read the campaign's round data plus retained domains
 //! and tracked hosts, all of which the streaming pipeline keeps, so the
 //! eager and streaming exhibits share one implementation.
+//!
+//! The longitudinal builders (Figures 3 and 5–8, `attribution`) read
+//! the rounds through a [`View`] that is dense over the sorted
+//! `campaign.tracked` list: a tracked host is named by its *position*
+//! in that list. Each round's status map becomes a position-sorted
+//! column, and the patch timeline becomes two `u16` columns indexed by
+//! position. A figure resolves each of its domains to the positions of
+//! its tracked hosts once, then per round fills one `(direct, status)`
+//! entry per tracked host and answers every domain by slice indexing:
+//! rounds × domains slice work, not rounds × domains × map lookups.
+//!
+//! The view relies on the invariant the engine keeps and
+//! `Session::from_state` checks on restore: every host a round names is
+//! tracked, and round days strictly increase.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
-use spfail_prober::{RoundStatus, SnapshotStatus};
+use spfail_prober::{CampaignData, RoundStatus, SnapshotStatus};
 use spfail_world::{geo, DomainId, HostId, Timeline};
 
 use crate::pipeline::{Context, SetFilter, Source, StreamContext};
@@ -16,108 +30,166 @@ use crate::series::{render_chart, Series};
 use crate::table::{count_pct, pct, Table};
 use crate::Exhibit;
 
-/// Precomputed longitudinal lookups shared by the time-series figures.
+/// Column value for a host never measured patched (or vulnerable).
+const NEVER: u16 = u16::MAX;
+
+/// One tracked host at one round: whether it was conclusively measured
+/// that round, and its status after the inference rules.
+type HostState = (bool, RoundStatus);
+
+/// The campaign's longitudinal data, dense over `campaign.tracked`
+/// (sorted by [`HostId`]): position `i` in every column is the host
+/// `tracked[i]`. Rounds keep the campaign's order, ascending by day.
 struct View<'a> {
-    src: &'a Source<'a>,
-    tracked: BTreeSet<HostId>,
-    first_patched: BTreeMap<HostId, u16>,
-    last_vulnerable: BTreeMap<HostId, u16>,
+    tracked: &'a [HostId],
+    /// Per round: its day and its conclusive measurements as
+    /// `(position, status)`, sorted by position. An inconclusive
+    /// measurement is left out — it counts as no measurement.
+    rounds: Vec<(u16, Vec<(u32, RoundStatus)>)>,
+    /// First round day each host was measured patched, or [`NEVER`].
+    first_patched: Vec<u16>,
+    /// Last round day each host was measured vulnerable, or [`NEVER`].
+    last_vulnerable: Vec<u16>,
 }
 
 impl<'a> View<'a> {
-    fn new(src: &'a Source<'a>) -> View<'a> {
-        let campaign = src.campaign();
-        let tracked: BTreeSet<HostId> = campaign.tracked.iter().copied().collect();
-        let mut first_patched = BTreeMap::new();
-        let mut last_vulnerable = BTreeMap::new();
+    fn new(campaign: &'a CampaignData) -> View<'a> {
+        let tracked = campaign.tracked.as_slice();
+        debug_assert!(tracked.windows(2).all(|w| w[0] < w[1]), "tracked is sorted");
+        let mut first_patched = vec![NEVER; tracked.len()];
+        let mut last_vulnerable = vec![NEVER; tracked.len()];
+        let mut rounds = Vec::with_capacity(campaign.rounds.len());
         for (day, statuses) in &campaign.rounds {
-            let mut by_host: Vec<(HostId, RoundStatus)> =
-                statuses.iter().map(|(&host, &status)| (host, status)).collect();
+            let mut by_host: Vec<(HostId, RoundStatus)> = statuses
+                .iter()
+                .filter(|(_, &status)| status != RoundStatus::Inconclusive)
+                .map(|(&host, &status)| (host, status))
+                .collect();
             by_host.sort_unstable_by_key(|(host, _)| *host);
+            // Merge-walk the sorted column against the sorted tracked
+            // list; a host outside it (never written by the engine) is
+            // skipped.
+            let mut column = Vec::with_capacity(by_host.len());
+            let mut pos = 0;
             for (host, status) in by_host {
-                match status {
-                    RoundStatus::Patched => {
-                        first_patched.entry(host).or_insert(*day);
-                    }
-                    RoundStatus::Vulnerable => {
-                        last_vulnerable.insert(host, *day);
-                    }
-                    RoundStatus::Inconclusive => {}
+                while pos < tracked.len() && tracked[pos] < host {
+                    pos += 1;
                 }
+                if tracked.get(pos) != Some(&host) {
+                    continue;
+                }
+                if status == RoundStatus::Patched {
+                    if first_patched[pos] == NEVER {
+                        first_patched[pos] = *day;
+                    }
+                } else {
+                    last_vulnerable[pos] = *day;
+                }
+                column.push((pos as u32, status));
             }
+            rounds.push((*day, column));
         }
         View {
-            src,
             tracked,
+            rounds,
             first_patched,
             last_vulnerable,
         }
     }
 
-    /// A host's inferred status at `day` given that round's direct
-    /// measurements.
-    fn host_status(
+    /// `domains` resolved to the positions of their tracked hosts, once
+    /// per figure.
+    fn resolve<'s>(
         &self,
-        host: HostId,
-        day: u16,
-        direct: &HashMap<HostId, RoundStatus>,
-    ) -> RoundStatus {
-        match direct.get(&host) {
-            Some(&RoundStatus::Vulnerable) => return RoundStatus::Vulnerable,
-            Some(&RoundStatus::Patched) => return RoundStatus::Patched,
-            _ => {}
+        domains: &[DomainId],
+        hosts_of: impl Fn(DomainId) -> &'s [HostId],
+    ) -> DomainHosts {
+        let mut positions = Vec::new();
+        let mut ends = Vec::with_capacity(domains.len());
+        for &domain in domains {
+            positions.extend(
+                hosts_of(domain)
+                    .iter()
+                    .filter_map(|host| self.tracked.binary_search(host).ok())
+                    .map(|pos| pos as u32),
+            );
+            ends.push(positions.len());
         }
-        if self.last_vulnerable.get(&host).is_some_and(|&d| d >= day) {
-            return RoundStatus::Vulnerable;
-        }
-        if self.first_patched.get(&host).is_some_and(|&d| d <= day) {
-            return RoundStatus::Patched;
-        }
-        RoundStatus::Inconclusive
+        DomainHosts { positions, ends }
     }
 
-    /// `(directly_measured, status)` for one domain at one round.
-    fn domain_state(
-        &self,
-        domain: DomainId,
-        day: u16,
-        direct: &HashMap<HostId, RoundStatus>,
-    ) -> (bool, RoundStatus) {
-        let hosts: Vec<HostId> = self
-            .src
-            .domain(domain)
-            .hosts
-            .iter()
-            .copied()
-            .filter(|h| self.tracked.contains(h))
-            .collect();
-        if hosts.is_empty() {
-            return (false, RoundStatus::Inconclusive);
+    /// Every tracked host's state on round `day`, whose conclusive
+    /// measurements are `column`, written to `states` by position.
+    /// Unmeasured hosts take the inference rules: vulnerable if measured
+    /// vulnerable on this day or later, else patched if measured patched
+    /// on or before it.
+    fn fill_states(&self, day: u16, column: &[(u32, RoundStatus)], states: &mut Vec<HostState>) {
+        states.clear();
+        states.extend(self.first_patched.iter().zip(&self.last_vulnerable).map(
+            |(&patched, &vulnerable)| {
+                let status = if vulnerable != NEVER && vulnerable >= day {
+                    RoundStatus::Vulnerable
+                } else if patched != NEVER && patched <= day {
+                    RoundStatus::Patched
+                } else {
+                    RoundStatus::Inconclusive
+                };
+                (false, status)
+            },
+        ));
+        for &(pos, status) in column {
+            states[pos as usize] = (true, status);
         }
-        let all_direct = hosts.iter().all(|h| {
-            matches!(
-                direct.get(h),
-                Some(RoundStatus::Vulnerable) | Some(RoundStatus::Patched)
-            )
-        });
-        let mut all_patched = true;
-        let mut any_vulnerable = false;
-        for &host in &hosts {
-            match self.host_status(host, day, direct) {
-                RoundStatus::Vulnerable => any_vulnerable = true,
-                RoundStatus::Patched => {}
-                RoundStatus::Inconclusive => all_patched = false,
-            }
-        }
-        let status = if any_vulnerable {
-            RoundStatus::Vulnerable
-        } else if all_patched {
-            RoundStatus::Patched
-        } else {
-            RoundStatus::Inconclusive
-        };
-        (all_direct, status)
     }
+}
+
+/// Domains as runs of tracked-host positions: domain `k` owns
+/// `positions[ends[k - 1]..ends[k]]` (from 0 for the first).
+struct DomainHosts {
+    positions: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl DomainHosts {
+    /// Each domain's positions, in the order the domains were resolved.
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let hosts = &self.positions[start..end];
+            start = end;
+            hosts
+        })
+    }
+}
+
+/// `(directly_measured, status)` for one domain at one round, from its
+/// tracked-host positions and the round's [`View::fill_states`]: direct
+/// when every host was measured, vulnerable when any host is, patched
+/// when all are. A domain with no tracked host is inconclusive.
+fn domain_state(hosts: &[u32], states: &[HostState]) -> HostState {
+    if hosts.is_empty() {
+        return (false, RoundStatus::Inconclusive);
+    }
+    let mut all_direct = true;
+    let mut all_patched = true;
+    let mut any_vulnerable = false;
+    for &pos in hosts {
+        let (direct, status) = states[pos as usize];
+        all_direct &= direct;
+        match status {
+            RoundStatus::Vulnerable => any_vulnerable = true,
+            RoundStatus::Patched => {}
+            RoundStatus::Inconclusive => all_patched = false,
+        }
+    }
+    let status = if any_vulnerable {
+        RoundStatus::Vulnerable
+    } else if all_patched {
+        RoundStatus::Patched
+    } else {
+        RoundStatus::Inconclusive
+    };
+    (all_direct, status)
 }
 
 /// Figure 2: final distribution of initially vulnerable domains.
@@ -192,7 +264,7 @@ pub fn fig3_streaming(sc: &StreamContext) -> Exhibit {
 }
 
 fn fig3_impl(src: &Source) -> Exhibit {
-    let view = View::new(src);
+    let view = View::new(src.campaign());
     #[derive(Default)]
     struct Bucket {
         vulnerable: usize,
@@ -200,13 +272,13 @@ fn fig3_impl(src: &Source) -> Exhibit {
         countries: BTreeMap<&'static str, usize>,
     }
     let mut buckets: BTreeMap<(i32, i32), Bucket> = BTreeMap::new();
-    for &host in &src.campaign().tracked {
+    for (&host, &first_patched) in view.tracked.iter().zip(&view.first_patched) {
         let record = src.host(host);
         let cell = geo::bucket(&record.geo, 15.0);
         let bucket = buckets.entry(cell).or_default();
         bucket.vulnerable += 1;
         *bucket.countries.entry(record.geo.country).or_default() += 1;
-        if view.first_patched.contains_key(&host) {
+        if first_patched != NEVER {
             bucket.patched += 1;
         }
     }
@@ -322,15 +394,18 @@ fn fig4_impl(src: &Source) -> Exhibit {
 
 /// Shared builder for the Figure 5/8 conclusiveness series.
 fn conclusiveness(src: &Source, domains: &[DomainId]) -> (Series, Series, Vec<Value>) {
-    let view = View::new(src);
+    let view = View::new(src.campaign());
+    let domain_hosts = view.resolve(domains, |d| src.domain(d).hosts.as_slice());
+    let mut states = Vec::new();
     let mut measured = Series::new("successful measurements");
     let mut with_inferred = Series::new("incl. inferred");
     let mut json_rows = Vec::new();
-    for (day, direct) in &src.campaign().rounds {
+    for (day, column) in &view.rounds {
+        view.fill_states(*day, column, &mut states);
         let mut direct_count = 0usize;
         let mut inferred_count = 0usize;
-        for &d in domains {
-            let (is_direct, status) = view.domain_state(d, *day, direct);
+        for hosts in domain_hosts.iter() {
+            let (is_direct, status) = domain_state(hosts, &states);
             if is_direct {
                 direct_count += 1;
             } else if status != RoundStatus::Inconclusive {
@@ -387,26 +462,32 @@ fn fig5_impl(src: &Source) -> Exhibit {
 
 /// Shared builder for the Figure 6/7 vulnerability-rate series.
 fn vulnerability_rates(src: &Source, window1_only: bool) -> (Vec<Series>, Vec<Value>) {
-    let view = View::new(src);
+    let view = View::new(src.campaign());
     let sets = [SetFilter::AlexaTopList, SetFilter::Alexa1000, SetFilter::TwoWeek];
     let mut all_series: Vec<Series> = sets.iter().map(|s| Series::new(s.label())).collect();
     let mut json_rows = Vec::new();
-    let domains_per_set: Vec<Vec<DomainId>> = sets
+    let hosts_per_set: Vec<DomainHosts> = sets
         .iter()
-        .map(|&s| src.vulnerable_domains_in(s))
+        .map(|&s| {
+            view.resolve(&src.vulnerable_domains_in(s), |d| {
+                src.domain(d).hosts.as_slice()
+            })
+        })
         .collect();
-    for (day, direct) in &src.campaign().rounds {
+    let mut states = Vec::new();
+    for (day, column) in &view.rounds {
         if window1_only && *day > Timeline::WINDOW1_END {
             break;
         }
+        view.fill_states(*day, column, &mut states);
         let mut row = serde_json::Map::new();
         row.insert("day".into(), json!(day));
         row.insert("date".into(), json!(Timeline::date_label(*day)));
         for (i, set) in sets.iter().enumerate() {
             let mut vulnerable = 0usize;
             let mut known = 0usize;
-            for &d in &domains_per_set[i] {
-                match view.domain_state(d, *day, direct).1 {
+            for hosts in hosts_per_set[i].iter() {
+                match domain_state(hosts, &states).1 {
                     RoundStatus::Vulnerable => {
                         vulnerable += 1;
                         known += 1;
@@ -544,7 +625,7 @@ pub fn attribution_streaming(sc: &StreamContext) -> Exhibit {
 
 fn attribution_impl(src: &Source) -> Exhibit {
     use spfail_world::PatchCause;
-    let view = View::new(src);
+    let view = View::new(src.campaign());
     // Timing-window heuristic: classify each observed patch by when it
     // was first seen.
     let window_of = |day: u16| {
@@ -559,7 +640,12 @@ fn attribution_impl(src: &Source) -> Exhibit {
     let mut rows: BTreeMap<(&str, &str), usize> = BTreeMap::new();
     let mut attributed = 0usize;
     let mut correct = 0usize;
-    for (&host, &first_day) in &view.first_patched {
+    let patched = view
+        .tracked
+        .iter()
+        .zip(&view.first_patched)
+        .filter(|(_, &day)| day != NEVER);
+    for (&host, &first_day) in patched {
         let truth = src.host(host).profile.patch_cause;
         let truth_label = match truth {
             Some(PatchCause::AutoUpdate(_)) => "auto-update",
@@ -682,12 +768,262 @@ fn notification_funnel_impl(src: &Source) -> Exhibit {
     }
 }
 
+/// The map-based view the dense [`View`] replaced, kept as the
+/// differential reference for it.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+    use spfail_prober::{CampaignData, RoundStatus};
+    use spfail_world::HostId;
+
+    pub(super) struct MapView {
+        tracked: BTreeSet<HostId>,
+        pub(super) first_patched: BTreeMap<HostId, u16>,
+        last_vulnerable: BTreeMap<HostId, u16>,
+    }
+
+    impl MapView {
+        pub(super) fn new(campaign: &CampaignData) -> MapView {
+            let tracked: BTreeSet<HostId> = campaign.tracked.iter().copied().collect();
+            let mut first_patched = BTreeMap::new();
+            let mut last_vulnerable = BTreeMap::new();
+            for (day, statuses) in &campaign.rounds {
+                let mut by_host: Vec<(HostId, RoundStatus)> =
+                    statuses.iter().map(|(&host, &status)| (host, status)).collect();
+                by_host.sort_unstable_by_key(|(host, _)| *host);
+                for (host, status) in by_host {
+                    match status {
+                        RoundStatus::Patched => {
+                            first_patched.entry(host).or_insert(*day);
+                        }
+                        RoundStatus::Vulnerable => {
+                            last_vulnerable.insert(host, *day);
+                        }
+                        RoundStatus::Inconclusive => {}
+                    }
+                }
+            }
+            MapView {
+                tracked,
+                first_patched,
+                last_vulnerable,
+            }
+        }
+
+        fn host_status(
+            &self,
+            host: HostId,
+            day: u16,
+            direct: &HashMap<HostId, RoundStatus>,
+        ) -> RoundStatus {
+            match direct.get(&host) {
+                Some(&RoundStatus::Vulnerable) => return RoundStatus::Vulnerable,
+                Some(&RoundStatus::Patched) => return RoundStatus::Patched,
+                _ => {}
+            }
+            if self.last_vulnerable.get(&host).is_some_and(|&d| d >= day) {
+                return RoundStatus::Vulnerable;
+            }
+            if self.first_patched.get(&host).is_some_and(|&d| d <= day) {
+                return RoundStatus::Patched;
+            }
+            RoundStatus::Inconclusive
+        }
+
+        /// `(directly_measured, status)` for a domain serving
+        /// `domain_hosts` at one round.
+        pub(super) fn domain_state(
+            &self,
+            domain_hosts: &[HostId],
+            day: u16,
+            direct: &HashMap<HostId, RoundStatus>,
+        ) -> (bool, RoundStatus) {
+            let hosts: Vec<HostId> = domain_hosts
+                .iter()
+                .copied()
+                .filter(|h| self.tracked.contains(h))
+                .collect();
+            if hosts.is_empty() {
+                return (false, RoundStatus::Inconclusive);
+            }
+            let all_direct = hosts.iter().all(|h| {
+                matches!(
+                    direct.get(h),
+                    Some(RoundStatus::Vulnerable) | Some(RoundStatus::Patched)
+                )
+            });
+            let mut all_patched = true;
+            let mut any_vulnerable = false;
+            for &host in &hosts {
+                match self.host_status(host, day, direct) {
+                    RoundStatus::Vulnerable => any_vulnerable = true,
+                    RoundStatus::Patched => {}
+                    RoundStatus::Inconclusive => all_patched = false,
+                }
+            }
+            let status = if any_vulnerable {
+                RoundStatus::Vulnerable
+            } else if all_patched {
+                RoundStatus::Patched
+            } else {
+                RoundStatus::Inconclusive
+            };
+            (all_direct, status)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn ctx() -> &'static Context {
         crate::testctx::shared()
+    }
+
+    /// The dense view answers exactly as the map-based reference: the
+    /// same `(is_direct, status)` for every domain at every round, and
+    /// the same first-patched day for every tracked host.
+    fn assert_views_agree<'s>(
+        campaign: &CampaignData,
+        domains: &[DomainId],
+        hosts_of: impl Fn(DomainId) -> &'s [HostId],
+    ) {
+        let dense = View::new(campaign);
+        let reference = reference::MapView::new(campaign);
+        let resolved = dense.resolve(domains, &hosts_of);
+        assert_eq!(dense.rounds.len(), campaign.rounds.len());
+        let mut states = Vec::new();
+        for ((day, column), (map_day, direct)) in dense.rounds.iter().zip(&campaign.rounds) {
+            assert_eq!(day, map_day);
+            dense.fill_states(*day, column, &mut states);
+            for (&domain, hosts) in domains.iter().zip(resolved.iter()) {
+                assert_eq!(
+                    domain_state(hosts, &states),
+                    reference.domain_state(hosts_of(domain), *day, direct),
+                    "domain {domain:?} on day {day}"
+                );
+            }
+        }
+        for (&host, &day) in campaign.tracked.iter().zip(&dense.first_patched) {
+            assert_eq!(
+                (day != NEVER).then_some(day),
+                reference.first_patched.get(&host).copied(),
+                "first patched day of {host:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_view_matches_map_view_on_the_eager_run() {
+        let c = ctx();
+        assert_views_agree(&c.campaign, &c.campaign.vulnerable_domains, |d| {
+            c.world.domain(d).hosts.as_slice()
+        });
+    }
+
+    #[test]
+    fn dense_view_matches_map_view_on_the_streaming_run() {
+        // The scale and seed of `testctx::shared`.
+        let sc = StreamContext::run(0.025, 11);
+        let src = Source::Streaming(&sc);
+        let campaign = src.campaign();
+        assert_views_agree(campaign, &campaign.vulnerable_domains, |d| {
+            src.domain(d).hosts.as_slice()
+        });
+    }
+
+    /// Edge cases the generated runs may not reach: an inconclusive
+    /// direct entry, a domain with no tracked host, a host patched then
+    /// vulnerable again, and a domain whose hosts were all measured.
+    #[test]
+    fn dense_view_matches_map_view_on_hand_built_rounds() {
+        use spfail_prober::InitialMeasurement;
+        use RoundStatus::{Inconclusive as I, Patched as P, Vulnerable as V};
+
+        let h = HostId;
+        let round = |entries: &[(u32, RoundStatus)]| -> HashMap<HostId, RoundStatus> {
+            entries
+                .iter()
+                .map(|&(host, status)| (h(host), status))
+                .collect()
+        };
+        let campaign = CampaignData {
+            initial: InitialMeasurement::default(),
+            tracked: vec![h(1), h(2), h(3), h(4), h(5), h(7)],
+            rounds: vec![
+                // Host 1 inconclusive before it is seen patched; host 2
+                // patched, later vulnerable again; hosts 3 and 4 both
+                // measured every round.
+                (15, round(&[(1, I), (2, P), (3, V), (4, P), (5, I)])),
+                (17, round(&[(1, P), (2, I), (3, V), (4, P)])),
+                (19, round(&[(1, I), (2, V), (3, P), (4, P), (7, V)])),
+                (21, round(&[(2, I), (3, P), (4, P), (5, I)])),
+            ],
+            snapshot: HashMap::new(),
+            vulnerable_domains: (0..6).map(DomainId).collect(),
+            ethics: Default::default(),
+            network: Default::default(),
+        };
+        let domains: BTreeMap<DomainId, Vec<HostId>> = [
+            (0, vec![h(1)]),
+            (1, vec![h(6), h(8)]), // no tracked host
+            (2, vec![h(2), h(6)]),
+            (3, vec![h(3), h(4)]), // all measured directly
+            (4, vec![h(1), h(4), h(5)]),
+            (5, vec![h(7), h(2), h(7)]),
+        ]
+        .into_iter()
+        .map(|(d, hosts)| (DomainId(d), hosts))
+        .collect();
+        assert_views_agree(&campaign, &campaign.vulnerable_domains, |d| {
+            domains[&d].as_slice()
+        });
+
+        // Spot checks that the cases above are the ones named.
+        let view = View::new(&campaign);
+        let resolved = view.resolve(&campaign.vulnerable_domains, |d| domains[&d].as_slice());
+        let mut states = Vec::new();
+        let by_round: Vec<Vec<HostState>> = view
+            .rounds
+            .iter()
+            .map(|(day, column)| {
+                view.fill_states(*day, column, &mut states);
+                resolved
+                    .iter()
+                    .map(|hosts| domain_state(hosts, &states))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            by_round[0][0],
+            (false, I),
+            "inconclusive before the day-17 patch"
+        );
+        assert_eq!(
+            by_round[2][0],
+            (false, P),
+            "inconclusive after the day-17 patch"
+        );
+        assert!(
+            by_round.iter().all(|r| r[1] == (false, I)),
+            "no tracked host"
+        );
+        assert_eq!(by_round[0][2], (true, P), "patched on day 15...");
+        assert_eq!(
+            by_round[1][2],
+            (false, V),
+            "...inferred vulnerable on day 17 from day 19"
+        );
+        assert!(
+            by_round.iter().all(|r| r[3].0),
+            "hosts 3 and 4 measured every round"
+        );
+        assert_eq!(view.first_patched, [17, 15, 19, 15, NEVER, NEVER]);
+        assert_eq!(view.last_vulnerable, [NEVER, 19, 17, NEVER, NEVER, 19]);
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //!    checkpoint files themselves legitimately differ across modes (an
 //!    eager checkpoint carries per-host `init` lines, a streamed one
 //!    the `aggregate v1` mask column); their worker sections agree.
+//!
+//! Every run checked here, resumed ones included, also keeps the round
+//! shape the report's longitudinal view relies on: each host a round
+//! names is tracked, and round days strictly increase.
 
 use spfail::netsim::{FaultPlan, FaultProfile, FlakyWindow, SimDuration};
 use spfail::prober::{
-    CampaignBuilder, CampaignRun, CampaignState, CampaignSummary, RetryPolicy, Session,
-    StreamedCampaign, TraceConfig,
+    CampaignBuilder, CampaignData, CampaignRun, CampaignState, CampaignSummary, RetryPolicy,
+    Session, StreamedCampaign, TraceConfig,
 };
 use spfail::report::{all_exhibits, all_exhibits_streaming, Context, StreamContext};
 use spfail::world::{World, WorldConfig};
@@ -64,8 +68,27 @@ fn builder(shards: usize, faults: bool) -> CampaignBuilder {
     builder
 }
 
+/// Every round names only tracked hosts, and round days strictly
+/// increase.
+fn assert_rounds_well_formed(data: &CampaignData, label: &str) {
+    assert!(
+        data.rounds.windows(2).all(|w| w[0].0 < w[1].0),
+        "{label}: round days must strictly increase"
+    );
+    for (day, statuses) in &data.rounds {
+        assert!(
+            statuses
+                .keys()
+                .all(|host| data.tracked.binary_search(host).is_ok()),
+            "{label}: round on day {day} names an untracked host"
+        );
+    }
+}
+
 /// The two runs' cross-mode output — summary and trace — byte for byte.
 fn assert_same_measurement(eager: &CampaignRun, streamed: &CampaignRun, label: &str) {
+    assert_rounds_well_formed(&eager.data, &format!("{label}, eager"));
+    assert_rounds_well_formed(&streamed.data, &format!("{label}, streamed"));
     let eager_summary = CampaignSummary::from_data(&eager.data);
     assert_eq!(
         eager_summary, streamed.summary,
@@ -239,6 +262,7 @@ fn eager_checkpoint_resumes_under_streaming_engine() {
         assert_eq!(session.rounds_done(), kill_at);
         while session.advance_round().is_some() {}
         let resumed = session.finish();
+        assert_rounds_well_formed(&resumed.data, &format!("resumed at round {kill_at}"));
 
         assert_eq!(
             CampaignSummary::from_data(&reference.data),
@@ -276,6 +300,7 @@ fn streamed_checkpoint_resumes_under_eager_engine() {
         assert_eq!(session.rounds_done(), kill_at);
         while session.advance_round().is_some() {}
         let resumed = session.finish();
+        assert_rounds_well_formed(&resumed.data, &format!("resumed at round {kill_at}"));
 
         assert_eq!(
             CampaignSummary::from_data(&reference.data),
@@ -317,6 +342,7 @@ fn mode_toggles_across_boundaries_stay_identical() {
     assert_eq!(session.rounds_done(), 2);
     while session.advance_round().is_some() {}
     let resumed = session.finish();
+    assert_rounds_well_formed(&resumed.data, "toggled eager → streaming → eager");
 
     assert_eq!(CampaignSummary::from_data(&reference.data), resumed.summary);
     assert_eq!(reference.data.snapshot, resumed.data.snapshot);
