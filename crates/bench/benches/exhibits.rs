@@ -24,7 +24,7 @@ fn bench_tables(c: &mut Criterion) {
     });
     c.bench_function("table4_breakdown", |b| b.iter(|| tables::table4(black_box(ctx))));
     c.bench_function("table5_tld_patch", |b| b.iter(|| tables::table5(black_box(ctx))));
-    c.bench_function("table6_pkgmgr", |b| b.iter(tables::table6));
+    c.bench_function("table6_pkgmgr", |b| b.iter(|| tables::table6(black_box(ctx))));
     c.bench_function("table7_behaviors", |b| b.iter(|| tables::table7(black_box(ctx))));
 }
 

@@ -14,7 +14,7 @@
 //!   classifies each divergence as a *known quirk* (matched against
 //!   [`spfail_prober::KNOWN_QUIRKS`], with heap corruption cross-checked
 //!   against `memsim`) or a *bug*;
-//! * [`shrink`] — minimizes bug cases to a smallest reproducer;
+//! * [`mod@shrink`] — minimizes bug cases to a smallest reproducer;
 //! * [`rfc_corpus`] — an embedded RFC 7208–derived vector corpus
 //!   (openspf-style) run against both real evaluators;
 //! * [`regressions`] — the committed corpus of minimized divergences,

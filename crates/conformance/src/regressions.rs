@@ -1,5 +1,5 @@
 //! The committed regression corpus: every divergence or defect the
-//! differential work has surfaced, minimized (see [`crate::shrink`]) and
+//! differential work has surfaced, minimized (see [`mod@crate::shrink`]) and
 //! stored as a readable `.case` script under `corpus/`.
 //!
 //! The replay contract, enforced for every corpus entry:

@@ -1,15 +1,15 @@
-//! Online aggregation for streaming campaigns.
+//! The initial sweep's record, compressed to one `u32` per host.
 //!
-//! Streaming mode cannot keep a [`HostInitialResult`] per host — that is
-//! the O(hosts) column the mode exists to avoid. Instead every finished
-//! initial measurement is compressed into a [`HostMask`]: a 22-bit
-//! fingerprint that preserves *exactly* the predicates the longitudinal
-//! engine and every exhibit read from the initial sweep (outcome ladder,
-//! macro behaviours, vulnerability, preferred re-probe test). Masks fold
-//! into an [`OnlineAggregate`] whose `merge` is associative and
-//! commutative by construction — all counters are integers, the stats
-//! moments are exact integer sums — so any sharding or round-boundary
-//! split of the host stream produces the same totals.
+//! Every campaign session carries the sweep as a [`HostMask`] column
+//! (index = host id): a 22-bit fingerprint per host that preserves
+//! *exactly* the predicates the longitudinal engine and every exhibit
+//! read from the initial sweep (outcome ladder, macro behaviours,
+//! vulnerability, preferred re-probe test). Both sweeps fold each host
+//! into its mask as soon as its probes finish. An eager session also
+//! keeps the per-host results; a streaming one keeps only the column.
+//! The longitudinal tracking set is derived from the column alone, in
+//! one place (`Tracking::from_masks`), for a fresh sweep, a restored
+//! checkpoint and a streamed handoff alike.
 //!
 //! [`CampaignSummary`] is the cross-mode equality artifact: the part of a
 //! campaign's output that both eager and streaming mode produce, compared
@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use spfail_libspf2::MacroBehavior;
 use spfail_netsim::MetricsSnapshot;
-use spfail_world::{DomainId, HostId};
+use spfail_world::{DomainId, HostId, Population};
 
 use crate::campaign::{
     CampaignData, HostClass, HostInitialResult, RoundStatus, SnapshotStatus,
@@ -227,190 +227,69 @@ impl HostMask {
         HostClass::SpfNotMeasured
     }
 
-    /// Whether the longitudinal engine tracks this host — exactly the
-    /// membership test of `Campaign::derive_tracking` (transient hosts
-    /// are only re-tracked when also vulnerable, so the vulnerable bit
-    /// alone decides).
+    /// Whether the longitudinal engine tracks this host: the §5.1 rule
+    /// tracks exactly the initially vulnerable hosts. A transient probe
+    /// failure adds no host — only a vulnerable one would be re-tracked,
+    /// and that host is tracked already. `Tracking::from_masks` applies
+    /// this test for every session.
     pub fn tracked(self) -> bool {
         self.vulnerable()
     }
 }
 
-/// Number of host-id series buckets in an [`OnlineAggregate`].
-pub const SERIES_BUCKETS: usize = 16;
-
-/// A bounded-size, exactly-mergeable fold of host masks.
-///
-/// Merging is associative and commutative because every field is either
-/// an integer sum, an integer max, or delegates to a merge with the same
-/// algebra ([`EthicsAudit::merge`], [`MetricsSnapshot::merge`]). The
-/// stats moments are *integer* sums (u128 for the squares), so there is
-/// no floating-point reassociation to break bit-for-bit equality across
-/// shard counts or stream splits.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct OnlineAggregate {
-    /// Hosts folded in.
-    pub hosts: u64,
-    /// Table 3 ladder counts, indexed Refused/SmtpFailure/SpfMeasured/
-    /// SpfNotMeasured.
-    pub class_counts: [u64; 4],
-    /// Hosts showing each behaviour, indexed by [`BEHAVIOR_BITS`].
-    pub behavior_counts: [u64; 9],
-    /// Hosts with the vulnerable fingerprint.
-    pub vulnerable: u64,
-    /// Hosts expanding erroneously without being vulnerable.
-    pub erroneous: u64,
-    /// Hosts with at least one unknown expansion pattern.
-    pub unknown_patterns: u64,
-    /// Hosts showing ≥2 distinct expansion patterns.
-    pub multi_pattern: u64,
-    /// Hosts with a transient probe failure.
-    pub transient: u64,
-    /// Hosts measured by the NoMsg test.
-    pub measured_by_nomsg: u64,
-    /// Hosts that ran a BlankMsg probe.
-    pub blank_probes: u64,
-    /// Exact moments of the per-host distinct-behaviour count:
-    /// observations (measured hosts), sum, and sum of squares.
-    pub moment_count: u64,
-    /// Sum of per-host behaviour-set sizes.
-    pub moment_sum: u128,
-    /// Sum of squared per-host behaviour-set sizes.
-    pub moment_sum_sq: u128,
-    /// Hosts per `host.0 % SERIES_BUCKETS` bucket — a split-invariance
-    /// witness: any partition of the host stream folds to the same
-    /// histogram.
-    pub bucket_hosts: [u64; SERIES_BUCKETS],
-    /// Vulnerable hosts per bucket.
-    pub bucket_vulnerable: [u64; SERIES_BUCKETS],
-    /// Self-restraint totals folded from finished probers.
-    pub ethics: EthicsAudit,
-    /// Network-layer totals folded from finished probers.
-    pub network: MetricsSnapshot,
+/// The hosts the longitudinal engine tracks, id-sorted: those whose
+/// mask has the vulnerable bit (see [`HostMask::tracked`]).
+pub(crate) fn tracked_hosts(masks: &[u32]) -> Vec<HostId> {
+    masks
+        .iter()
+        .enumerate()
+        .filter(|(_, &m)| HostMask(m).tracked())
+        .map(|(i, _)| HostId(i as u32))
+        .collect()
 }
 
-impl OnlineAggregate {
-    /// Fold one host's mask in.
-    pub fn observe(&mut self, host: HostId, mask: HostMask) {
-        self.hosts += 1;
-        let class_idx = match mask.class() {
-            HostClass::Refused => 0,
-            HostClass::SmtpFailure => 1,
-            HostClass::SpfMeasured => 2,
-            HostClass::SpfNotMeasured => 3,
-        };
-        self.class_counts[class_idx] += 1;
-        let mut behaviors = 0u64;
-        for i in 0..BEHAVIOR_BITS.len() {
-            if mask.behavior(i) {
-                self.behavior_counts[i] += 1;
-                behaviors += 1;
-            }
-        }
-        if mask.vulnerable() {
-            self.vulnerable += 1;
-        }
-        if mask.erroneous() {
-            self.erroneous += 1;
-        }
-        if mask.unknown_patterns() {
-            self.unknown_patterns += 1;
-        }
-        if mask.multi_pattern() {
-            self.multi_pattern += 1;
-        }
-        if mask.transient() {
-            self.transient += 1;
-        }
-        if mask.measured_by() == Some(ProbeTest::NoMsg) {
-            self.measured_by_nomsg += 1;
-        }
-        if mask.blank_present() {
-            self.blank_probes += 1;
-        }
-        if mask.measured() {
-            self.moment_count += 1;
-            self.moment_sum += u128::from(behaviors);
-            self.moment_sum_sq += u128::from(behaviors) * u128::from(behaviors);
-        }
-        let bucket = host.0 as usize % SERIES_BUCKETS;
-        self.bucket_hosts[bucket] += 1;
-        if mask.vulnerable() {
-            self.bucket_vulnerable[bucket] += 1;
-        }
-    }
+/// The longitudinal tracking set the initial sweep determines (§5.1),
+/// derived from the sweep's mask column alone.
+pub(crate) struct Tracking {
+    /// The tracked hosts, id-sorted.
+    pub(crate) tracked: Vec<HostId>,
+    /// Each tracked host's re-probe test: the test that measured it
+    /// conclusively, else BlankMsg.
+    pub(crate) preferred: HashMap<HostId, ProbeTest>,
+    /// The initially vulnerable domains: every domain with a tracked
+    /// host, id-sorted.
+    pub(crate) vulnerable_domains: Vec<DomainId>,
+}
 
-    /// Fold a finished prober's totals in.
-    pub fn observe_totals(&mut self, ethics: &EthicsAudit, network: &MetricsSnapshot) {
-        self.ethics = self.ethics.merge(ethics);
-        self.network = self.network.merge(network);
-    }
-
-    /// The associative, commutative merge: `fold(A ∪ B) ==
-    /// merge(fold(A), fold(B))` for any partition of the host stream.
-    pub fn merge(&self, other: &OnlineAggregate) -> OnlineAggregate {
-        let mut out = self.clone();
-        out.hosts += other.hosts;
-        for i in 0..4 {
-            out.class_counts[i] += other.class_counts[i];
+impl Tracking {
+    /// Derive tracking from `masks` (index = host id) over `pop`, which
+    /// must hold every domain with a tracked host.
+    pub(crate) fn from_masks(masks: &[u32], pop: &dyn Population) -> Tracking {
+        let tracked = tracked_hosts(masks);
+        let preferred = tracked
+            .iter()
+            .map(|&h| {
+                let test = HostMask(masks[h.0 as usize])
+                    .measured_by()
+                    .unwrap_or(ProbeTest::BlankMsg);
+                (h, test)
+            })
+            .collect();
+        Tracking {
+            vulnerable_domains: pop.derive_vulnerable_domains(&tracked),
+            tracked,
+            preferred,
         }
-        for i in 0..BEHAVIOR_BITS.len() {
-            out.behavior_counts[i] += other.behavior_counts[i];
-        }
-        out.vulnerable += other.vulnerable;
-        out.erroneous += other.erroneous;
-        out.unknown_patterns += other.unknown_patterns;
-        out.multi_pattern += other.multi_pattern;
-        out.transient += other.transient;
-        out.measured_by_nomsg += other.measured_by_nomsg;
-        out.blank_probes += other.blank_probes;
-        out.moment_count += other.moment_count;
-        out.moment_sum += other.moment_sum;
-        out.moment_sum_sq += other.moment_sum_sq;
-        for i in 0..SERIES_BUCKETS {
-            out.bucket_hosts[i] += other.bucket_hosts[i];
-            out.bucket_vulnerable[i] += other.bucket_vulnerable[i];
-        }
-        out.ethics = out.ethics.merge(&other.ethics);
-        out.network = out.network.merge(&other.network);
-        out
-    }
-
-    /// Mean of the per-host distinct-behaviour count (exact ratio of
-    /// integer totals, computed once at read time).
-    pub fn behavior_mean(&self) -> f64 {
-        if self.moment_count == 0 {
-            return 0.0;
-        }
-        self.moment_sum as f64 / self.moment_count as f64
-    }
-
-    /// Population variance of the per-host distinct-behaviour count.
-    pub fn behavior_variance(&self) -> f64 {
-        if self.moment_count == 0 {
-            return 0.0;
-        }
-        let n = self.moment_count as f64;
-        let mean = self.behavior_mean();
-        (self.moment_sum_sq as f64 / n) - mean * mean
-    }
-
-    /// Fold an entire mask column (index = host id).
-    pub fn from_masks(masks: &[u32]) -> OnlineAggregate {
-        let mut agg = OnlineAggregate::default();
-        for (i, &bits) in masks.iter().enumerate() {
-            agg.observe(HostId(i as u32), HostMask(bits));
-        }
-        agg
     }
 }
 
 /// The part of a campaign's output that eager and streaming mode both
 /// produce, bit for bit: the cross-mode equality artifact.
 ///
-/// Eager mode derives it from the full [`CampaignData`]; streaming mode
-/// carries `masks` through the campaign instead of per-host initial
-/// results and fills the rest from the same longitudinal engine.
+/// Every session carries `masks` from its initial sweep (or restore) to
+/// `finish`, which fills the rest from the campaign data; eager-mode
+/// data alone yields the same summary through
+/// [`CampaignSummary::from_data`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSummary {
     /// One [`HostMask`] per host, indexed by host id.
@@ -441,6 +320,11 @@ impl CampaignSummary {
             assert!(idx < n, "initial results are a dense host column");
             masks[idx] = HostMask::from_initial(result).0;
         }
+        CampaignSummary::with_masks(masks, data)
+    }
+
+    /// The summary of `data` whose sweep record is `masks`.
+    pub(crate) fn with_masks(masks: Vec<u32>, data: &CampaignData) -> CampaignSummary {
         CampaignSummary {
             masks,
             tracked: data.tracked.clone(),
@@ -450,13 +334,6 @@ impl CampaignSummary {
             ethics: data.ethics.clone(),
             network: data.network,
         }
-    }
-
-    /// The aggregate view of the mask column.
-    pub fn aggregate(&self) -> OnlineAggregate {
-        let mut agg = OnlineAggregate::from_masks(&self.masks);
-        agg.observe_totals(&self.ethics, &self.network);
-        agg
     }
 }
 
@@ -507,59 +384,42 @@ mod tests {
         }
     }
 
+    /// The mask helper against the §5.1 rule written directly over the
+    /// per-host initial results.
     #[test]
-    fn tracked_bit_matches_derive_tracking() {
-        let data = small_run();
-        let from_masks: Vec<HostId> = {
-            let summary = CampaignSummary::from_data(&data);
-            summary
-                .masks
+    fn tracking_from_masks_matches_the_initial_results() {
+        let world = World::generate(WorldConfig {
+            seed: 7,
+            scale: 0.004,
+            ..WorldConfig::default()
+        });
+        for shards in [1, 3] {
+            let run = crate::CampaignBuilder::new().shards(shards).run(&world);
+            let results = &run.data.initial.results;
+            let mut tracked: Vec<HostId> = results
                 .iter()
-                .enumerate()
-                .filter(|(_, &m)| HostMask(m).tracked())
-                .map(|(i, _)| HostId(i as u32))
-                .collect()
-        };
-        assert_eq!(from_masks, data.tracked);
-    }
+                .filter(|(_, r)| r.vulnerable())
+                .map(|(&h, _)| h)
+                .collect();
+            tracked.sort_unstable();
+            let preferred: HashMap<HostId, ProbeTest> = tracked
+                .iter()
+                .map(|h| {
+                    let test = results[h].measured_by().unwrap_or(ProbeTest::BlankMsg);
+                    (*h, test)
+                })
+                .collect();
 
-    #[test]
-    fn aggregate_totals_match_direct_counts() {
-        let data = small_run();
-        let summary = CampaignSummary::from_data(&data);
-        let agg = summary.aggregate();
-        assert_eq!(agg.hosts as usize, data.initial.results.len());
-        assert_eq!(agg.vulnerable as usize, data.tracked.len());
-        let measured = data
-            .initial
-            .results
-            .values()
-            .filter(|r| r.classification().is_some())
-            .count();
-        assert_eq!(agg.class_counts[2] as usize, measured);
-        assert_eq!(agg.moment_count as usize, measured);
-        assert_eq!(agg.ethics, data.ethics);
-        assert_eq!(agg.network, data.network);
-    }
-
-    #[test]
-    fn merge_is_associative_and_split_invariant() {
-        let data = small_run();
-        let summary = CampaignSummary::from_data(&data);
-        let whole = OnlineAggregate::from_masks(&summary.masks);
-        // Split the column three ways at arbitrary points.
-        let n = summary.masks.len();
-        let (a_end, b_end) = (n / 3, 2 * n / 3);
-        let fold = |range: std::ops::Range<usize>| {
-            let mut agg = OnlineAggregate::default();
-            for i in range {
-                agg.observe(HostId(i as u32), HostMask(summary.masks[i]));
-            }
-            agg
-        };
-        let (a, b, c) = (fold(0..a_end), fold(a_end..b_end), fold(b_end..n));
-        assert_eq!(a.merge(&b).merge(&c), whole);
-        assert_eq!(a.merge(&b.merge(&c)), whole);
-        assert_eq!(c.merge(&a).merge(&b), whole, "commutes");
+            let tracking = Tracking::from_masks(&run.summary.masks, &world);
+            assert!(!tracking.tracked.is_empty(), "shards {shards}");
+            assert_eq!(tracking.tracked, tracked, "shards {shards}");
+            assert_eq!(tracking.preferred, preferred, "shards {shards}");
+            assert_eq!(
+                tracking.vulnerable_domains,
+                world.derive_vulnerable_domains(&tracked),
+                "shards {shards}"
+            );
+            assert_eq!(run.data.tracked, tracked, "shards {shards}");
+        }
     }
 }

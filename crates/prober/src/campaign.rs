@@ -16,6 +16,7 @@ use spfail_netsim::{FaultProfile, MetricsSnapshot, PolicyCacheStats, SimDuration
 use spfail_trace::{Phase, Trace, TraceConfig, Tracer};
 use spfail_world::{DomainId, HostId, HostRecord, Population, Timeline, World};
 
+use crate::aggregate::HostMask;
 use crate::classify::Classification;
 use crate::ethics::{EthicsAudit, MAX_CONCURRENT};
 use crate::probe::{
@@ -45,6 +46,21 @@ pub fn partition_hosts(hosts: &[HostId], shards: usize) -> Vec<Vec<HostId>> {
         parts[shard_of(host, shards)].push(host);
     }
     parts
+}
+
+/// The inverse of [`partition_hosts`] over the host range `0..n`: merge
+/// per-shard mask columns, shard `s` holding the masks of hosts `s`,
+/// `s + shards`, `s + 2 * shards`, … in order, into one column indexed
+/// by host id.
+pub(crate) fn interleave_shards(parts: Vec<Vec<u32>>) -> Vec<u32> {
+    let shards = parts.len();
+    let mut masks = vec![0u32; parts.iter().map(Vec::len).sum()];
+    for (shard, part) in parts.into_iter().enumerate() {
+        for (i, mask) in part.into_iter().enumerate() {
+            masks[shard + i * shards] = mask;
+        }
+    }
+    masks
 }
 
 /// Table 3's per-address outcome ladder.
@@ -183,7 +199,7 @@ pub enum SnapshotStatus {
 pub struct CampaignData {
     /// The initial sweep.
     pub initial: InitialMeasurement,
-    /// Hosts tracked longitudinally (initially vulnerable + transient).
+    /// Hosts tracked longitudinally: the initially vulnerable, sorted.
     pub tracked: Vec<HostId>,
     /// Per-round measurements: `(day, host -> status)`.
     pub rounds: Vec<(u16, HashMap<HostId, RoundStatus>)>,
@@ -238,34 +254,6 @@ impl CampaignData {
         }
         RoundStatus::Inconclusive
     }
-
-    /// A domain's status on `day` (with inference): vulnerable while any
-    /// initially-vulnerable host remains vulnerable; patched once all are.
-    pub fn domain_status(&self, world: &dyn Population, domain: DomainId, day: u16) -> RoundStatus {
-        let vulnerable_hosts: Vec<HostId> = world
-            .domain(domain)
-            .hosts
-            .iter()
-            .copied()
-            .filter(|h| self.tracked.contains(h))
-            .collect();
-        if vulnerable_hosts.is_empty() {
-            return RoundStatus::Inconclusive;
-        }
-        let mut all_patched = true;
-        for host in vulnerable_hosts {
-            match self.inferred_status(host, day) {
-                RoundStatus::Vulnerable => return RoundStatus::Vulnerable,
-                RoundStatus::Patched => {}
-                RoundStatus::Inconclusive => all_patched = false,
-            }
-        }
-        if all_patched {
-            RoundStatus::Patched
-        } else {
-            RoundStatus::Inconclusive
-        }
-    }
 }
 
 /// Simulated probing time per campaign phase.
@@ -300,7 +288,7 @@ pub struct CampaignRun {
     /// The campaign's measurements.
     pub data: CampaignData,
     /// The mode-independent comparison surface: initial results as
-    /// [`HostMask`](crate::HostMask)s plus the longitudinal fields.
+    /// [`HostMask`]s plus the longitudinal fields.
     /// Streaming and eager runs of the same configuration produce equal
     /// summaries bit for bit (`tests/streaming_equivalence.rs`); like
     /// `cache`, it is derived bookkeeping and excluded from run equality
@@ -465,16 +453,25 @@ impl CampaignBuilder {
     }
 
     /// Run the configured campaign in streaming mode: hosts are
-    /// synthesized on demand from the world seed and folded into
-    /// bounded-size aggregates, so peak memory is O(tracked + aggregate)
-    /// instead of O(hosts) — with [`CampaignData`]'s longitudinal fields,
-    /// traces, exhibits, and checkpoints bit-for-bit identical to
-    /// [`CampaignBuilder::run`] on the eagerly generated world. The
-    /// initial per-host results exist only as
-    /// [`HostMask`](crate::HostMask)s: `run.data.initial` is empty and
+    /// synthesized on demand from the world seed and each folded into
+    /// its 4-byte [`HostMask`], so peak memory is O(tracked + mask
+    /// column) instead of O(hosts) — with [`CampaignData`]'s
+    /// longitudinal fields, traces, exhibits, and checkpoints
+    /// bit-for-bit identical to [`CampaignBuilder::run`] on the eagerly
+    /// generated world. The initial per-host results exist only as
+    /// [`HostMask`]s: `run.data.initial` is empty and
     /// [`CampaignRun::summary`] carries the comparison surface.
     pub fn run_streaming(self, config: spfail_world::WorldConfig) -> crate::StreamingRun {
-        crate::streaming::run_streaming(self, config)
+        let streamed = crate::StreamedCampaign::sweep(self, config);
+        let mut session = streamed
+            .session()
+            .expect("a fresh handoff state is self-consistent");
+        while session.advance_round().is_some() {}
+        let run = session.finish();
+        crate::StreamingRun {
+            run,
+            population: streamed.into_population(),
+        }
     }
 }
 
@@ -527,19 +524,23 @@ impl Campaign {
         (HostInitialResult { nomsg, blankmsg }, seen)
     }
 
-    /// The initial sweep over one worker's partition of `world`.
+    /// The initial sweep over one worker's partition of `world`. Returns
+    /// the results, each host's [`HostMask`] in `hosts` order (folded as
+    /// the host finishes, as the streamed sweep does) and the busy time.
     pub(crate) fn initial_sweep(
         prober: &mut Prober<'_>,
         world: &dyn Population,
         counts: &mut HashMap<HostId, u32>,
         hosts: &[HostId],
-    ) -> (InitialMeasurement, SimDuration) {
+    ) -> (InitialMeasurement, Vec<u32>, SimDuration) {
         let start = Self::begin_sweep(prober, Phase::Initial, Timeline::INITIAL);
         let query_log = prober.context().query_log.clone();
         let mut results = HashMap::with_capacity(hosts.len());
+        let mut masks = Vec::with_capacity(hosts.len());
         for &host in hosts {
             let (result, seen) = Self::probe_initial(prober, host, world.host(host));
             counts.insert(host, seen);
+            masks.push(HostMask::from_initial(&result).0);
             results.insert(host, result);
             // Keep the query log bounded: each probe reads only its own
             // window, so anything older is dead weight.
@@ -548,47 +549,7 @@ impl Campaign {
             }
         }
         let busy = prober.context().clock.now().since(start);
-        (InitialMeasurement { results }, busy)
-    }
-
-    /// Derive the longitudinal tracking set from the initial sweep:
-    /// tracked hosts, initially vulnerable domains, and the preferred
-    /// test variant per tracked host. Pure post-processing — it reads
-    /// only the merged sweep results, never the probing surfaces, so
-    /// both engines share it verbatim.
-    pub(crate) fn derive_tracking(
-        world: &dyn Population,
-        initial: &InitialMeasurement,
-    ) -> (Vec<HostId>, Vec<DomainId>, HashMap<HostId, ProbeTest>) {
-        // Track the vulnerable plus the transient-but-remeasurable.
-        let mut tracked = initial.vulnerable_hosts();
-        let mut transient: Vec<HostId> = initial
-            .results
-            .iter()
-            .filter(|(host, result)| {
-                result.transient() && result.vulnerable() && !tracked.contains(host)
-            })
-            .map(|(&host, _)| host)
-            .collect();
-        transient.sort_unstable();
-        tracked.extend(transient);
-        tracked.sort();
-
-        let vulnerable_domains = world.derive_vulnerable_domains(&tracked);
-
-        let preferred: HashMap<HostId, ProbeTest> = tracked
-            .iter()
-            .map(|&h| {
-                let test = initial
-                    .results
-                    .get(&h)
-                    .and_then(HostInitialResult::measured_by)
-                    .unwrap_or(ProbeTest::BlankMsg);
-                (h, test)
-            })
-            .collect();
-
-        (tracked, vulnerable_domains, preferred)
+        (InitialMeasurement { results }, masks, busy)
     }
 
     /// The snapshot's probe targets: for each initially vulnerable

@@ -1,4 +1,5 @@
-//! The serialisable campaign state behind [`Session`] checkpointing.
+//! The serialisable campaign state behind [`Session`](crate::Session)
+//! checkpointing.
 //!
 //! [`CampaignState`] is the complete durable-state inventory of a
 //! campaign at a round boundary (see the [`crate::session`] module docs
@@ -28,6 +29,7 @@ use spfail_smtp::client::TransactionOutcome;
 use spfail_trace::{escape_field, unescape_field, ProbeRecord, TraceConfig};
 use spfail_world::HostId;
 
+use crate::aggregate::HostMask;
 use crate::campaign::{CampaignBuilder, HostInitialResult, RoundStatus};
 use crate::classify::Classification;
 use crate::probe::{ProbeOptions, ProbeOutcome, ProbeTest, RetryPolicy};
@@ -53,7 +55,8 @@ pub struct WorkerState {
     pub counts: Vec<(HostId, u32)>,
 }
 
-/// Everything a [`Session`] needs to continue from a round boundary.
+/// Everything a [`Session`](crate::Session) needs to continue from a
+/// round boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignState {
     /// The campaign configuration (shards, faults, retry, trace,
@@ -72,11 +75,11 @@ pub struct CampaignState {
     /// Probe-volume counters so far.
     pub stats: SessionStats,
     /// Streaming sessions only: the initial sweep compressed to one
-    /// [`HostMask`](crate::HostMask) per host (index = host id), written
-    /// as a versioned `aggregate v1` section. When present, `initial`
-    /// is empty — the masks are the sweep's record. Checkpoints without
-    /// the section (every eager checkpoint, and every file written
-    /// before the section existed) parse exactly as before.
+    /// [`HostMask`] per host (index = host id), written as a versioned
+    /// `aggregate v1` section. When present, `initial` is empty — the
+    /// masks are the sweep's record. Checkpoints without the section
+    /// (every eager checkpoint, and every file written before the
+    /// section existed) parse exactly as before.
     pub masks: Option<Vec<u32>>,
     /// The initial sweep's per-host results, host-sorted.
     pub initial: Vec<(HostId, HostInitialResult)>,
@@ -425,6 +428,43 @@ fn parse_ethics(toks: &[&str]) -> Result<EthicsAudit, String> {
 }
 
 impl CampaignState {
+    /// The initial sweep's record as a mask column (index = host id):
+    /// the `aggregate v1` section, or the masks of the `init` lines.
+    /// Refuses a record that does not cover the world: the `init` lines
+    /// must name hosts 0, 1, 2, … in order, once each, and when the
+    /// world's host count is known (`host_count`), the column must hold
+    /// exactly that many hosts.
+    pub(crate) fn mask_column(&self, host_count: Option<usize>) -> Result<Vec<u32>, String> {
+        let masks = match &self.masks {
+            Some(_) if !self.initial.is_empty() => {
+                return Err("checkpoint carries both init lines and an aggregate section".into())
+            }
+            Some(masks) => masks.clone(),
+            None => {
+                let mut masks = Vec::with_capacity(self.initial.len());
+                for (host, result) in &self.initial {
+                    if host.0 as usize != masks.len() {
+                        return Err(format!(
+                            "checkpoint init line names host {} where host {} belongs: \
+                             init hosts must ascend from 0, once each",
+                            host.0,
+                            masks.len()
+                        ));
+                    }
+                    masks.push(HostMask::from_initial(result).0);
+                }
+                masks
+            }
+        };
+        match host_count {
+            Some(n) if masks.len() != n => Err(format!(
+                "checkpoint's initial sweep covers {} hosts, but the world has {n}",
+                masks.len()
+            )),
+            _ => Ok(masks),
+        }
+    }
+
     /// Render the state into its canonical text form.
     pub fn to_text(&self) -> String {
         let mut out = String::new();

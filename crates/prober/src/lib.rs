@@ -40,7 +40,7 @@ pub mod probe;
 pub mod session;
 pub mod streaming;
 
-pub use aggregate::{CampaignSummary, HostMask, OnlineAggregate, BEHAVIOR_BITS, SERIES_BUCKETS};
+pub use aggregate::{CampaignSummary, HostMask, BEHAVIOR_BITS};
 pub use campaign::{
     partition_hosts, shard_of, CampaignBuilder, CampaignData, CampaignRun,
     CampaignTiming, HostClass, HostInitialResult, InitialMeasurement, RoundStatus,

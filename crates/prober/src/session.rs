@@ -39,8 +39,7 @@
 //! facts are the sweep results so far, each worker's clock, ethics
 //! audit + contact history, network counters, probe-repetition
 //! counters, and blacklist counters — plus the trace records already
-//! emitted. [`CampaignState`](crate::checkpoint::CampaignState) is
-//! exactly that inventory.
+//! emitted. [`CampaignState`] is exactly that inventory.
 //!
 //! **Incremental rounds** ([`CampaignBuilder::incremental`]) re-probe
 //! only hosts whose status can have changed since their last conclusive
@@ -79,10 +78,10 @@ use spfail_netsim::{MetricsSnapshot, PolicyCacheStats, SimDuration, SimTime};
 use spfail_trace::{Phase, Trace, Tracer};
 use spfail_world::{DomainId, HostId, Population, Timeline};
 
-use crate::aggregate::{CampaignSummary, HostMask};
+use crate::aggregate::{CampaignSummary, Tracking};
 use crate::campaign::{
-    partition_hosts, Campaign, CampaignBuilder, CampaignData, CampaignRun, CampaignTiming,
-    InitialMeasurement, RoundStatus,
+    interleave_shards, partition_hosts, Campaign, CampaignBuilder, CampaignData, CampaignRun,
+    CampaignTiming, InitialMeasurement, RoundStatus,
 };
 use crate::checkpoint::{CampaignState, WorkerState};
 use crate::ethics::EthicsAudit;
@@ -171,7 +170,14 @@ pub struct Session<'w> {
     /// Rounds completed so far (index into `Timeline::all_round_days()`).
     rounds_done: usize,
     full_rescan_next: bool,
+    /// The initial sweep's per-host results: kept by an eager session
+    /// (its checkpoints write them as `init` lines), `None` for a
+    /// streamed one, whose record is `masks` alone.
     initial: Option<InitialMeasurement>,
+    /// The initial sweep compressed to one [`HostMask`](crate::HostMask)
+    /// per host (index = host id); every session carries it, and
+    /// tracking is derived from it.
+    masks: Vec<u32>,
     tracked: Vec<HostId>,
     vulnerable_domains: Vec<DomainId>,
     preferred: HashMap<HostId, ProbeTest>,
@@ -189,12 +195,6 @@ pub struct Session<'w> {
     stats: SessionStats,
     /// One per shard from the initial sweep on; retired in `finish`.
     workers: Vec<Worker<'w>>,
-    /// Streaming mode: the initial sweep's per-host results compressed
-    /// to one [`HostMask`] per host (index = host id). When set, the
-    /// session's `initial` is an empty sentinel (the sweep ran, its
-    /// results live here) and [`Session::finish`] builds the run's
-    /// summary from these masks.
-    streamed: Option<Vec<u32>>,
 }
 
 impl<'w> Session<'w> {
@@ -207,6 +207,7 @@ impl<'w> Session<'w> {
             rounds_done: 0,
             full_rescan_next: false,
             initial: None,
+            masks: Vec::new(),
             tracked: Vec::new(),
             vulnerable_domains: Vec::new(),
             preferred: HashMap::new(),
@@ -217,8 +218,13 @@ impl<'w> Session<'w> {
             last_conclusive: HashMap::new(),
             stats: SessionStats::default(),
             workers: Vec::new(),
-            streamed: None,
         }
+    }
+
+    /// Whether the initial sweep has run (or been restored): workers
+    /// live from the sweep on.
+    fn swept(&self) -> bool {
+        !self.workers.is_empty()
     }
 
     /// The hosts tracked longitudinally (set by the initial sweep).
@@ -259,7 +265,7 @@ impl<'w> Session<'w> {
     /// If the initial sweep already ran (including via restore).
     pub fn initial_sweep(&mut self) {
         assert!(
-            self.initial.is_none(),
+            !self.swept(),
             "Session::initial_sweep: the initial sweep already ran"
         );
         let world = self.pop;
@@ -272,18 +278,23 @@ impl<'w> Session<'w> {
             .into_iter()
             .map(|part| Worker::new(world, &self.builder, part))
             .collect();
+        let mut masks = Vec::with_capacity(shards);
         let (initial, busy) = on_workers(&mut workers, |w| {
             Campaign::initial_sweep(&mut w.prober, world, &mut w.counts, &w.hosts)
         })
         .into_iter()
+        .map(|(part, part_masks, busy)| {
+            masks.push(part_masks);
+            (part, busy)
+        })
         .reduce(|(mut initial, busy), (part, part_busy)| {
             initial.results.extend(part.results);
             (initial, busy.max(part_busy))
         })
         .expect("a campaign has at least one worker");
         self.initial_busy = busy;
-        self.note_tracking(&initial);
         self.initial = Some(initial);
+        self.note_sweep(interleave_shards(masks));
         for (w, part) in workers
             .iter_mut()
             .zip(partition_hosts(&self.tracked, shards))
@@ -296,13 +307,17 @@ impl<'w> Session<'w> {
         self.workers = workers;
     }
 
-    /// Derive tracking from the merged initial sweep and seed the
-    /// incremental engine's carried state: every tracked host was
+    /// Keep the sweep's mask column, derive tracking from it and seed
+    /// the incremental engine's carried state: every tracked host was
     /// conclusively measured vulnerable on day 0 (that is what made it
     /// tracked).
-    fn note_tracking(&mut self, initial: &InitialMeasurement) {
-        let (tracked, vulnerable_domains, preferred) =
-            Campaign::derive_tracking(self.pop, initial);
+    fn note_sweep(&mut self, masks: Vec<u32>) {
+        let Tracking {
+            tracked,
+            preferred,
+            vulnerable_domains,
+        } = Tracking::from_masks(&masks, self.pop);
+        self.masks = masks;
         self.last_conclusive = tracked
             .iter()
             .map(|&h| (h, (Timeline::INITIAL, RoundStatus::Vulnerable)))
@@ -337,7 +352,7 @@ impl<'w> Session<'w> {
     /// If the initial sweep has not run.
     pub fn advance_round(&mut self) -> Option<u16> {
         assert!(
-            self.initial.is_some(),
+            self.swept(),
             "Session::advance_round: run initial_sweep first"
         );
         let day = *Timeline::all_round_days().get(self.rounds_done)?;
@@ -440,7 +455,7 @@ impl<'w> Session<'w> {
         }
 
         let data = CampaignData {
-            initial: self.initial.take().expect("initial sweep ran"),
+            initial: self.initial.unwrap_or_default(),
             tracked: self.tracked,
             rounds: self.rounds,
             snapshot,
@@ -448,20 +463,7 @@ impl<'w> Session<'w> {
             ethics,
             network,
         };
-        // The cross-mode comparison surface: a streamed session carried
-        // its initial results as masks; an eager one compresses them now.
-        let summary = match self.streamed.take() {
-            Some(masks) => CampaignSummary {
-                masks,
-                tracked: data.tracked.clone(),
-                vulnerable_domains: data.vulnerable_domains.clone(),
-                rounds: data.rounds.clone(),
-                snapshot: data.snapshot.clone(),
-                ethics: data.ethics.clone(),
-                network: data.network,
-            },
-            None => CampaignSummary::from_data(&data),
-        };
+        let summary = CampaignSummary::with_masks(self.masks, &data);
         let timing = CampaignTiming {
             initial: self.initial_busy,
             rounds: self.rounds_busy,
@@ -498,16 +500,15 @@ impl<'w> Session<'w> {
     /// If the initial sweep has not run (there is nothing to save that
     /// re-running `initial_sweep` would not recompute).
     pub fn to_state(&mut self) -> CampaignState {
-        let initial = self
+        assert!(self.swept(), "Session::checkpoint: run initial_sweep first");
+        // An eager session writes its per-host results as `init` lines,
+        // a streamed one its mask column as the `aggregate v1` section.
+        let mut initial: Vec<_> = self
             .initial
-            .as_ref()
-            .expect("Session::checkpoint: run initial_sweep first");
-        let mut initial_sorted: Vec<_> = initial
-            .results
             .iter()
-            .map(|(&h, r)| (h, r.clone()))
+            .flat_map(|initial| initial.results.iter().map(|(&h, r)| (h, r.clone())))
             .collect();
-        initial_sorted.sort_by_key(|(h, _)| *h);
+        initial.sort_by_key(|(h, _)| *h);
         let rounds = self
             .rounds
             .iter()
@@ -537,12 +538,12 @@ impl<'w> Session<'w> {
             builder: self.builder,
             world_seed: config.seed,
             world_scale: config.scale,
-            masks: self.streamed.clone(),
+            masks: self.initial.is_none().then(|| self.masks.clone()),
             rounds_done: self.rounds_done,
             initial_busy: self.initial_busy,
             rounds_busy: self.rounds_busy,
             stats: self.stats,
-            initial: initial_sorted,
+            initial,
             rounds,
             workers,
             trace_records,
@@ -554,12 +555,14 @@ impl<'w> Session<'w> {
     /// session ran against (same seed and scale — worlds are pure
     /// functions of those).
     ///
-    /// A state carrying an aggregate section (written by a streaming
-    /// session) has no per-host initial results: tracking is derived
-    /// from the [`HostMask`] column instead, which preserves exactly the
-    /// predicates `Campaign::derive_tracking` reads. Either state
-    /// vintage restores against either population kind — mode can be
-    /// toggled across a stop/resume boundary.
+    /// Either sweep record restores: `init` lines (written by an eager
+    /// session, whose per-host results the restored session keeps) or
+    /// an aggregate section (written by a streaming session). Both
+    /// become the session's mask column, and tracking is derived from
+    /// that column as after a fresh sweep. A record that does not cover
+    /// the world is refused (see `CampaignState::mask_column`). Either
+    /// state vintage restores against either population kind — mode can
+    /// be toggled across a stop/resume boundary.
     pub fn from_state(state: CampaignState, world: &'w dyn Population) -> Result<Session<'w>, String> {
         let config = &world.runtime().config;
         if config.seed != state.world_seed {
@@ -574,47 +577,14 @@ impl<'w> Session<'w> {
                 state.world_scale, config.scale
             ));
         }
+        let masks = state.mask_column(world.full_host_count())?;
         let mut session = Session::new(state.builder, world);
-        if let Some(masks) = state.masks {
-            if !state.initial.is_empty() {
-                return Err("checkpoint carries both init lines and an aggregate section".into());
-            }
-            // Aggregate branch: tracking from the mask column. Tracked
-            // hosts are exactly those whose mask has the vulnerable bit
-            // (`HostMask::tracked` mirrors `Campaign::derive_tracking`),
-            // and the preferred re-probe test is the conclusive test the
-            // mask recorded.
-            let tracked: Vec<HostId> = masks
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| HostMask(m).tracked())
-                .map(|(i, _)| HostId(i as u32))
-                .collect();
-            session.preferred = tracked
-                .iter()
-                .map(|&h| {
-                    let test = HostMask(masks[h.0 as usize])
-                        .measured_by()
-                        .unwrap_or(ProbeTest::BlankMsg);
-                    (h, test)
-                })
-                .collect();
-            session.last_conclusive = tracked
-                .iter()
-                .map(|&h| (h, (Timeline::INITIAL, RoundStatus::Vulnerable)))
-                .collect();
-            session.vulnerable_domains = world.derive_vulnerable_domains(&tracked);
-            session.tracked = tracked;
-            // The sweep ran; its per-host results live in the masks.
-            session.initial = Some(InitialMeasurement::default());
-            session.streamed = Some(masks);
-        } else {
-            let initial = InitialMeasurement {
+        if state.masks.is_none() {
+            session.initial = Some(InitialMeasurement {
                 results: state.initial.into_iter().collect(),
-            };
-            session.note_tracking(&initial);
-            session.initial = Some(initial);
+            });
         }
+        session.note_sweep(masks);
         session.initial_busy = state.initial_busy;
         session.rounds_busy = state.rounds_busy;
         session.stats = state.stats;
@@ -824,9 +794,67 @@ mod tests {
 
     fn restore_error(state: CampaignState, world: &World) -> String {
         match Session::from_state(state, world) {
-            Ok(_) => panic!("a round the engine cannot write must not restore"),
+            Ok(_) => panic!("a state the engine cannot write must not restore"),
             Err(e) => e,
         }
+    }
+
+    /// A small world and its campaign checkpointed right after the
+    /// initial sweep (round boundary 0).
+    fn boundary_zero() -> (World, CampaignState) {
+        let world = World::generate(WorldConfig {
+            scale: 0.002,
+            ..WorldConfig::small(11)
+        });
+        let mut session = CampaignBuilder::new().session(&world);
+        session.initial_sweep();
+        let state = session.to_state();
+        (world, state)
+    }
+
+    #[test]
+    fn from_state_restores_an_engine_written_sweep_record() {
+        let (world, state) = boundary_zero();
+        assert_eq!(state.initial.len(), world.hosts.len());
+        let session = Session::from_state(state, &world).expect("engine-written state restores");
+        assert!(!session.tracked().is_empty());
+    }
+
+    #[test]
+    fn from_state_rejects_init_lines_with_a_gap() {
+        let (world, mut state) = boundary_zero();
+        let gap = state.initial.len() / 2;
+        state.initial.remove(gap);
+        let err = restore_error(state, &world);
+        assert!(err.contains(&format!("where host {gap} belongs")), "{err}");
+    }
+
+    #[test]
+    fn from_state_rejects_init_lines_short_of_the_world() {
+        let (world, mut state) = boundary_zero();
+        state.initial.pop();
+        let err = restore_error(state, &world);
+        assert!(err.contains("the world has"), "{err}");
+    }
+
+    #[test]
+    fn from_state_rejects_a_duplicated_init_line() {
+        let (world, mut state) = boundary_zero();
+        let line = state.initial[3].clone();
+        state.initial.insert(4, line);
+        let err = restore_error(state, &world);
+        assert!(err.contains("names host 3 where host 4 belongs"), "{err}");
+    }
+
+    #[test]
+    fn from_state_rejects_an_aggregate_column_short_of_the_world() {
+        let (world, mut state) = boundary_zero();
+        let mut masks = state.mask_column(None).expect("engine-written record");
+        masks.pop();
+        state.initial.clear();
+        state.masks = Some(masks);
+        let err = restore_error(state, &world);
+        assert!(err.contains("the world has"), "{err}");
     }
 
     #[test]

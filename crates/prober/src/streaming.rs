@@ -25,11 +25,13 @@
 //!    [`CampaignState`] (the same structure a checkpoint serialises,
 //!    with the mask column as its `aggregate v1` section and every
 //!    worker's state, identical to an eager session's) and continue
-//!    through the ordinary staged [`Session`]: the rounds, snapshot,
-//!    trace merge, and summary are *the checkpoint-resume path*, which
-//!    `tests/session_checkpoint.rs` already proves byte-identical to an
-//!    uninterrupted run. Each restored worker adopts its sweep worker's
-//!    warm policy cache, so cache tallies match the eager engine's too.
+//!    through the ordinary staged [`Session`]: tracking is derived from
+//!    the mask column exactly as after an eager sweep, and the rounds,
+//!    snapshot, trace merge, and summary are *the checkpoint-resume
+//!    path*, which `tests/session_checkpoint.rs` already proves
+//!    byte-identical to an uninterrupted run. Each restored worker
+//!    adopts its sweep worker's warm policy cache, so cache tallies
+//!    match the eager engine's too.
 //!
 //! Peak heap is O(shards + tracked + masks) — the mask column is 4
 //! bytes per host, the one deliberately compact O(hosts) term — instead
@@ -48,8 +50,10 @@ use spfail_world::{
     WorldRuntime,
 };
 
-use crate::aggregate::HostMask;
-use crate::campaign::{shard_of, Campaign, CampaignBuilder, CampaignRun, QUERY_LOG_BOUND};
+use crate::aggregate::{tracked_hosts, HostMask};
+use crate::campaign::{
+    interleave_shards, shard_of, Campaign, CampaignBuilder, CampaignRun, QUERY_LOG_BOUND,
+};
 use crate::checkpoint::{CampaignState, WorkerState};
 use crate::session::{Session, SessionStats};
 
@@ -97,7 +101,7 @@ impl StreamedCampaign {
         let lazy = LazyWorld::new(config.clone());
         let runtime = lazy.runtime().clone();
         let sweep = sweep_stream(&builder, lazy, &runtime);
-        let population = retain(config.clone(), runtime, &sweep.tracked);
+        let population = retain(config.clone(), runtime, &tracked_hosts(&sweep.masks));
         let state = CampaignState {
             builder,
             world_seed: config.seed,
@@ -126,23 +130,12 @@ impl StreamedCampaign {
     /// must be for the world of `config` (seed and scale are validated
     /// at session construction).
     pub fn adopt(state: CampaignState, config: WorldConfig) -> StreamedCampaign {
-        let tracked: Vec<HostId> = match &state.masks {
-            Some(masks) => masks
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| HostMask(m).tracked())
-                .map(|(i, _)| HostId(i as u32))
-                .collect(),
-            // `Campaign::derive_tracking`'s host set: the vulnerable
-            // (its transient clause adds no further hosts). `initial`
-            // is host-sorted in a checkpoint, so this is too.
-            None => state
-                .initial
-                .iter()
-                .filter(|(_, r)| r.vulnerable())
-                .map(|&(h, _)| h)
-                .collect(),
-        };
+        // A sweep record that does not cover the world retains nothing
+        // here; `session` then refuses it with the reason.
+        let tracked = state
+            .mask_column(None)
+            .map(|masks| tracked_hosts(&masks))
+            .unwrap_or_default();
         let runtime = WorldRuntime::new(config.clone());
         let population = retain(config, runtime, &tracked);
         StreamedCampaign {
@@ -166,26 +159,12 @@ impl StreamedCampaign {
 
     /// Open the staged [`Session`] that continues this campaign: rounds,
     /// snapshot, and finish run exactly as the eager engine's
-    /// checkpoint-resume path.
+    /// checkpoint-resume path. Errs when the state does not fit the
+    /// world (see [`Session::from_state`]).
     pub fn session(&self) -> Result<Session<'_>, String> {
         let mut session = Session::from_state(self.state.clone(), &self.population)?;
         session.hand_off_caches(&self.caches);
         Ok(session)
-    }
-}
-
-/// Drive a full streaming campaign: sweep, retention, rounds, snapshot.
-/// [`CampaignBuilder::run_streaming`] is the public spelling.
-pub(crate) fn run_streaming(builder: CampaignBuilder, config: WorldConfig) -> StreamingRun {
-    let streamed = StreamedCampaign::sweep(builder, config);
-    let mut session = streamed
-        .session()
-        .expect("a fresh handoff state is self-consistent");
-    while session.advance_round().is_some() {}
-    let run = session.finish();
-    StreamingRun {
-        run,
-        population: streamed.into_population(),
     }
 }
 
@@ -194,8 +173,6 @@ struct SweepOutput {
     /// One [`HostMask`] per host, index = host id — the 4-bytes-per-host
     /// column that replaces the eager engine's per-host results.
     masks: Vec<u32>,
-    /// The tracked hosts, id-sorted.
-    tracked: Vec<HostId>,
     /// Each worker's durable state, pruned to its tracked hosts, in
     /// shard order.
     workers: Vec<WorkerState>,
@@ -211,7 +188,6 @@ struct ShardOut {
     /// `shard + i * shards`, so the stride reconstructs the column
     /// without shipping ids.
     masks: Vec<u32>,
-    tracked: Vec<HostId>,
     state: WorkerState,
     cache: Option<PolicyCacheHandle>,
     trace: Vec<ProbeRecord>,
@@ -254,7 +230,6 @@ fn sweep_stream(builder: &CampaignBuilder, lazy: LazyWorld, runtime: &WorldRunti
         prober.retain_hosts(&vulnerable);
         ShardOut {
             masks,
-            tracked: vulnerable.into_iter().map(|(h, _)| h).collect(),
             state: WorkerState::capture(&prober, &counts),
             cache: prober.context().policy_cache.clone(),
             trace: tracer.finish().records,
@@ -290,26 +265,22 @@ fn sweep_stream(builder: &CampaignBuilder, lazy: LazyWorld, runtime: &WorldRunti
     })
     .expect("scope");
 
-    let total: usize = shard_outputs.iter().map(|o| o.masks.len()).sum();
+    let mut masks = Vec::with_capacity(shards);
     let mut out = SweepOutput {
-        masks: vec![0u32; total],
-        tracked: Vec::new(),
+        masks: Vec::new(),
         workers: Vec::with_capacity(shards),
         caches: Vec::with_capacity(shards),
         trace_records: Vec::new(),
         busy: SimDuration::ZERO,
     };
-    for (shard, shard_out) in shard_outputs.into_iter().enumerate() {
-        for (i, m) in shard_out.masks.into_iter().enumerate() {
-            out.masks[shard + i * shards] = m;
-        }
-        out.tracked.extend(shard_out.tracked);
+    for shard_out in shard_outputs {
+        masks.push(shard_out.masks);
         out.workers.push(shard_out.state);
         out.caches.push(shard_out.cache);
         out.trace_records.extend(shard_out.trace);
         out.busy = out.busy.max(shard_out.busy);
     }
-    out.tracked.sort_unstable();
+    out.masks = interleave_shards(masks);
     out
 }
 
@@ -368,7 +339,6 @@ fn retain(config: WorldConfig, runtime: WorldRuntime, tracked: &[HostId]) -> Spa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CampaignSummary;
     use spfail_world::{Population, World};
 
     fn config() -> WorldConfig {
@@ -390,10 +360,6 @@ mod tests {
         assert_eq!(streamed.run.data.rounds, eager.data.rounds);
         assert_eq!(streamed.run.data.snapshot, eager.data.snapshot);
         assert!(streamed.run.data.initial.results.is_empty());
-        assert_eq!(
-            CampaignSummary::from_data(&eager.data).aggregate(),
-            streamed.run.summary.aggregate()
-        );
     }
 
     #[test]

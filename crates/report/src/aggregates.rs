@@ -50,7 +50,7 @@ impl SetFilter {
     }
 
     /// Whether `domain` belongs to this set — the record-level form of
-    /// [`crate::pipeline::Context::in_set`]. `cutoff` is the world's
+    /// [`crate::pipeline::Source::in_set`]. `cutoff` is the world's
     /// Alexa-1000 rank cutoff.
     pub fn member(self, domain: &DomainRecord, cutoff: usize) -> bool {
         match self {

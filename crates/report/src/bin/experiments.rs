@@ -15,10 +15,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use spfail_report::pipeline::SetFilter;
 use spfail_report::{
-    all_exhibits, all_exhibits_streaming, exhibit_by_id, Context, Exhibit, StreamContext,
+    all_exhibits, exhibit_by_id, Context, Exhibit, ExhibitEntry, Source, StreamContext,
     EXHIBIT_REGISTRY,
 };
+
+const USAGE: &str = "usage: experiments [--scale F] [--seed N] [--json PATH] [--md PATH] \
+                     [--latex DIR] [--only ID[,ID...]] [--streaming]";
 
 struct Args {
     scale: f64,
@@ -26,11 +30,22 @@ struct Args {
     json_path: Option<String>,
     md_path: Option<String>,
     latex_dir: Option<String>,
-    only: Vec<String>,
+    only: Vec<&'static ExhibitEntry>,
     streaming: bool,
 }
 
-fn parse_args() -> Args {
+/// Every registry id, comma-separated, for help and error messages.
+fn known_ids() -> String {
+    EXHIBIT_REGISTRY
+        .iter()
+        .map(|e| e.id)
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// Parse the arguments after the program name. `Ok(None)` asks for the
+/// usage text; `Err` names what is wrong with the command line.
+fn parse_args(mut iter: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         scale: 0.05,
         seed: 0x5bf2_a117,
@@ -40,88 +55,63 @@ fn parse_args() -> Args {
         only: Vec::new(),
         streaming: false,
     };
-    let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| {
             iter.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
+                .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--scale" => args.scale = value("--scale").parse().expect("numeric scale"),
+            "--scale" => {
+                let raw = value("--scale")?;
+                args.scale = raw
+                    .parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("--scale expects a positive number, got {raw:?}"))?;
+            }
             "--seed" => {
-                let raw = value("--seed");
-                args.seed = raw
-                    .strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16).expect("hex seed"))
-                    .unwrap_or_else(|| raw.parse().expect("numeric seed"));
+                let raw = value("--seed")?;
+                let seed = match raw.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                    None => raw.parse().ok(),
+                };
+                args.seed = seed.ok_or_else(|| {
+                    format!("--seed expects a decimal or 0x-prefixed hex integer, got {raw:?}")
+                })?;
             }
-            "--json" => args.json_path = Some(value("--json")),
-            "--md" => args.md_path = Some(value("--md")),
-            "--latex" => args.latex_dir = Some(value("--latex")),
-            "--only" => args
-                .only
-                .extend(value("--only").split(',').map(str::to_string)),
+            "--json" => args.json_path = Some(value("--json")?),
+            "--md" => args.md_path = Some(value("--md")?),
+            "--latex" => args.latex_dir = Some(value("--latex")?),
+            "--only" => {
+                for id in value("--only")?.split(',') {
+                    args.only.push(exhibit_by_id(id).ok_or_else(|| {
+                        format!("unknown exhibit id {id:?}; known ids: {}", known_ids())
+                    })?);
+                }
+            }
             "--streaming" => args.streaming = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--scale F] [--seed N] [--json PATH] [--md PATH] \
-                     [--latex DIR] [--only ID[,ID...]] [--streaming]"
-                );
-                eprintln!(
-                    "exhibit ids: {}",
-                    EXHIBIT_REGISTRY
-                        .iter()
-                        .map(|e| e.id)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}"),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
-}
-
-/// One pipeline run, whichever mode `--streaming` picked.
-enum Run {
-    Eager(Box<Context>),
-    Streaming(Box<StreamContext>),
+    Ok(Some(args))
 }
 
 /// The selected exhibits: the whole registry, or the `--only` ids in
 /// the order given.
-fn selected_exhibits(args: &Args, run: &Run) -> Vec<Exhibit> {
+fn selected_exhibits<S: Source>(args: &Args, src: &S) -> Vec<Exhibit> {
     if args.only.is_empty() {
-        return match run {
-            Run::Eager(ctx) => all_exhibits(ctx),
-            Run::Streaming(sc) => all_exhibits_streaming(sc),
-        };
+        return all_exhibits(src);
     }
     args.only
         .iter()
-        .map(|id| {
-            let entry = exhibit_by_id(id).unwrap_or_else(|| {
-                panic!(
-                    "unknown exhibit id {id:?}; known ids: {}",
-                    EXHIBIT_REGISTRY
-                        .iter()
-                        .map(|e| e.id)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            });
-            match run {
-                Run::Eager(ctx) => (entry.build)(ctx),
-                Run::Streaming(sc) => (entry.build_streaming)(sc),
-            }
-        })
+        .map(|entry| S::column(entry)(src))
         .collect()
 }
 
-/// Re-parse a rendered ASCII table back into a [`Table`] for LaTeX
-/// output. Returns `None` for exhibits that are not plain tables (the
-/// sparkline figures).
+/// Re-parse a rendered ASCII table back into a
+/// [`Table`](spfail_report::Table) for LaTeX output. Returns `None` for
+/// exhibits that are not plain tables (the sparkline figures).
 fn rebuild_table(rendered: &str) -> Option<spfail_report::Table> {
     let mut lines = rendered.lines();
     let header = lines.next()?;
@@ -155,7 +145,19 @@ fn rebuild_table(rendered: &str) -> Option<spfail_report::Table> {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            eprintln!("exhibit ids: {}", known_ids());
+            std::process::exit(0);
+        }
+        Err(message) => {
+            eprintln!("{message}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
     eprintln!(
         "{} world at scale {} (seed 0x{:x}) and running the full campaign...",
         if args.streaming { "streaming" } else { "generating" },
@@ -163,21 +165,22 @@ fn main() {
         args.seed
     );
     let started = Instant::now();
-    let run = if args.streaming {
-        Run::Streaming(Box::new(StreamContext::run(args.scale, args.seed)))
+    // The host count comes from the materialized world eagerly and from
+    // the campaign's mask column when streaming.
+    if args.streaming {
+        let sc = StreamContext::run(args.scale, args.seed);
+        report(&args, &sc, sc.summary.masks.len(), started);
     } else {
-        Run::Eager(Box::new(Context::run(args.scale, args.seed)))
-    };
-    // The world-wide counts come from the materialized world eagerly and
-    // from the aggregates fold when streaming (index 0 = the All set).
-    let (domains, hosts) = match &run {
-        Run::Eager(ctx) => (ctx.world.domains.len(), ctx.world.hosts.len()),
-        Run::Streaming(sc) => (sc.aggregates.set_counts[0], sc.summary.masks.len()),
-    };
-    let campaign = match &run {
-        Run::Eager(ctx) => &ctx.campaign,
-        Run::Streaming(sc) => &sc.campaign,
-    };
+        let ctx = Context::run(args.scale, args.seed);
+        report(&args, &ctx, ctx.world.hosts.len(), started);
+    }
+}
+
+/// Print, and write where asked, the selected exhibits of one run of
+/// either mode over a world of `hosts` server addresses.
+fn report<S: Source>(args: &Args, src: &S, hosts: usize, started: Instant) {
+    let domains = src.set_size(SetFilter::All);
+    let campaign = src.campaign();
     eprintln!(
         "world: {} domains, {} hosts, {} initially vulnerable hosts, {} vulnerable domains \
          ({:.1}s)",
@@ -199,7 +202,7 @@ fn main() {
         campaign.ethics.peak_concurrency,
     );
 
-    let exhibits = selected_exhibits(&args, &run);
+    let exhibits = selected_exhibits(args, src);
     let mut json_out = serde_json::Map::new();
     let mut md = String::new();
     let _ = writeln!(
@@ -267,4 +270,69 @@ fn main() {
         eprintln!("wrote {path}");
     }
     eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Option<Args>, String> {
+        parse_args(line.split_whitespace().map(str::to_string))
+    }
+
+    fn error(line: &str) -> String {
+        match parse(line) {
+            Err(message) => message,
+            Ok(_) => panic!("{line:?} must not parse"),
+        }
+    }
+
+    #[test]
+    fn flags_and_values_parse() {
+        let args = parse("--scale 0.01 --seed 0x2a --only fig7,table3 --streaming")
+            .expect("valid arguments")
+            .expect("not a help request");
+        assert_eq!((args.scale, args.seed, args.streaming), (0.01, 42, true));
+        let ids: Vec<_> = args.only.iter().map(|e| e.id).collect();
+        assert_eq!(ids, ["fig7", "table3"]);
+        assert_eq!(parse("--seed 2022").unwrap().unwrap().seed, 2022);
+        assert!(matches!(parse("--help"), Ok(None)));
+    }
+
+    #[test]
+    fn a_non_numeric_scale_is_an_error() {
+        assert!(error("--scale abc").starts_with("--scale expects"));
+    }
+
+    #[test]
+    fn a_non_finite_or_non_positive_scale_is_an_error() {
+        for scale in ["nan", "inf", "0", "-0.5"] {
+            let message = error(&format!("--scale {scale}"));
+            assert!(message.starts_with("--scale expects"), "{message}");
+        }
+    }
+
+    #[test]
+    fn a_bad_seed_is_an_error() {
+        assert!(error("--seed 0xzz").starts_with("--seed expects"));
+        assert!(error("--seed twelve").starts_with("--seed expects"));
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_an_error() {
+        assert_eq!(error("--json"), "--json requires a value");
+        assert_eq!(error("--md out.md --scale"), "--scale requires a value");
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error() {
+        assert_eq!(error("--verbose"), "unknown flag --verbose");
+    }
+
+    #[test]
+    fn an_unknown_only_id_is_an_error() {
+        let message = error("--only fig7,fig99");
+        assert!(message.starts_with("unknown exhibit id \"fig99\""), "{message}");
+        assert!(message.contains("table1"), "lists the known ids: {message}");
+    }
 }

@@ -13,22 +13,13 @@
 
 use serde_json::json;
 
-use crate::pipeline::{Context, Source, StreamContext};
+use crate::pipeline::Source;
 use crate::table::Table;
 use crate::Exhibit;
 
 /// The cache-efficiency exhibit: hit/miss/interned tallies of the
 /// pipeline's own campaign run.
-pub fn cache_efficiency(ctx: &Context) -> Exhibit {
-    cache_efficiency_impl(&Source::Eager(ctx))
-}
-
-/// Cache efficiency from a streaming run.
-pub fn cache_efficiency_streaming(sc: &StreamContext) -> Exhibit {
-    cache_efficiency_impl(&Source::Streaming(sc))
-}
-
-fn cache_efficiency_impl(src: &Source) -> Exhibit {
+pub fn cache_efficiency(src: &impl Source) -> Exhibit {
     let mut table = Table::new(["Counter", "Value"]);
     let json = match src.cache() {
         Some(stats) => {
@@ -67,6 +58,7 @@ fn cache_efficiency_impl(src: &Source) -> Exhibit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Context;
     use crate::testctx;
 
     #[test]

@@ -6,7 +6,7 @@
 //! eager and streaming exhibits share one implementation.
 //!
 //! The longitudinal builders (Figures 3 and 5–8, `attribution`) read
-//! the rounds through a [`View`] that is dense over the sorted
+//! the rounds through a `View` that is dense over the sorted
 //! `campaign.tracked` list: a tracked host is named by its *position*
 //! in that list. Each round's status map becomes a position-sorted
 //! column, and the patch timeline becomes two `u16` columns indexed by
@@ -25,7 +25,7 @@ use serde_json::{json, Value};
 use spfail_prober::{CampaignData, RoundStatus, SnapshotStatus};
 use spfail_world::{geo, DomainId, HostId, Timeline};
 
-use crate::pipeline::{Context, SetFilter, Source, StreamContext};
+use crate::pipeline::{SetFilter, Source};
 use crate::series::{render_chart, Series};
 use crate::table::{count_pct, pct, Table};
 use crate::Exhibit;
@@ -193,16 +193,7 @@ fn domain_state(hosts: &[u32], states: &[HostState]) -> HostState {
 }
 
 /// Figure 2: final distribution of initially vulnerable domains.
-pub fn fig2(ctx: &Context) -> Exhibit {
-    fig2_impl(&Source::Eager(ctx))
-}
-
-/// Figure 2 from a streaming run.
-pub fn fig2_streaming(sc: &StreamContext) -> Exhibit {
-    fig2_impl(&Source::Streaming(sc))
-}
-
-fn fig2_impl(src: &Source) -> Exhibit {
+pub fn fig2(src: &impl Source) -> Exhibit {
     let groups = [
         SetFilter::All,
         SetFilter::AlexaTopList,
@@ -254,16 +245,7 @@ fn fig2_impl(src: &Source) -> Exhibit {
 }
 
 /// Figure 3: geographic distribution of vulnerable and patched hosts.
-pub fn fig3(ctx: &Context) -> Exhibit {
-    fig3_impl(&Source::Eager(ctx))
-}
-
-/// Figure 3 from a streaming run.
-pub fn fig3_streaming(sc: &StreamContext) -> Exhibit {
-    fig3_impl(&Source::Streaming(sc))
-}
-
-fn fig3_impl(src: &Source) -> Exhibit {
+pub fn fig3(src: &impl Source) -> Exhibit {
     let view = View::new(src.campaign());
     #[derive(Default)]
     struct Bucket {
@@ -320,16 +302,7 @@ fn fig3_impl(src: &Source) -> Exhibit {
 }
 
 /// Figure 4: vulnerable/patched domains by site-ranking bucket.
-pub fn fig4(ctx: &Context) -> Exhibit {
-    fig4_impl(&Source::Eager(ctx))
-}
-
-/// Figure 4 from a streaming run.
-pub fn fig4_streaming(sc: &StreamContext) -> Exhibit {
-    fig4_impl(&Source::Streaming(sc))
-}
-
-fn fig4_impl(src: &Source) -> Exhibit {
+pub fn fig4(src: &impl Source) -> Exhibit {
     let build = |set: SetFilter, rank_of: &dyn Fn(DomainId) -> Option<u32>, total_ranks: usize| {
         let mut vulnerable = vec![0usize; 20];
         let mut patched = vec![0usize; 20];
@@ -393,7 +366,7 @@ fn fig4_impl(src: &Source) -> Exhibit {
 }
 
 /// Shared builder for the Figure 5/8 conclusiveness series.
-fn conclusiveness(src: &Source, domains: &[DomainId]) -> (Series, Series, Vec<Value>) {
+fn conclusiveness(src: &impl Source, domains: &[DomainId]) -> (Series, Series, Vec<Value>) {
     let view = View::new(src.campaign());
     let domain_hosts = view.resolve(domains, |d| src.domain(d).hosts.as_slice());
     let mut states = Vec::new();
@@ -426,16 +399,7 @@ fn conclusiveness(src: &Source, domains: &[DomainId]) -> (Series, Series, Vec<Va
 }
 
 /// Figure 5: conclusive vulnerability results over time.
-pub fn fig5(ctx: &Context) -> Exhibit {
-    fig5_impl(&Source::Eager(ctx))
-}
-
-/// Figure 5 from a streaming run.
-pub fn fig5_streaming(sc: &StreamContext) -> Exhibit {
-    fig5_impl(&Source::Streaming(sc))
-}
-
-fn fig5_impl(src: &Source) -> Exhibit {
+pub fn fig5(src: &impl Source) -> Exhibit {
     let domains = src.campaign().vulnerable_domains.clone();
     let (measured, with_inferred, json_rows) = conclusiveness(src, &domains);
     let rendered = render_chart(
@@ -461,7 +425,7 @@ fn fig5_impl(src: &Source) -> Exhibit {
 }
 
 /// Shared builder for the Figure 6/7 vulnerability-rate series.
-fn vulnerability_rates(src: &Source, window1_only: bool) -> (Vec<Series>, Vec<Value>) {
+fn vulnerability_rates(src: &impl Source, window1_only: bool) -> (Vec<Series>, Vec<Value>) {
     let view = View::new(src.campaign());
     let sets = [SetFilter::AlexaTopList, SetFilter::Alexa1000, SetFilter::TwoWeek];
     let mut all_series: Vec<Series> = sets.iter().map(|s| Series::new(s.label())).collect();
@@ -513,16 +477,7 @@ fn vulnerability_rates(src: &Source, window1_only: bool) -> (Vec<Series>, Vec<Va
 }
 
 /// Figure 6: vulnerability rates during the first measurement window.
-pub fn fig6(ctx: &Context) -> Exhibit {
-    fig6_impl(&Source::Eager(ctx))
-}
-
-/// Figure 6 from a streaming run.
-pub fn fig6_streaming(sc: &StreamContext) -> Exhibit {
-    fig6_impl(&Source::Streaming(sc))
-}
-
-fn fig6_impl(src: &Source) -> Exhibit {
+pub fn fig6(src: &impl Source) -> Exhibit {
     let (series, json_rows) = vulnerability_rates(src, true);
     Exhibit {
         id: "fig6",
@@ -540,16 +495,7 @@ fn fig6_impl(src: &Source) -> Exhibit {
 }
 
 /// Figure 7: vulnerability rates over the full measurement period.
-pub fn fig7(ctx: &Context) -> Exhibit {
-    fig7_impl(&Source::Eager(ctx))
-}
-
-/// Figure 7 from a streaming run.
-pub fn fig7_streaming(sc: &StreamContext) -> Exhibit {
-    fig7_impl(&Source::Streaming(sc))
-}
-
-fn fig7_impl(src: &Source) -> Exhibit {
+pub fn fig7(src: &impl Source) -> Exhibit {
     let (series, json_rows) = vulnerability_rates(src, false);
     let finals: Vec<String> = series
         .iter()
@@ -576,16 +522,7 @@ fn fig7_impl(src: &Source) -> Exhibit {
 }
 
 /// Figure 8: conclusive results over time, Alexa Top 1000 only.
-pub fn fig8(ctx: &Context) -> Exhibit {
-    fig8_impl(&Source::Eager(ctx))
-}
-
-/// Figure 8 from a streaming run.
-pub fn fig8_streaming(sc: &StreamContext) -> Exhibit {
-    fig8_impl(&Source::Streaming(sc))
-}
-
-fn fig8_impl(src: &Source) -> Exhibit {
+pub fn fig8(src: &impl Source) -> Exhibit {
     let domains = src.vulnerable_domains_in(SetFilter::Alexa1000);
     let (measured, with_inferred, json_rows) = conclusiveness(src, &domains);
     Exhibit {
@@ -614,16 +551,7 @@ fn fig8_impl(src: &Source) -> Exhibit {
 /// reports how well the timing-window heuristic recovers it — exactly
 /// the "more comprehensive analysis of package manager responses" the
 /// paper proposes as future work.
-pub fn attribution(ctx: &Context) -> Exhibit {
-    attribution_impl(&Source::Eager(ctx))
-}
-
-/// Attribution from a streaming run.
-pub fn attribution_streaming(sc: &StreamContext) -> Exhibit {
-    attribution_impl(&Source::Streaming(sc))
-}
-
-fn attribution_impl(src: &Source) -> Exhibit {
+pub fn attribution(src: &impl Source) -> Exhibit {
     use spfail_world::PatchCause;
     let view = View::new(src.campaign());
     // Timing-window heuristic: classify each observed patch by when it
@@ -702,16 +630,7 @@ fn attribution_impl(src: &Source) -> Exhibit {
 }
 
 /// §7.7: the notification funnel.
-pub fn notification_funnel(ctx: &Context) -> Exhibit {
-    notification_funnel_impl(&Source::Eager(ctx))
-}
-
-/// The funnel from a streaming run.
-pub fn notification_funnel_streaming(sc: &StreamContext) -> Exhibit {
-    notification_funnel_impl(&Source::Streaming(sc))
-}
-
-fn notification_funnel_impl(src: &Source) -> Exhibit {
+pub fn notification_funnel(src: &impl Source) -> Exhibit {
     let f = src.funnel();
     let delivered = f.sent - f.bounced;
     let mut table = Table::new(["Stage", "Count", "Rate", "Paper"]);
@@ -879,6 +798,7 @@ mod tests {
     use std::collections::HashMap;
 
     use super::*;
+    use crate::pipeline::{Context, StreamContext};
 
     fn ctx() -> &'static Context {
         crate::testctx::shared()
@@ -928,8 +848,7 @@ mod tests {
     #[test]
     fn dense_view_matches_map_view_on_the_streaming_run() {
         // The scale and seed of `testctx::shared`.
-        let sc = StreamContext::run(0.025, 11);
-        let src = Source::Streaming(&sc);
+        let src = &StreamContext::run(0.025, 11);
         let campaign = src.campaign();
         assert_views_agree(campaign, &campaign.vulnerable_domains, |d| {
             src.domain(d).hosts.as_slice()

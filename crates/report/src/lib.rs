@@ -2,7 +2,9 @@
 //!
 //! * [`pipeline`] — run the whole reproduction once (world → initial
 //!   sweep → longitudinal campaign → notification campaign) and keep the
-//!   results in a [`pipeline::Context`] the exhibit builders share.
+//!   results in a [`Context`] (eager) or a [`StreamContext`] (bounded
+//!   memory); both implement [`Source`], the one interface every exhibit
+//!   builder reads.
 //! * [`table`] — plain-text table rendering.
 //! * [`series`] — time-series containers and a text sparkline renderer.
 //! * [`tables`] — Tables 1–7.
@@ -18,6 +20,9 @@
 //! ```
 //!
 //! printing each exhibit and emitting machine-readable JSON alongside.
+//!
+//! Each exhibit has one constructor, generic over [`Source`]; see
+//! [`ExhibitEntry`] for why the registry still names it twice.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,117 +61,56 @@ pub struct Exhibit {
 
 /// One entry of the exhibit registry: a stable identifier and the
 /// builder that regenerates the exhibit from a pipeline run.
+///
+/// Both columns name the exhibit's one generic builder, each field's
+/// fn-pointer type picking the instantiation. Two columns remain because
+/// callers reach the builder by context type: the benchmark in
+/// `perfbench/` calls `build` on a [`Context`] and `build_streaming` on
+/// a [`StreamContext`]; generic code uses [`Source::column`].
 pub struct ExhibitEntry {
     /// Identifier, matching the built [`Exhibit::id`].
     pub id: &'static str,
-    /// Build the exhibit from one eager pipeline run.
+    /// The builder for an eager pipeline run.
     pub build: fn(&Context) -> Exhibit,
-    /// Build the same exhibit from one streaming pipeline run. Both
-    /// constructors dispatch to one shared implementation over
-    /// [`pipeline::Source`], so a given seed and scale produce
-    /// bit-for-bit identical exhibits either way.
+    /// The same builder for a streaming pipeline run.
     pub build_streaming: fn(&StreamContext) -> Exhibit,
+}
+
+/// A registry entry whose two columns both name `$build`, the exhibit's
+/// one builder.
+macro_rules! exhibit {
+    ($id:literal, $build:path) => {
+        ExhibitEntry {
+            id: $id,
+            build: $build,
+            build_streaming: $build,
+        }
+    };
 }
 
 /// The exhibit registry, in paper order. Single source of truth for
 /// "every exhibit": [`all_exhibits`] walks it, and the experiments
 /// binary's `--only` flag selects from it by id.
 pub const EXHIBIT_REGISTRY: &[ExhibitEntry] = &[
-    ExhibitEntry {
-        id: "table1",
-        build: tables::table1,
-        build_streaming: tables::table1_streaming,
-    },
-    ExhibitEntry {
-        id: "table2",
-        build: tables::table2,
-        build_streaming: tables::table2_streaming,
-    },
-    ExhibitEntry {
-        id: "table3",
-        build: tables::table3,
-        build_streaming: tables::table3_streaming,
-    },
-    ExhibitEntry {
-        id: "table4",
-        build: tables::table4,
-        build_streaming: tables::table4_streaming,
-    },
-    ExhibitEntry {
-        id: "table5",
-        build: tables::table5,
-        build_streaming: tables::table5_streaming,
-    },
-    ExhibitEntry {
-        id: "table6",
-        build: |_| tables::table6(),
-        build_streaming: |_| tables::table6(),
-    },
-    ExhibitEntry {
-        id: "table7",
-        build: tables::table7,
-        build_streaming: tables::table7_streaming,
-    },
-    ExhibitEntry {
-        id: "fig2",
-        build: figures::fig2,
-        build_streaming: figures::fig2_streaming,
-    },
-    ExhibitEntry {
-        id: "fig3",
-        build: figures::fig3,
-        build_streaming: figures::fig3_streaming,
-    },
-    ExhibitEntry {
-        id: "fig4",
-        build: figures::fig4,
-        build_streaming: figures::fig4_streaming,
-    },
-    ExhibitEntry {
-        id: "fig5",
-        build: figures::fig5,
-        build_streaming: figures::fig5_streaming,
-    },
-    ExhibitEntry {
-        id: "fig6",
-        build: figures::fig6,
-        build_streaming: figures::fig6_streaming,
-    },
-    ExhibitEntry {
-        id: "fig7",
-        build: figures::fig7,
-        build_streaming: figures::fig7_streaming,
-    },
-    ExhibitEntry {
-        id: "fig8",
-        build: figures::fig8,
-        build_streaming: figures::fig8_streaming,
-    },
-    ExhibitEntry {
-        id: "funnel",
-        build: figures::notification_funnel,
-        build_streaming: figures::notification_funnel_streaming,
-    },
-    ExhibitEntry {
-        id: "attribution",
-        build: figures::attribution,
-        build_streaming: figures::attribution_streaming,
-    },
-    ExhibitEntry {
-        id: "resilience",
-        build: resilience::resilience,
-        build_streaming: resilience::resilience_streaming,
-    },
-    ExhibitEntry {
-        id: "trace_profile",
-        build: trace_profile::trace_profile,
-        build_streaming: trace_profile::trace_profile_streaming,
-    },
-    ExhibitEntry {
-        id: "cache_efficiency",
-        build: cache::cache_efficiency,
-        build_streaming: cache::cache_efficiency_streaming,
-    },
+    exhibit!("table1", tables::table1),
+    exhibit!("table2", tables::table2),
+    exhibit!("table3", tables::table3),
+    exhibit!("table4", tables::table4),
+    exhibit!("table5", tables::table5),
+    exhibit!("table6", tables::table6),
+    exhibit!("table7", tables::table7),
+    exhibit!("fig2", figures::fig2),
+    exhibit!("fig3", figures::fig3),
+    exhibit!("fig4", figures::fig4),
+    exhibit!("fig5", figures::fig5),
+    exhibit!("fig6", figures::fig6),
+    exhibit!("fig7", figures::fig7),
+    exhibit!("fig8", figures::fig8),
+    exhibit!("funnel", figures::notification_funnel),
+    exhibit!("attribution", figures::attribution),
+    exhibit!("resilience", resilience::resilience),
+    exhibit!("trace_profile", trace_profile::trace_profile),
+    exhibit!("cache_efficiency", cache::cache_efficiency),
 ];
 
 /// Look up a registry entry by exhibit id.
@@ -174,19 +118,11 @@ pub fn exhibit_by_id(id: &str) -> Option<&'static ExhibitEntry> {
     EXHIBIT_REGISTRY.iter().find(|e| e.id == id)
 }
 
-/// Build every exhibit from one pipeline run, in paper order.
-pub fn all_exhibits(ctx: &Context) -> Vec<Exhibit> {
-    EXHIBIT_REGISTRY.iter().map(|e| (e.build)(ctx)).collect()
-}
-
-/// Build every exhibit from one *streaming* pipeline run, in paper
-/// order — bit-for-bit identical to [`all_exhibits`] over the eager run
-/// of the same seed and scale.
-pub fn all_exhibits_streaming(sc: &StreamContext) -> Vec<Exhibit> {
-    EXHIBIT_REGISTRY
-        .iter()
-        .map(|e| (e.build_streaming)(sc))
-        .collect()
+/// Build every exhibit from one pipeline run of either mode, in paper
+/// order. The eager and streaming runs of one seed and scale give
+/// bit-for-bit identical exhibits.
+pub fn all_exhibits<S: Source>(src: &S) -> Vec<Exhibit> {
+    EXHIBIT_REGISTRY.iter().map(|e| S::column(e)(src)).collect()
 }
 
 #[cfg(test)]

@@ -1,18 +1,21 @@
 //! One full reproduction run, shared by every exhibit builder.
+//!
+//! A run is eager ([`Context`]) or streaming ([`StreamContext`]); both
+//! implement [`Source`], which every exhibit builder reads. The two
+//! structs stay separate because the benchmark in `perfbench/` builds
+//! each one field by field and calls the registry column of its type.
 
 use std::collections::BTreeSet;
 
 use spfail_netsim::PolicyCacheStats;
 use spfail_notify::{NotificationCampaign, NotificationRecord, NotificationReport, PixelLog};
-use spfail_prober::{
-    CampaignBuilder, CampaignData, CampaignSummary, HostClass, HostInitialResult,
-    StreamedCampaign,
-};
+use spfail_prober::{CampaignBuilder, CampaignData, CampaignSummary, StreamingRun};
 use spfail_world::{
     DomainId, DomainRecord, HostId, HostRecord, Population, SparsePopulation, World, WorldConfig,
 };
 
 use crate::aggregates::WorldAggregates;
+use crate::{Exhibit, ExhibitEntry};
 
 /// The domain groups the paper reports on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,11 +112,6 @@ impl Context {
         }
     }
 
-    /// Whether `domain` is in `set`.
-    pub fn in_set(&self, domain: DomainId, set: SetFilter) -> bool {
-        set.member(self.world.domain(domain), self.world.config.top1000_cutoff())
-    }
-
     /// All domains in `set`.
     pub fn set_domains(&self, set: SetFilter) -> Vec<DomainId> {
         (0..self.world.domains.len() as u32)
@@ -129,30 +127,6 @@ impl Context {
             hosts.extend(self.world.domain(d).hosts.iter().copied());
         }
         hosts.into_iter().collect()
-    }
-
-    /// The initial probe results for one host.
-    pub fn initial(&self, host: HostId) -> &HostInitialResult {
-        self.campaign
-            .initial
-            .results
-            .get(&host)
-            .expect("every host was probed in the initial sweep")
-    }
-
-    /// Table 3's outcome class for one host.
-    pub fn host_class(&self, host: HostId) -> HostClass {
-        self.initial(host).class()
-    }
-
-    /// Initially vulnerable domains restricted to `set`.
-    pub fn vulnerable_domains_in(&self, set: SetFilter) -> Vec<DomainId> {
-        self.campaign
-            .vulnerable_domains
-            .iter()
-            .copied()
-            .filter(|&d| self.in_set(d, set))
-            .collect()
     }
 }
 
@@ -195,15 +169,7 @@ impl StreamContext {
             scale,
             ..WorldConfig::default()
         };
-        // The same sequential staged drive as Context::run, over the
-        // streamed sweep's handoff instead of an eager initial sweep.
-        let streamed = StreamedCampaign::sweep(CampaignBuilder::new(), config.clone());
-        let mut session = streamed
-            .session()
-            .expect("a fresh handoff state is self-consistent");
-        while session.advance_round().is_some() {}
-        let run = session.finish();
-        let population = streamed.into_population();
+        let StreamingRun { run, population } = CampaignBuilder::new().run_streaming(config.clone());
         let aggregates = WorldAggregates::from_config(&config, &run.summary.masks);
         let mut pixels = PixelLog::new();
         let (notifications, funnel) = NotificationCampaign::run(
@@ -223,106 +189,129 @@ impl StreamContext {
             cache: run.cache,
         }
     }
-
-    /// Whether `domain` is in `set`. Valid for retained domains only —
-    /// which is every domain an exhibit asks about.
-    pub fn in_set(&self, domain: DomainId, set: SetFilter) -> bool {
-        set.member(self.population.domain(domain), self.config.top1000_cutoff())
-    }
 }
 
-/// One pipeline run, whichever mode produced it: the exhibit builders
-/// are written against this so eager and streaming exhibits share one
-/// implementation. Lookups of specific domains or hosts are only valid
-/// for the retained subset in streaming mode — the exhibits only ask
-/// about vulnerable domains and tracked hosts, which are always
-/// retained.
-pub enum Source<'a> {
-    /// An eager [`Context::run`].
-    Eager(&'a Context),
-    /// A streaming [`StreamContext::run`].
-    Streaming(&'a StreamContext),
-}
-
-impl Source<'_> {
+/// One pipeline run, whichever mode produced it. Every exhibit is one
+/// generic builder over this trait, so an eager [`Context`] and a
+/// streaming [`StreamContext`] produce each exhibit through the same
+/// code. Lookups of specific domains or hosts are only valid for the
+/// retained subset in streaming mode — the exhibits only ask about
+/// vulnerable domains and tracked hosts, which are always retained.
+pub trait Source {
     /// The world configuration.
-    pub fn config(&self) -> &WorldConfig {
-        match self {
-            Source::Eager(ctx) => &ctx.world.config,
-            Source::Streaming(sc) => &sc.config,
-        }
-    }
+    fn config(&self) -> &WorldConfig;
 
     /// The campaign's longitudinal data.
-    pub fn campaign(&self) -> &CampaignData {
-        match self {
-            Source::Eager(ctx) => &ctx.campaign,
-            Source::Streaming(sc) => &sc.campaign,
-        }
-    }
+    fn campaign(&self) -> &CampaignData;
 
     /// Look up a domain (streaming: retained domains only).
-    pub fn domain(&self, id: DomainId) -> &DomainRecord {
-        match self {
-            Source::Eager(ctx) => ctx.world.domain(id),
-            Source::Streaming(sc) => sc.population.domain(id),
-        }
-    }
+    fn domain(&self, id: DomainId) -> &DomainRecord;
 
     /// Look up a host (streaming: retained hosts only).
-    pub fn host(&self, id: HostId) -> &HostRecord {
-        match self {
-            Source::Eager(ctx) => ctx.world.host(id),
-            Source::Streaming(sc) => sc.population.host(id),
-        }
-    }
+    fn host(&self, id: HostId) -> &HostRecord;
 
     /// The world-wide folds.
-    pub fn aggregates(&self) -> &WorldAggregates {
-        match self {
-            Source::Eager(ctx) => &ctx.aggregates,
-            Source::Streaming(sc) => &sc.aggregates,
-        }
-    }
+    fn aggregates(&self) -> &WorldAggregates;
 
     /// The §7.7 funnel.
-    pub fn funnel(&self) -> &NotificationReport {
-        match self {
-            Source::Eager(ctx) => &ctx.funnel,
-            Source::Streaming(sc) => &sc.funnel,
-        }
-    }
+    fn funnel(&self) -> &NotificationReport;
 
     /// Compiled-policy cache tallies.
-    pub fn cache(&self) -> Option<&PolicyCacheStats> {
-        match self {
-            Source::Eager(ctx) => ctx.cache.as_ref(),
-            Source::Streaming(sc) => sc.cache.as_ref(),
-        }
-    }
+    fn cache(&self) -> Option<&PolicyCacheStats>;
 
     /// Whether `domain` is in `set` (streaming: retained domains only).
-    pub fn in_set(&self, domain: DomainId, set: SetFilter) -> bool {
-        match self {
-            Source::Eager(ctx) => ctx.in_set(domain, set),
-            Source::Streaming(sc) => sc.in_set(domain, set),
-        }
+    fn in_set(&self, domain: DomainId, set: SetFilter) -> bool {
+        set.member(self.domain(domain), self.config().top1000_cutoff())
     }
 
     /// How many domains `set` holds, from the aggregates fold.
-    pub fn set_size(&self, set: SetFilter) -> usize {
+    fn set_size(&self, set: SetFilter) -> usize {
         self.aggregates().set_counts[set.index()]
     }
 
     /// Initially vulnerable domains restricted to `set` — always
     /// retained, in both modes.
-    pub fn vulnerable_domains_in(&self, set: SetFilter) -> Vec<DomainId> {
+    fn vulnerable_domains_in(&self, set: SetFilter) -> Vec<DomainId> {
         self.campaign()
             .vulnerable_domains
             .iter()
             .copied()
             .filter(|&d| self.in_set(d, set))
             .collect()
+    }
+
+    /// This context's builder column of a registry entry: the column
+    /// whose fn-pointer type takes `&Self`.
+    fn column(entry: &ExhibitEntry) -> fn(&Self) -> Exhibit
+    where
+        Self: Sized;
+}
+
+impl Source for Context {
+    fn config(&self) -> &WorldConfig {
+        &self.world.config
+    }
+
+    fn campaign(&self) -> &CampaignData {
+        &self.campaign
+    }
+
+    fn domain(&self, id: DomainId) -> &DomainRecord {
+        self.world.domain(id)
+    }
+
+    fn host(&self, id: HostId) -> &HostRecord {
+        self.world.host(id)
+    }
+
+    fn aggregates(&self) -> &WorldAggregates {
+        &self.aggregates
+    }
+
+    fn funnel(&self) -> &NotificationReport {
+        &self.funnel
+    }
+
+    fn cache(&self) -> Option<&PolicyCacheStats> {
+        self.cache.as_ref()
+    }
+
+    fn column(entry: &ExhibitEntry) -> fn(&Context) -> Exhibit {
+        entry.build
+    }
+}
+
+impl Source for StreamContext {
+    fn config(&self) -> &WorldConfig {
+        &self.config
+    }
+
+    fn campaign(&self) -> &CampaignData {
+        &self.campaign
+    }
+
+    fn domain(&self, id: DomainId) -> &DomainRecord {
+        self.population.domain(id)
+    }
+
+    fn host(&self, id: HostId) -> &HostRecord {
+        self.population.host(id)
+    }
+
+    fn aggregates(&self) -> &WorldAggregates {
+        &self.aggregates
+    }
+
+    fn funnel(&self) -> &NotificationReport {
+        &self.funnel
+    }
+
+    fn cache(&self) -> Option<&PolicyCacheStats> {
+        self.cache.as_ref()
+    }
+
+    fn column(entry: &ExhibitEntry) -> fn(&StreamContext) -> Exhibit {
+        entry.build_streaming
     }
 }
 

@@ -17,7 +17,7 @@ use spfail_netsim::{FaultPlan, FaultProfile};
 use spfail_prober::{CampaignBuilder, CampaignData, RetryPolicy};
 use spfail_world::{HostId, World, WorldConfig};
 
-use crate::pipeline::{Context, Source, StreamContext};
+use crate::pipeline::Source;
 use crate::table::{pct, Table};
 use crate::Exhibit;
 
@@ -53,16 +53,7 @@ fn found(data: &CampaignData, measurable: &[HostId]) -> usize {
 }
 
 /// False-negative rates under fault load, with and without retries.
-pub fn resilience(ctx: &Context) -> Exhibit {
-    resilience_impl(&Source::Eager(ctx))
-}
-
-/// The resilience exhibit from a streaming run.
-pub fn resilience_streaming(sc: &StreamContext) -> Exhibit {
-    resilience_impl(&Source::Streaming(sc))
-}
-
-fn resilience_impl(src: &Source) -> Exhibit {
+pub fn resilience(src: &impl Source) -> Exhibit {
     // A dedicated small world keyed to the run's seed: the exhibit is
     // deterministic per report run but independent of the main scale.
     let seed = src.config().seed;

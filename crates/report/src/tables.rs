@@ -13,21 +13,12 @@ use spfail_prober::{SnapshotStatus, BEHAVIOR_BITS};
 use spfail_world::{tld as tldmod, PACKAGE_TIMELINE};
 
 use crate::aggregates::{Outcomes, TABLE1_SETS};
-use crate::pipeline::{Context, SetFilter, Source, StreamContext};
+use crate::pipeline::{SetFilter, Source};
 use crate::table::{count_pct, pct, Table};
 use crate::Exhibit;
 
 /// Table 1: overlap between the domain measurement sets.
-pub fn table1(ctx: &Context) -> Exhibit {
-    table1_impl(&Source::Eager(ctx))
-}
-
-/// Table 1 from a streaming run.
-pub fn table1_streaming(sc: &StreamContext) -> Exhibit {
-    table1_impl(&Source::Streaming(sc))
-}
-
-fn table1_impl(src: &Source) -> Exhibit {
+pub fn table1(src: &impl Source) -> Exhibit {
     let agg = src.aggregates();
     let mut table = Table::new(["Domain Set", "∩ 2-Week MX", "∩ Alexa 1000", "∩ Alexa Top List"]);
     let mut cells = serde_json::Map::new();
@@ -55,16 +46,7 @@ fn table1_impl(src: &Source) -> Exhibit {
 }
 
 /// Table 2: most common TLDs per domain set.
-pub fn table2(ctx: &Context) -> Exhibit {
-    table2_impl(&Source::Eager(ctx))
-}
-
-/// Table 2 from a streaming run.
-pub fn table2_streaming(sc: &StreamContext) -> Exhibit {
-    table2_impl(&Source::Streaming(sc))
-}
-
-fn table2_impl(src: &Source) -> Exhibit {
+pub fn table2(src: &impl Source) -> Exhibit {
     let agg = src.aggregates();
     let mut table = Table::new(["#", "Alexa TLD", "Count", "2-Week TLD", "Count"]);
     let top15 = |counts: &BTreeMap<String, usize>| -> Vec<(String, usize)> {
@@ -102,16 +84,7 @@ fn table2_impl(src: &Source) -> Exhibit {
 }
 
 /// Table 3: NoMsg/BlankMsg test outcomes by domain set.
-pub fn table3(ctx: &Context) -> Exhibit {
-    table3_impl(&Source::Eager(ctx))
-}
-
-/// Table 3 from a streaming run.
-pub fn table3_streaming(sc: &StreamContext) -> Exhibit {
-    table3_impl(&Source::Streaming(sc))
-}
-
-fn table3_impl(src: &Source) -> Exhibit {
+pub fn table3(src: &impl Source) -> Exhibit {
     let agg = src.aggregates();
     let columns = [
         ("Alexa domains", agg.domains[SetFilter::AlexaTopList.index()]),
@@ -162,16 +135,7 @@ fn table3_impl(src: &Source) -> Exhibit {
 }
 
 /// Table 4: initial SPF results breakdown.
-pub fn table4(ctx: &Context) -> Exhibit {
-    table4_impl(&Source::Eager(ctx))
-}
-
-/// Table 4 from a streaming run.
-pub fn table4_streaming(sc: &StreamContext) -> Exhibit {
-    table4_impl(&Source::Streaming(sc))
-}
-
-fn table4_impl(src: &Source) -> Exhibit {
+pub fn table4(src: &impl Source) -> Exhibit {
     let agg = src.aggregates();
     let mut table = Table::new([
         "Set",
@@ -236,16 +200,7 @@ fn table4_impl(src: &Source) -> Exhibit {
 }
 
 /// Table 5: best/worst patch rates by TLD.
-pub fn table5(ctx: &Context) -> Exhibit {
-    table5_impl(&Source::Eager(ctx))
-}
-
-/// Table 5 from a streaming run.
-pub fn table5_streaming(sc: &StreamContext) -> Exhibit {
-    table5_impl(&Source::Streaming(sc))
-}
-
-fn table5_impl(src: &Source) -> Exhibit {
+pub fn table5(src: &impl Source) -> Exhibit {
     let campaign = src.campaign();
     let min_group = ((50.0 * src.config().scale).round() as usize).max(3);
     let mut per_tld: BTreeMap<String, (usize, usize)> = BTreeMap::new();
@@ -302,8 +257,9 @@ fn table5_impl(src: &Source) -> Exhibit {
 }
 
 /// Table 6: package-manager patch timeline (input data, rendered as the
-/// paper prints it).
-pub fn table6() -> Exhibit {
+/// paper prints it). It reads nothing of the run; it takes the source
+/// so that it has the same shape as every other exhibit builder.
+pub fn table6(_src: &impl Source) -> Exhibit {
     let mut table = Table::new([
         "Package Manager",
         "CVE-2021-20314",
@@ -345,16 +301,7 @@ pub fn table6() -> Exhibit {
 }
 
 /// Table 7: macro-expansion behaviours by IP address.
-pub fn table7(ctx: &Context) -> Exhibit {
-    table7_impl(&Source::Eager(ctx))
-}
-
-/// Table 7 from a streaming run.
-pub fn table7_streaming(sc: &StreamContext) -> Exhibit {
-    table7_impl(&Source::Streaming(sc))
-}
-
-fn table7_impl(src: &Source) -> Exhibit {
+pub fn table7(src: &impl Source) -> Exhibit {
     let agg = src.aggregates();
     // BEHAVIOR_BITS is in MacroBehavior's Ord order, so walking the
     // count array in index order and skipping zeros reproduces the
@@ -401,6 +348,7 @@ fn table7_impl(src: &Source) -> Exhibit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Context;
 
     fn ctx() -> &'static Context {
         crate::testctx::shared()
@@ -489,7 +437,7 @@ mod tests {
 
     #[test]
     fn table6_matches_static_data() {
-        let e = table6();
+        let e = table6(ctx());
         assert!(e.rendered.contains("Debian"));
         assert!(e.rendered.contains("Unpatched"));
         assert!(e.rendered.contains("2022-01-20"));

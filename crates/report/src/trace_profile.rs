@@ -16,7 +16,7 @@ use spfail_prober::{CampaignBuilder, RetryPolicy, TraceConfig};
 use spfail_trace::{format_us, Profile};
 use spfail_world::{World, WorldConfig};
 
-use crate::pipeline::{Context, Source, StreamContext};
+use crate::pipeline::Source;
 use crate::table::Table;
 use crate::Exhibit;
 
@@ -60,16 +60,7 @@ fn profile_campaign(seed: u64) -> Profile {
 
 /// The trace-profile exhibit: self/cumulative time per span path and
 /// per-phase probe latency.
-pub fn trace_profile(ctx: &Context) -> Exhibit {
-    trace_profile_impl(&Source::Eager(ctx))
-}
-
-/// The trace profile from a streaming run.
-pub fn trace_profile_streaming(sc: &StreamContext) -> Exhibit {
-    trace_profile_impl(&Source::Streaming(sc))
-}
-
-fn trace_profile_impl(src: &Source) -> Exhibit {
+pub fn trace_profile(src: &impl Source) -> Exhibit {
     let profile = profile_campaign(src.config().seed);
 
     let mut paths = Table::new(["Stack path", "Count", "Total", "Self", "Mean"]);

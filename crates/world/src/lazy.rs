@@ -1,13 +1,15 @@
-//! Lazy world synthesis: the same population as [`World::generate`],
-//! produced one domain at a time.
+//! Lazy world synthesis: the same population as
+//! [`World::generate`](crate::World::generate), produced one domain at a
+//! time.
 //!
 //! [`LazyWorld`] is an iterator of [`DomainStep`]s. Each step carries one
 //! [`DomainRecord`] (in [`DomainId`] order) plus the [`HostRecord`]s that
 //! domain caused to be created (in [`HostId`] order). Driving the
 //! iterator to completion visits every domain and every host of the
 //! eager world exactly once, **bit-for-bit identical** to the records
-//! [`World::generate`] materializes — `World::generate` is in fact the
-//! collector over this very iterator, so the two cannot drift.
+//! [`World::generate`](crate::World::generate) materializes —
+//! `World::generate` is in fact the collector over this very iterator,
+//! so the two cannot drift.
 //!
 //! The synthesis state is bounded: per-stream RNGs, the shared-hosting
 //! pool cursors, and one compact precomputed table (the 2-Week rank

@@ -9,7 +9,7 @@
 use spfail::dns::{wire, Message, Name, RData, Record, RecordType};
 use spfail::libspf2::{LibSpf2Expander, MemSim};
 use spfail::netsim::{EventQueue, Histogram, SimClock, SimDuration, SimRng, SimTime};
-use spfail::prober::{partition_hosts, shard_of, HostMask, OnlineAggregate};
+use spfail::prober::{partition_hosts, shard_of};
 use spfail::trace::{parse_collapsed, Phase, Profile, SpanKind, Trace, TraceConfig, Tracer};
 use spfail::smtp::command::Command;
 use spfail::smtp::reply::Reply;
@@ -1068,51 +1068,5 @@ fn lazy_world_synthesis_matches_eager_generation() {
         }
         assert_eq!(domains_seen, world.domains.len());
         assert_eq!(hosts_seen, world.hosts.len());
-    }
-}
-
-/// [`OnlineAggregate::merge`] is associative, commutative, has the
-/// default aggregate as identity, and is invariant under *any* partition
-/// of the host stream — contiguous or interleaved — which is exactly
-/// what makes the streamed sweep's totals independent of sharding.
-#[test]
-fn online_aggregate_merge_is_associative_commutative_split_invariant() {
-    for mut rng in cases("online_aggregate_merge_is_associative_commutative_split_invariant") {
-        let n = 1 + rng.below(300) as usize;
-        let masks: Vec<u32> = (0..n).map(|_| rng.below(1 << 22) as u32).collect();
-        let whole = OnlineAggregate::from_masks(&masks);
-
-        // Contiguous three-way split at random cut points.
-        let mut cut_a = rng.below(n as u64 + 1) as usize;
-        let mut cut_b = rng.below(n as u64 + 1) as usize;
-        if cut_a > cut_b {
-            std::mem::swap(&mut cut_a, &mut cut_b);
-        }
-        let fold = |range: std::ops::Range<usize>| {
-            let mut agg = OnlineAggregate::default();
-            for i in range {
-                agg.observe(HostId(i as u32), HostMask(masks[i]));
-            }
-            agg
-        };
-        let (a, b, c) = (fold(0..cut_a), fold(cut_a..cut_b), fold(cut_b..n));
-        assert_eq!(a.merge(&b), b.merge(&a), "commutes");
-        assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)), "associates");
-        assert_eq!(a.merge(&b).merge(&c), whole, "contiguous splits fold to the whole");
-        assert_eq!(whole.merge(&OnlineAggregate::default()), whole, "identity");
-        assert_eq!(OnlineAggregate::default().merge(&whole), whole, "identity");
-
-        // Interleaved partition: each host assigned to one of k shards
-        // at random (the streamed sweep's stride partition is one case).
-        let k = 1 + rng.below(5) as usize;
-        let mut shards = vec![OnlineAggregate::default(); k];
-        for (i, &bits) in masks.iter().enumerate() {
-            let shard = rng.below(k as u64) as usize;
-            shards[shard].observe(HostId(i as u32), HostMask(bits));
-        }
-        let merged = shards
-            .iter()
-            .fold(OnlineAggregate::default(), |acc, s| acc.merge(s));
-        assert_eq!(merged, whole, "interleaved partitions fold to the whole");
     }
 }

@@ -24,7 +24,7 @@ use spfail::prober::{
     CampaignBuilder, CampaignData, CampaignRun, CampaignState, CampaignSummary, RetryPolicy,
     Session, StreamedCampaign, TraceConfig,
 };
-use spfail::report::{all_exhibits, all_exhibits_streaming, Context, StreamContext};
+use spfail::report::{all_exhibits, Context, StreamContext};
 use spfail::world::{World, WorldConfig};
 
 const SEEDS: [u64; 3] = [11, 2024, 77];
@@ -154,7 +154,7 @@ fn all_exhibits_match_across_modes() {
     let eager = Context::run(scale, seed);
     let streaming = StreamContext::run(scale, seed);
     let eager_exhibits = all_exhibits(&eager);
-    let streaming_exhibits = all_exhibits_streaming(&streaming);
+    let streaming_exhibits = all_exhibits(&streaming);
     assert_eq!(eager_exhibits.len(), streaming_exhibits.len());
     for (e, s) in eager_exhibits.iter().zip(&streaming_exhibits) {
         assert_eq!(e.id, s.id);
