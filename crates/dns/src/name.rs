@@ -432,6 +432,16 @@ impl Name {
         Some(out)
     }
 
+    /// [`Name::strip_suffix`] without the copies: the prefix labels
+    /// borrowed from the name, or `None` when `self` is not under
+    /// `suffix`.
+    pub fn prefix_labels(&self, suffix: &Name) -> Option<Labels<'_>> {
+        let boundary = self.suffix_start(suffix)?;
+        Some(Labels {
+            rest: &self.wire_bytes()[..boundary],
+        })
+    }
+
     /// A copy with all labels lowercased (canonical form). When the name
     /// already carries a canonical buffer this shares it — no allocation.
     pub fn to_lowercase(&self) -> Name {

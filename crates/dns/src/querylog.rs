@@ -87,8 +87,15 @@ impl QueryLog {
     /// length before the exchange and read back only their own window,
     /// keeping classification O(probe) instead of O(campaign).
     pub fn entries_from(&self, start: usize) -> Vec<QueryLogEntry> {
+        self.with_entries_from(start, <[QueryLogEntry]>::to_vec)
+    }
+
+    /// Run `f` over the entries appended at or after index `start`,
+    /// borrowed in place — [`QueryLog::entries_from`] without the copy.
+    /// The log is locked while `f` runs, so `f` must not touch it.
+    pub fn with_entries_from<R>(&self, start: usize, f: impl FnOnce(&[QueryLogEntry]) -> R) -> R {
         let entries = self.entries.lock();
-        entries.get(start..).map(<[QueryLogEntry]>::to_vec).unwrap_or_default()
+        f(entries.get(start..).unwrap_or_default())
     }
 
     /// Drop all entries recorded before `cutoff`; returns how many were

@@ -114,12 +114,13 @@ impl Mta {
         clock: SimClock,
         rng: SimRng,
     ) -> Mta {
-        let impls_label = config
-            .spf_impls
-            .iter()
-            .map(|b| b.label())
-            .collect::<Vec<_>>()
-            .join(",");
+        let mut impls_label = String::new();
+        for (i, behavior) in config.spf_impls.iter().enumerate() {
+            if i > 0 {
+                impls_label.push(',');
+            }
+            impls_label.push_str(behavior.label());
+        }
         Mta {
             resolver: Resolver::new(directory, dns_link, ip),
             config,
@@ -209,10 +210,33 @@ impl Mta {
         }
     }
 
+    /// Replay `n` past connections from `peer` without holding them:
+    /// the state `n` calls to [`Mta::connect`] would leave. The counter
+    /// advances by `n`, and each replayed connection past the blacklist
+    /// threshold makes the one banner draw its `connect` would make;
+    /// no other work is done per connection.
+    pub fn replay_connections(&mut self, peer: IpAddr, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let before = self.probe_connections;
+        self.probe_connections += n;
+        self.peer = peer;
+        self.pending_sender = None;
+        self.rejected_rcpts_this_envelope = 0;
+        if let Some(limit) = self.config.blacklist_after {
+            // Connections `before + 1 ..= before + n` are replayed; the
+            // ones numbered above `limit` drew a rejection banner.
+            for _ in 0..self.probe_connections.saturating_sub(limit.max(before)) {
+                let _ = self.rng.chance(0.5);
+            }
+        }
+    }
+
     /// Open the SMTP session after a `Proceed` decision.
     pub fn open_session(&mut self) -> (ServerSession<&mut Mta>, Reply) {
         let hostname = self.config.hostname.clone();
-        ServerSession::open(&hostname, self)
+        ServerSession::open(hostname, self)
     }
 
     /// Run SPF validation for `sender` with every configured
@@ -750,6 +774,47 @@ mod tests {
 
     fn probe_addr() -> EmailAddress {
         EmailAddress::parse("mmj7yzdm0tbk@k7q2.s01.spf-test.dns-lab.org").unwrap()
+    }
+
+    /// `replay_connections(peer, n)` leaves the state of `n` real
+    /// `connect(peer)` calls: the same counter, the same next connect
+    /// decision, and the same position in the MTA's random stream —
+    /// also on an MTA that already saw connections, past the threshold
+    /// or not.
+    #[test]
+    fn replay_connections_equals_repeated_connects() {
+        let peer: IpAddr = "203.0.113.9".parse().unwrap();
+        for blacklist_after in [None, Some(0), Some(3)] {
+            for (prior, n) in [0u32, 5]
+                .into_iter()
+                .flat_map(|p| [0u32, 1, 3, 4, 40].map(|n| (p, n)))
+            {
+                let config = MtaConfig {
+                    blacklist_after,
+                    ..MtaConfig::vulnerable("mx.test")
+                };
+                let (mut replayed, _) = mta(config.clone());
+                let (mut connected, _) = mta(config);
+                for _ in 0..prior {
+                    let _ = replayed.connect(peer);
+                    let _ = connected.connect(peer);
+                }
+                replayed.replay_connections(peer, n);
+                for _ in 0..n {
+                    let _ = connected.connect(peer);
+                }
+                let case = format!("blacklist_after {blacklist_after:?}, prior {prior}, n {n}");
+                assert_eq!(
+                    replayed.connections_seen(),
+                    connected.connections_seen(),
+                    "{case}"
+                );
+                assert_eq!(replayed.connect(peer), connected.connect(peer), "{case}");
+                for _ in 0..8 {
+                    assert_eq!(replayed.rng.unit(), connected.rng.unit(), "{case}");
+                }
+            }
+        }
     }
 
     fn drive_through_mail_from(m: &mut Mta) -> Reply {

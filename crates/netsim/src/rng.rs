@@ -7,6 +7,8 @@
 //! process) forks its own stream, so iteration order and population size
 //! changes never perturb unrelated entities.
 
+use std::fmt;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -17,14 +19,36 @@ pub struct SimRng {
     seed: u64,
 }
 
-/// FNV-1a over a byte string; cheap, stable label hashing for forking.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+/// Incremental FNV-1a; cheap, stable label hashing for forking. As a
+/// [`fmt::Write`] sink it hashes a formatted label piece by piece, which
+/// gives the hash of the whole string without building it.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.write(bytes);
+    hash.0
 }
 
 /// One round of splitmix64; decorrelates related seeds.
@@ -56,6 +80,16 @@ impl SimRng {
     /// the parent in between.
     pub fn fork(&self, label: &str) -> SimRng {
         SimRng::new(splitmix64(self.seed ^ fnv1a(label.as_bytes())))
+    }
+
+    /// [`SimRng::fork`] with the label given as format arguments:
+    /// `fork_fmt(format_args!("probe-h{h}"))` is the stream of
+    /// `fork(&format!("probe-h{h}"))`, but the label's bytes are hashed
+    /// as they are formatted instead of collected into a `String`.
+    pub fn fork_fmt(&self, label: fmt::Arguments<'_>) -> SimRng {
+        let mut hash = Fnv1a::new();
+        fmt::Write::write_fmt(&mut hash, label).expect("hashing a label cannot fail");
+        SimRng::new(splitmix64(self.seed ^ hash.0))
     }
 
     /// Derive an independent stream identified by an index, e.g. per host.

@@ -19,6 +19,7 @@ use spfail_world::{DomainId, HostId, HostRecord, Population, Timeline, World};
 use crate::aggregate::HostMask;
 use crate::classify::Classification;
 use crate::ethics::{EthicsAudit, MAX_CONCURRENT};
+use crate::fxhash::FxBuildHasher;
 use crate::probe::{
     ProbeContext, ProbeOptions, ProbeOutcome, ProbeTest, ProbeVerdict, Prober, RetryPolicy,
 };
@@ -530,7 +531,7 @@ impl Campaign {
     pub(crate) fn initial_sweep(
         prober: &mut Prober<'_>,
         world: &dyn Population,
-        counts: &mut HashMap<HostId, u32>,
+        counts: &mut HashMap<HostId, u32, FxBuildHasher>,
         hosts: &[HostId],
     ) -> (InitialMeasurement, Vec<u32>, SimDuration) {
         let start = Self::begin_sweep(prober, Phase::Initial, Timeline::INITIAL);
@@ -548,6 +549,7 @@ impl Campaign {
                 query_log.clear();
             }
         }
+        prober.forget_repetitions();
         let busy = prober.context().clock.now().since(start);
         (InitialMeasurement { results }, masks, busy)
     }

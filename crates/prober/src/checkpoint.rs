@@ -5,7 +5,9 @@
 //! campaign at a round boundary (see the [`crate::session`] module docs
 //! for why this list is exhaustive): configuration, world identity,
 //! stage progress, the sweep results so far, each worker's
-//! clock/ethics/metrics/counters, and the trace records emitted so far.
+//! clock/ethics/metrics/blacklist counters, and the trace records
+//! emitted so far. Probe-repetition counters are absent: a worker drops
+//! them at the end of every sweep, so none is live at a boundary.
 //! Workers live from the initial sweep to the snapshot, so every audit
 //! and network counter of the campaign so far sits in some worker's
 //! state.
@@ -47,9 +49,6 @@ pub struct WorkerState {
     pub contacts: Vec<(IpAddr, SimTime)>,
     /// The worker's network counters.
     pub metrics: MetricsSnapshot,
-    /// The worker's probe-repetition counters
-    /// (`(host, day, test, extra) -> occurrence`), key-sorted.
-    pub occurrences: Vec<((u32, u16, u8, u32), u64)>,
     /// The worker's per-host attempt counts (blacklist counters),
     /// host-sorted.
     pub counts: Vec<(HostId, u32)>,
@@ -93,8 +92,14 @@ pub struct CampaignState {
 
 /// The header line. v2 dropped v1's campaign-level audit/network totals
 /// and merged connection counts: every worker now lives from the
-/// initial sweep on, so its own state carries them.
-const MAGIC: &str = "spfail-checkpoint v2";
+/// initial sweep on, so its own state carries them. v3 dropped v2's
+/// per-worker `wocc` probe-repetition counters: a worker forgets them
+/// at the end of every sweep, so none is live at a round boundary.
+const MAGIC: &str = "spfail-checkpoint v3";
+
+/// Headers of the formats this build no longer reads; each is refused
+/// by version rather than misparsed.
+const RETIRED: [&str; 2] = ["spfail-checkpoint v1", "spfail-checkpoint v2"];
 
 fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -564,9 +569,6 @@ impl CampaignState {
             out.push_str("wmetrics ");
             write_metrics(&mut out, &w.metrics);
             out.push('\n');
-            for ((h, d, t, x), n) in &w.occurrences {
-                let _ = writeln!(out, "wocc {h} {d} {t} {x} {n}");
-            }
             for (host, n) in &w.counts {
                 let _ = writeln!(out, "wcount {} {}", host.0, n);
             }
@@ -583,9 +585,9 @@ impl CampaignState {
         let Some((_, first)) = lines.next() else {
             return Err("empty checkpoint".to_string());
         };
-        if first == "spfail-checkpoint v1" {
+        if RETIRED.contains(&first) {
             return Err(format!(
-                "checkpoint format spfail-checkpoint v1 is no longer readable; \
+                "checkpoint format {first} is no longer readable; \
                  this build reads {MAGIC} (re-run the campaign to write one)"
             ));
         }
@@ -792,10 +794,9 @@ impl CampaignState {
                     ethics: EthicsAudit::default(),
                     contacts: Vec::new(),
                     metrics: MetricsSnapshot::default(),
-                    occurrences: Vec::new(),
                     counts: Vec::new(),
                 }),
-                "wclock" | "wethics" | "wcontact" | "wmetrics" | "wocc" | "wcount" => {
+                "wclock" | "wethics" | "wcontact" | "wmetrics" | "wcount" => {
                     let Some(w) = workers.last_mut() else {
                         return Err(err(format!("{keyword} before any worker")));
                     };
@@ -818,20 +819,6 @@ impl CampaignState {
                             ));
                         }
                         "wmetrics" => w.metrics = parse_metrics(&toks).map_err(err)?,
-                        "wocc" => {
-                            let [h, d, t, x, n] = toks[..] else {
-                                return Err(err("wocc wants 5 operands".to_string()));
-                            };
-                            w.occurrences.push((
-                                (
-                                    parse_num(h, "host").map_err(err)?,
-                                    parse_num(d, "day").map_err(err)?,
-                                    parse_num(t, "test").map_err(err)?,
-                                    parse_num(x, "extra").map_err(err)?,
-                                ),
-                                parse_num(n, "occurrence").map_err(err)?,
-                            ));
-                        }
                         "wcount" => {
                             let [host, n] = toks[..] else {
                                 return Err(err("wcount wants 2 operands".to_string()));
@@ -1011,7 +998,6 @@ mod tests {
                     bytes_sent: 4096,
                     ..MetricsSnapshot::default()
                 },
-                occurrences: vec![((3, 15, 0, 2), 1)],
                 counts: vec![(HostId(3), 3)],
             }],
             trace_records: vec![record],
@@ -1071,15 +1057,28 @@ mod tests {
     }
 
     /// A v1 checkpoint (with the campaign-level totals and merged
-    /// counts v2 dropped) is refused up front, naming both versions.
+    /// counts v2 dropped) and a v2 one (with the `wocc` counters v3
+    /// dropped) are refused up front, naming their version and v3.
     #[test]
     fn v1_checkpoints_are_rejected_by_version() {
+        for retired in ["spfail-checkpoint v1", "spfail-checkpoint v2"] {
+            let text = sample_state().to_text().replacen(MAGIC, retired, 1);
+            let err = CampaignState::parse(&text).expect_err("a retired header is refused");
+            assert!(err.contains(retired), "{err}");
+            assert!(err.contains("spfail-checkpoint v3"), "{err}");
+        }
+    }
+
+    /// v3 has no `wocc` line kind: one in a v3 file is an error, never
+    /// silently skipped.
+    #[test]
+    fn wocc_lines_are_rejected_in_v3() {
         let text = sample_state()
             .to_text()
-            .replacen(MAGIC, "spfail-checkpoint v1", 1);
-        let err = CampaignState::parse(&text).expect_err("a v1 header is refused");
-        assert!(err.contains("spfail-checkpoint v1"), "{err}");
-        assert!(err.contains("spfail-checkpoint v2"), "{err}");
+            .replacen("wcount ", "wocc 3 15 0 2 1\nwcount ", 1);
+        assert!(text.contains("\nwocc 3 15 0 2 1\n"));
+        let err = CampaignState::parse(&text).expect_err("a wocc line is refused");
+        assert!(err.contains("wocc"), "{err}");
     }
 
     #[test]

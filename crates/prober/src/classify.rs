@@ -217,15 +217,23 @@ pub fn classify(
     };
     for entry in entries {
         // Only queries carrying this probe's unique labels are ours.
-        let Some(prefix) = entry.qname.strip_suffix(&probe_domain) else {
+        let Some(mut labels) = entry.qname.prefix_labels(&probe_domain) else {
             continue;
         };
         match entry.qtype {
-            RecordType::TXT | RecordType::SPF if prefix.is_empty() => {
+            RecordType::TXT | RecordType::SPF if labels.next().is_none() => {
                 result.spf_triggered = true;
             }
             RecordType::A | RecordType::AAAA => {
-                match decode_prefix(&prefix, id, suite) {
+                // Every fingerprint has at most six labels; a seventh
+                // only has to make the prefix too long to match one.
+                let mut prefix = [""; 7];
+                let mut len = 0;
+                for label in labels.take(prefix.len()) {
+                    prefix[len] = label;
+                    len += 1;
+                }
+                match decode_prefix(&prefix[..len], id, suite) {
                     Decoded::Baseline => {}
                     Decoded::Behavior(b) => {
                         result.behaviors.insert(b);
@@ -239,9 +247,9 @@ pub fn classify(
     // TXT fetched but not a single address query: the implementation bails
     // on macro-bearing terms.
     if result.spf_triggered && result.behaviors.is_empty() && result.unknown_patterns == 0 {
-        let any_address = entries.iter().any(|e| {
-            e.qtype.is_address() && e.qname.strip_suffix(&probe_domain).is_some()
-        });
+        let any_address = entries
+            .iter()
+            .any(|e| e.qtype.is_address() && e.qname.is_subdomain_of(&probe_domain));
         if !any_address {
             result.behaviors.insert(MacroBehavior::MacroUnsupported);
         }
@@ -255,12 +263,12 @@ enum Decoded {
     Unknown,
 }
 
-fn decode_prefix(prefix: &[String], id: &str, suite: &str) -> Decoded {
+fn decode_prefix(prefix: &[&str], id: &str, suite: &str) -> Decoded {
     let eq = |a: &str, b: &str| a.eq_ignore_ascii_case(b);
     match prefix.len() {
         0 => Decoded::Behavior(MacroBehavior::EmptyExpansion),
         1 => {
-            let label = prefix[0].as_str();
+            let label = prefix[0];
             if eq(label, "b") {
                 Decoded::Baseline
             } else if eq(label, id) {
@@ -274,16 +282,16 @@ fn decode_prefix(prefix: &[String], id: &str, suite: &str) -> Decoded {
             }
         }
         5 => {
-            let reversed_ok = eq(&prefix[0], "org")
-                && eq(&prefix[1], "dns-lab")
-                && eq(&prefix[2], "spf-test")
-                && eq(&prefix[3], suite)
-                && eq(&prefix[4], id);
-            let forward_ok = eq(&prefix[0], id)
-                && eq(&prefix[1], suite)
-                && eq(&prefix[2], "spf-test")
-                && eq(&prefix[3], "dns-lab")
-                && eq(&prefix[4], "org");
+            let reversed_ok = eq(prefix[0], "org")
+                && eq(prefix[1], "dns-lab")
+                && eq(prefix[2], "spf-test")
+                && eq(prefix[3], suite)
+                && eq(prefix[4], id);
+            let forward_ok = eq(prefix[0], id)
+                && eq(prefix[1], suite)
+                && eq(prefix[2], "spf-test")
+                && eq(prefix[3], "dns-lab")
+                && eq(prefix[4], "org");
             if reversed_ok {
                 Decoded::Behavior(MacroBehavior::ReverseNoTruncate)
             } else if forward_ok {
@@ -293,12 +301,12 @@ fn decode_prefix(prefix: &[String], id: &str, suite: &str) -> Decoded {
             }
         }
         6 => {
-            let dup_ok = eq(&prefix[0], "org")
-                && eq(&prefix[1], "org")
-                && eq(&prefix[2], "dns-lab")
-                && eq(&prefix[3], "spf-test")
-                && eq(&prefix[4], suite)
-                && eq(&prefix[5], id);
+            let dup_ok = eq(prefix[0], "org")
+                && eq(prefix[1], "org")
+                && eq(prefix[2], "dns-lab")
+                && eq(prefix[3], "spf-test")
+                && eq(prefix[4], suite)
+                && eq(prefix[5], id);
             if dup_ok {
                 Decoded::Behavior(MacroBehavior::VulnerableLibSpf2)
             } else {

@@ -18,6 +18,8 @@ use std::net::IpAddr;
 
 use spfail_netsim::{SimClock, SimDuration, SimTime};
 
+use crate::fxhash::FxBuildHasher;
+
 /// Spacing constants from §6.1.
 pub const MIN_RECONTACT: SimDuration = SimDuration::from_secs(90);
 /// Wait before retrying a greylisting server.
@@ -62,8 +64,8 @@ impl EthicsAudit {
 /// Enforces the measurement ethics rules.
 pub struct EthicsGuard {
     clock: SimClock,
-    last_contact: HashMap<IpAddr, SimTime>,
-    tested_this_sweep: HashMap<IpAddr, ()>,
+    last_contact: HashMap<IpAddr, SimTime, FxBuildHasher>,
+    tested_this_sweep: HashMap<IpAddr, (), FxBuildHasher>,
     in_flight: usize,
     max_concurrent: usize,
     audit: EthicsAudit,
@@ -81,8 +83,8 @@ impl EthicsGuard {
     pub fn with_budget(clock: SimClock, max_concurrent: usize) -> EthicsGuard {
         EthicsGuard {
             clock,
-            last_contact: HashMap::new(),
-            tested_this_sweep: HashMap::new(),
+            last_contact: HashMap::default(),
+            tested_this_sweep: HashMap::default(),
             in_flight: 0,
             max_concurrent: max_concurrent.clamp(1, MAX_CONCURRENT),
             audit: EthicsAudit::default(),

@@ -36,6 +36,7 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod classify;
 pub mod ethics;
+mod fxhash;
 pub mod probe;
 pub mod session;
 pub mod streaming;

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use spfail_dns::{Directory, QueryLog, SpfTestAuthority};
 use spfail_mta::mta::ConnectDecision;
@@ -22,6 +22,7 @@ use spfail_world::{HostId, HostRecord, MtaInstrumentation, Population, Timeline}
 
 use crate::classify::{classify, Classification, RESERVED_ID_LABELS};
 use crate::ethics::{EthicsGuard, GREYLIST_WAIT, MAX_CONCURRENT, MIN_RECONTACT};
+use crate::fxhash::FxBuildHasher;
 
 /// How long a connection attempt waits before giving up on a host that
 /// never answers (a flaky host or a closed reachability window). The
@@ -347,6 +348,8 @@ pub struct Prober<'w> {
     pop: &'w dyn Population,
     /// The per-campaign suite label (§5.1: unique per test suite).
     pub suite: String,
+    /// `.<suite>.<zone>`: a probe's sender domain is its id plus this.
+    sender_suffix: String,
     source_ip: IpAddr,
     ctx: ProbeContext,
     base_rng: SimRng,
@@ -358,7 +361,11 @@ pub struct Prober<'w> {
     options: ProbeOptions,
     metrics: Metrics,
     next_id: u64,
-    occurrences: HashMap<(u32, u16, u8, u32), u64>,
+    /// Probe-repetition counters, `(host, day, test, extra) ->
+    /// occurrence`. Every key carries the day of the sweep that made
+    /// it, so a campaign drops them between hosts or at the end of each
+    /// sweep (see [`Prober::forget_repetitions`]).
+    occurrences: HashMap<(u32, u16, u8, u32), u64, FxBuildHasher>,
 }
 
 impl<'w> Prober<'w> {
@@ -397,6 +404,7 @@ impl<'w> Prober<'w> {
         Prober {
             pop,
             suite: suite.to_string(),
+            sender_suffix: format!(".{suite}.{}", pop.runtime().zone_origin.to_ascii()),
             source_ip: "203.0.113.25".parse().expect("static address"),
             ethics: EthicsGuard::with_budget(ctx.clock.clone(), max_concurrent),
             rng: base_rng.fork("id-sequence"),
@@ -406,7 +414,7 @@ impl<'w> Prober<'w> {
             options,
             metrics: Metrics::new(),
             next_id: 0,
-            occurrences: HashMap::new(),
+            occurrences: HashMap::default(),
         }
     }
 
@@ -450,35 +458,27 @@ impl<'w> Prober<'w> {
         &mut self.ethics
     }
 
-    /// The probe-repetition counters in canonical (sorted) order, for a
-    /// checkpoint. Together with the ethics guard's export, the metrics
-    /// snapshot, and the context clock, these counters are the whole of
-    /// a prober's durable state: every other field is a pure function of
-    /// the world seed and the suite label.
-    pub(crate) fn occurrences_export(&self) -> Vec<((u32, u16, u8, u32), u64)> {
-        let mut entries: Vec<_> = self.occurrences.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
-        entries
+    /// Forget every probe-repetition counter.
+    ///
+    /// A counter only matters to a later probe with the same host, day,
+    /// test and connection count. A campaign sweep probes each host in
+    /// one stretch on one day, later sweeps on a worker use strictly
+    /// later days, and the snapshot runs on fresh workers. So the sweep
+    /// helpers call this at their end (and the streamed sweep between
+    /// hosts), and the counters never outlive a sweep: together with the
+    /// ethics guard's export, the metrics snapshot and the context
+    /// clock, a prober's durable state at a round boundary is a pure
+    /// function of the world seed and the suite label.
+    pub(crate) fn forget_repetitions(&mut self) {
+        self.occurrences = HashMap::default();
     }
 
-    /// Restore the probe-repetition counters written by
-    /// [`Prober::occurrences_export`].
-    pub(crate) fn occurrences_restore(
-        &mut self,
-        entries: impl IntoIterator<Item = ((u32, u16, u8, u32), u64)>,
-    ) {
-        self.occurrences = entries.into_iter().collect();
-    }
-
-    /// Forget every per-host fact — probe-repetition counters and ethics
-    /// contact history — of the hosts outside `keep` (host-sorted).
-    /// Sound only when those hosts are never probed again on this
-    /// prober: after the initial sweep a worker re-probes only its
-    /// tracked hosts, and host addresses are unique. Audit counters and
-    /// metrics are untouched.
+    /// Forget the ethics contact history of the hosts outside `keep`
+    /// (host-sorted). Sound only when those hosts are never probed
+    /// again on this prober: after the initial sweep a worker re-probes
+    /// only its tracked hosts, and host addresses are unique. Audit
+    /// counters and metrics are untouched.
     pub(crate) fn retain_hosts(&mut self, keep: &[(HostId, Ipv4Addr)]) {
-        self.occurrences
-            .retain(|&(h, _, _, _), _| keep.binary_search_by_key(&HostId(h), |&(k, _)| k).is_ok());
         let mut ips: Vec<IpAddr> = keep.iter().map(|&(_, ip)| IpAddr::V4(ip)).collect();
         ips.sort_unstable();
         self.ethics.contacts_retain(&ips);
@@ -497,11 +497,12 @@ impl<'w> Prober<'w> {
     /// Probe randomness is derived from the probe's identity (see
     /// [`Prober::probe`]), not drawn from a consuming stream, so the
     /// incremental round engine can replay the first draws of the
-    /// attempt it is about to skip: the rng fork, the id draw, and the
-    /// flaky roll below mirror the opening of `probe_attempt` exactly.
-    /// A `true` answer means the attempt would fail transiently (and
-    /// possibly retry), so the host must be probed for real; `false`
-    /// means the attempt proceeds to the host's deterministic behaviour.
+    /// attempt it is about to skip: the stream from
+    /// [`Prober::probe_stream`], the id draw, and the flaky roll below
+    /// mirror the opening of `probe_attempt` exactly. A `true` answer
+    /// means the attempt would fail transiently (and possibly retry), so
+    /// the host must be probed for real; `false` means the attempt
+    /// proceeds to the host's deterministic behaviour.
     pub(crate) fn would_flake(
         &self,
         host: HostId,
@@ -509,18 +510,33 @@ impl<'w> Prober<'w> {
         test: ProbeTest,
         extra_connections: u32,
     ) -> bool {
-        let test_tag = test.tag();
         let occurrence = self
             .occurrences
-            .get(&(host.0, day, test_tag, extra_connections))
+            .get(&(host.0, day, test.tag(), extra_connections))
             .copied()
             .unwrap_or(0);
-        let mut rng = self.base_rng.fork(&format!(
-            "probe-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
-            host.0
-        ));
+        let mut rng = self.probe_stream(host, day, test, extra_connections, occurrence);
         let _ = Self::probe_id(&mut rng, &self.suite);
         rng.chance(self.pop.host(host).profile.flaky)
+    }
+
+    /// The random stream of the `occurrence`-th probe with this identity
+    /// — the one place the identity label is spelled, so a skipped
+    /// probe's replay ([`Prober::would_flake`]) and the probe itself
+    /// can never drift apart.
+    fn probe_stream(
+        &self,
+        host: HostId,
+        day: u16,
+        test: ProbeTest,
+        extra_connections: u32,
+        occurrence: u64,
+    ) -> SimRng {
+        self.base_rng.fork_fmt(format_args!(
+            "probe-h{}-d{day}-t{}-x{extra_connections}-n{occurrence}",
+            host.0,
+            test.tag()
+        ))
     }
 
     /// Generate the next unique probe id: a 4–5 character alphanumeric
@@ -605,10 +621,7 @@ impl<'w> Prober<'w> {
             *counter += 1;
             occurrence
         };
-        let mut rng = self.base_rng.fork(&format!(
-            "probe-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
-            host.0
-        ));
+        let mut rng = self.probe_stream(host, day, test, extra_connections, occurrence);
         let id = Self::probe_id(&mut rng, &self.suite);
 
         // Transient flakiness: the host is unreachable this round. The
@@ -704,10 +717,13 @@ impl<'w> Prober<'w> {
         // When DNS faults are active the MTA's stream is salted with the
         // probe identity, so a retried probe re-rolls the resolver's
         // fault dice instead of replaying the same timeout forever.
-        let dns_salt = format!(
-            "dns-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
-            host.0
-        );
+        let dns_faults_active = self.options.faults.dns.is_active();
+        let dns_salt = dns_faults_active.then(|| {
+            format!(
+                "dns-h{}-d{day}-t{test_tag}-x{extra_connections}-n{occurrence}",
+                host.0
+            )
+        });
         let mut mta = self.pop.runtime().build_mta_record(
             host,
             record,
@@ -717,38 +733,29 @@ impl<'w> Prober<'w> {
             MtaInstrumentation {
                 dns_faults: self.options.faults.dns,
                 metrics: self.metrics.clone(),
-                reroll: self
-                    .options
-                    .faults
-                    .dns
-                    .is_active()
-                    .then_some(dns_salt.as_str()),
+                reroll: dns_salt.as_deref(),
                 tracer: self.ctx.tracer.clone(),
                 policy_cache: self.ctx.policy_cache.clone(),
             },
         );
         // Restore the host's cross-round connection count so blacklisting
         // thresholds apply campaign-wide, not per-instance.
-        for _ in 0..extra_connections {
-            let _ = mta.connect(self.source_ip); // lint:allow(ethics-probe-budget) replays the historical connection counter against a fresh Mta instance; no new traffic reaches any host
-        }
+        mta.replay_connections(self.source_ip, extra_connections);
 
         let log_start = self.ctx.query_log.len();
-        let sender_domain = format!(
-            "{}.{}.{}",
-            id,
-            self.suite,
-            self.pop.runtime().zone_origin.to_ascii()
-        );
+        let mut sender_domain = String::with_capacity(id.len() + self.sender_suffix.len());
+        sender_domain.push_str(&id);
+        sender_domain.push_str(&self.sender_suffix);
+        let sender = EmailAddress::new("mmj7yzdm0tbk", &sender_domain)
+            .expect("probe sender addresses are valid by construction");
         // The MTA's resolver reports into this prober's metrics; the
         // delta across the transaction tells us whether injected DNS
         // faults disturbed this particular probe's measurement.
-        let dns_before = self.options.faults.dns.is_active().then(|| {
+        let dns_before = dns_faults_active.then(|| {
             let snap = self.metrics.snapshot();
             (snap.dns_timeouts, snap.dns_servfails)
         });
-        let transaction =
-            self.run_transaction(&mut mta, IpAddr::V4(record.ip), &sender_domain, test);
+        let transaction = self.run_transaction(&mut mta, IpAddr::V4(record.ip), &sender, test);
         let dns_fault = dns_before.and_then(|(timeouts, servfails)| {
             let snap = self.metrics.snapshot();
             if snap.dns_timeouts > timeouts {
@@ -759,8 +766,10 @@ impl<'w> Prober<'w> {
                 None
             }
         });
-        let entries = self.ctx.query_log.entries_from(log_start);
-        let classification = classify(&entries, &id, &self.suite, &self.pop.runtime().zone_origin);
+        let zone = &self.pop.runtime().zone_origin;
+        let classification = self.ctx.query_log.with_entries_from(log_start, |entries| {
+            classify(entries, &id, &self.suite, zone)
+        });
 
         ProbeOutcome {
             host,
@@ -826,7 +835,7 @@ impl<'w> Prober<'w> {
                     break;
                 }
             }
-            let mut backoff_rng = self.base_rng.fork(&format!(
+            let mut backoff_rng = self.base_rng.fork_fmt(format_args!(
                 "backoff-h{}-d{day}-t{}-x{extra_connections}-a{attempts}",
                 host.0,
                 test.tag()
@@ -870,7 +879,7 @@ impl<'w> Prober<'w> {
         &mut self,
         mta: &mut Mta,
         ip: IpAddr,
-        sender_domain: &str,
+        sender: &EmailAddress,
         test: ProbeTest,
     ) -> Option<TransactionOutcome> {
         let mut attempt = 0;
@@ -882,7 +891,7 @@ impl<'w> Prober<'w> {
             self.ctx
                 .tracer
                 .enter(self.ctx.clock.now(), SpanKind::SmtpSession);
-            let outcome = self.run_once(mta, sender_domain, test);
+            let outcome = self.run_once(mta, sender, test);
             self.ctx.tracer.exit(
                 self.ctx.clock.now(),
                 SpanKind::SmtpSession,
@@ -913,7 +922,7 @@ impl<'w> Prober<'w> {
     fn run_once(
         &mut self,
         mta: &mut Mta,
-        sender_domain: &str,
+        sender: &EmailAddress,
         test: ProbeTest,
     ) -> Option<TransactionOutcome> {
         debug_assert!(
@@ -924,7 +933,7 @@ impl<'w> Prober<'w> {
             ConnectDecision::Refused => return None,
             ConnectDecision::RejectedBanner(reply) => reply,
             ConnectDecision::Proceed => {
-                let plan = self.plan(sender_domain, test);
+                let plan = Self::plan(sender, test);
                 let (mut session, banner) = mta.open_session();
                 let mut runner = ClientRunner::new(plan);
                 let mut action = runner.on_reply(&banner);
@@ -950,7 +959,7 @@ impl<'w> Prober<'w> {
             }
         };
         // A rejecting banner concludes the transaction immediately.
-        let plan = self.plan(sender_domain, test);
+        let plan = Self::plan(sender, test);
         let mut runner = ClientRunner::new(plan);
         match runner.on_reply(&banner) {
             ClientAction::Finish(outcome) | ClientAction::HangUp(outcome) => Some(outcome),
@@ -958,27 +967,24 @@ impl<'w> Prober<'w> {
         }
     }
 
-    fn plan(&self, sender_domain: &str, test: ProbeTest) -> TransactionPlan {
-        // The recipient ladder is the same for every probe; build it once
-        // and hand out shared-part clones (addresses are `Arc<str>` pairs).
-        static LADDER: std::sync::OnceLock<Vec<EmailAddress>> = std::sync::OnceLock::new();
-        let sender = EmailAddress::new("mmj7yzdm0tbk", sender_domain)
-            .expect("probe sender addresses are valid by construction");
-        let recipients = LADDER
-            .get_or_init(|| {
-                USERNAME_LADDER
-                    .iter()
-                    .map(|user| {
-                        EmailAddress::new(user, "recipient.invalid")
-                            .expect("ladder usernames are valid")
-                    })
-                    .collect()
-            })
-            .clone();
+    fn plan(sender: &EmailAddress, test: ProbeTest) -> TransactionPlan {
+        // The HELO domain and the recipient ladder are the same for every
+        // probe: build them once and hand out shared references.
+        static SHARED: OnceLock<(Arc<str>, Arc<[EmailAddress]>)> = OnceLock::new();
+        let (helo_domain, recipients) = SHARED.get_or_init(|| {
+            let ladder = USERNAME_LADDER
+                .iter()
+                .map(|user| {
+                    EmailAddress::new(user, "recipient.invalid")
+                        .expect("ladder usernames are valid")
+                })
+                .collect();
+            (Arc::from("probe.dns-lab.org"), ladder)
+        });
         TransactionPlan {
-            helo_domain: "probe.dns-lab.org".to_string(),
-            sender,
-            recipients,
+            helo_domain: helo_domain.clone(),
+            sender: sender.clone(),
+            recipients: recipients.clone(),
             step: test.step(),
         }
     }

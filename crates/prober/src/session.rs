@@ -37,9 +37,12 @@
 //! probe's own identity (see [`Prober::probe`]), never drawn from a
 //! consuming stream, so no rng positions need saving: the only live
 //! facts are the sweep results so far, each worker's clock, ethics
-//! audit + contact history, network counters, probe-repetition
-//! counters, and blacklist counters — plus the trace records already
-//! emitted. [`CampaignState`] is exactly that inventory.
+//! audit + contact history, network counters, and blacklist counters —
+//! plus the trace records already emitted. [`CampaignState`] is exactly
+//! that inventory. A worker's probe-repetition counters are not in it:
+//! each key carries the day of the sweep that made it, later sweeps use
+//! strictly later days and the snapshot runs on fresh workers, so every
+//! sweep helper drops them at its end and none is live at a boundary.
 //!
 //! **Incremental rounds** ([`CampaignBuilder::incremental`]) re-probe
 //! only hosts whose status can have changed since their last conclusive
@@ -85,6 +88,7 @@ use crate::campaign::{
 };
 use crate::checkpoint::{CampaignState, WorkerState};
 use crate::ethics::EthicsAudit;
+use crate::fxhash::FxBuildHasher;
 use crate::probe::{ProbeTest, Prober};
 
 /// Probe-volume counters for a session's longitudinal rounds — the
@@ -106,7 +110,7 @@ pub struct SessionStats {
 struct Worker<'w> {
     prober: Prober<'w>,
     tracer: Tracer,
-    counts: HashMap<HostId, u32>,
+    counts: HashMap<HostId, u32, FxBuildHasher>,
     hosts: Vec<HostId>,
 }
 
@@ -116,17 +120,19 @@ impl<'w> Worker<'w> {
         Worker {
             prober: builder.worker_prober(pop, &tracer),
             tracer,
-            counts: HashMap::new(),
+            counts: HashMap::default(),
             hosts,
         }
     }
 }
 
 impl WorkerState {
-    /// Capture a worker's durable state: its clock, ethics guard,
-    /// metrics and probe-repetition counters, plus `counts`, its
-    /// per-host blacklist counters.
-    pub(crate) fn capture(prober: &Prober<'_>, counts: &HashMap<HostId, u32>) -> WorkerState {
+    /// Capture a worker's durable state: its clock, ethics guard and
+    /// metrics, plus `counts`, its per-host blacklist counters.
+    pub(crate) fn capture(
+        prober: &Prober<'_>,
+        counts: &HashMap<HostId, u32, FxBuildHasher>,
+    ) -> WorkerState {
         let (ethics, contacts) = prober.ethics().export();
         let mut counts: Vec<_> = counts.iter().map(|(&h, &n)| (h, n)).collect();
         counts.sort_unstable_by_key(|(h, _)| *h);
@@ -135,7 +141,6 @@ impl WorkerState {
             ethics,
             contacts,
             metrics: prober.metrics().snapshot(),
-            occurrences: prober.occurrences_export(),
             counts,
         }
     }
@@ -638,10 +643,10 @@ impl<'w> Session<'w> {
         }
 
         // Rebuild the live workers: a prober's durable state is its
-        // clock, ethics guard, metrics, and probe-repetition counters —
-        // everything else is a pure function of the world seed and the
-        // suite label, so a fresh worker plus restore reproduces it
-        // exactly. Rebuilt workers start with cold policy caches: the
+        // clock, ethics guard and metrics — everything else is a pure
+        // function of the world seed and the suite label (its
+        // probe-repetition counters never outlive a sweep), so a fresh
+        // worker plus restore reproduces it exactly. Rebuilt workers start with cold policy caches: the
         // cache is derived state, deliberately absent from checkpoints,
         // and re-warming it is invisible to every measurement surface.
         let shards = session.builder.worker_count();
@@ -660,7 +665,6 @@ impl<'w> Session<'w> {
                 .advance_to(SimTime::from_micros(ws.clock_micros));
             w.prober.ethics_mut().restore(ws.ethics, ws.contacts);
             w.prober.metrics().add_snapshot(&ws.metrics);
-            w.prober.occurrences_restore(ws.occurrences);
             // lint:allow(det-hash-iter) ws.counts is the checkpoint's sorted Vec, not a hash map; the name merely matches the Worker field
             w.counts = ws.counts.into_iter().collect();
             session.workers.push(w);
@@ -706,7 +710,7 @@ fn incremental_round_sweep(
     day: u16,
     hosts: &[HostId],
     preferred: &HashMap<HostId, ProbeTest>,
-    counts: &mut HashMap<HostId, u32>,
+    counts: &mut HashMap<HostId, u32, FxBuildHasher>,
     last_conclusive: &HashMap<HostId, (u16, RoundStatus)>,
     world: &dyn Population,
     full_rescan: bool,
@@ -767,6 +771,7 @@ fn incremental_round_sweep(
         issued += 1;
         statuses.insert(host, Campaign::round_status(&outcome));
     }
+    prober.forget_repetitions();
     let busy = prober.context().clock.now().since(start);
     (statuses, busy, issued, skipped)
 }

@@ -12,11 +12,12 @@
 //!    each host's results into one [`HostMask`] the moment they exist
 //!    and recording only the vulnerable `(host, ip)` pairs. Host
 //!    records live exactly as long as their synthesis step; prober-side
-//!    per-host state (repetition counters, contact history, blacklist
-//!    counters) is pruned to the vulnerable set as the sweep goes — the
-//!    same rule an eager session applies at the end of its sweep, and
-//!    sound because host addresses are unique and every later phase
-//!    re-probes only tracked hosts.
+//!    per-host state (contact history, blacklist counters) is pruned to
+//!    the vulnerable set as the sweep goes — the same rule an eager
+//!    session applies at the end of its sweep, and sound because host
+//!    addresses are unique and every later phase re-probes only tracked
+//!    hosts. The repetition counters are dropped at each prune: the
+//!    hosts probed so far are done for the sweep's day.
 //! 2. **Retention replay** — re-drive the synthesis stream (identical by
 //!    construction) keeping just the tracked host records and the
 //!    domains that reference them: a [`SparsePopulation`] of O(tracked)
@@ -211,7 +212,7 @@ fn sweep_stream(builder: &CampaignBuilder, lazy: LazyWorld, runtime: &WorldRunti
         let start = Campaign::begin_sweep(&mut prober, Phase::Initial, Timeline::INITIAL);
         let mut masks = Vec::new();
         let mut vulnerable: Vec<(HostId, Ipv4Addr)> = Vec::new();
-        let mut counts = HashMap::new();
+        let mut counts = HashMap::default();
         while let Ok((host, record)) = rx.recv() {
             let (result, seen) = Campaign::probe_initial(&mut prober, host, &record);
             let mask = HostMask::from_initial(&result);
@@ -225,9 +226,11 @@ fn sweep_stream(builder: &CampaignBuilder, lazy: LazyWorld, runtime: &WorldRunti
             }
             if masks.len() % PRUNE_INTERVAL == 0 {
                 prober.retain_hosts(&vulnerable);
+                prober.forget_repetitions();
             }
         }
         prober.retain_hosts(&vulnerable);
+        prober.forget_repetitions();
         ShardOut {
             masks,
             state: WorkerState::capture(&prober, &counts),

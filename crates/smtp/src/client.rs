@@ -12,6 +12,8 @@
 //! [`ClientRunner`] is the sans-IO mirror of the server session: the caller
 //! feeds it replies and it yields the next [`ClientAction`].
 
+use std::sync::Arc;
+
 use spfail_netsim::ProbeError;
 
 use crate::address::EmailAddress;
@@ -27,16 +29,18 @@ pub enum TransactionStep {
     SendBlankMessage,
 }
 
-/// A planned SMTP transaction.
+/// A planned SMTP transaction. The HELO domain and the recipient ladder
+/// are shared, so a prober planning one transaction per probe hands out
+/// the same two allocations every time.
 #[derive(Debug, Clone)]
 pub struct TransactionPlan {
     /// Domain announced in `EHLO`.
-    pub helo_domain: String,
+    pub helo_domain: Arc<str>,
     /// Envelope sender (the unique probe address).
     pub sender: EmailAddress,
     /// Recipient candidates, tried in order while the server rejects them
     /// with permanent failures (the paper's username ladder).
-    pub recipients: Vec<EmailAddress>,
+    pub recipients: Arc<[EmailAddress]>,
     /// Probe variant.
     pub step: TransactionStep,
 }
@@ -191,7 +195,7 @@ impl ClientRunner {
             ClientState::WaitBanner => match reply.category() {
                 ReplyCategory::Success => {
                     self.state = ClientState::WaitHello;
-                    ClientAction::Send(Command::Ehlo(self.plan.helo_domain.clone()))
+                    ClientAction::Send(Command::Ehlo(self.plan.helo_domain.to_string()))
                 }
                 ReplyCategory::TransientFailure => self.conclude(TransactionOutcome::Transient {
                     stage: "connect",

@@ -103,10 +103,10 @@ pub struct ServerSession<P: ServerPolicy> {
 impl<P: ServerPolicy> ServerSession<P> {
     /// Open a session: runs the connect hook and returns the banner (or the
     /// refusal reply, in which case the session is already [`SessionState::Closed`]).
-    pub fn open(hostname: &str, mut policy: P) -> (ServerSession<P>, Reply) {
+    pub fn open(hostname: impl Into<String>, mut policy: P) -> (ServerSession<P>, Reply) {
         let decision = policy.on_connect();
         let mut session = ServerSession {
-            hostname: hostname.to_string(),
+            hostname: hostname.into(),
             policy,
             state: SessionState::Connected,
             sender: None,

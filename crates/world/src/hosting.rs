@@ -97,9 +97,9 @@ impl HostProfile {
     }
 
     /// Materialise an [`MtaConfig`] for this host as of `day`.
-    pub fn mta_config(&self, hostname: &str, day: u16) -> MtaConfig {
+    pub fn mta_config(&self, hostname: impl Into<String>, day: u16) -> MtaConfig {
         let mut config = MtaConfig {
-            hostname: hostname.to_string(),
+            hostname: hostname.into(),
             connect: self.connect,
             quirk: self.quirk,
             spf_stage: self.spf_stage,

@@ -106,7 +106,7 @@ impl WorldRuntime {
         instrumentation: MtaInstrumentation<'_>,
     ) -> Mta {
         let hostname = format!("mx{}.{}", host.0, record.primary_tld);
-        let config = record.profile.mta_config(&hostname, day);
+        let config = record.profile.mta_config(hostname, day);
         let link = Link::new(
             LatencyModel::ZERO,
             instrumentation.dns_faults,

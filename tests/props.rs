@@ -405,6 +405,26 @@ fn name_ops_match_label_list_model() {
     }
 }
 
+/// `prefix_labels` borrows exactly the labels `strip_suffix` copies,
+/// and is `None` exactly when `strip_suffix` is.
+#[test]
+fn prefix_labels_match_strip_suffix() {
+    for mut rng in cases("prefix_labels_match_strip_suffix") {
+        let model = gen_mixed_labels(&mut rng, 5);
+        let name = Name::from_labels(&model).expect("legal");
+        let other = gen_name(&mut rng);
+        for split in 0..=model.len() {
+            let suffix = Name::from_labels(&model[split..]).expect("legal");
+            for suffix in [&suffix, &other] {
+                let borrowed = name
+                    .prefix_labels(suffix)
+                    .map(|labels| labels.map(str::to_string).collect::<Vec<_>>());
+                assert_eq!(borrowed, name.strip_suffix(suffix));
+            }
+        }
+    }
+}
+
 /// Compression round-trips on pathological messages where many owners
 /// share deep suffixes under different spellings.
 #[test]
@@ -737,6 +757,67 @@ fn rng_forks_reproducible() {
         for _ in 0..8 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+}
+
+/// `fork_fmt(format_args!(..))` is `fork(&format!(..))`: the probe's
+/// identity streams are hashed while formatting, never built as strings,
+/// and must stay the streams the string labels gave. Covers the probe,
+/// dns and backoff label shapes at zero, at the `u16`/`u32`/`u64` maxima
+/// and at random values, plus random labels.
+#[test]
+fn fork_fmt_matches_fork_of_the_formatted_label() {
+    use rand::RngCore;
+    fn same(parent: &SimRng, via_fmt: SimRng, label: &str) {
+        let mut a = via_fmt;
+        let mut b = parent.fork(label);
+        for _ in 0..8 {
+            assert_eq!(a.next_u64(), b.next_u64(), "label {label:?}");
+        }
+    }
+    let extremes = [
+        (0u32, 0u16, 0u8, 0u32, 0u64),
+        (u32::MAX, u16::MAX, 1, u32::MAX, u64::MAX),
+    ];
+    let mut rngs = cases("fork_fmt_matches_fork_of_the_formatted_label");
+    let random: Vec<_> = rngs
+        .iter_mut()
+        .map(|rng| {
+            (
+                rng.next_u32(),
+                rng.below(1 << 16) as u16,
+                rng.below(2) as u8,
+                rng.next_u32() >> rng.below(32),
+                rng.next_u64() >> rng.below(64),
+            )
+        })
+        .collect();
+    for (i, &(h, d, t, x, n)) in extremes.iter().chain(&random).enumerate() {
+        let parent = SimRng::new(0x5bf2_a117 ^ i as u64);
+        let a = n as u32;
+        same(
+            &parent,
+            parent.fork_fmt(format_args!("probe-h{h}-d{d}-t{t}-x{x}-n{n}")),
+            &format!("probe-h{h}-d{d}-t{t}-x{x}-n{n}"),
+        );
+        same(
+            &parent,
+            parent.fork_fmt(format_args!("dns-h{h}-d{d}-t{t}-x{x}-n{n}")),
+            &format!("dns-h{h}-d{d}-t{t}-x{x}-n{n}"),
+        );
+        same(
+            &parent,
+            parent.fork_fmt(format_args!("backoff-h{h}-d{d}-t{t}-x{x}-a{a}")),
+            &format!("backoff-h{h}-d{d}-t{t}-x{x}-a{a}"),
+        );
+    }
+    for mut rng in rngs {
+        let parent = SimRng::new(rng.next_u64());
+        let label = gen_printable(&mut rng, 40);
+        same(&parent, parent.fork_fmt(format_args!("{label}")), &label);
+        let len = rng.below(12) as usize;
+        let label = rng.alnum_label(len);
+        same(&parent, parent.fork_fmt(format_args!("{label}")), &label);
     }
 }
 
