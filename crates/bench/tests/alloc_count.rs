@@ -439,13 +439,85 @@ fn round_probe_allocation_budget() {
     );
 }
 
-/// Measured: 58 allocations per probe, down from 78 before the probe's
-/// identity labels, connection replay, classification window and
-/// transaction plan stopped allocating. Most of the rest is the SMTP
-/// conversation's replies. The ~10% headroom lets a field or two be
-/// added, while a reintroduced label or window copy (several per
-/// probe) fails.
-const ROUND_PROBE_BUDGET: u64 = 64;
+/// Measured: 36 allocations per probe (58 before the prober reused one
+/// MTA and fixed replies stopped copying their text; 78 before the
+/// probe's identity labels, connection replay, classification window
+/// and transaction plan stopped allocating). Most of the rest is the
+/// first probes of a new id shape recording replay scripts; a fully
+/// warm probe makes 8 (30 before): its id, its sender domain, the
+/// session's hostname, banner, EHLO and rejection texts, one spliced
+/// query name and its classification. The ~10% headroom lets a field be
+/// added, while a per-probe MTA build (4) or copied reply texts
+/// (several per probe) fail.
+const ROUND_PROBE_BUDGET: u64 = 40;
+
+/// Rebuilding the prober's reused MTA for the next host: once its
+/// strings, lists and tables have grown to the hosts' shape, a rebuild —
+/// hostname, behaviour, random stream, and every per-instance field
+/// reset — allocates nothing, even after the MTA ran a transaction that
+/// validated, greylisted and warmed its resolver.
+#[test]
+fn mta_rebuild_allocation_budget() {
+    use spfail_mta::mta::ConnectDecision;
+    use spfail_smtp::address::EmailAddress;
+    use spfail_smtp::command::Command;
+    use spfail_world::{HostId, MtaInstrumentation, World, WorldConfig};
+
+    let world = World::generate(WorldConfig::small(123));
+    let runtime = world.runtime();
+    let mut validating = world.initially_vulnerable_hosts().into_iter().filter(|&h| {
+        let p = &world.host(h).profile;
+        p.impls.len() == 1
+            && p.spf_stage == spfail_mta::SpfStage::OnMailFrom
+            && p.quirk == spfail_mta::SmtpQuirk::None
+            && p.blacklist_after.is_none()
+    });
+    let (a, b): (HostId, HostId) = (
+        validating.next().expect("a validating host"),
+        validating.next().expect("a second validating host"),
+    );
+    let mut mta = runtime.build_mta_record(
+        a,
+        world.host(a),
+        0,
+        runtime.directory.clone(),
+        runtime.clock.clone(),
+        MtaInstrumentation {
+            dns_faults: spfail_netsim::FaultPlan::NONE,
+            metrics: spfail_netsim::Metrics::new(),
+            reroll: None,
+            tracer: spfail_trace::Tracer::disabled(),
+            policy_cache: Some(spfail_mta::new_policy_cache()),
+        },
+    );
+    let sender = EmailAddress::parse("mmj7yzdm0tbk@k7q2.s1.spf-test.dns-lab.org").unwrap();
+    let transact = |mta: &mut spfail_mta::Mta| {
+        assert_eq!(
+            mta.connect("203.0.113.25".parse().unwrap()),
+            ConnectDecision::Proceed
+        );
+        let (mut session, _) = mta.open_session();
+        session.handle(&Command::Ehlo("probe.dns-lab.org".into()));
+        session.handle(&Command::MailFrom(sender.clone()));
+    };
+    // Grow every buffer to the pair's shape, one rebuild each way.
+    for host in [b, a] {
+        transact(&mut mta);
+        runtime.rebuild_mta_record(&mut mta, host, world.host(host), 0, None);
+    }
+    transact(&mut mta);
+    assert!(
+        !mta.validations().is_empty(),
+        "the MTA validated before the rebuild"
+    );
+    let (allocs, ()) =
+        count_allocs(|| runtime.rebuild_mta_record(&mut mta, b, world.host(b), 0, None));
+    eprintln!("alloc_count: warm MTA rebuild = {allocs}");
+    assert_eq!(
+        allocs, 0,
+        "rebuilding a warm MTA for a same-shape host must not allocate"
+    );
+}
 
 /// Run one eager campaign and report (peak heap growth, hosts probed).
 fn eager_campaign_peak(config: &spfail_world::WorldConfig) -> (u64, usize) {

@@ -270,7 +270,10 @@ impl Name {
     /// re-parsing its dotted spelling.
     pub fn splice_content(&self, offsets: &[u16], replacement: &[u8]) -> Name {
         debug_assert!(replacement.iter().all(|&b| Self::check_byte(b).is_ok()));
-        let mut wire = self.wire_bytes().to_vec();
+        let bytes = self.wire_bytes();
+        let mut buf = [0u8; MAX_WIRE_CONTENT];
+        let wire = &mut buf[..bytes.len()];
+        wire.copy_from_slice(bytes);
         #[cfg(debug_assertions)]
         for &offset in offsets {
             let (at, end) = (offset as usize, offset as usize + replacement.len());
@@ -290,7 +293,7 @@ impl Name {
             let at = offset as usize;
             wire[at..at + replacement.len()].copy_from_slice(replacement);
         }
-        Self::from_wire_unchecked(&wire)
+        Self::from_wire_unchecked(wire)
     }
 
     /// Number of labels (the root has zero).

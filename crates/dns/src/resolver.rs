@@ -277,6 +277,17 @@ impl Resolver {
         self.cache.clear();
     }
 
+    /// Rebind this resolver to `client` in the state a fresh
+    /// [`Resolver::with_config`] has: an empty cache (its table capacity
+    /// kept for reuse), query ids restarting at 1, and no transcript.
+    /// The directory, link, configuration and tracer stay.
+    pub fn rehost(&mut self, client: IpAddr) {
+        self.client = client;
+        self.cache.clear();
+        self.next_id = 1;
+        self.transcript = None;
+    }
+
     /// Whether the TTL cache holds no entries at all (live or expired).
     ///
     /// Memoized-evaluation capture and replay both require a cold cache:

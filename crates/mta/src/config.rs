@@ -80,6 +80,26 @@ pub struct MtaConfig {
     pub reject_postmaster: bool,
 }
 
+/// A host with no name and no SPF implementation that accepts every
+/// connection and never validates — the blank a host profile fills in
+/// (see `HostProfile::fill_mta_config` in `spfail-world`). Building it
+/// allocates nothing.
+impl Default for MtaConfig {
+    fn default() -> MtaConfig {
+        MtaConfig {
+            hostname: String::new(),
+            connect: ConnectPolicy::Accept,
+            quirk: SmtpQuirk::None,
+            spf_stage: SpfStage::Never,
+            spf_impls: Vec::new(),
+            greylist: false,
+            reject_on_spf_fail: true,
+            blacklist_after: None,
+            reject_postmaster: false,
+        }
+    }
+}
+
 impl MtaConfig {
     /// A plain, RFC-compliant MTA validating at `MAIL FROM`.
     pub fn compliant(hostname: &str) -> MtaConfig {

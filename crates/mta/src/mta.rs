@@ -1,4 +1,13 @@
 //! The simulated MTA proper.
+//!
+//! An [`Mta`] is built once per prober and reused: [`Mta::reset`] turns
+//! it into the MTA a fresh build would give the next host (new random
+//! stream, empty greylist memory and validation log, zeroed counters, a
+//! cold resolver), while the DNS link, clock, directory, tracer and
+//! policy cache — the same for every host a prober probes — stay. The
+//! reset keeps its tables' capacity, so probing a host costs no MTA
+//! construction. `spfail_world::WorldRuntime::rebuild_mta_record` drives
+//! the reset from a host record.
 
 use std::collections::HashSet;
 use std::net::IpAddr;
@@ -114,14 +123,7 @@ impl Mta {
         clock: SimClock,
         rng: SimRng,
     ) -> Mta {
-        let mut impls_label = String::new();
-        for (i, behavior) in config.spf_impls.iter().enumerate() {
-            if i > 0 {
-                impls_label.push(',');
-            }
-            impls_label.push_str(behavior.label());
-        }
-        Mta {
+        let mut mta = Mta {
             resolver: Resolver::new(directory, dns_link, ip),
             config,
             rng,
@@ -134,7 +136,46 @@ impl Mta {
             pending_sender: None,
             validations: Vec::new(),
             policy_cache: None,
-            impls_label,
+            impls_label: String::new(),
+        };
+        mta.push_impls_label();
+        mta
+    }
+
+    /// Turn this MTA into the one [`Mta::with_dns_link`] would build for
+    /// another host at `ip` drawing from `rng`, with the configuration
+    /// the caller has already written through [`Mta::config_mut`].
+    ///
+    /// Every per-instance field returns to its freshly built value: the
+    /// random stream, the greylisting memory, the recipient ladder
+    /// depth, the connection counter, the peer, the pending sender, the
+    /// validation log, the implementation-mix token, and the resolver
+    /// (rebound to `ip` with a cold cache). What stays is what a prober
+    /// builds identically for every host: the DNS link, directory and
+    /// tracer, the clock, and the policy cache. The sets and buffers keep
+    /// their capacity, so rebuilding a warm MTA allocates nothing.
+    pub fn reset(&mut self, ip: IpAddr, rng: SimRng) {
+        self.rng = rng;
+        self.greylist_seen.clear();
+        self.rcpt_reject_first_n = 0;
+        self.rejected_rcpts_this_envelope = 0;
+        self.probe_connections = 0;
+        self.peer = ip;
+        self.pending_sender = None;
+        self.validations.clear();
+        self.impls_label.clear();
+        self.push_impls_label();
+        self.resolver.rehost(ip);
+    }
+
+    /// Write the [`ScriptKey::impls`] token of the configured
+    /// implementation mix into the (empty) `impls_label`.
+    fn push_impls_label(&mut self) {
+        for (i, behavior) in self.config.spf_impls.iter().enumerate() {
+            if i > 0 {
+                self.impls_label.push(',');
+            }
+            self.impls_label.push_str(behavior.label());
         }
     }
 
@@ -181,6 +222,17 @@ impl Mta {
     /// Number of connections this host has seen.
     pub fn connections_seen(&self) -> u32 {
         self.probe_connections
+    }
+
+    /// The MTA's random stream, for inspection: clone it to preview the
+    /// draws its next connections and lookups will make.
+    pub fn rng(&self) -> &SimRng {
+        &self.rng
+    }
+
+    /// The resolver the MTA's SPF validation queries through.
+    pub fn resolver(&self) -> &Resolver {
+        &self.resolver
     }
 
     /// Decide a new inbound connection from `peer`.
@@ -386,7 +438,10 @@ impl Mta {
         if id.is_empty() || rest.is_empty() {
             return None;
         }
-        if !id.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()) {
+        if !id
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+        {
             return None;
         }
         let domain_rest = &domain[id.len()..];
@@ -444,8 +499,7 @@ impl Mta {
     ) -> Option<ScriptEntry> {
         let id = sender.domain().split_once('.').map(|(id, _)| id)?;
         let shadow = rotate_id(id);
-        if shadow == id || key.domain_rest.contains(&shadow) || key.sender_local.contains(&shadow)
-        {
+        if shadow == id || key.domain_rest.contains(&shadow) || key.sender_local.contains(&shadow) {
             return None;
         }
         let mut steps = Vec::with_capacity(transcript.steps.len());
@@ -571,7 +625,10 @@ enum RDataTemplate {
     /// Record data with no id occurrence anywhere; reused verbatim.
     Plain(RData),
     Txt(Vec<String>),
-    Mx { preference: u16, exchange: String },
+    Mx {
+        preference: u16,
+        exchange: String,
+    },
     Cname(String),
     Ns(String),
     Ptr(String),
@@ -589,7 +646,11 @@ fn templatize_outcome(outcome: &LookupOutcome, id: &str) -> Option<OutcomeTempla
                     if !aligned_occurrences_only(&name, id) {
                         return None;
                     }
-                    Some((templatize(&name, id)?, r.ttl, templatize_rdata(&r.rdata, id)?))
+                    Some((
+                        templatize(&name, id)?,
+                        r.ttl,
+                        templatize_rdata(&r.rdata, id)?,
+                    ))
                 })
                 .collect::<Option<Vec<_>>>()?,
         ),
@@ -656,9 +717,7 @@ fn splice_outcome(template: &OutcomeTemplate, id: &str) -> Option<LookupOutcome>
 fn splice_rdata(template: &RDataTemplate, id: &str) -> Option<RData> {
     Some(match template {
         RDataTemplate::Plain(rdata) => rdata.clone(),
-        RDataTemplate::Txt(parts) => {
-            RData::Txt(parts.iter().map(|p| splice_id(p, id)).collect())
-        }
+        RDataTemplate::Txt(parts) => RData::Txt(parts.iter().map(|p| splice_id(p, id)).collect()),
         RDataTemplate::Mx {
             preference,
             exchange,
@@ -818,7 +877,10 @@ mod tests {
     }
 
     fn drive_through_mail_from(m: &mut Mta) -> Reply {
-        assert_eq!(m.connect("203.0.113.9".parse().unwrap()), ConnectDecision::Proceed);
+        assert_eq!(
+            m.connect("203.0.113.9".parse().unwrap()),
+            ConnectDecision::Proceed
+        );
         let (mut session, banner) = m.open_session();
         assert_eq!(banner.code, 220);
         session.handle(&Command::Ehlo("probe.dns-lab.org".into()));
@@ -882,7 +944,10 @@ mod tests {
         let (mut m, log) = mta(config);
         let reply = drive_through_mail_from(&mut m);
         assert!(reply.is_positive());
-        assert!(log.is_empty(), "NoMsg-style probes see nothing from OnData hosts");
+        assert!(
+            log.is_empty(),
+            "NoMsg-style probes see nothing from OnData hosts"
+        );
 
         // Run a full BlankMsg-style transaction.
         m.connect("203.0.113.9".parse().unwrap());
@@ -932,10 +997,19 @@ mod tests {
             .map(|e| e.qname.first_label().map(|s| s.to_string()))
             .collect::<Vec<_>>()
             .iter()
-            .map(|o| o.as_deref().map(|s| if s == "org" { "org" } else { "other" }))
+            .map(|o| {
+                o.as_deref()
+                    .map(|s| if s == "org" { "org" } else { "other" })
+            })
             .collect();
-        assert!(first_labels.contains(&Some("org")), "vulnerable pattern present");
-        assert!(first_labels.contains(&Some("other")), "compliant pattern present");
+        assert!(
+            first_labels.contains(&Some("org")),
+            "vulnerable pattern present"
+        );
+        assert!(
+            first_labels.contains(&Some("other")),
+            "compliant pattern present"
+        );
         assert_eq!(m.validations().len(), 2);
     }
 
@@ -973,7 +1047,15 @@ mod tests {
                 logs.push(
                     log.snapshot()
                         .iter()
-                        .map(|e| format!("{} {} {:?} {}", e.at.as_micros(), e.source, e.qtype, e.qname))
+                        .map(|e| {
+                            format!(
+                                "{} {} {:?} {}",
+                                e.at.as_micros(),
+                                e.source,
+                                e.qtype,
+                                e.qname
+                            )
+                        })
                         .collect::<Vec<_>>(),
                 );
                 log.clear();
@@ -984,7 +1066,10 @@ mod tests {
         let cache = Arc::new(parking_lot::Mutex::new(PolicyCache::new()));
         let cached = run(Some(Arc::clone(&cache)));
         let baseline = run(None);
-        assert_eq!(cached, baseline, "cache on/off worlds must be observably identical");
+        assert_eq!(
+            cached, baseline,
+            "cache on/off worlds must be observably identical"
+        );
         let stats = cache.lock().stats();
         assert_eq!(stats.hits, 1, "second probe replays");
         assert!(stats.interned >= 1, "probe policies interned");

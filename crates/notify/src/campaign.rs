@@ -239,7 +239,7 @@ impl NotificationCampaign {
             Err(_) => return (false, 0),
         };
         for command in [
-            Command::Ehlo("notify.dns-lab.org".to_string()),
+            Command::Ehlo("notify.dns-lab.org".into()),
             Command::MailFrom(sender),
             Command::RcptTo(rcpt),
             Command::Data,

@@ -12,7 +12,13 @@
 //! contact and enforces the spacing rules against the shared clock,
 //! advancing it when a wait is required. All decisions are recorded so
 //! tests (and the ethics section of the report) can audit them.
+//!
+//! Both per-address facts live in one map: the last contact time, and
+//! the stamp of the sweep that last admitted the address. Starting a
+//! sweep moves the stamp on, so "tested this sweep" needs no set of its
+//! own and an admit is a single map entry.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::IpAddr;
 
@@ -61,11 +67,34 @@ impl EthicsAudit {
     }
 }
 
+/// One address's contact record: when it was last contacted, and the
+/// sweep that last admitted it ([`NEVER_ADMITTED`] when no sweep has
+/// since the last `restore`).
+#[derive(Debug, Clone, Copy)]
+struct Contact {
+    at: SimTime,
+    sweep: u32,
+}
+
+/// The sweep stamp of an address no sweep has admitted; sweeps count
+/// from 1.
+const NEVER_ADMITTED: u32 = 0;
+
+impl Contact {
+    /// A contact at `at` that marks no sweep.
+    fn unadmitted(at: SimTime) -> Contact {
+        Contact {
+            at,
+            sweep: NEVER_ADMITTED,
+        }
+    }
+}
+
 /// Enforces the measurement ethics rules.
 pub struct EthicsGuard {
     clock: SimClock,
-    last_contact: HashMap<IpAddr, SimTime, FxBuildHasher>,
-    tested_this_sweep: HashMap<IpAddr, (), FxBuildHasher>,
+    last_contact: HashMap<IpAddr, Contact, FxBuildHasher>,
+    sweep: u32,
     in_flight: usize,
     max_concurrent: usize,
     audit: EthicsAudit,
@@ -84,7 +113,7 @@ impl EthicsGuard {
         EthicsGuard {
             clock,
             last_contact: HashMap::default(),
-            tested_this_sweep: HashMap::default(),
+            sweep: NEVER_ADMITTED + 1,
             in_flight: 0,
             max_concurrent: max_concurrent.clamp(1, MAX_CONCURRENT),
             audit: EthicsAudit::default(),
@@ -94,18 +123,20 @@ impl EthicsGuard {
     /// Begin a new sweep: duplicate-suppression state resets, contact
     /// spacing does not.
     pub fn begin_sweep(&mut self) {
-        self.tested_this_sweep.clear();
+        self.sweep += 1;
     }
 
     /// Whether `ip` was already tested this sweep. Records the suppression
     /// when it was.
     pub fn already_tested(&mut self, ip: IpAddr) -> bool {
-        if self.tested_this_sweep.contains_key(&ip) {
+        let tested = self
+            .last_contact
+            .get(&ip)
+            .is_some_and(|c| c.sweep == self.sweep);
+        if tested {
             self.audit.dedup_suppressed += 1;
-            true
-        } else {
-            false
         }
+        tested
     }
 
     /// Admit a contact to `ip`: waits out the 90-second spacing if the
@@ -113,17 +144,25 @@ impl EthicsGuard {
     /// marks the address tested for this sweep.
     pub fn admit(&mut self, ip: IpAddr) {
         let now = self.clock.now();
-        if let Some(&last) = self.last_contact.get(&ip) {
-            let since = now.since(last);
-            if since < MIN_RECONTACT {
-                self.clock.advance(MIN_RECONTACT.saturating_sub(since));
-                self.audit.spaced += 1;
-            } else {
-                self.audit.immediate += 1;
+        let contact = match self.last_contact.entry(ip) {
+            Entry::Occupied(entry) => {
+                let contact = entry.into_mut();
+                let since = now.since(contact.at);
+                if since < MIN_RECONTACT {
+                    self.clock.advance(MIN_RECONTACT.saturating_sub(since));
+                    self.audit.spaced += 1;
+                } else {
+                    self.audit.immediate += 1;
+                }
+                contact
             }
-        } else {
-            self.audit.immediate += 1;
-        }
+            Entry::Vacant(entry) => {
+                self.audit.immediate += 1;
+                entry.insert(Contact::unadmitted(now))
+            }
+        };
+        contact.at = self.clock.now();
+        contact.sweep = self.sweep;
         // The sequential simulation never truly overlaps connections; the
         // slot accounting documents the cap and trips if logic ever tries
         // to exceed it.
@@ -133,8 +172,6 @@ impl EthicsGuard {
         );
         self.in_flight += 1;
         self.audit.peak_concurrency = self.audit.peak_concurrency.max(self.in_flight);
-        self.last_contact.insert(ip, self.clock.now());
-        self.tested_this_sweep.insert(ip, ());
     }
 
     /// Whether at least one admitted contact currently holds a
@@ -147,7 +184,11 @@ impl EthicsGuard {
     /// Release the concurrency slot when the connection ends.
     pub fn release(&mut self, ip: IpAddr) {
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.last_contact.insert(ip, self.clock.now());
+        let now = self.clock.now();
+        self.last_contact
+            .entry(ip)
+            .and_modify(|c| c.at = now)
+            .or_insert(Contact::unadmitted(now));
     }
 
     /// Wait out the greylist period before retrying `ip`.
@@ -165,22 +206,28 @@ impl EthicsGuard {
     /// the per-address contact history, in address order.
     ///
     /// At a round boundary these are the *only* live facts — every
-    /// connection slot has been released and the sweep's dedup set is
-    /// about to be cleared by the next `begin_sweep`, so `in_flight` and
-    /// `tested_this_sweep` need no representation.
+    /// connection slot has been released and the next `begin_sweep`
+    /// retires the current sweep's stamps, so `in_flight` and the stamps
+    /// need no representation.
     pub fn export(&self) -> (EthicsAudit, Vec<(IpAddr, SimTime)>) {
-        let mut contacts: Vec<(IpAddr, SimTime)> =
-            self.last_contact.iter().map(|(&ip, &at)| (ip, at)).collect();
+        let mut contacts: Vec<(IpAddr, SimTime)> = self
+            .last_contact
+            .iter()
+            .map(|(&ip, c)| (ip, c.at))
+            .collect();
         contacts.sort();
         (self.audit.clone(), contacts)
     }
 
     /// Restore the durable state written by [`EthicsGuard::export`],
-    /// replacing this guard's audit and contact history.
+    /// replacing this guard's audit and contact history. No restored
+    /// address counts as tested in the current sweep.
     pub fn restore(&mut self, audit: EthicsAudit, contacts: Vec<(IpAddr, SimTime)>) {
         self.audit = audit;
-        self.last_contact = contacts.into_iter().collect();
-        self.tested_this_sweep.clear();
+        self.last_contact = contacts
+            .into_iter()
+            .map(|(ip, at)| (ip, Contact::unadmitted(at)))
+            .collect();
         self.in_flight = 0;
     }
 
@@ -188,11 +235,10 @@ impl EthicsGuard {
     /// Sound only when the dropped addresses will never be contacted
     /// again by this guard: the contact history only influences spacing
     /// decisions for repeat contacts, so forgetting one-shot addresses
-    /// is invisible. The audit counters are untouched.
+    /// is invisible. The audit counters and the kept addresses' sweep
+    /// stamps are untouched.
     pub fn contacts_retain(&mut self, keep: &[IpAddr]) {
         self.last_contact
-            .retain(|ip, _| keep.binary_search(ip).is_ok());
-        self.tested_this_sweep
             .retain(|ip, _| keep.binary_search(ip).is_ok());
     }
 }
@@ -250,6 +296,87 @@ mod tests {
         assert_eq!(guard.audit().dedup_suppressed, 1);
         guard.begin_sweep();
         assert!(!guard.already_tested(ip(5)));
+    }
+
+    /// The sweep stamp is the whole dedup state: an admit marks the
+    /// address for the current sweep only, `restore` marks nothing, and
+    /// `contacts_retain` keeps the stamps of the addresses it keeps.
+    #[test]
+    fn dedup_stamps_follow_admits_sweeps_restores_and_retains() {
+        let clock = SimClock::new();
+        let mut guard = EthicsGuard::new(clock.clone());
+        guard.begin_sweep();
+        for i in 1..=3 {
+            guard.admit(ip(i));
+            guard.release(ip(i));
+        }
+        assert!(guard.already_tested(ip(1)));
+        guard.contacts_retain(&[ip(1), ip(3)]);
+        assert!(
+            guard.already_tested(ip(1)),
+            "a kept address keeps its stamp"
+        );
+        assert!(guard.already_tested(ip(3)));
+        assert!(
+            !guard.already_tested(ip(2)),
+            "a dropped address is forgotten"
+        );
+        assert_eq!(guard.audit().dedup_suppressed, 3);
+
+        guard.begin_sweep();
+        assert!(!guard.already_tested(ip(1)), "a new sweep starts unmarked");
+        guard.admit(ip(1));
+        guard.release(ip(1));
+        assert!(guard.already_tested(ip(1)));
+
+        let (audit, contacts) = guard.export();
+        guard.restore(audit, contacts);
+        assert!(!guard.already_tested(ip(1)), "a restore marks nothing");
+        assert!(!guard.already_tested(ip(3)));
+        // A release without an admit records the contact time but marks
+        // no test.
+        guard.release(ip(7));
+        assert!(!guard.already_tested(ip(7)));
+    }
+
+    /// The export of a fixed contact sequence, pinned: spacing waits,
+    /// releases, sweeps and a retain produce exactly these contact times
+    /// and audit counters (the values the two-map guard exported).
+    #[test]
+    fn export_of_a_contact_sequence_is_pinned() {
+        let clock = SimClock::new();
+        let mut guard = EthicsGuard::new(clock.clone());
+        guard.begin_sweep();
+        guard.admit(ip(1)); // t=0, immediate
+        clock.advance(SimDuration::from_secs(10));
+        guard.release(ip(1)); // last contact t=10
+        guard.admit(ip(2)); // t=10, immediate
+        guard.release(ip(2));
+        guard.admit(ip(1)); // waits to t=100, spaced
+        clock.advance(SimDuration::from_secs(5));
+        guard.release(ip(1)); // t=105
+        guard.begin_sweep();
+        guard.admit(ip(3)); // t=105, immediate
+        guard.release(ip(3));
+        guard.admit(ip(2)); // t=105, 95 s after its release: immediate
+        guard.release(ip(2));
+        guard.greylist_wait(ip(2)); // t=585
+        guard.admit(ip(2)); // immediate after the 8-minute wait
+        guard.release(ip(2));
+        guard.contacts_retain(&[ip(1), ip(2)]);
+        let (audit, contacts) = guard.export();
+        let at = |secs| SimTime::EPOCH + SimDuration::from_secs(secs);
+        assert_eq!(contacts, vec![(ip(1), at(105)), (ip(2), at(585))]);
+        assert_eq!(
+            audit,
+            EthicsAudit {
+                immediate: 5,
+                spaced: 1,
+                greylist_waits: 1,
+                dedup_suppressed: 0,
+                peak_concurrency: 1,
+            }
+        );
     }
 
     #[test]

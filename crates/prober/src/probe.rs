@@ -1,4 +1,13 @@
 //! Driving one probe transaction against one simulated host.
+//!
+//! A [`Prober`] owns the objects every probe needs and reuses them
+//! across probes: the MTA of the last probed host is rebuilt in place
+//! for the next one (`WorldRuntime::rebuild_mta_record`), the sender
+//! domain is written into a reused buffer, and the sender's local part,
+//! the HELO domain and the recipient ladder are shared. What a probe
+//! still allocates is what it returns or hands to the host: its id, its
+//! sender domain, the session's reply texts that name the host, and its
+//! classification.
 
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -29,6 +38,10 @@ use crate::fxhash::FxBuildHasher;
 /// wait is charged to the simulated clock: unreachability costs time,
 /// it is never an instant failure.
 pub const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// The local part of every probe's sender address (also the first rung
+/// of [`USERNAME_LADDER`]).
+const PROBE_MAILBOX: &str = "mmj7yzdm0tbk";
 
 /// Which probe variant ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -350,6 +363,11 @@ pub struct Prober<'w> {
     pub suite: String,
     /// `.<suite>.<zone>`: a probe's sender domain is its id plus this.
     sender_suffix: String,
+    /// The probe sender's mailbox, whose shared local part every probe's
+    /// sender reuses ([`EmailAddress::with_domain`]).
+    sender_mailbox: EmailAddress,
+    /// Reused buffer the next sender domain is written into.
+    sender_domain: String,
     source_ip: IpAddr,
     ctx: ProbeContext,
     base_rng: SimRng,
@@ -366,6 +384,14 @@ pub struct Prober<'w> {
     /// it, so a campaign drops them between hosts or at the end of each
     /// sweep (see [`Prober::forget_repetitions`]).
     occurrences: HashMap<(u32, u16, u8, u32), u64, FxBuildHasher>,
+    /// The MTA the last probe ran against, rebuilt in place for the
+    /// next host ([`WorldRuntime::rebuild_mta_record`]) instead of built
+    /// and dropped per probe. Everything it keeps across hosts comes
+    /// from this prober's context and options, so it is discarded when
+    /// the context changes ([`Prober::set_policy_cache`]).
+    ///
+    /// [`WorldRuntime::rebuild_mta_record`]: spfail_world::WorldRuntime::rebuild_mta_record
+    mta: Option<Mta>,
 }
 
 impl<'w> Prober<'w> {
@@ -401,10 +427,14 @@ impl<'w> Prober<'w> {
         options: ProbeOptions,
     ) -> Prober<'w> {
         let base_rng = pop.runtime().fork_rng(&format!("prober-{suite}"));
+        let sender_suffix = format!(".{suite}.{}", pop.runtime().zone_origin.to_ascii());
         Prober {
             pop,
             suite: suite.to_string(),
-            sender_suffix: format!(".{suite}.{}", pop.runtime().zone_origin.to_ascii()),
+            sender_mailbox: EmailAddress::new(PROBE_MAILBOX, &sender_suffix[1..])
+                .expect("the probe mailbox at the suite's zone is a valid address"),
+            sender_domain: String::with_capacity(5 + sender_suffix.len()),
+            sender_suffix,
             source_ip: "203.0.113.25".parse().expect("static address"),
             ethics: EthicsGuard::with_budget(ctx.clock.clone(), max_concurrent),
             rng: base_rng.fork("id-sequence"),
@@ -415,6 +445,7 @@ impl<'w> Prober<'w> {
             metrics: Metrics::new(),
             next_id: 0,
             occurrences: HashMap::default(),
+            mta: None,
         }
     }
 
@@ -489,6 +520,8 @@ impl<'w> Prober<'w> {
     /// restored worker for the same shard.
     pub(crate) fn set_policy_cache(&mut self, cache: Option<PolicyCacheHandle>) {
         self.ctx.policy_cache = cache;
+        // The reused MTA holds the old cache.
+        self.mta = None;
     }
 
     /// Whether the *next* probe with this exact identity would hit the
@@ -724,29 +757,38 @@ impl<'w> Prober<'w> {
                 host.0
             )
         });
-        let mut mta = self.pop.runtime().build_mta_record(
-            host,
-            record,
-            day,
-            self.ctx.directory.clone(),
-            self.ctx.clock.clone(),
-            MtaInstrumentation {
-                dns_faults: self.options.faults.dns,
-                metrics: self.metrics.clone(),
-                reroll: dns_salt.as_deref(),
-                tracer: self.ctx.tracer.clone(),
-                policy_cache: self.ctx.policy_cache.clone(),
-            },
-        );
+        let runtime = self.pop.runtime();
+        let mut mta = match self.mta.take() {
+            Some(mut mta) => {
+                runtime.rebuild_mta_record(&mut mta, host, record, day, dns_salt.as_deref());
+                mta
+            }
+            None => runtime.build_mta_record(
+                host,
+                record,
+                day,
+                self.ctx.directory.clone(),
+                self.ctx.clock.clone(),
+                MtaInstrumentation {
+                    dns_faults: self.options.faults.dns,
+                    metrics: self.metrics.clone(),
+                    reroll: dns_salt.as_deref(),
+                    tracer: self.ctx.tracer.clone(),
+                    policy_cache: self.ctx.policy_cache.clone(),
+                },
+            ),
+        };
         // Restore the host's cross-round connection count so blacklisting
         // thresholds apply campaign-wide, not per-instance.
         mta.replay_connections(self.source_ip, extra_connections);
 
         let log_start = self.ctx.query_log.len();
-        let mut sender_domain = String::with_capacity(id.len() + self.sender_suffix.len());
-        sender_domain.push_str(&id);
-        sender_domain.push_str(&self.sender_suffix);
-        let sender = EmailAddress::new("mmj7yzdm0tbk", &sender_domain)
+        self.sender_domain.clear();
+        self.sender_domain.push_str(&id);
+        self.sender_domain.push_str(&self.sender_suffix);
+        let sender = self
+            .sender_mailbox
+            .with_domain(&self.sender_domain)
             .expect("probe sender addresses are valid by construction");
         // The MTA's resolver reports into this prober's metrics; the
         // delta across the transaction tells us whether injected DNS
@@ -766,6 +808,7 @@ impl<'w> Prober<'w> {
                 None
             }
         });
+        self.mta = Some(mta);
         let zone = &self.pop.runtime().zone_origin;
         let classification = self.ctx.query_log.with_entries_from(log_start, |entries| {
             classify(entries, &id, &self.suite, zone)
@@ -891,7 +934,7 @@ impl<'w> Prober<'w> {
             self.ctx
                 .tracer
                 .enter(self.ctx.clock.now(), SpanKind::SmtpSession);
-            let outcome = self.run_once(mta, sender, test);
+            let outcome = converse(mta, &self.ethics, self.source_ip, sender, test);
             self.ctx.tracer.exit(
                 self.ctx.clock.now(),
                 SpanKind::SmtpSession,
@@ -918,55 +961,6 @@ impl<'w> Prober<'w> {
         }
     }
 
-    /// One SMTP conversation. Returns `None` when TCP itself was refused.
-    fn run_once(
-        &mut self,
-        mta: &mut Mta,
-        sender: &EmailAddress,
-        test: ProbeTest,
-    ) -> Option<TransactionOutcome> {
-        debug_assert!(
-            self.ethics.holds_slot(),
-            "run_once outside an admit/release bracket: all SMTP traffic must hold an ethics slot"
-        );
-        let banner = match mta.connect(self.source_ip) {
-            ConnectDecision::Refused => return None,
-            ConnectDecision::RejectedBanner(reply) => reply,
-            ConnectDecision::Proceed => {
-                let plan = Self::plan(sender, test);
-                let (mut session, banner) = mta.open_session();
-                let mut runner = ClientRunner::new(plan);
-                let mut action = runner.on_reply(&banner);
-                loop {
-                    match action {
-                        ClientAction::Send(cmd) => {
-                            let reply = session.handle(&cmd);
-                            action = runner.on_reply(&reply);
-                        }
-                        ClientAction::SendMessage(body) => {
-                            let reply = session.handle_message(&body);
-                            action = runner.on_reply(&reply);
-                        }
-                        ClientAction::HangUp(outcome) | ClientAction::Finish(outcome) => {
-                            // Best-effort QUIT on clean finishes.
-                            if session.state() != SessionState::Closed {
-                                let _ = session.handle(&spfail_smtp::command::Command::Quit);
-                            }
-                            return Some(outcome);
-                        }
-                    }
-                }
-            }
-        };
-        // A rejecting banner concludes the transaction immediately.
-        let plan = Self::plan(sender, test);
-        let mut runner = ClientRunner::new(plan);
-        match runner.on_reply(&banner) {
-            ClientAction::Finish(outcome) | ClientAction::HangUp(outcome) => Some(outcome),
-            _ => Some(TransactionOutcome::RejectedAtConnect(banner.code)),
-        }
-    }
-
     fn plan(sender: &EmailAddress, test: ProbeTest) -> TransactionPlan {
         // The HELO domain and the recipient ladder are the same for every
         // probe: build them once and hand out shared references.
@@ -990,6 +984,58 @@ impl<'w> Prober<'w> {
     }
 }
 
+/// One SMTP conversation: connect from `source_ip` and run the `test`
+/// transaction for `sender` against `mta`, inside a slot `ethics` has
+/// admitted. Returns `None` when TCP itself was refused.
+fn converse(
+    mta: &mut Mta,
+    ethics: &EthicsGuard,
+    source_ip: IpAddr,
+    sender: &EmailAddress,
+    test: ProbeTest,
+) -> Option<TransactionOutcome> {
+    debug_assert!(
+        ethics.holds_slot(),
+        "SMTP traffic outside an admit/release bracket: every conversation must hold an ethics slot"
+    );
+    let banner = match mta.connect(source_ip) {
+        ConnectDecision::Refused => return None,
+        ConnectDecision::RejectedBanner(reply) => reply,
+        ConnectDecision::Proceed => {
+            let plan = Prober::plan(sender, test);
+            let (mut session, banner) = mta.open_session();
+            let mut runner = ClientRunner::new(plan);
+            let mut action = runner.on_reply(&banner);
+            loop {
+                match action {
+                    ClientAction::Send(cmd) => {
+                        let reply = session.handle(&cmd);
+                        action = runner.on_reply(&reply);
+                    }
+                    ClientAction::SendMessage(body) => {
+                        let reply = session.handle_message(&body);
+                        action = runner.on_reply(&reply);
+                    }
+                    ClientAction::HangUp(outcome) | ClientAction::Finish(outcome) => {
+                        // Best-effort QUIT on clean finishes.
+                        if session.state() != SessionState::Closed {
+                            let _ = session.handle(&spfail_smtp::command::Command::Quit);
+                        }
+                        return Some(outcome);
+                    }
+                }
+            }
+        }
+    };
+    // A rejecting banner concludes the transaction immediately.
+    let plan = Prober::plan(sender, test);
+    let mut runner = ClientRunner::new(plan);
+    match runner.on_reply(&banner) {
+        ClientAction::Finish(outcome) | ClientAction::HangUp(outcome) => Some(outcome),
+        _ => Some(TransactionOutcome::RejectedAtConnect(banner.code)),
+    }
+}
+
 fn base36(mut n: u64) -> String {
     const DIGITS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
     let mut out = Vec::with_capacity(3);
@@ -1009,6 +1055,202 @@ mod tests {
 
     fn world() -> World {
         World::generate(WorldConfig::small(123))
+    }
+
+    /// What one MTA shows before and through a NoMsg and a BlankMsg
+    /// transaction, with times relative to the start so MTAs on
+    /// different clocks compare.
+    fn mta_observation(mta: &mut Mta, ctx: &ProbeContext) -> Vec<String> {
+        let t0 = ctx.clock.now();
+        let mut rng = mta.rng().clone();
+        let mut seen = vec![
+            format!("{:?}", mta.config()),
+            format!("connections {}", mta.connections_seen()),
+            format!("draws {:?}", (0..8).map(|_| rng.unit()).collect::<Vec<_>>()),
+            format!(
+                "resolver {} cold {}",
+                mta.resolver().client(),
+                mta.resolver().cache_is_empty()
+            ),
+        ];
+        let sender = EmailAddress::parse("mmj7yzdm0tbk@k7q2.s01.spf-test.dns-lab.org")
+            .expect("valid probe address");
+        let source: IpAddr = "203.0.113.25".parse().expect("static address");
+        let mut ethics = EthicsGuard::new(ctx.clock.clone());
+        for test in [ProbeTest::NoMsg, ProbeTest::BlankMsg] {
+            let log_start = ctx.query_log.len();
+            ethics.admit(source);
+            let outcome = converse(mta, &ethics, source, &sender, test);
+            ethics.release(source);
+            seen.push(format!("{test:?} {outcome:?}"));
+            seen.extend(ctx.query_log.entries_from(log_start).iter().map(|e| {
+                format!(
+                    "query {} {} {:?} {}",
+                    e.at.since(t0).as_micros(),
+                    e.source,
+                    e.qtype,
+                    e.qname
+                )
+            }));
+        }
+        seen.extend(mta.validations().iter().map(|v| {
+            format!(
+                "validation {} {:?} {}",
+                v.implementation,
+                v.result,
+                v.at.since(t0).as_micros()
+            )
+        }));
+        seen
+    }
+
+    /// An MTA rebuilt in place after serving another host is the MTA a
+    /// fresh build gives the new host: same configuration, connection
+    /// counter, random stream and cold resolver, and the same outcomes,
+    /// validations and queries through a NoMsg and a BlankMsg
+    /// transaction. The sample covers greylisting, blacklisting, multi-
+    /// and single-implementation hosts of every behaviour present, both
+    /// sides of a patch day, every SMTP quirk, and a rerolled stream.
+    #[test]
+    fn rebuilt_mta_equals_a_fresh_build() {
+        use spfail_mta::SmtpQuirk;
+        use spfail_world::HostProfile;
+        use std::collections::{BTreeSet, HashSet};
+
+        let w = World::generate(WorldConfig::small(123));
+        let runtime = w.runtime();
+        let hosts: Vec<HostId> = (0..w.hosts.len() as u32).map(HostId).collect();
+        let find_all = |pred: &dyn Fn(&HostProfile) -> bool| -> Vec<HostId> {
+            hosts
+                .iter()
+                .copied()
+                .filter(|&h| pred(&w.host(h).profile))
+                .collect()
+        };
+        let find = |what: &str, pred: &dyn Fn(&HostProfile) -> bool| {
+            *find_all(pred)
+                .first()
+                .unwrap_or_else(|| panic!("the sample world has a {what} host"))
+        };
+        // Greylisting hosts that reach RCPT (no SPF rejection at MAIL).
+        let greylisting = find_all(&|p| {
+            p.greylist
+                && p.connect == spfail_mta::ConnectPolicy::Accept
+                && p.quirk == SmtpQuirk::None
+                && p.spf_stage != spfail_mta::SpfStage::OnMailFrom
+        });
+        assert!(greylisting.len() >= 2, "two greylisting hosts reach RCPT");
+        let patched = find("patching vulnerable", &|p| {
+            p.initially_vulnerable() && p.patch_day.is_some_and(|d| d > 0 && d <= Timeline::END)
+        });
+        let patch_day = w.host(patched).profile.patch_day.expect("patches");
+        let mut cases: Vec<(HostId, u16, Option<&str>)> = vec![
+            (greylisting[1], 0, None),
+            (
+                find("blacklisting", &|p| p.blacklist_after.is_some()),
+                0,
+                None,
+            ),
+            (
+                find("multi-implementation", &|p| p.impls.len() >= 2),
+                0,
+                None,
+            ),
+            (patched, patch_day - 1, None),
+            (patched, patch_day, None),
+            (hosts[1], 0, Some("dns-h1-d0-t0-x0-n0")),
+        ];
+        // A validating host for each first implementation and each kind
+        // of SMTP quirk.
+        let (mut behaviours, mut quirks) = (BTreeSet::new(), HashSet::new());
+        for &h in &hosts {
+            let p = &w.host(h).profile;
+            if !p.validates_spf() {
+                continue;
+            }
+            let new_behaviour = behaviours.insert(p.impls[0]);
+            let new_quirk = quirks.insert(std::mem::discriminant(&p.quirk));
+            if new_behaviour || new_quirk {
+                cases.push((h, 0, None));
+            }
+        }
+        assert!(
+            behaviours.len() >= 3,
+            "several SPF implementations: {behaviours:?}"
+        );
+        assert_eq!(quirks.len(), 5, "every kind of SMTP quirk");
+
+        let instrumentation = |ctx: &ProbeContext, reroll| MtaInstrumentation {
+            dns_faults: spfail_netsim::FaultPlan::NONE,
+            metrics: Metrics::new(),
+            reroll,
+            tracer: Tracer::disabled(),
+            policy_cache: ctx.policy_cache.clone(),
+        };
+        // Each MTA to reuse first serves a greylisting host, then a
+        // validating one: their transactions leave greylist entries,
+        // validations, connections, a warm resolver and a replay script
+        // recorded under another implementation mix behind.
+        let validating = find("validating", &|p| {
+            p.initially_vulnerable()
+                && p.spf_stage == spfail_mta::SpfStage::OnMailFrom
+                && p.quirk == SmtpQuirk::None
+                && p.blacklist_after.is_none()
+        });
+        for &(host, day, reroll) in &cases {
+            let reused_ctx = ProbeContext::isolated(&w).with_policy_cache(true);
+            let fresh_ctx = ProbeContext::isolated(&w).with_policy_cache(true);
+            let mut reused = runtime.build_mta_record(
+                greylisting[0],
+                w.host(greylisting[0]),
+                0,
+                reused_ctx.directory.clone(),
+                reused_ctx.clock.clone(),
+                instrumentation(&reused_ctx, None),
+            );
+            for previous in [greylisting[0], validating] {
+                runtime.rebuild_mta_record(&mut reused, previous, w.host(previous), 0, None);
+                let _ = mta_observation(&mut reused, &reused_ctx);
+            }
+            runtime.rebuild_mta_record(&mut reused, host, w.host(host), day, reroll);
+            let mut fresh = runtime.build_mta_record(
+                host,
+                w.host(host),
+                day,
+                fresh_ctx.directory.clone(),
+                fresh_ctx.clock.clone(),
+                instrumentation(&fresh_ctx, reroll),
+            );
+            assert_eq!(
+                mta_observation(&mut reused, &reused_ctx),
+                mta_observation(&mut fresh, &fresh_ctx),
+                "host {host:?} on day {day} (reroll {reroll:?})"
+            );
+        }
+    }
+
+    /// The streamed hand-off swaps a worker's policy cache: the reused
+    /// MTA, which holds the old cache, goes with it, and the next probe
+    /// validates through the new one.
+    #[test]
+    fn set_policy_cache_discards_the_reused_mta() {
+        let w = world();
+        let host = w.initially_vulnerable_hosts()[0];
+        let ctx = ProbeContext::isolated(&w).with_policy_cache(true);
+        let mut prober = Prober::with_context(&w, "s12", ctx, 64);
+        let _ = prober.probe(host, 0, ProbeTest::NoMsg, 0);
+        assert!(prober.mta.is_some(), "a probe leaves its MTA for reuse");
+        let cache = new_policy_cache();
+        prober.set_policy_cache(Some(Arc::clone(&cache)));
+        assert!(prober.mta.is_none(), "a new cache discards the reused MTA");
+        for day in 1..6 {
+            let _ = prober.probe(host, day, ProbeTest::BlankMsg, 0);
+        }
+        let stats = cache.lock().stats();
+        assert!(
+            stats.hits + stats.misses > 0,
+            "later probes validate through the new cache"
+        );
     }
 
     #[test]

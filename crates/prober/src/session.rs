@@ -718,7 +718,7 @@ fn incremental_round_sweep(
     let start = Campaign::begin_sweep(prober, Phase::Round(day), day);
     let faults_active = prober.options().faults.is_active();
     let retries_active = prober.options().retry.max_attempts > 1;
-    let mut statuses = HashMap::new();
+    let mut statuses = HashMap::with_capacity(hosts.len());
     let mut issued = 0u64;
     let mut skipped = 0u64;
     for &host in hosts {

@@ -50,19 +50,19 @@ impl EmailAddress {
         {
             return Err(AddressError::BadLocalPart);
         }
-        if domain.is_empty()
-            || domain.starts_with('.')
-            || domain.ends_with('.')
-            || domain.contains("..")
-            || !domain
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'.')
-        {
-            return Err(AddressError::BadDomain);
-        }
         Ok(EmailAddress {
             local: Arc::from(local),
-            domain: Arc::from(domain),
+            domain: Arc::from(check_domain(domain)?),
+        })
+    }
+
+    /// This address's local part at `domain` (validated). The local part
+    /// is shared, so a prober addressing one mailbox name at a fresh
+    /// domain per probe allocates only the domain.
+    pub fn with_domain(&self, domain: &str) -> Result<EmailAddress, AddressError> {
+        Ok(EmailAddress {
+            local: Arc::clone(&self.local),
+            domain: Arc::from(check_domain(domain)?),
         })
     }
 
@@ -97,6 +97,22 @@ impl EmailAddress {
     }
 }
 
+/// `domain` if it is a valid address domain: non-empty dot-separated
+/// labels of ASCII letters, digits and hyphens.
+fn check_domain(domain: &str) -> Result<&str, AddressError> {
+    if domain.is_empty()
+        || domain.starts_with('.')
+        || domain.ends_with('.')
+        || domain.contains("..")
+        || !domain
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'.')
+    {
+        return Err(AddressError::BadDomain);
+    }
+    Ok(domain)
+}
+
 impl fmt::Display for EmailAddress {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}@{}", self.local, self.domain)
@@ -126,7 +142,10 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        assert_eq!(EmailAddress::parse("nodomain"), Err(AddressError::MissingAt));
+        assert_eq!(
+            EmailAddress::parse("nodomain"),
+            Err(AddressError::MissingAt)
+        );
         assert_eq!(
             EmailAddress::parse("@example.com"),
             Err(AddressError::BadLocalPart)
@@ -144,6 +163,14 @@ mod tests {
             EmailAddress::parse("us er@example.com"),
             Err(AddressError::BadLocalPart)
         );
+    }
+
+    #[test]
+    fn with_domain_keeps_the_local_part_and_checks_the_domain() {
+        let a = EmailAddress::parse("user@example.com").unwrap();
+        let b = a.with_domain("k7q2.example.org").unwrap();
+        assert_eq!(b, EmailAddress::parse("user@k7q2.example.org").unwrap());
+        assert_eq!(a.with_domain("bad..domain"), Err(AddressError::BadDomain));
     }
 
     #[test]

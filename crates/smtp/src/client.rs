@@ -86,7 +86,10 @@ impl TransactionOutcome {
             TransactionOutcome::RejectedAtConnect(_)
                 | TransactionOutcome::RejectedAtHello(_)
                 | TransactionOutcome::RejectedAtMailFrom(_)
-                | TransactionOutcome::Transient { stage: "connect", .. }
+                | TransactionOutcome::Transient {
+                    stage: "connect",
+                    ..
+                }
                 | TransactionOutcome::Transient { stage: "mail", .. }
         )
     }
@@ -195,7 +198,7 @@ impl ClientRunner {
             ClientState::WaitBanner => match reply.category() {
                 ReplyCategory::Success => {
                     self.state = ClientState::WaitHello;
-                    ClientAction::Send(Command::Ehlo(self.plan.helo_domain.to_string()))
+                    ClientAction::Send(Command::Ehlo(Arc::clone(&self.plan.helo_domain)))
                 }
                 ReplyCategory::TransientFailure => self.conclude(TransactionOutcome::Transient {
                     stage: "connect",
@@ -388,15 +391,9 @@ mod tests {
         c.on_reply(&Reply::ehlo_ok("mx.test"));
         c.on_reply(&Reply::ok()); // MAIL accepted
         let next = c.on_reply(&Reply::mailbox_unavailable());
-        assert_eq!(
-            next,
-            ClientAction::Send(Command::RcptTo(addr("b@mx.test")))
-        );
+        assert_eq!(next, ClientAction::Send(Command::RcptTo(addr("b@mx.test"))));
         let next = c.on_reply(&Reply::mailbox_unavailable());
-        assert_eq!(
-            next,
-            ClientAction::Send(Command::RcptTo(addr("c@mx.test")))
-        );
+        assert_eq!(next, ClientAction::Send(Command::RcptTo(addr("c@mx.test"))));
         assert_eq!(
             c.on_reply(&Reply::mailbox_unavailable()),
             ClientAction::Finish(TransactionOutcome::RejectedAtRcpt(550))
@@ -405,10 +402,7 @@ mod tests {
 
     #[test]
     fn greylisting_is_transient() {
-        let mut c = ClientRunner::new(plan(
-            TransactionStep::AbortBeforeMessage,
-            &["a@mx.test"],
-        ));
+        let mut c = ClientRunner::new(plan(TransactionStep::AbortBeforeMessage, &["a@mx.test"]));
         c.on_reply(&Reply::banner("mx.test"));
         c.on_reply(&Reply::ehlo_ok("mx.test"));
         c.on_reply(&Reply::ok());
@@ -431,10 +425,7 @@ mod tests {
 
     #[test]
     fn banner_rejection() {
-        let mut c = ClientRunner::new(plan(
-            TransactionStep::AbortBeforeMessage,
-            &["a@mx.test"],
-        ));
+        let mut c = ClientRunner::new(plan(TransactionStep::AbortBeforeMessage, &["a@mx.test"]));
         let action = c.on_reply(&Reply::service_unavailable());
         assert_eq!(
             action,
@@ -447,10 +438,7 @@ mod tests {
 
     #[test]
     fn mail_from_rejection_means_no_spf_possible() {
-        let mut c = ClientRunner::new(plan(
-            TransactionStep::AbortBeforeMessage,
-            &["a@mx.test"],
-        ));
+        let mut c = ClientRunner::new(plan(TransactionStep::AbortBeforeMessage, &["a@mx.test"]));
         c.on_reply(&Reply::banner("mx.test"));
         c.on_reply(&Reply::ehlo_ok("mx.test"));
         let action = c.on_reply(&Reply::new(553, "sender rejected"));

@@ -1,6 +1,7 @@
 //! SMTP client commands.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::address::EmailAddress;
 
@@ -8,9 +9,10 @@ use crate::address::EmailAddress;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `HELO <domain>` — the legacy greeting.
-    Helo(String),
-    /// `EHLO <domain>` — the extended greeting.
-    Ehlo(String),
+    Helo(Arc<str>),
+    /// `EHLO <domain>` — the extended greeting. The domain is shared, so
+    /// a client greeting with one fixed name never copies it.
+    Ehlo(Arc<str>),
     /// `MAIL FROM:<reverse-path>`.
     MailFrom(EmailAddress),
     /// `MAIL FROM:<>` — the null reverse-path used by bounce messages.
@@ -33,10 +35,10 @@ impl Command {
         let line = line.trim_end_matches(['\r', '\n']);
         let upper = line.to_ascii_uppercase();
         if let Some(rest) = strip_verb(line, &upper, "HELO") {
-            return Some(Command::Helo(rest.trim().to_string()));
+            return Some(Command::Helo(rest.trim().into()));
         }
         if let Some(rest) = strip_verb(line, &upper, "EHLO") {
-            return Some(Command::Ehlo(rest.trim().to_string()));
+            return Some(Command::Ehlo(rest.trim().into()));
         }
         if let Some(rest) = strip_verb(line, &upper, "MAIL FROM:") {
             let rest = rest.trim();

@@ -1,6 +1,7 @@
 //! SMTP server replies.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// The broad class of a reply code (its first digit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,26 +19,31 @@ pub enum ReplyCategory {
 }
 
 /// A server reply: a three-digit code plus one or more text lines.
+///
+/// The text is borrowed when it is fixed (`250 OK`, `221 Bye`, …), so
+/// the replies a session sends on every transaction allocate nothing;
+/// only replies that name a host or a domain own their text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reply {
     /// The reply code, e.g. 250.
     pub code: u16,
-    /// Text lines; multi-line replies use `250-...` continuation on the wire.
-    pub lines: Vec<String>,
+    /// The text lines joined by `'\n'`; on the wire each line becomes its
+    /// own `250-...` continuation (see [`Reply::to_wire`]).
+    text: Cow<'static, str>,
 }
 
 impl Reply {
-    /// A single-line reply.
-    pub fn new(code: u16, text: &str) -> Reply {
+    /// A reply with `text`; a `'\n'` in `text` starts another line.
+    pub fn new(code: u16, text: impl Into<Cow<'static, str>>) -> Reply {
         Reply {
             code,
-            lines: vec![text.to_string()],
+            text: text.into(),
         }
     }
 
     /// 220 service-ready banner.
     pub fn banner(host: &str) -> Reply {
-        Reply::new(220, &format!("{host} ESMTP ready"))
+        Reply::new(220, [host, " ESMTP ready"].concat())
     }
 
     /// 250 OK.
@@ -47,13 +53,7 @@ impl Reply {
 
     /// 250 greeting response to EHLO, advertising no extensions.
     pub fn ehlo_ok(host: &str) -> Reply {
-        Reply {
-            code: 250,
-            lines: vec![
-                format!("{host} greets you"),
-                format!("SIZE {}", crate::session::MAX_MESSAGE_SIZE),
-            ],
-        }
+        Reply::new(250, [host, " greets you\nSIZE ", EHLO_SIZE].concat())
     }
 
     /// 354 start-mail-input.
@@ -85,7 +85,7 @@ impl Reply {
     pub fn spf_rejected(domain: &str) -> Reply {
         Reply::new(
             550,
-            &format!("SPF check failed for {domain}: sender not authorized"),
+            ["SPF check failed for ", domain, ": sender not authorized"].concat(),
         )
     }
 
@@ -97,6 +97,11 @@ impl Reply {
     /// 500 syntax error.
     pub fn syntax_error() -> Reply {
         Reply::new(500, "Syntax error, command unrecognized")
+    }
+
+    /// The text lines, first to last (at least one, possibly empty).
+    pub fn lines(&self) -> impl Iterator<Item = &str> {
+        self.text.split('\n')
     }
 
     /// The category of this reply.
@@ -126,31 +131,43 @@ impl Reply {
     /// Render the reply in wire form (with CRLFs and continuation dashes).
     pub fn to_wire(&self) -> String {
         let mut out = String::new();
-        for (i, line) in self.lines.iter().enumerate() {
-            let sep = if i + 1 == self.lines.len() { ' ' } else { '-' };
-            out.push_str(&format!("{}{}{}\r\n", self.code, sep, line));
+        let mut lines = self.lines().peekable();
+        while let Some(line) = lines.next() {
+            let sep = if lines.peek().is_none() { ' ' } else { '-' };
+            let _ = write!(out, "{}{sep}{line}\r\n", self.code);
         }
         out
     }
 
-    /// Parse a wire-form reply (one or more lines).
+    /// Parse a wire-form reply (one or more lines). Returns `None` unless
+    /// every line is three ASCII digits of one shared code, a `' '` or
+    /// `'-'` separator, and text without a bare LF.
     pub fn parse(wire: &str) -> Option<Reply> {
         let mut code = None;
-        let mut lines = Vec::new();
+        let mut text = String::new();
         for raw in wire.split("\r\n").filter(|l| !l.is_empty()) {
-            if raw.len() < 4 {
+            let bytes = raw.as_bytes();
+            if bytes.len() < 4
+                || !bytes[..3].iter().all(u8::is_ascii_digit)
+                || !matches!(bytes[3], b' ' | b'-')
+            {
                 return None;
             }
+            // The first four bytes are ASCII, so both slices below start
+            // and end on character boundaries.
             let this_code: u16 = raw[..3].parse().ok()?;
-            if *code.get_or_insert(this_code) != this_code {
+            let line = &raw[4..];
+            if line.contains('\n') {
                 return None;
             }
-            lines.push(raw[4..].to_string());
+            match code {
+                Some(c) if c != this_code => return None,
+                Some(_) => text.push('\n'),
+                None => code = Some(this_code),
+            }
+            text.push_str(line);
         }
-        Some(Reply {
-            code: code?,
-            lines,
-        })
+        Some(Reply::new(code?, text))
     }
 
     /// Approximate wire size, for link accounting.
@@ -159,9 +176,13 @@ impl Reply {
     }
 }
 
+/// [`MAX_MESSAGE_SIZE`](crate::session::MAX_MESSAGE_SIZE) as the EHLO
+/// `SIZE` keyword spells it (pinned by a test).
+const EHLO_SIZE: &str = "10485760";
+
 impl fmt::Display for Reply {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.code, self.lines.first().map_or("", |s| s))
+        write!(f, "{} {}", self.code, self.lines().next().unwrap_or(""))
     }
 }
 
@@ -206,6 +227,15 @@ mod tests {
     }
 
     #[test]
+    fn ehlo_size_keyword_is_the_session_limit() {
+        assert_eq!(
+            EHLO_SIZE,
+            crate::session::MAX_MESSAGE_SIZE.to_string(),
+            "the advertised SIZE must be the enforced one"
+        );
+    }
+
+    #[test]
     fn mismatched_codes_rejected() {
         assert_eq!(Reply::parse("250-a\r\n550 b\r\n"), None);
         assert_eq!(Reply::parse("xx\r\n"), None);
@@ -213,7 +243,34 @@ mod tests {
     }
 
     #[test]
+    fn malformed_code_prefixes_and_separators_rejected() {
+        // Non-ASCII inside or right after the code used to slice through
+        // a character and panic.
+        assert_eq!(Reply::parse("25é x\r\n"), None);
+        assert_eq!(Reply::parse("250é\r\n"), None);
+        assert_eq!(Reply::parse("2é0 x\r\n"), None);
+        assert_eq!(Reply::parse("250xhello\r\n"), None);
+        assert_eq!(Reply::parse("+25 x\r\n"), None);
+        assert_eq!(Reply::parse("250 a\nb\r\n"), None, "bare LF");
+        assert_eq!(
+            Reply::parse("250 é ok\r\n").map(|r| r.to_string()),
+            Some("250 é ok".to_string())
+        );
+    }
+
+    #[test]
+    fn multi_line_text_keeps_empty_lines() {
+        let r = Reply::parse("250-\r\n250-a\r\n250 \r\n").expect("parses");
+        assert_eq!(r.lines().collect::<Vec<_>>(), ["", "a", ""]);
+        assert_eq!(r.to_wire(), "250-\r\n250-a\r\n250 \r\n");
+        assert_eq!(r.to_string(), "250 ");
+    }
+
+    #[test]
     fn display_shows_code_and_first_line() {
-        assert_eq!(Reply::banner("mx.test").to_string(), "220 mx.test ESMTP ready");
+        assert_eq!(
+            Reply::banner("mx.test").to_string(),
+            "220 mx.test ESMTP ready"
+        );
     }
 }

@@ -292,9 +292,7 @@ mod tests {
     #[test]
     fn full_transaction_accepts_message() {
         let mut s = greeted();
-        assert!(s
-            .handle(&Command::MailFrom(addr("a@b.test")))
-            .is_positive());
+        assert!(s.handle(&Command::MailFrom(addr("a@b.test"))).is_positive());
         assert!(s.handle(&Command::RcptTo(addr("x@mx.test"))).is_positive());
         assert_eq!(s.handle(&Command::Data).code, 354);
         assert_eq!(s.state(), SessionState::ReceivingData);
@@ -369,7 +367,12 @@ mod tests {
 
     #[test]
     fn policy_can_reject_recipients() {
-        let (mut s, _) = ServerSession::open("mx.test", RejectRcpt { allowed: "postmaster" });
+        let (mut s, _) = ServerSession::open(
+            "mx.test",
+            RejectRcpt {
+                allowed: "postmaster",
+            },
+        );
         s.handle(&Command::Ehlo("p.test".into()));
         s.handle(&Command::MailFrom(addr("a@b.test")));
         assert_eq!(s.handle(&Command::RcptTo(addr("nobody@mx.test"))).code, 550);

@@ -100,19 +100,29 @@ impl HostProfile {
     pub fn mta_config(&self, hostname: impl Into<String>, day: u16) -> MtaConfig {
         let mut config = MtaConfig {
             hostname: hostname.into(),
-            connect: self.connect,
-            quirk: self.quirk,
-            spf_stage: self.spf_stage,
-            spf_impls: self.impls.clone(),
-            greylist: self.greylist,
-            reject_on_spf_fail: true,
-            blacklist_after: self.blacklist_after,
-            reject_postmaster: self.reject_postmaster,
+            ..MtaConfig::default()
         };
+        self.fill_mta_config(&mut config, day);
+        config
+    }
+
+    /// Overwrite every field of `config` but its hostname with this
+    /// host's behaviour as of `day` — patched once `day` reaches the
+    /// patch day. The implementation list is rewritten in place, so a
+    /// reused config keeps its allocation.
+    pub fn fill_mta_config(&self, config: &mut MtaConfig, day: u16) {
+        config.connect = self.connect;
+        config.quirk = self.quirk;
+        config.spf_stage = self.spf_stage;
+        config.spf_impls.clear();
+        config.spf_impls.extend_from_slice(&self.impls);
+        config.greylist = self.greylist;
+        config.reject_on_spf_fail = true;
+        config.blacklist_after = self.blacklist_after;
+        config.reject_postmaster = self.reject_postmaster;
         if self.patch_day.is_some_and(|patch| day >= patch) {
             config.apply_patch();
         }
-        config
     }
 }
 

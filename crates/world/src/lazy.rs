@@ -20,12 +20,13 @@
 //! DESIGN.md, "Streaming memory model").
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use spfail_dns::{Directory, Name, QueryLog, SpfTestAuthority};
 use spfail_libspf2::MacroBehavior;
-use spfail_mta::{ConnectPolicy, Mta, SpfStage};
+use spfail_mta::{ConnectPolicy, Mta, MtaConfig, SpfStage};
 use spfail_netsim::{LatencyModel, Link, SimClock, SimRng};
 
 use crate::config::WorldConfig;
@@ -96,6 +97,10 @@ impl WorldRuntime {
     /// The MTA's RNG stream depends only on the host id, so any engine
     /// holding the host's record builds exactly the MTA the eager world
     /// would.
+    ///
+    /// This is a blank MTA wired to the instrumentation, then
+    /// [`WorldRuntime::rebuild_mta_record`]: the per-host derivation is
+    /// spelled once, so a reused MTA cannot drift from a fresh one.
     pub fn build_mta_record(
         &self,
         host: HostId,
@@ -105,31 +110,55 @@ impl WorldRuntime {
         clock: SimClock,
         instrumentation: MtaInstrumentation<'_>,
     ) -> Mta {
-        let hostname = format!("mx{}.{}", host.0, record.primary_tld);
-        let config = record.profile.mta_config(hostname, day);
         let link = Link::new(
             LatencyModel::ZERO,
             instrumentation.dns_faults,
             clock.clone(),
             instrumentation.metrics,
         );
-        let mut rng = self.rng_root.fork_idx("mta", u64::from(host.0));
-        if let Some(salt) = instrumentation.reroll {
-            rng = rng.fork(salt);
-        }
-        let mut mta = Mta::with_dns_link(
-            config,
-            std::net::IpAddr::V4(record.ip),
-            directory,
-            link,
-            clock,
-            rng,
-        );
+        let ip = std::net::IpAddr::V4(record.ip);
+        let rng = self.mta_rng(host, instrumentation.reroll);
+        let mut mta = Mta::with_dns_link(MtaConfig::default(), ip, directory, link, clock, rng);
         mta.set_dns_tracer(instrumentation.tracer);
         if let Some(cache) = instrumentation.policy_cache {
             mta.set_policy_cache(cache);
         }
+        self.rebuild_mta_record(&mut mta, host, record, day, instrumentation.reroll);
         mta
+    }
+
+    /// Make `mta` — built by [`WorldRuntime::build_mta_record`] for any
+    /// host, and used since — the MTA that call would build for `host`
+    /// on `day` with the same instrumentation and `reroll` salt: the
+    /// hostname `mx{id}.{tld}` written into the config's own string,
+    /// the host's behaviour as of `day`, and the `mta`-forked random
+    /// stream, with every per-instance field reset ([`Mta::reset`]).
+    /// Once its buffers have grown to the host's shape, this allocates
+    /// nothing.
+    pub fn rebuild_mta_record(
+        &self,
+        mta: &mut Mta,
+        host: HostId,
+        record: &HostRecord,
+        day: u16,
+        reroll: Option<&str>,
+    ) {
+        let config = mta.config_mut();
+        config.hostname.clear();
+        write!(config.hostname, "mx{}.{}", host.0, record.primary_tld)
+            .expect("writing to a String cannot fail");
+        record.profile.fill_mta_config(config, day);
+        mta.reset(std::net::IpAddr::V4(record.ip), self.mta_rng(host, reroll));
+    }
+
+    /// The random stream of `host`'s MTA, salted with `reroll` when one
+    /// is given.
+    fn mta_rng(&self, host: HostId, reroll: Option<&str>) -> SimRng {
+        let rng = self.rng_root.fork_idx("mta", u64::from(host.0));
+        match reroll {
+            Some(salt) => rng.fork(salt),
+            None => rng,
+        }
     }
 }
 

@@ -704,7 +704,7 @@ fn reply_round_trip() {
     for mut rng in cases("reply_round_trip") {
         let code = rng.range(200, 600) as u16;
         let text = gen_printable(&mut rng, 40);
-        let reply = Reply::new(code, &text);
+        let reply = Reply::new(code, text);
         assert_eq!(Reply::parse(&reply.to_wire()), Some(reply));
     }
 }
@@ -714,6 +714,22 @@ fn reply_round_trip() {
 fn command_parse_never_panics() {
     for mut rng in cases("command_parse_never_panics") {
         let _ = Command::parse(&gen_printable(&mut rng, 80));
+    }
+}
+
+/// The SMTP parsers slice lines by byte position, so feed them
+/// arbitrary UTF-8 (multi-byte characters and control bytes included):
+/// neither may panic. A three-digit code prefix, with a separator or
+/// without, drives `Reply::parse` past its code check.
+#[test]
+fn smtp_parsers_never_panic_on_arbitrary_utf8() {
+    for mut rng in cases("smtp_parsers_never_panic_on_arbitrary_utf8") {
+        let text = String::from_utf8_lossy(&gen_bytes(&mut rng, 60)).into_owned();
+        let _ = Command::parse(&text);
+        let _ = Reply::parse(&text);
+        let code = rng.range(0, 1000);
+        let sep = ["", " ", "-"][rng.below(3) as usize];
+        let _ = Reply::parse(&format!("{code:03}{sep}{text}\r\n{text}"));
     }
 }
 
