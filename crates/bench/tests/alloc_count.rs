@@ -519,6 +519,76 @@ fn mta_rebuild_allocation_budget() {
     );
 }
 
+/// The checkpoint codec's allocations, at two host counts. `to_text`
+/// writes an eager state into one buffer sized up front, so its count
+/// does not grow with the hosts; `parse` allocates at most what the
+/// parsed state owns — each probe outcome's id, each non-empty behaviour
+/// set, one column per round, two per worker (contacts, counts) and the
+/// state's three top-level columns — plus its one token buffer.
+#[test]
+fn checkpoint_codec_allocation_budget() {
+    use spfail_prober::{CampaignBuilder, CampaignState};
+    use spfail_world::{World, WorldConfig};
+
+    let mut to_text_allocs = Vec::new();
+    for scale in [0.005, 0.01] {
+        let world = World::generate(WorldConfig {
+            seed: 0x5bf2_a117,
+            scale,
+            ..WorldConfig::default()
+        });
+        let mut session = CampaignBuilder::new().session(&world);
+        session.initial_sweep();
+        while session.advance_round().is_some() {}
+        let state = session.to_state();
+        assert!(state.trace_records.is_empty(), "tracing is off");
+
+        let (to_text, text) = count_allocs(|| state.to_text());
+        let (parse, parsed) = count_allocs(|| CampaignState::parse(&text));
+        assert!(parsed.expect("an engine-written checkpoint parses") == state);
+        let outcomes: Vec<_> = state
+            .initial
+            .iter()
+            .flat_map(|(_, r)| std::iter::once(&r.nomsg).chain(&r.blankmsg))
+            .collect();
+        let behavior_sets = outcomes
+            .iter()
+            .filter(|o| !o.classification.behaviors.is_empty())
+            .count();
+        let owned = outcomes.len()
+            + behavior_sets
+            + state.rounds.len()
+            + 2 * state.workers.len()
+            + 3;
+        eprintln!(
+            "alloc_count: checkpoint codec at {} hosts ({} bytes): to_text = {to_text}, \
+             parse = {parse} (state owns {owned})",
+            state.initial.len(),
+            text.len()
+        );
+        assert!(
+            parse as usize <= owned + 1,
+            "parse allocated {parse} times, more than the {owned} allocations the state \
+             owns plus its token buffer"
+        );
+        to_text_allocs.push(to_text);
+    }
+    assert_eq!(
+        to_text_allocs[0], to_text_allocs[1],
+        "to_text's allocations grew with the host count"
+    );
+    assert!(
+        to_text_allocs[1] <= TO_TEXT_BUDGET,
+        "to_text allocated {} times, budget {TO_TEXT_BUDGET}",
+        to_text_allocs[1]
+    );
+}
+
+/// Measured: 1 — the text buffer, sized once (before, the buffer grew
+/// by doubling and every probe outcome formatted its tokens into fresh
+/// strings).
+const TO_TEXT_BUDGET: u64 = 1;
+
 /// Run one eager campaign and report (peak heap growth, hosts probed).
 fn eager_campaign_peak(config: &spfail_world::WorldConfig) -> (u64, usize) {
     use spfail_prober::CampaignBuilder;

@@ -21,9 +21,7 @@ use spfail_libspf2::MacroBehavior;
 use spfail_netsim::MetricsSnapshot;
 use spfail_world::{DomainId, HostId, Population};
 
-use crate::campaign::{
-    CampaignData, HostClass, HostInitialResult, RoundStatus, SnapshotStatus,
-};
+use crate::campaign::{CampaignData, HostClass, HostInitialResult, RoundStatus, SnapshotStatus};
 use crate::ethics::EthicsAudit;
 use crate::probe::ProbeTest;
 

@@ -49,19 +49,27 @@ pub fn partition_hosts(hosts: &[HostId], shards: usize) -> Vec<Vec<HostId>> {
     parts
 }
 
-/// The inverse of [`partition_hosts`] over the host range `0..n`: merge
-/// per-shard mask columns, shard `s` holding the masks of hosts `s`,
-/// `s + shards`, `s + 2 * shards`, … in order, into one column indexed
-/// by host id.
-pub(crate) fn interleave_shards(parts: Vec<Vec<u32>>) -> Vec<u32> {
+/// The inverse of [`partition_hosts`]: merge per-shard columns, each in
+/// its shard's host order, into one column in the order of `hosts` by
+/// taking, for each host, the next entry of its [`shard_of`] column. One
+/// shard's column is moved as it is.
+pub(crate) fn interleave_shards<T>(
+    mut parts: Vec<Vec<T>>,
+    hosts: impl IntoIterator<Item = HostId>,
+) -> Vec<T> {
+    if parts.len() == 1 {
+        return parts.pop().unwrap_or_default();
+    }
     let shards = parts.len();
-    let mut masks = vec![0u32; parts.iter().map(Vec::len).sum()];
-    for (shard, part) in parts.into_iter().enumerate() {
-        for (i, mask) in part.into_iter().enumerate() {
-            masks[shard + i * shards] = mask;
+    let mut merged = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+    for host in hosts {
+        match parts[shard_of(host, shards)].next() {
+            Some(entry) => merged.push(entry),
+            None => break,
         }
     }
-    masks
+    merged
 }
 
 /// Table 3's per-address outcome ladder.
@@ -111,16 +119,13 @@ impl HostInitialResult {
 
     /// Whether the vulnerable fingerprint was observed in either test.
     pub fn vulnerable(&self) -> bool {
-        self.classification().is_some_and(Classification::vulnerable)
+        self.classification()
+            .is_some_and(Classification::vulnerable)
     }
 
     /// Whether any probe ended in a transient failure (re-measurable).
     pub fn transient(&self) -> bool {
-        let t = |p: &ProbeOutcome| {
-            p.transaction
-                .as_ref()
-                .is_some_and(|o| o.is_transient())
-        };
+        let t = |p: &ProbeOutcome| p.transaction.as_ref().is_some_and(|o| o.is_transient());
         t(&self.nomsg) || self.blankmsg.as_ref().is_some_and(t)
     }
 
@@ -152,24 +157,81 @@ impl HostInitialResult {
     }
 }
 
+/// The initial sweep's per-host results as one host-sorted column: the
+/// shape the sweep produces, the session keeps and the checkpoint's
+/// `init` lines write, so no stage rebuilds a map. Reads go through
+/// [`HostResults::iter`] (ascending host order), [`HostResults::get`]
+/// (binary search) and `results[&host]`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct HostResults(pub(crate) Vec<(HostId, HostInitialResult)>);
+
+/// The entry projection [`HostResults::iter`] maps its slice through.
+type EntryRef<'a> = fn(&'a (HostId, HostInitialResult)) -> (&'a HostId, &'a HostInitialResult);
+
+impl HostResults {
+    /// Every host's result, in ascending host order.
+    pub fn iter(&self) -> <&HostResults as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// The result of `host`, if it was probed.
+    pub fn get(&self, host: &HostId) -> Option<&HostInitialResult> {
+        self.0
+            .binary_search_by_key(host, |(h, _)| *h)
+            .ok()
+            .map(|i| &self.0[i].1)
+    }
+
+    /// How many hosts were probed.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no host was probed (a streamed run keeps none).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl<'a> IntoIterator for &'a HostResults {
+    type Item = (&'a HostId, &'a HostInitialResult);
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, (HostId, HostInitialResult)>, EntryRef<'a>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|(h, r)| (h, r))
+    }
+}
+
+/// `results[&host]`, like a map's index.
+///
+/// # Panics
+///
+/// If `host` has no result; [`HostResults::get`] is the fallible form.
+impl std::ops::Index<&HostId> for HostResults {
+    type Output = HostInitialResult;
+
+    fn index(&self, host: &HostId) -> &HostInitialResult {
+        self.get(host)
+            .expect("indexed host has an initial result (use `get` for a host that may not)")
+    }
+}
+
 /// The initial sweep's results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InitialMeasurement {
     /// Per-host results (every unique address probed once).
-    pub results: HashMap<HostId, HostInitialResult>,
+    pub results: HostResults,
 }
 
 impl InitialMeasurement {
-    /// Hosts whose initial measurement showed the vulnerable fingerprint.
+    /// Hosts whose initial measurement showed the vulnerable fingerprint,
+    /// sorted.
     pub fn vulnerable_hosts(&self) -> Vec<HostId> {
-        let mut hosts: Vec<HostId> = self
-            .results
+        self.results
             .iter()
             .filter(|(_, r)| r.vulnerable())
             .map(|(&h, _)| h)
-            .collect();
-        hosts.sort();
-        hosts
+            .collect()
     }
 }
 
@@ -526,23 +588,24 @@ impl Campaign {
     }
 
     /// The initial sweep over one worker's partition of `world`. Returns
-    /// the results, each host's [`HostMask`] in `hosts` order (folded as
-    /// the host finishes, as the streamed sweep does) and the busy time.
+    /// the `(host, result)` pairs and each host's [`HostMask`], both in
+    /// `hosts` order (masks folded as the host finishes, as the streamed
+    /// sweep does), and the busy time.
     pub(crate) fn initial_sweep(
         prober: &mut Prober<'_>,
         world: &dyn Population,
         counts: &mut HashMap<HostId, u32, FxBuildHasher>,
         hosts: &[HostId],
-    ) -> (InitialMeasurement, Vec<u32>, SimDuration) {
+    ) -> (Vec<(HostId, HostInitialResult)>, Vec<u32>, SimDuration) {
         let start = Self::begin_sweep(prober, Phase::Initial, Timeline::INITIAL);
         let query_log = prober.context().query_log.clone();
-        let mut results = HashMap::with_capacity(hosts.len());
+        let mut results = Vec::with_capacity(hosts.len());
         let mut masks = Vec::with_capacity(hosts.len());
         for &host in hosts {
             let (result, seen) = Self::probe_initial(prober, host, world.host(host));
             counts.insert(host, seen);
             masks.push(HostMask::from_initial(&result).0);
-            results.insert(host, result);
+            results.push((host, result));
             // Keep the query log bounded: each probe reads only its own
             // window, so anything older is dead weight.
             if query_log.len() > QUERY_LOG_BOUND {
@@ -551,7 +614,7 @@ impl Campaign {
         }
         prober.forget_repetitions();
         let busy = prober.context().clock.now().since(start);
-        (InitialMeasurement { results }, masks, busy)
+        (results, masks, busy)
     }
 
     /// The snapshot's probe targets: for each initially vulnerable
@@ -666,6 +729,35 @@ mod tests {
     }
 
     #[test]
+    fn host_results_iterate_in_ascending_host_order() {
+        let (_, data) = campaign();
+        let hosts: Vec<HostId> = data.initial.results.iter().map(|(&h, _)| h).collect();
+        assert!(hosts.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+        let by_ref: Vec<HostId> = (&data.initial.results)
+            .into_iter()
+            .map(|(&h, _)| h)
+            .collect();
+        assert_eq!(by_ref, hosts);
+    }
+
+    #[test]
+    fn host_results_look_up_by_host() {
+        let (world, data) = campaign();
+        let results = &data.initial.results;
+        let (&host, result) = results.iter().nth(results.len() / 2).expect("hosts probed");
+        assert_eq!(results.get(&host), Some(result));
+        assert_eq!(&results[&host], result);
+        assert_eq!(results.get(&HostId(world.hosts.len() as u32)), None);
+    }
+
+    #[test]
+    fn host_results_are_the_same_column_for_any_shard_count() {
+        let (world, data) = campaign();
+        let sharded = CampaignBuilder::new().shards(3).run(&world).data;
+        assert_eq!(sharded.initial.results, data.initial.results);
+    }
+
+    #[test]
     fn detected_vulnerable_hosts_really_are_vulnerable() {
         let (world, data) = campaign();
         let detected = data.initial.vulnerable_hosts();
@@ -695,10 +787,7 @@ mod tests {
             })
             .collect();
         let detected = data.initial.vulnerable_hosts();
-        let found = measurable
-            .iter()
-            .filter(|h| detected.contains(h))
-            .count();
+        let found = measurable.iter().filter(|h| detected.contains(h)).count();
         let recall = found as f64 / measurable.len().max(1) as f64;
         assert!(recall > 0.75, "recall {recall} over {}", measurable.len());
     }

@@ -18,6 +18,13 @@
 //! state round-trips bit-for-bit without a JSON parser dependency and
 //! diffs of two checkpoints are meaningful. [`CampaignState::to_text`]
 //! and [`CampaignState::parse`] are exact inverses.
+//!
+//! The codec is allocation-light, and its bytes are pinned by golden
+//! digests (`tests/session_checkpoint.rs`). `to_text` sizes one buffer
+//! up front and writes numbers and tokens straight into it, escaping ids
+//! in place. `parse` reuses one token buffer for every line and counts
+//! each run of same-kind lines before allocating its column, so beyond a
+//! few fixed buffers it allocates only what the parsed state owns.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -28,8 +35,8 @@ use spfail_netsim::{
     FaultPlan, FaultProfile, FlakyWindow, MetricsSnapshot, ProbeError, SimDuration, SimTime,
 };
 use spfail_smtp::client::TransactionOutcome;
-use spfail_trace::{escape_field, unescape_field, ProbeRecord, TraceConfig};
-use spfail_world::HostId;
+use spfail_trace::{escape_field_into, unescape_field, ProbeRecord, TraceConfig};
+use spfail_world::{HostId, Timeline};
 
 use crate::aggregate::HostMask;
 use crate::campaign::{CampaignBuilder, HostInitialResult, RoundStatus};
@@ -101,8 +108,57 @@ const MAGIC: &str = "spfail-checkpoint v3";
 /// by version rather than misparsed.
 const RETIRED: [&str; 2] = ["spfail-checkpoint v1", "spfail-checkpoint v2"];
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Append `v` as `width` lowercase hex digits (its low `4 * width` bits).
+fn push_hex(out: &mut String, v: u64, width: u32) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..width).rev() {
+        out.push(char::from(HEX[((v >> (4 * shift)) & 0xf) as usize]));
+    }
+}
+
+/// Append a float as its 16-hex-digit IEEE-754 bit pattern.
+fn push_f64(out: &mut String, v: f64) {
+    push_hex(out, v.to_bits(), 16);
+}
+
+/// Append `n` in decimal, without going through the formatter.
+fn push_dec(out: &mut String, n: impl Into<u64>) {
+    let mut n = n.into();
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &digit in &buf[at..] {
+        out.push(char::from(digit));
+    }
+}
+
+/// Append an address in its `Display` form, an IPv4 one octet by octet.
+fn push_ip(out: &mut String, ip: &IpAddr) {
+    match ip {
+        IpAddr::V4(v4) => {
+            for (i, octet) in v4.octets().into_iter().enumerate() {
+                if i > 0 {
+                    out.push('.');
+                }
+                push_dec(out, octet);
+            }
+        }
+        IpAddr::V6(v6) => {
+            let _ = write!(out, "{v6}");
+        }
+    }
+}
+
+/// The number of decimal digits [`push_dec`] writes for `n`.
+fn dec_len(n: impl Into<u64>) -> usize {
+    n.into().checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 fn parse_f64(tok: &str) -> Result<f64, String> {
@@ -112,8 +168,7 @@ fn parse_f64(tok: &str) -> Result<f64, String> {
 }
 
 fn parse_num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
-    tok.parse()
-        .map_err(|_| format!("bad {what} {tok:?}"))
+    tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
 }
 
 fn bool01(v: bool) -> &'static str {
@@ -161,18 +216,20 @@ fn parse_behavior(tok: &str) -> Result<MacroBehavior, String> {
     })
 }
 
-fn transaction_token(t: &TransactionOutcome) -> String {
-    match t {
-        TransactionOutcome::RejectedAtConnect(c) => format!("connect:{c}"),
-        TransactionOutcome::RejectedAtHello(c) => format!("hello:{c}"),
-        TransactionOutcome::RejectedAtMailFrom(c) => format!("mailfrom:{c}"),
-        TransactionOutcome::RejectedAtRcpt(c) => format!("rcpt:{c}"),
-        TransactionOutcome::RejectedAtData(c) => format!("data:{c}"),
-        TransactionOutcome::Transient { stage, code } => format!("transient:{stage}:{code}"),
-        TransactionOutcome::ConnectionReset => "reset".to_string(),
-        TransactionOutcome::NoMsgCompleted => "nomsg".to_string(),
-        TransactionOutcome::MessageAccepted(c) => format!("accepted:{c}"),
-        TransactionOutcome::MessageRejected(c) => format!("rejected:{c}"),
+/// A transaction outcome's token as fixed pieces plus its reply code:
+/// `connect:550`, `transient:mail:451`, `reset`, …
+fn transaction_parts(t: &TransactionOutcome) -> ([&'static str; 3], Option<u16>) {
+    match *t {
+        TransactionOutcome::RejectedAtConnect(c) => (["connect:", "", ""], Some(c)),
+        TransactionOutcome::RejectedAtHello(c) => (["hello:", "", ""], Some(c)),
+        TransactionOutcome::RejectedAtMailFrom(c) => (["mailfrom:", "", ""], Some(c)),
+        TransactionOutcome::RejectedAtRcpt(c) => (["rcpt:", "", ""], Some(c)),
+        TransactionOutcome::RejectedAtData(c) => (["data:", "", ""], Some(c)),
+        TransactionOutcome::Transient { stage, code } => (["transient:", stage, ":"], Some(code)),
+        TransactionOutcome::ConnectionReset => (["reset", "", ""], None),
+        TransactionOutcome::NoMsgCompleted => (["nomsg", "", ""], None),
+        TransactionOutcome::MessageAccepted(c) => (["accepted:", "", ""], Some(c)),
+        TransactionOutcome::MessageRejected(c) => (["rejected:", "", ""], Some(c)),
     }
 }
 
@@ -211,16 +268,18 @@ fn parse_transaction(tok: &str) -> Result<TransactionOutcome, String> {
     })
 }
 
-fn dns_fault_token(e: &ProbeError) -> String {
-    match e {
-        ProbeError::DnsTimeout => "timeout".to_string(),
-        ProbeError::DnsServFail => "servfail".to_string(),
-        ProbeError::DnsLame => "lame".to_string(),
-        ProbeError::ConnectRefused => "refused".to_string(),
-        ProbeError::ConnectTimeout => "connect_timeout".to_string(),
-        ProbeError::ConnectionReset => "reset".to_string(),
-        ProbeError::SmtpTempFail(c) => format!("tempfail:{c}"),
-        ProbeError::SmtpReject(c) => format!("reject:{c}"),
+/// A probe error's token as a fixed piece plus its reply code:
+/// `timeout`, `tempfail:451`, …
+fn dns_fault_parts(e: &ProbeError) -> (&'static str, Option<u16>) {
+    match *e {
+        ProbeError::DnsTimeout => ("timeout", None),
+        ProbeError::DnsServFail => ("servfail", None),
+        ProbeError::DnsLame => ("lame", None),
+        ProbeError::ConnectRefused => ("refused", None),
+        ProbeError::ConnectTimeout => ("connect_timeout", None),
+        ProbeError::ConnectionReset => ("reset", None),
+        ProbeError::SmtpTempFail(c) => ("tempfail:", Some(c)),
+        ProbeError::SmtpReject(c) => ("reject:", Some(c)),
     }
 }
 
@@ -230,7 +289,10 @@ fn parse_dns_fault(tok: &str) -> Result<ProbeError, String> {
         None => (tok, None),
     };
     let code = || -> Result<u16, String> {
-        parse_num(code.ok_or_else(|| format!("missing code in {tok:?}"))?, "code")
+        parse_num(
+            code.ok_or_else(|| format!("missing code in {tok:?}"))?,
+            "code",
+        )
     };
     Ok(match head {
         "timeout" => ProbeError::DnsTimeout,
@@ -247,56 +309,104 @@ fn parse_dns_fault(tok: &str) -> Result<ProbeError, String> {
 
 /// Serialise one probe outcome as six space-free tokens:
 /// `id transaction spf_triggered behaviors unknown_patterns dns_fault`.
-fn outcome_tokens(out: &mut String, o: &ProbeOutcome) {
-    let behaviors = if o.classification.behaviors.is_empty() {
-        "-".to_string()
-    } else {
-        o.classification
-            .behaviors
-            .iter()
-            .map(|&b| behavior_token(b))
-            .collect::<Vec<_>>()
-            .join("+")
-    };
-    let _ = write!(
-        out,
-        "{} {} {} {} {} {}",
-        escape_field(&o.id),
-        o.transaction
-            .as_ref()
-            .map_or_else(|| "none".to_string(), transaction_token),
-        bool01(o.classification.spf_triggered),
-        behaviors,
-        o.classification.unknown_patterns,
-        o.dns_fault
-            .as_ref()
-            .map_or_else(|| "none".to_string(), dns_fault_token),
-    );
+fn write_outcome(out: &mut String, o: &ProbeOutcome) {
+    escape_field_into(out, &o.id);
+    out.push(' ');
+    match &o.transaction {
+        Some(t) => {
+            let (pieces, code) = transaction_parts(t);
+            for piece in pieces {
+                out.push_str(piece);
+            }
+            if let Some(code) = code {
+                push_dec(out, code);
+            }
+        }
+        None => out.push_str("none"),
+    }
+    out.push(' ');
+    out.push_str(bool01(o.classification.spf_triggered));
+    out.push(' ');
+    if o.classification.behaviors.is_empty() {
+        out.push('-');
+    }
+    for (i, &b) in o.classification.behaviors.iter().enumerate() {
+        if i > 0 {
+            out.push('+');
+        }
+        out.push_str(behavior_token(b));
+    }
+    out.push(' ');
+    push_dec(out, o.classification.unknown_patterns as u64);
+    out.push(' ');
+    match &o.dns_fault {
+        Some(e) => {
+            let (piece, code) = dns_fault_parts(e);
+            out.push_str(piece);
+            if let Some(code) = code {
+                push_dec(out, code);
+            }
+        }
+        None => out.push_str("none"),
+    }
+}
+
+/// The length [`write_outcome`] writes for `o`, exact unless the id
+/// needs escaping (engine ids never do).
+fn outcome_len(o: &ProbeOutcome) -> usize {
+    let transaction = o.transaction.as_ref().map_or(4, |t| {
+        let (pieces, code) = transaction_parts(t);
+        pieces.iter().map(|p| p.len()).sum::<usize>() + code.map_or(0, dec_len)
+    });
+    let behaviors = &o.classification.behaviors;
+    let behaviors = behaviors
+        .iter()
+        .map(|&b| behavior_token(b).len() + 1)
+        .sum::<usize>()
+        .max(2)
+        - 1;
+    let dns_fault = o.dns_fault.as_ref().map_or(4, |e| {
+        let (piece, code) = dns_fault_parts(e);
+        piece.len() + code.map_or(0, dec_len)
+    });
+    o.id.len()
+        + transaction
+        + 1
+        + behaviors
+        + dec_len(o.classification.unknown_patterns as u64)
+        + dns_fault
+        + 5
 }
 
 fn parse_outcome(host: HostId, test: ProbeTest, toks: &[&str]) -> Result<ProbeOutcome, String> {
     let [id, txn, spf, behaviors, unknown, dns] = toks else {
         return Err(format!("probe outcome wants 6 tokens, got {}", toks.len()));
     };
-    let behaviors: BTreeSet<MacroBehavior> = if *behaviors == "-" {
-        BTreeSet::new()
+    // Inserted one by one: collecting into a set would buffer the
+    // tokens in a vector first.
+    let mut behavior_set = BTreeSet::new();
+    if *behaviors != "-" {
+        for tok in behaviors.split('+') {
+            behavior_set.insert(parse_behavior(tok)?);
+        }
+    }
+    // An id copies once; only one with an escape goes through unescaping.
+    let id = if id.contains('%') {
+        unescape_field(id)
     } else {
-        behaviors
-            .split('+')
-            .map(parse_behavior)
-            .collect::<Result<_, _>>()?
+        (*id).to_owned()
     };
     Ok(ProbeOutcome {
         host,
         test,
-        id: unescape_field(id),
+        id,
         transaction: match *txn {
             "none" => None,
             t => Some(parse_transaction(t)?),
         },
         classification: Classification {
             spf_triggered: parse_bool01(spf)?,
-            behaviors,
+            behaviors: behavior_set,
             unknown_patterns: parse_num(unknown, "unknown_patterns")?,
         },
         dns_fault: match *dns {
@@ -324,17 +434,21 @@ fn parse_status(tok: &str) -> Result<RoundStatus, String> {
 }
 
 fn write_plan(out: &mut String, p: &FaultPlan) {
-    let _ = write!(
-        out,
-        "{} {} {} {} {} {} {}",
-        f64_hex(p.refuse_chance),
-        f64_hex(p.abort_chance),
-        f64_hex(p.drop_chance),
-        f64_hex(p.servfail_chance),
-        f64_hex(p.truncate_chance),
-        f64_hex(p.tempfail_chance),
-        f64_hex(p.reset_chance),
-    );
+    let chances = [
+        p.refuse_chance,
+        p.abort_chance,
+        p.drop_chance,
+        p.servfail_chance,
+        p.truncate_chance,
+        p.tempfail_chance,
+        p.reset_chance,
+    ];
+    for (i, chance) in chances.into_iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        push_f64(out, chance);
+    }
 }
 
 fn parse_plan(toks: &[&str]) -> Result<FaultPlan, String> {
@@ -373,14 +487,14 @@ fn metrics_fields(m: &MetricsSnapshot) -> [u64; 16] {
     ]
 }
 
-fn write_metrics(out: &mut String, m: &MetricsSnapshot) {
-    let fields = metrics_fields(m);
-    let joined = fields
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(" ");
-    let _ = write!(out, "{joined}");
+/// Append counters separated by single spaces.
+fn write_counters(out: &mut String, counters: impl IntoIterator<Item = u64>) {
+    for (i, n) in counters.into_iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        push_dec(out, n);
+    }
 }
 
 fn parse_metrics(toks: &[&str]) -> Result<MetricsSnapshot, String> {
@@ -411,12 +525,14 @@ fn parse_metrics(toks: &[&str]) -> Result<MetricsSnapshot, String> {
     })
 }
 
-fn write_ethics(out: &mut String, a: &EthicsAudit) {
-    let _ = write!(
-        out,
-        "{} {} {} {} {}",
-        a.immediate, a.spaced, a.greylist_waits, a.dedup_suppressed, a.peak_concurrency
-    );
+fn ethics_fields(a: &EthicsAudit) -> [u64; 5] {
+    [
+        a.immediate,
+        a.spaced,
+        a.greylist_waits,
+        a.dedup_suppressed,
+        a.peak_concurrency as u64,
+    ]
 }
 
 fn parse_ethics(toks: &[&str]) -> Result<EthicsAudit, String> {
@@ -432,54 +548,142 @@ fn parse_ethics(toks: &[&str]) -> Result<EthicsAudit, String> {
     })
 }
 
-impl CampaignState {
-    /// The initial sweep's record as a mask column (index = host id):
-    /// the `aggregate v1` section, or the masks of the `init` lines.
-    /// Refuses a record that does not cover the world: the `init` lines
-    /// must name hosts 0, 1, 2, … in order, once each, and when the
-    /// world's host count is known (`host_count`), the column must hold
-    /// exactly that many hosts.
-    pub(crate) fn mask_column(&self, host_count: Option<usize>) -> Result<Vec<u32>, String> {
-        let masks = match &self.masks {
-            Some(_) if !self.initial.is_empty() => {
-                return Err("checkpoint carries both init lines and an aggregate section".into())
-            }
-            Some(masks) => masks.clone(),
-            None => {
-                let mut masks = Vec::with_capacity(self.initial.len());
-                for (host, result) in &self.initial {
-                    if host.0 as usize != masks.len() {
-                        return Err(format!(
-                            "checkpoint init line names host {} where host {} belongs: \
-                             init hosts must ascend from 0, once each",
-                            host.0,
-                            masks.len()
-                        ));
-                    }
-                    masks.push(HostMask::from_initial(result).0);
-                }
-                masks
-            }
-        };
-        match host_count {
-            Some(n) if masks.len() != n => Err(format!(
-                "checkpoint's initial sweep covers {} hosts, but the world has {n}",
-                masks.len()
-            )),
-            _ => Ok(masks),
+/// The initial sweep's record as a mask column (index = host id): the
+/// `aggregate v1` section `masks`, moved, or the masks of the `init`
+/// lines `initial`. Refuses a record that does not cover the world: the
+/// `init` lines must name hosts 0, 1, 2, … in order, once each, and when
+/// the world's host count is known (`host_count`), the column must hold
+/// exactly that many hosts.
+pub(crate) fn mask_column(
+    masks: Option<Vec<u32>>,
+    initial: &[(HostId, HostInitialResult)],
+    host_count: Option<usize>,
+) -> Result<Vec<u32>, String> {
+    let masks = match masks {
+        Some(_) if !initial.is_empty() => {
+            return Err("checkpoint carries both init lines and an aggregate section".into())
         }
+        Some(masks) => masks,
+        None => {
+            let mut masks = Vec::with_capacity(initial.len());
+            for (host, result) in initial {
+                if host.0 as usize != masks.len() {
+                    return Err(format!(
+                        "checkpoint init line names host {} where host {} belongs: \
+                         init hosts must ascend from 0, once each",
+                        host.0,
+                        masks.len()
+                    ));
+                }
+                masks.push(HostMask::from_initial(result).0);
+            }
+            masks
+        }
+    };
+    match host_count {
+        Some(n) if masks.len() != n => Err(format!(
+            "checkpoint's initial sweep covers {} hosts, but the world has {n}",
+            masks.len()
+        )),
+        _ => Ok(masks),
+    }
+}
+
+/// Upper bounds on the lines [`CampaignState::to_text`] writes whose
+/// length is not worth computing exactly: every header line together,
+/// one worker's fixed lines, the aggregate header, one `wcontact` line.
+const HEADER_MAX: usize = 1024;
+const WORKER_MAX: usize = 512;
+const AGGREGATE_MAX: usize = 40;
+const CONTACT_MAX: usize = "wcontact ".len() + 39 + 1 + 20 + 1;
+
+/// Replace `toks` with the space-separated tokens of `operands`, empty
+/// ones dropped. A byte scan: splitting on a `char` pattern costs more
+/// than the token is long.
+fn split_tokens<'a>(operands: &'a str, toks: &mut Vec<&'a str>) {
+    toks.clear();
+    let mut start = 0;
+    for (i, b) in operands.bytes().enumerate() {
+        if b == b' ' {
+            if i > start {
+                toks.push(&operands[start..i]);
+            }
+            start = i + 1;
+        }
+    }
+    if start < operands.len() {
+        toks.push(&operands[start..]);
+    }
+}
+
+/// How many lines at the start of `text` begin with `prefix`: the length
+/// of a run of same-kind lines, so its column can be allocated once.
+fn run_len(text: &str, prefix: &str) -> usize {
+    text.lines().take_while(|l| l.starts_with(prefix)).count()
+}
+
+impl CampaignState {
+    /// The length of [`CampaignState::to_text`] without its trace lines:
+    /// exact for the per-host lines, an upper bound for the rest, so the
+    /// text is written into one allocation.
+    fn text_len(&self) -> usize {
+        let init: usize = self
+            .initial
+            .iter()
+            .map(|(host, r)| {
+                "init ".len()
+                    + dec_len(host.0)
+                    + 1
+                    + outcome_len(&r.nomsg)
+                    + r.blankmsg.as_ref().map_or(0, |b| 1 + outcome_len(b))
+                    + 1
+            })
+            .sum();
+        let masks = self.masks.as_ref().map_or(0, |masks| {
+            AGGREGATE_MAX
+                + masks
+                    .chunks(64)
+                    .enumerate()
+                    .map(|(row, chunk)| {
+                        "amask ".len() + dec_len((row * 64) as u64) + 9 * chunk.len() + 1
+                    })
+                    .sum::<usize>()
+        });
+        let rounds: usize = self
+            .rounds
+            .iter()
+            .map(|(day, statuses)| {
+                "round ".len()
+                    + dec_len(*day)
+                    + 1
+                    + statuses
+                        .iter()
+                        .map(|(host, _)| "st ".len() + dec_len(host.0) + 3)
+                        .sum::<usize>()
+            })
+            .sum();
+        let workers: usize = self
+            .workers
+            .iter()
+            .map(|w| {
+                WORKER_MAX
+                    + w.contacts.len() * CONTACT_MAX
+                    + w.counts
+                        .iter()
+                        .map(|&(host, n)| "wcount ".len() + dec_len(host.0) + 1 + dec_len(n) + 1)
+                        .sum::<usize>()
+            })
+            .sum();
+        HEADER_MAX + init + masks + rounds + workers
     }
 
     /// Render the state into its canonical text form.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.text_len());
         let _ = writeln!(out, "{MAGIC}");
-        let _ = writeln!(
-            out,
-            "world {} {}",
-            self.world_seed,
-            f64_hex(self.world_scale)
-        );
+        let _ = write!(out, "world {} ", self.world_seed);
+        push_f64(&mut out, self.world_scale);
+        out.push('\n');
         let b = &self.builder;
         let _ = writeln!(
             out,
@@ -494,30 +698,31 @@ impl CampaignState {
         write_plan(&mut out, &b.options.faults.dns);
         out.push(' ');
         write_plan(&mut out, &b.options.faults.smtp);
-        let _ = write!(out, " {}", f64_hex(b.options.faults.flaky_fraction));
+        out.push(' ');
+        push_f64(&mut out, b.options.faults.flaky_fraction);
         match &b.options.faults.window {
             Some(w) => {
-                let _ = writeln!(
-                    out,
-                    " window {} {} {}",
-                    w.period.as_micros(),
-                    f64_hex(w.open_fraction),
-                    w.phase.as_micros()
-                );
+                let _ = write!(out, " window {} ", w.period.as_micros());
+                push_f64(&mut out, w.open_fraction);
+                let _ = writeln!(out, " {}", w.phase.as_micros());
             }
             None => out.push_str(" nowindow\n"),
         }
         let r = &b.options.retry;
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "retry {} {} {} {} {}",
+            "retry {} {} {} ",
             r.max_attempts,
             r.base_backoff.as_micros(),
             r.max_backoff.as_micros(),
-            f64_hex(r.jitter),
-            r.deadline
-                .map_or_else(|| "none".to_string(), |d| d.as_micros().to_string()),
         );
+        push_f64(&mut out, r.jitter);
+        match r.deadline {
+            Some(d) => {
+                let _ = writeln!(out, " {}", d.as_micros());
+            }
+            None => out.push_str(" none\n"),
+        }
         let _ = writeln!(out, "progress {}", self.rounds_done);
         let _ = writeln!(
             out,
@@ -531,11 +736,13 @@ impl CampaignState {
             self.stats.round_probes_issued, self.stats.round_probes_skipped
         );
         for (host, result) in &self.initial {
-            let _ = write!(out, "init {} ", host.0);
-            outcome_tokens(&mut out, &result.nomsg);
+            out.push_str("init ");
+            push_dec(&mut out, host.0);
+            out.push(' ');
+            write_outcome(&mut out, &result.nomsg);
             if let Some(blank) = &result.blankmsg {
                 out.push(' ');
-                outcome_tokens(&mut out, blank);
+                write_outcome(&mut out, blank);
             }
             out.push('\n');
         }
@@ -544,47 +751,71 @@ impl CampaignState {
             // then rows of up to 64 masks packed as fixed-width hex.
             let _ = writeln!(out, "aggregate v1 {}", masks.len());
             for (row, chunk) in masks.chunks(64).enumerate() {
-                let _ = write!(out, "amask {}", row * 64);
-                for m in chunk {
-                    let _ = write!(out, " {m:08x}");
+                out.push_str("amask ");
+                push_dec(&mut out, (row * 64) as u64);
+                for &m in chunk {
+                    out.push(' ');
+                    push_hex(&mut out, m.into(), 8);
                 }
                 out.push('\n');
             }
         }
         for (day, statuses) in &self.rounds {
-            let _ = writeln!(out, "round {day}");
-            for (host, status) in statuses {
-                let _ = writeln!(out, "st {} {}", host.0, status_token(*status));
+            out.push_str("round ");
+            push_dec(&mut out, *day);
+            out.push('\n');
+            for &(host, status) in statuses {
+                out.push_str("st ");
+                push_dec(&mut out, host.0);
+                out.push(' ');
+                out.push_str(status_token(status));
+                out.push('\n');
             }
         }
         for w in &self.workers {
-            let _ = writeln!(out, "worker");
-            let _ = writeln!(out, "wclock {}", w.clock_micros);
-            out.push_str("wethics ");
-            write_ethics(&mut out, &w.ethics);
+            out.push_str("worker\nwclock ");
+            push_dec(&mut out, w.clock_micros);
+            out.push_str("\nwethics ");
+            write_counters(&mut out, ethics_fields(&w.ethics));
             out.push('\n');
             for (ip, at) in &w.contacts {
-                let _ = writeln!(out, "wcontact {} {}", ip, at.as_micros());
+                out.push_str("wcontact ");
+                push_ip(&mut out, ip);
+                out.push(' ');
+                push_dec(&mut out, at.as_micros());
+                out.push('\n');
             }
             out.push_str("wmetrics ");
-            write_metrics(&mut out, &w.metrics);
+            write_counters(&mut out, metrics_fields(&w.metrics));
             out.push('\n');
-            for (host, n) in &w.counts {
-                let _ = writeln!(out, "wcount {} {}", host.0, n);
+            for &(host, n) in &w.counts {
+                out.push_str("wcount ");
+                push_dec(&mut out, host.0);
+                out.push(' ');
+                push_dec(&mut out, n);
+                out.push('\n');
             }
         }
         for record in &self.trace_records {
-            let _ = writeln!(out, "trace {}", record.to_wire());
+            out.push_str("trace ");
+            record.write_wire(&mut out);
+            out.push('\n');
         }
         out
     }
 
     /// Parse the text form written by [`CampaignState::to_text`].
+    ///
+    /// One token buffer serves every line, and each run of same-kind
+    /// per-host lines is counted before its column is allocated, so the
+    /// parse allocates little beyond what the state owns.
     pub fn parse(text: &str) -> Result<CampaignState, String> {
-        let mut lines = text.lines().enumerate();
-        let Some((_, first)) = lines.next() else {
-            return Err("empty checkpoint".to_string());
+        let (first, mut rest) = match text.split_once('\n') {
+            Some((first, rest)) => (first, rest),
+            None if text.is_empty() => return Err("empty checkpoint".to_string()),
+            None => (text, ""),
         };
+        let first = first.strip_suffix('\r').unwrap_or(first);
         if RETIRED.contains(&first) {
             return Err(format!(
                 "checkpoint format {first} is no longer readable; \
@@ -606,19 +837,28 @@ impl CampaignState {
         let mut rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)> = Vec::new();
         let mut workers: Vec<WorkerState> = Vec::new();
         let mut trace_records = Vec::new();
-        for (idx, line) in lines {
-            let err = |msg: String| format!("line {}: {msg}", idx + 1);
+        let mut toks: Vec<&str> = Vec::with_capacity(20);
+        let mut number = 1;
+        while !rest.is_empty() {
+            let (raw, next) = rest.split_once('\n').unwrap_or((rest, ""));
+            rest = next;
+            number += 1;
+            let line = raw.strip_suffix('\r').unwrap_or(raw);
+            let err = |msg: String| format!("line {number}: {msg}");
             if line.is_empty() {
                 continue;
             }
-            let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
+            let (keyword, operands) = line.split_once(' ').unwrap_or((line, ""));
             // `trace` operands carry their own escaping; everything else
             // splits on single spaces.
             if keyword == "trace" {
-                trace_records.push(ProbeRecord::from_wire(rest).map_err(err)?);
+                if trace_records.is_empty() {
+                    trace_records.reserve_exact(1 + run_len(rest, "trace "));
+                }
+                trace_records.push(ProbeRecord::from_wire(operands).map_err(err)?);
                 continue;
             }
-            let toks: Vec<&str> = rest.split(' ').filter(|t| !t.is_empty()).collect();
+            split_tokens(operands, &mut toks);
             match keyword {
                 "world" => {
                     let [seed, scale] = toks[..] else {
@@ -698,7 +938,12 @@ impl CampaignState {
                     let [done] = toks[..] else {
                         return Err(err("progress wants 1 operand".to_string()));
                     };
-                    rounds_done = Some(parse_num(done, "rounds_done").map_err(err)?);
+                    let done = parse_num(done, "rounds_done").map_err(err)?;
+                    rounds_done = Some(done);
+                    // No more rounds than the timeline has are reserved,
+                    // whatever the line claims.
+                    let timeline = Timeline::window1_days().chain(Timeline::window2_days());
+                    rounds.reserve_exact(done.min(timeline.count()));
                 }
                 "busy" => {
                     let [init, rnds] = toks[..] else {
@@ -725,14 +970,13 @@ impl CampaignState {
                             toks.len()
                         )));
                     }
+                    if initial.is_empty() {
+                        initial.reserve_exact(1 + run_len(rest, "init "));
+                    }
                     let host = HostId(parse_num(toks[0], "host").map_err(err)?);
-                    let nomsg =
-                        parse_outcome(host, ProbeTest::NoMsg, &toks[1..7]).map_err(err)?;
+                    let nomsg = parse_outcome(host, ProbeTest::NoMsg, &toks[1..7]).map_err(err)?;
                     let blankmsg = if toks.len() == 13 {
-                        Some(
-                            parse_outcome(host, ProbeTest::BlankMsg, &toks[7..13])
-                                .map_err(err)?,
-                        )
+                        Some(parse_outcome(host, ProbeTest::BlankMsg, &toks[7..13]).map_err(err)?)
                     } else {
                         None
                     };
@@ -748,7 +992,10 @@ impl CampaignState {
                     if masks.is_some() {
                         return Err(err("duplicate aggregate section".to_string()));
                     }
-                    masks = Some((parse_num(count, "host count").map_err(err)?, Vec::new()));
+                    let count = parse_num(count, "host count").map_err(err)?;
+                    // Each mask takes nine bytes of text: the file bounds
+                    // the column, whatever the header declares.
+                    masks = Some((count, Vec::with_capacity(count.min(rest.len() / 9))));
                 }
                 "amask" => {
                     let Some((_, column)) = masks.as_mut() else {
@@ -775,7 +1022,8 @@ impl CampaignState {
                     let [day] = toks[..] else {
                         return Err(err("round wants 1 operand".to_string()));
                     };
-                    rounds.push((parse_num(day, "day").map_err(err)?, Vec::new()));
+                    let day = parse_num(day, "day").map_err(err)?;
+                    rounds.push((day, Vec::with_capacity(run_len(rest, "st "))));
                 }
                 "st" => {
                     let [host, status] = toks[..] else {
@@ -812,9 +1060,11 @@ impl CampaignState {
                             let [ip, us] = toks[..] else {
                                 return Err(err("wcontact wants 2 operands".to_string()));
                             };
+                            if w.contacts.is_empty() {
+                                w.contacts.reserve_exact(1 + run_len(rest, "wcontact "));
+                            }
                             w.contacts.push((
-                                ip.parse()
-                                    .map_err(|_| err(format!("bad address {ip:?}")))?,
+                                ip.parse().map_err(|_| err(format!("bad address {ip:?}")))?,
                                 SimTime::from_micros(parse_num(us, "contact").map_err(err)?),
                             ));
                         }
@@ -823,6 +1073,9 @@ impl CampaignState {
                             let [host, n] = toks[..] else {
                                 return Err(err("wcount wants 2 operands".to_string()));
                             };
+                            if w.counts.is_empty() {
+                                w.counts.reserve_exact(1 + run_len(rest, "wcount "));
+                            }
                             w.counts.push((
                                 HostId(parse_num(host, "host").map_err(err)?),
                                 parse_num(n, "count").map_err(err)?,
@@ -1079,6 +1332,53 @@ mod tests {
         assert!(text.contains("\nwocc 3 15 0 2 1\n"));
         let err = CampaignState::parse(&text).expect_err("a wocc line is refused");
         assert!(err.contains("wocc"), "{err}");
+    }
+
+    #[test]
+    fn addresses_are_written_in_display_form() {
+        for ip in [
+            "0.0.0.0",
+            "192.0.2.7",
+            "255.255.255.255",
+            "2001:db8::25",
+            "::ffff:192.0.2.1",
+        ] {
+            let ip: IpAddr = ip.parse().expect("a valid address");
+            let mut out = String::new();
+            push_ip(&mut out, &ip);
+            assert_eq!(out, ip.to_string());
+        }
+    }
+
+    #[test]
+    fn tokens_split_on_spaces_and_drop_empty_ones() {
+        let mut toks = vec!["stale"];
+        split_tokens("  a bb  c ", &mut toks);
+        assert_eq!(toks, ["a", "bb", "c"]);
+        split_tokens("", &mut toks);
+        assert!(toks.is_empty());
+    }
+
+    #[test]
+    fn decimal_writer_and_its_length_agree() {
+        for n in [0, 9, 10, 99, 100, 65_535, 1_296_000_000_000, u64::MAX] {
+            let mut out = String::new();
+            push_dec(&mut out, n);
+            assert_eq!(out, n.to_string());
+            assert_eq!(dec_len(n), out.len(), "{n}");
+        }
+    }
+
+    /// The size `to_text` reserves covers the text without its trace
+    /// lines, so an untraced state is written into one allocation.
+    #[test]
+    fn text_len_bounds_the_untraced_text() {
+        let mut state = sample_state();
+        state.trace_records.clear();
+        assert!(state.text_len() >= state.to_text().len());
+        state.masks = Some(vec![u32::MAX; 130]);
+        state.initial.clear();
+        assert!(state.text_len() >= state.to_text().len());
     }
 
     #[test]

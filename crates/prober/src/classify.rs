@@ -204,12 +204,7 @@ impl Classification {
 
 /// Classify the query-log window of one probe identified by
 /// `<id>.<suite>` under the measurement zone `zone`.
-pub fn classify(
-    entries: &[QueryLogEntry],
-    id: &str,
-    suite: &str,
-    zone: &Name,
-) -> Classification {
+pub fn classify(entries: &[QueryLogEntry], id: &str, suite: &str, zone: &Name) -> Classification {
     let mut result = Classification::default();
     let probe_domain = match zone.child(suite).and_then(|n| n.child(id)) {
         Ok(name) => name,
@@ -472,7 +467,9 @@ mod tests {
         assert_eq!(names.len(), before, "duplicate quirk names");
         for q in KNOWN_QUIRKS {
             assert!(
-                q.name.bytes().all(|b| b.is_ascii_lowercase() || b == b'-' || b.is_ascii_digit()),
+                q.name
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b == b'-' || b.is_ascii_digit()),
                 "{} not kebab-case",
                 q.name
             );

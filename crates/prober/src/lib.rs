@@ -43,9 +43,8 @@ pub mod streaming;
 
 pub use aggregate::{CampaignSummary, HostMask, BEHAVIOR_BITS};
 pub use campaign::{
-    partition_hosts, shard_of, CampaignBuilder, CampaignData, CampaignRun,
-    CampaignTiming, HostClass, HostInitialResult, InitialMeasurement, RoundStatus,
-    SnapshotStatus,
+    partition_hosts, shard_of, CampaignBuilder, CampaignData, CampaignRun, CampaignTiming,
+    HostClass, HostInitialResult, HostResults, InitialMeasurement, RoundStatus, SnapshotStatus,
 };
 pub use checkpoint::{CampaignState, WorkerState};
 pub use classify::{
@@ -57,5 +56,5 @@ pub use probe::{
     CONNECT_TIMEOUT,
 };
 pub use session::{Session, SessionStats};
-pub use streaming::{StreamedCampaign, StreamingRun};
 pub use spfail_trace::{Trace, TraceConfig, Tracer};
+pub use streaming::{StreamedCampaign, StreamingRun};

@@ -126,9 +126,8 @@ impl RetryPolicy {
     /// greylist wait plus two contact-spacing intervals. Retrying past
     /// this point would spend more of the per-host contact budget than
     /// the §6.1 self-restraint rules allot to a single measurement.
-    pub const DEADLINE: SimDuration = SimDuration::from_micros(
-        GREYLIST_WAIT.as_micros() + 2 * MIN_RECONTACT.as_micros(),
-    );
+    pub const DEADLINE: SimDuration =
+        SimDuration::from_micros(GREYLIST_WAIT.as_micros() + 2 * MIN_RECONTACT.as_micros());
 
     /// The standard resilient policy: three attempts, 10 s base backoff
     /// doubling to at most 2 min, 50% jitter, deadline from the ethics
@@ -610,9 +609,13 @@ impl<'w> Prober<'w> {
         // One `probe` call = one trace record; events inside are stamped
         // relative to this instant, which is the property that makes a
         // sharded trace merge byte-identical to the sequential one.
-        self.ctx
-            .tracer
-            .begin_probe(self.ctx.clock.now(), host.0, day, test.tag(), extra_connections);
+        self.ctx.tracer.begin_probe(
+            self.ctx.clock.now(),
+            host.0,
+            day,
+            test.tag(),
+            extra_connections,
+        );
         let outcome = self.probe_attempt(host, day, test, extra_connections);
         self.ctx.tracer.end_probe(self.ctx.clock.now());
         outcome
@@ -938,7 +941,9 @@ impl<'w> Prober<'w> {
             self.ctx.tracer.exit(
                 self.ctx.clock.now(),
                 SpanKind::SmtpSession,
-                outcome.as_ref().map_or("refused", TransactionOutcome::label),
+                outcome
+                    .as_ref()
+                    .map_or("refused", TransactionOutcome::label),
             );
             self.ethics.release(ip);
             match &outcome {
@@ -1297,17 +1302,12 @@ mod tests {
         let host = (0..w.hosts.len() as u32)
             .map(HostId)
             .find(|&h| {
-                matches!(
-                    w.host(h).profile.connect,
-                    spfail_mta::ConnectPolicy::Refuse
-                ) && w.host(h).profile.flaky == 0.0
+                matches!(w.host(h).profile.connect, spfail_mta::ConnectPolicy::Refuse)
+                    && w.host(h).profile.flaky == 0.0
             })
             .or_else(|| {
                 (0..w.hosts.len() as u32).map(HostId).find(|&h| {
-                    matches!(
-                        w.host(h).profile.connect,
-                        spfail_mta::ConnectPolicy::Refuse
-                    )
+                    matches!(w.host(h).profile.connect, spfail_mta::ConnectPolicy::Refuse)
                 })
             })
             .expect("some refusing host");
@@ -1444,7 +1444,10 @@ mod tests {
             let lo = nominal * (1.0 - policy.jitter / 2.0);
             let hi = nominal * (1.0 + policy.jitter / 2.0);
             let got = da.as_micros() as f64;
-            assert!(got >= lo - 1.0 && got <= hi + 1.0, "delay {got} outside [{lo}, {hi}]");
+            assert!(
+                got >= lo - 1.0 && got <= hi + 1.0,
+                "delay {got} outside [{lo}, {hi}]"
+            );
         }
     }
 
@@ -1520,7 +1523,10 @@ mod tests {
             "retry must not lose probes: {retried} < {bare}"
         );
         assert_eq!(bare_metrics.probe_retries, 0);
-        assert!(retry_metrics.probe_retries > 0, "faults should trigger retries");
+        assert!(
+            retry_metrics.probe_retries > 0,
+            "faults should trigger retries"
+        );
         assert!(
             retry_metrics.probes_recovered > 0,
             "some retried probes should recover"

@@ -44,6 +44,17 @@
 //! strictly later days and the snapshot runs on fresh workers, so every
 //! sweep helper drops them at its end and none is live at a boundary.
 //!
+//! The session keeps its record in checkpoint order: the sweep's
+//! `(host, result)` pairs and each round's `(host, status)` pairs are
+//! host-sorted columns, merged from the workers' partitions by their
+//! [`shard_of`](crate::shard_of) stride. [`Session::to_state`] therefore
+//! copies them without a hash walk or a sort, [`Session::from_state`]
+//! moves the parsed columns back in, and [`Session::finish`] moves the
+//! sweep column into [`CampaignData`] as a
+//! [`HostResults`]. [`Session::checkpoint`] writes a
+//! temporary file and renames it over the target, so a crash mid-write
+//! never destroys the last good checkpoint.
+//!
 //! **Incremental rounds** ([`CampaignBuilder::incremental`]) re-probe
 //! only hosts whose status can have changed since their last conclusive
 //! measurement. A tracked host may be *skipped* in a round when no
@@ -72,7 +83,7 @@
 //! the next round to probe everything.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 use spfail_dns::QueryLog;
@@ -84,9 +95,9 @@ use spfail_world::{DomainId, HostId, Population, Timeline};
 use crate::aggregate::{CampaignSummary, Tracking};
 use crate::campaign::{
     interleave_shards, partition_hosts, Campaign, CampaignBuilder, CampaignData, CampaignRun,
-    CampaignTiming, InitialMeasurement, RoundStatus,
+    CampaignTiming, HostResults, InitialMeasurement, RoundStatus,
 };
-use crate::checkpoint::{CampaignState, WorkerState};
+use crate::checkpoint::{mask_column, CampaignState, WorkerState};
 use crate::ethics::EthicsAudit;
 use crate::fxhash::FxBuildHasher;
 use crate::probe::{ProbeTest, Prober};
@@ -175,10 +186,10 @@ pub struct Session<'w> {
     /// Rounds completed so far (index into `Timeline::all_round_days()`).
     rounds_done: usize,
     full_rescan_next: bool,
-    /// The initial sweep's per-host results: kept by an eager session
-    /// (its checkpoints write them as `init` lines), `None` for a
-    /// streamed one, whose record is `masks` alone.
-    initial: Option<InitialMeasurement>,
+    /// The initial sweep's per-host results, host-sorted: kept by an
+    /// eager session (its checkpoints write them as `init` lines), `None`
+    /// for a streamed one, whose record is `masks` alone.
+    initial: Option<HostResults>,
     /// The initial sweep compressed to one [`HostMask`](crate::HostMask)
     /// per host (index = host id); every session carries it, and
     /// tracking is derived from it.
@@ -186,7 +197,9 @@ pub struct Session<'w> {
     tracked: Vec<HostId>,
     vulnerable_domains: Vec<DomainId>,
     preferred: HashMap<HostId, ProbeTest>,
-    rounds: Vec<(u16, HashMap<HostId, RoundStatus>)>,
+    /// Completed rounds: `(day, statuses)`, each round's statuses one
+    /// per tracked host in host order — the checkpoint's `st` lines.
+    rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)>,
     initial_busy: SimDuration,
     rounds_busy: SimDuration,
     /// Trace records drained at checkpoints; the final trace is the
@@ -283,23 +296,21 @@ impl<'w> Session<'w> {
             .into_iter()
             .map(|part| Worker::new(world, &self.builder, part))
             .collect();
+        let mut results = Vec::with_capacity(shards);
         let mut masks = Vec::with_capacity(shards);
-        let (initial, busy) = on_workers(&mut workers, |w| {
+        let outputs = on_workers(&mut workers, |w| {
             Campaign::initial_sweep(&mut w.prober, world, &mut w.counts, &w.hosts)
-        })
-        .into_iter()
-        .map(|(part, part_masks, busy)| {
+        });
+        for (part, part_masks, busy) in outputs {
+            results.push(part);
             masks.push(part_masks);
-            (part, busy)
-        })
-        .reduce(|(mut initial, busy), (part, part_busy)| {
-            initial.results.extend(part.results);
-            (initial, busy.max(part_busy))
-        })
-        .expect("a campaign has at least one worker");
-        self.initial_busy = busy;
-        self.initial = Some(initial);
-        self.note_sweep(interleave_shards(masks));
+            self.initial_busy = self.initial_busy.max(busy);
+        }
+        self.initial = Some(HostResults(interleave_shards(
+            results,
+            all_hosts.iter().copied(),
+        )));
+        self.note_sweep(interleave_shards(masks, all_hosts.iter().copied()));
         for (w, part) in workers
             .iter_mut()
             .zip(partition_hosts(&self.tracked, shards))
@@ -332,17 +343,14 @@ impl<'w> Session<'w> {
         self.preferred = preferred;
     }
 
-    /// Record a finished round: push it onto the results and advance the
-    /// carried per-host state by its conclusive measurements.
-    fn note_round(&mut self, day: u16, statuses: HashMap<HostId, RoundStatus>) {
-        let mut conclusive: Vec<(HostId, RoundStatus)> = statuses
-            .iter()
-            .filter(|(_, &status)| status != RoundStatus::Inconclusive)
-            .map(|(&host, &status)| (host, status))
-            .collect();
-        conclusive.sort_unstable_by_key(|(host, _)| *host);
-        for (host, status) in conclusive {
-            self.last_conclusive.insert(host, (day, status));
+    /// Record a finished round (statuses in host order): push it onto
+    /// the results and advance the carried per-host state by its
+    /// conclusive measurements.
+    fn note_round(&mut self, day: u16, statuses: Vec<(HostId, RoundStatus)>) {
+        for &(host, status) in &statuses {
+            if status != RoundStatus::Inconclusive {
+                self.last_conclusive.insert(host, (day, status));
+            }
         }
         self.rounds.push((day, statuses));
         self.rounds_done += 1;
@@ -378,15 +386,16 @@ impl<'w> Session<'w> {
                 full_rescan,
             )
         });
-        let mut statuses = HashMap::new();
+        let mut parts = Vec::with_capacity(outputs.len());
         let mut round_busy = SimDuration::ZERO;
         for (part_statuses, busy, issued, skipped) in outputs {
-            statuses.extend(part_statuses);
+            parts.push(part_statuses);
             round_busy = round_busy.max(busy);
             self.stats.round_probes_issued += issued;
             self.stats.round_probes_skipped += skipped;
         }
         self.rounds_busy = self.rounds_busy + round_busy;
+        let statuses = interleave_shards(parts, self.tracked.iter().copied());
         self.note_round(day, statuses);
         Some(day)
     }
@@ -459,10 +468,19 @@ impl<'w> Session<'w> {
             self.trace_parts.push(w.tracer.finish());
         }
 
+        // The report reads each round as a map; this is the one place a
+        // round's column becomes one.
+        let rounds = self
+            .rounds
+            .into_iter()
+            .map(|(day, statuses)| (day, statuses.into_iter().collect()))
+            .collect();
         let data = CampaignData {
-            initial: self.initial.unwrap_or_default(),
+            initial: InitialMeasurement {
+                results: self.initial.unwrap_or_default(),
+            },
             tracked: self.tracked,
-            rounds: self.rounds,
+            rounds,
             snapshot,
             vulnerable_domains: self.vulnerable_domains,
             ethics,
@@ -506,23 +524,16 @@ impl<'w> Session<'w> {
     /// re-running `initial_sweep` would not recompute).
     pub fn to_state(&mut self) -> CampaignState {
         assert!(self.swept(), "Session::checkpoint: run initial_sweep first");
-        // An eager session writes its per-host results as `init` lines,
-        // a streamed one its mask column as the `aggregate v1` section.
-        let mut initial: Vec<_> = self
+        // The session keeps its record in checkpoint order, so capture is
+        // a copy. An eager session writes its per-host results as `init`
+        // lines, a streamed one its mask column as the `aggregate v1`
+        // section.
+        let initial = self
             .initial
-            .iter()
-            .flat_map(|initial| initial.results.iter().map(|(&h, r)| (h, r.clone())))
-            .collect();
-        initial.sort_by_key(|(h, _)| *h);
-        let rounds = self
-            .rounds
-            .iter()
-            .map(|(day, statuses)| {
-                let mut hosts: Vec<_> = statuses.iter().map(|(&h, &s)| (h, s)).collect();
-                hosts.sort_by_key(|(h, _)| *h);
-                (*day, hosts)
-            })
-            .collect();
+            .as_ref()
+            .map(|results| results.0.clone())
+            .unwrap_or_default();
+        let rounds = self.rounds.clone();
         let workers = self
             .workers
             .iter()
@@ -565,10 +576,13 @@ impl<'w> Session<'w> {
     /// an aggregate section (written by a streaming session). Both
     /// become the session's mask column, and tracking is derived from
     /// that column as after a fresh sweep. A record that does not cover
-    /// the world is refused (see `CampaignState::mask_column`). Either
+    /// the world is refused (see `checkpoint::mask_column`). Either
     /// state vintage restores against either population kind — mode can
     /// be toggled across a stop/resume boundary.
-    pub fn from_state(state: CampaignState, world: &'w dyn Population) -> Result<Session<'w>, String> {
+    pub fn from_state(
+        state: CampaignState,
+        world: &'w dyn Population,
+    ) -> Result<Session<'w>, String> {
         let config = &world.runtime().config;
         if config.seed != state.world_seed {
             return Err(format!(
@@ -582,12 +596,11 @@ impl<'w> Session<'w> {
                 state.world_scale, config.scale
             ));
         }
-        let masks = state.mask_column(world.full_host_count())?;
+        let streamed = state.masks.is_some();
+        let masks = mask_column(state.masks, &state.initial, world.full_host_count())?;
         let mut session = Session::new(state.builder, world);
-        if state.masks.is_none() {
-            session.initial = Some(InitialMeasurement {
-                results: state.initial.into_iter().collect(),
-            });
+        if !streamed {
+            session.initial = Some(HostResults(state.initial));
         }
         session.note_sweep(masks);
         session.initial_busy = state.initial_busy;
@@ -628,7 +641,7 @@ impl<'w> Session<'w> {
                     ));
                 }
             }
-            session.note_round(day, hosts.into_iter().collect());
+            session.note_round(day, hosts);
         }
         if session.rounds_done != state.rounds_done {
             return Err(format!(
@@ -674,8 +687,12 @@ impl<'w> Session<'w> {
 
     /// Write the session's durable state to `path`. See
     /// [`Session::to_state`] for what is saved and when this is legal.
+    ///
+    /// The text goes to a temporary file beside `path` that is synced
+    /// and then renamed over it, so a crash mid-write leaves the previous
+    /// checkpoint whole instead of a torn file that may still parse.
     pub fn checkpoint(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_state().to_text())
+        replace_file(path.as_ref(), self.to_state().to_text().as_bytes())
     }
 
     /// Continue a checkpointed session from `path` against `world` —
@@ -684,8 +701,7 @@ impl<'w> Session<'w> {
         let text = std::fs::read_to_string(path)?;
         let state = CampaignState::parse(&text)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Session::from_state(state, world)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        Session::from_state(state, world).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Streaming handoff only: give each worker the warm policy cache
@@ -700,10 +716,39 @@ impl<'w> Session<'w> {
     }
 }
 
+/// Replace the file at `path` with `bytes` so that it holds either its
+/// old or its new contents after a crash, never a mix: write a sibling
+/// temporary file, sync it, rename it over `path`, then sync the
+/// directory so the rename itself is durable.
+fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(format!(".{}.tmp", std::process::id()));
+    let temp = std::path::PathBuf::from(temp);
+    let written = std::fs::File::create(&temp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&temp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temp);
+        return written;
+    }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    // A directory opens for syncing on Unix only.
+    if cfg!(unix) {
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 /// One longitudinal round over one worker's `hosts`. Hosts inside the
 /// incremental skip horizon answer from carried state; with
-/// `full_rescan` every host is probed. Returns the round statuses, the
-/// busy time, and the issued/skipped probe counts.
+/// `full_rescan` every host is probed. Returns the round statuses in
+/// `hosts` order, the busy time, and the issued/skipped probe counts.
 #[allow(clippy::too_many_arguments)]
 fn incremental_round_sweep(
     prober: &mut Prober<'_>,
@@ -714,11 +759,11 @@ fn incremental_round_sweep(
     last_conclusive: &HashMap<HostId, (u16, RoundStatus)>,
     world: &dyn Population,
     full_rescan: bool,
-) -> (HashMap<HostId, RoundStatus>, SimDuration, u64, u64) {
+) -> (Vec<(HostId, RoundStatus)>, SimDuration, u64, u64) {
     let start = Campaign::begin_sweep(prober, Phase::Round(day), day);
     let faults_active = prober.options().faults.is_active();
     let retries_active = prober.options().retry.max_attempts > 1;
-    let mut statuses = HashMap::with_capacity(hosts.len());
+    let mut statuses = Vec::with_capacity(hosts.len());
     let mut issued = 0u64;
     let mut skipped = 0u64;
     for &host in hosts {
@@ -763,13 +808,13 @@ fn incremental_round_sweep(
             // every probe this engine *does* issue rolls the same dice.
             *seen += 1;
             skipped += 1;
-            statuses.insert(host, status);
+            statuses.push((host, status));
             continue;
         }
         let (outcome, attempts) = prober.probe_with_retry(host, day, test, *seen);
         *seen += attempts;
         issued += 1;
-        statuses.insert(host, Campaign::round_status(&outcome));
+        statuses.push((host, Campaign::round_status(&outcome)));
     }
     prober.forget_repetitions();
     let busy = prober.context().clock.now().since(start);
@@ -854,7 +899,8 @@ mod tests {
     #[test]
     fn from_state_rejects_an_aggregate_column_short_of_the_world() {
         let (world, mut state) = boundary_zero();
-        let mut masks = state.mask_column(None).expect("engine-written record");
+        let mut masks =
+            mask_column(state.masks.take(), &state.initial, None).expect("engine-written record");
         masks.pop();
         state.initial.clear();
         state.masks = Some(masks);

@@ -55,7 +55,7 @@ use crate::aggregate::{tracked_hosts, HostMask};
 use crate::campaign::{
     interleave_shards, shard_of, Campaign, CampaignBuilder, CampaignRun, QUERY_LOG_BOUND,
 };
-use crate::checkpoint::{CampaignState, WorkerState};
+use crate::checkpoint::{mask_column, CampaignState, WorkerState};
 use crate::session::{Session, SessionStats};
 
 /// How many hosts a sweep worker probes between prunes of its per-host
@@ -133,8 +133,7 @@ impl StreamedCampaign {
     pub fn adopt(state: CampaignState, config: WorldConfig) -> StreamedCampaign {
         // A sweep record that does not cover the world retains nothing
         // here; `session` then refuses it with the reason.
-        let tracked = state
-            .mask_column(None)
+        let tracked = mask_column(state.masks.clone(), &state.initial, None)
             .map(|masks| tracked_hosts(&masks))
             .unwrap_or_default();
         let runtime = WorldRuntime::new(config.clone());
@@ -283,7 +282,8 @@ fn sweep_stream(builder: &CampaignBuilder, lazy: LazyWorld, runtime: &WorldRunti
         out.trace_records.extend(shard_out.trace);
         out.busy = out.busy.max(shard_out.busy);
     }
-    out.masks = interleave_shards(masks);
+    let hosts = masks.iter().map(Vec::len).sum::<usize>() as u32;
+    out.masks = interleave_shards(masks, (0..hosts).map(HostId));
     out
 }
 

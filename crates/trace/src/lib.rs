@@ -243,7 +243,9 @@ pub struct ProbeRecord {
 impl ProbeRecord {
     /// The identity-order sort key shard merging uses.
     fn key(&self) -> (Phase, u32, u16, u8, u32, u32) {
-        (self.phase, self.host, self.day, self.test, self.extra, self.seq)
+        (
+            self.phase, self.host, self.day, self.test, self.extra, self.seq,
+        )
     }
 
     /// The test variant's stable name.
@@ -277,10 +279,7 @@ impl ProbeRecord {
                         return Err(format!("event {i} exits with no open span"));
                     };
                     if open != *span {
-                        return Err(format!(
-                            "event {i} exits {:?} while {open:?} is open",
-                            span
-                        ));
+                        return Err(format!("event {i} exits {:?} while {open:?} is open", span));
                     }
                     if event.at_us < opened_at {
                         return Err(format!("event {i} closes before it opened"));
@@ -304,7 +303,16 @@ impl ProbeRecord {
     /// `-span@at=outcome` (exit); labels and outcomes are percent-escaped
     /// so the line stays whitespace-delimited.
     pub fn to_wire(&self) -> String {
-        let mut out = format!(
+        let mut out = String::new();
+        self.write_wire(&mut out);
+        out
+    }
+
+    /// Append the [`ProbeRecord::to_wire`] form to `out`, escaping in
+    /// place.
+    pub fn write_wire(&self, out: &mut String) {
+        let _ = write!(
+            out,
             "{} {} {} {} {} {} {}",
             self.phase.label(),
             self.host,
@@ -319,21 +327,16 @@ impl ProbeRecord {
                 TraceEventKind::Enter { span, label } => {
                     let _ = write!(out, " +{}@{}", span.name(), event.at_us);
                     if let Some(label) = label {
-                        let _ = write!(out, "={}", escape_field(label));
+                        out.push('=');
+                        escape_field_into(out, label);
                     }
                 }
                 TraceEventKind::Exit { span, outcome } => {
-                    let _ = write!(
-                        out,
-                        " -{}@{}={}",
-                        span.name(),
-                        event.at_us,
-                        escape_field(outcome)
-                    );
+                    let _ = write!(out, " -{}@{}=", span.name(), event.at_us);
+                    escape_field_into(out, outcome);
                 }
             }
         }
-        out
     }
 
     /// Parse one [`ProbeRecord::to_wire`] line. Exit outcomes are
@@ -366,8 +369,7 @@ impl ProbeRecord {
             let (span, rest) = rest
                 .split_once('@')
                 .ok_or_else(|| format!("bad event field {field:?}"))?;
-            let span =
-                SpanKind::parse_name(span).ok_or_else(|| format!("bad span {span:?}"))?;
+            let span = SpanKind::parse_name(span).ok_or_else(|| format!("bad span {span:?}"))?;
             let (at, detail) = match rest.split_once('=') {
                 Some((at, detail)) => (at, Some(detail)),
                 None => (rest, None),
@@ -409,15 +411,28 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 /// and every non-ASCII byte become `%XX`.
 pub fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for &b in s.as_bytes() {
-        match b {
-            b'%' | b' ' | b'=' | 0..=0x1f | 0x7f.. => {
-                let _ = write!(out, "%{b:02x}");
-            }
-            _ => out.push(b as char),
+    escape_field_into(&mut out, s);
+    out
+}
+
+/// Append the [`escape_field`] form of `s` to `out`. A field with nothing
+/// to escape is copied in one piece.
+pub fn escape_field_into(out: &mut String, s: &str) {
+    let needs_escape = |b: u8| matches!(b, b'%' | b' ' | b'=' | 0..=0x1f | 0x7f..);
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+        return;
+    }
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for b in s.bytes() {
+        if needs_escape(b) {
+            out.push('%');
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push(char::from(b));
         }
     }
-    out
 }
 
 /// Undo [`escape_field`]. Malformed escapes pass through literally.
@@ -565,7 +580,9 @@ impl Tracer {
     fn push(&self, now: SimTime, make: impl FnOnce(&ProbeRecord) -> TraceEventKind) {
         let Some(inner) = &self.inner else { return };
         let mut buf = inner.lock();
-        let Some(open) = buf.open.as_mut() else { return };
+        let Some(open) = buf.open.as_mut() else {
+            return;
+        };
         let at_us = now.since(open.start).as_micros();
         let kind = make(&open.record);
         open.record.events.push(TraceEvent { at_us, kind });
@@ -948,8 +965,7 @@ mod tests {
             make(2, Phase::Round(15)),
             make(1, Phase::Round(17)),
         ]);
-        let keys: Vec<(Phase, u32)> =
-            merged.records.iter().map(|r| (r.phase, r.host)).collect();
+        let keys: Vec<(Phase, u32)> = merged.records.iter().map(|r| (r.phase, r.host)).collect();
         assert_eq!(
             keys,
             vec![
@@ -1015,6 +1031,24 @@ mod tests {
         assert!(ProbeRecord::from_wire("initial 1 0 0 0 0 0 -fault@3").is_err());
     }
 
+    /// Escaping in place appends exactly the form `escape_field` returns,
+    /// and unescaping inverts it.
+    #[test]
+    fn escape_in_place_appends_the_escaped_field() {
+        for (field, escaped) in [
+            ("plain.label", "plain.label"),
+            ("TXT sp%f =x", "TXT%20sp%25f%20%3dx"),
+            ("tab\tnl\n\u{7f}\u{fc}", "tab%09nl%0a%7f%c3%bc"),
+            ("", ""),
+        ] {
+            let mut out = String::from("head ");
+            escape_field_into(&mut out, field);
+            assert_eq!(out, format!("head {escaped}"));
+            assert_eq!(escape_field(field), escaped);
+            assert_eq!(unescape_field(escaped), field);
+        }
+    }
+
     #[test]
     fn outcome_interning_covers_the_vocabulary() {
         for outcome in ["ok", "nomsg_completed", "greylisted", "window_closed"] {
@@ -1028,7 +1062,12 @@ mod tests {
 
     #[test]
     fn phase_and_span_labels_round_trip() {
-        for phase in [Phase::Initial, Phase::Round(15), Phase::Round(126), Phase::Snapshot] {
+        for phase in [
+            Phase::Initial,
+            Phase::Round(15),
+            Phase::Round(126),
+            Phase::Snapshot,
+        ] {
             assert_eq!(Phase::parse_label(&phase.label()), Some(phase));
         }
         assert_eq!(Phase::parse_label("round-dX"), None);

@@ -16,9 +16,10 @@
 
 use spfail::netsim::{FaultPlan, FaultProfile, FlakyWindow, SimDuration};
 use spfail::prober::{
-    CampaignBuilder, CampaignData, CampaignRun, CampaignState, RetryPolicy, Session, TraceConfig,
+    CampaignBuilder, CampaignData, CampaignRun, CampaignState, RetryPolicy, Session,
+    StreamedCampaign, TraceConfig,
 };
-use spfail::world::{Timeline, World, WorldConfig};
+use spfail::world::{Population, Timeline, World, WorldConfig};
 
 const SEEDS: [u64; 3] = [11, 2024, 77];
 const SCALE: f64 = 0.002;
@@ -94,28 +95,128 @@ fn assert_same_run(reference: &CampaignRun, candidate: &CampaignRun, label: &str
     }
 }
 
+/// At every round boundary of `session` (over `pop`): the checkpoint text
+/// is an exact round trip of the state and a canonical fixed point, and
+/// restoring the parsed state and capturing it again gives it back.
+fn assert_round_trips_at_every_boundary(mut session: Session<'_>, pop: &dyn Population, label: &str) {
+    loop {
+        let boundary = session.rounds_done();
+        let state = session.to_state();
+        let text = state.to_text();
+        let parsed = CampaignState::parse(&text)
+            .unwrap_or_else(|e| panic!("{label}, boundary {boundary}: {e}"));
+        assert_eq!(parsed, state, "{label}, boundary {boundary}");
+        assert_eq!(
+            parsed.to_text(),
+            text,
+            "{label}, boundary {boundary}: not a fixed point"
+        );
+        let recaptured = Session::from_state(parsed.clone(), pop)
+            .unwrap_or_else(|e| panic!("{label}, boundary {boundary}: {e}"))
+            .to_state();
+        assert!(
+            recaptured == parsed,
+            "{label}, boundary {boundary}: restore then capture changed the state"
+        );
+        if session.advance_round().is_none() {
+            break;
+        }
+    }
+}
+
 /// The checkpoint text form is an exact round trip of the session state
-/// at every round boundary, and a canonical fixed point.
+/// at every round boundary, and a canonical fixed point; a session
+/// restored from it captures the same state again. Eager and streamed.
 #[test]
 fn state_text_round_trips_at_every_round_boundary() {
-    let world = build_world(2024);
     let builder = CampaignBuilder::new()
         .shards(4)
         .faults(combined_profile())
         .retry(RetryPolicy::standard())
         .trace(TraceConfig::enabled());
+    let world = build_world(2024);
     let mut session = builder.session(&world);
     session.initial_sweep();
-    loop {
-        let state = session.to_state();
-        let text = state.to_text();
-        let parsed = CampaignState::parse(&text)
-            .unwrap_or_else(|e| panic!("boundary {}: {e}", session.rounds_done()));
-        assert_eq!(parsed, state, "boundary {}", session.rounds_done());
-        assert_eq!(parsed.to_text(), text, "boundary {}: not a fixed point", session.rounds_done());
-        if session.advance_round().is_none() {
-            break;
-        }
+    assert_round_trips_at_every_boundary(session, &world, "eager");
+
+    let config = WorldConfig {
+        scale: SCALE,
+        ..WorldConfig::small(2024)
+    };
+    let streamed = StreamedCampaign::sweep(builder, config);
+    let session = streamed.session().expect("handoff restores");
+    assert_round_trips_at_every_boundary(session, streamed.population(), "streamed");
+}
+
+/// FNV-1a over `bytes`: the digest the golden checkpoints are pinned by.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Drive `session` through three rounds and return its checkpoint text.
+fn text_after_three_rounds(mut session: Session<'_>) -> String {
+    for _ in 0..3 {
+        session.advance_round().expect("rounds remain");
+    }
+    session.to_state().to_text()
+}
+
+/// The checkpoint bytes are pinned: engine-written `to_text` output of
+/// four campaign shapes (eager on one worker, incremental on four,
+/// faulted with retries and tracing, a streamed handoff with its
+/// `aggregate v1` section) hashes to digests recorded before the codec
+/// was rewritten, so any change to the `v3` bytes fails here.
+#[test]
+fn checkpoint_bytes_match_the_golden_digests() {
+    let eager = |builder: CampaignBuilder| {
+        let world = build_world(2024);
+        let mut session = builder.session(&world);
+        session.initial_sweep();
+        text_after_three_rounds(session)
+    };
+    let streamed = || {
+        let config = WorldConfig {
+            scale: SCALE,
+            ..WorldConfig::small(2024)
+        };
+        let streamed = StreamedCampaign::sweep(CampaignBuilder::new().shards(2), config);
+        text_after_three_rounds(streamed.session().expect("handoff restores"))
+    };
+    let texts = [
+        ("eager, 1 shard", eager(CampaignBuilder::new())),
+        (
+            "4 shards, incremental",
+            eager(CampaignBuilder::new().shards(4).incremental()),
+        ),
+        (
+            "faults, retries, trace",
+            eager(
+                CampaignBuilder::new()
+                    .shards(2)
+                    .faults(combined_profile())
+                    .retry(RetryPolicy::standard())
+                    .trace(TraceConfig::enabled()),
+            ),
+        ),
+        ("streamed handoff", streamed()),
+    ];
+    assert!(texts[3].1.contains("\naggregate v1 "));
+    let golden: [u64; 4] = [
+        0xfbec_88fb_0392_0752,
+        0xd0e5_d5f2_4512_350f,
+        0x8e1b_0c22_2ac5_0531,
+        0x631d_415a_e45c_3eeb,
+    ];
+    let digests: Vec<u64> = texts.iter().map(|(_, t)| fnv1a(t.as_bytes())).collect();
+    for ((label, text), (&digest, &want)) in texts.iter().zip(digests.iter().zip(&golden)) {
+        assert_eq!(
+            digest,
+            want,
+            "{label}: checkpoint bytes changed ({} bytes, digests {digests:#018x?})",
+            text.len()
+        );
     }
 }
 
@@ -211,6 +312,35 @@ fn file_checkpoint_resume_matches_exhibits() {
             r.id
         );
     }
+}
+
+/// `Session::checkpoint` replaces its file whole: checkpointing twice to
+/// one path leaves exactly the second state's text, which restores, and
+/// no temporary file beside it.
+#[test]
+fn checkpoint_replaces_the_previous_file_whole() {
+    let world = build_world(11);
+    let dir = std::env::temp_dir().join(format!("spfail-ckpt-replace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create checkpoint directory");
+    let path = dir.join("campaign.ckpt");
+    let mut session = CampaignBuilder::new().session(&world);
+    session.initial_sweep();
+    session.checkpoint(&path).expect("first checkpoint");
+    session.advance_round().expect("rounds remain");
+    session.checkpoint(&path).expect("second checkpoint");
+    let second = session.to_state().to_text();
+
+    let written = std::fs::read_to_string(&path).expect("read checkpoint");
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list checkpoint directory")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .collect();
+    names.sort();
+    let restored = Session::restore(&path, &world).map(|s| s.rounds_done());
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(written == second, "the file holds the second state's text");
+    assert_eq!(names, ["campaign.ckpt"], "no temporary file remains");
+    assert_eq!(restored.expect("the replaced checkpoint restores"), 1);
 }
 
 /// A checkpoint only restores against the world it was taken from, and
