@@ -401,7 +401,10 @@ expect-quirk lowercase-hex-escape
     #[test]
     fn unparseable_owner_names_are_dropped_from_the_zone() {
         let case = ConformanceCase::new("drop", "192.0.2.1".parse().unwrap(), "u", "example.com")
-            .a(&format!("{}.example.com", "x".repeat(64)), Ipv4Addr::LOCALHOST)
+            .a(
+                &format!("{}.example.com", "x".repeat(64)),
+                Ipv4Addr::LOCALHOST,
+            )
             .txt("example.com", "v=spf1 -all");
         assert_eq!(case.dns_records().len(), 1);
     }

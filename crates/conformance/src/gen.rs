@@ -291,7 +291,11 @@ impl<'a> Gen<'a> {
                     format!("{q}include:{spec}")
                 } else {
                     // Dangling include: no record at the target.
-                    format!("{q}include:dangling{}.{}", self.rng.alnum_label(2), self.anchor)
+                    format!(
+                        "{q}include:dangling{}.{}",
+                        self.rng.alnum_label(2),
+                        self.anchor
+                    )
                 }
             }
             _ => {

@@ -662,7 +662,10 @@ mod tests {
             Some(vec!["a".to_string(), "b".to_string()])
         );
         assert_eq!(n("a.example.com").strip_suffix(&n("other.com")), None);
-        assert_eq!(n("example.com").strip_suffix(&n("example.com")), Some(vec![]));
+        assert_eq!(
+            n("example.com").strip_suffix(&n("example.com")),
+            Some(vec![])
+        );
     }
 
     #[test]

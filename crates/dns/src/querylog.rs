@@ -182,8 +182,11 @@ mod tests {
         b.record(entry(3, "b1.test"));
         b.record(entry(5, "tie-from-b.test"));
         let merged = QueryLog::merged([&a, &b]);
-        let names: Vec<String> =
-            merged.snapshot().iter().map(|e| e.qname.to_ascii()).collect();
+        let names: Vec<String> = merged
+            .snapshot()
+            .iter()
+            .map(|e| e.qname.to_ascii())
+            .collect();
         assert_eq!(
             names,
             ["a1.test", "b1.test", "tie-from-a.test", "tie-from-b.test"]

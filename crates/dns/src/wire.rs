@@ -573,7 +573,11 @@ mod tests {
     fn round_trip_all_rdata_types() {
         let q = Message::query(1, name("x.test"), RecordType::A);
         let m = Message::respond_to(&q)
-            .with_answer(Record::new(name("x.test"), 60, RData::A("192.0.2.9".parse().unwrap())))
+            .with_answer(Record::new(
+                name("x.test"),
+                60,
+                RData::A("192.0.2.9".parse().unwrap()),
+            ))
             .with_answer(Record::new(
                 name("x.test"),
                 60,
@@ -584,7 +588,11 @@ mod tests {
                 60,
                 RData::txt("v=spf1 a:%{d1r}.x.test -all"),
             ))
-            .with_answer(Record::new(name("x.test"), 60, RData::Cname(name("y.test"))))
+            .with_answer(Record::new(
+                name("x.test"),
+                60,
+                RData::Cname(name("y.test")),
+            ))
             .with_answer(Record::new(name("x.test"), 60, RData::Ptr(name("p.test"))))
             .with_answer(Record::new(
                 name("test"),
@@ -606,7 +614,8 @@ mod tests {
     fn txt_with_multiple_strings_round_trips() {
         let long = "a".repeat(300);
         let q = Message::query(2, name("t.test"), RecordType::TXT);
-        let m = Message::respond_to(&q).with_answer(Record::new(name("t.test"), 60, RData::txt(&long)));
+        let m =
+            Message::respond_to(&q).with_answer(Record::new(name("t.test"), 60, RData::txt(&long)));
         let decoded = decode(&encode(&m)).unwrap();
         assert_eq!(
             decoded.answers[0].rdata.txt_joined().unwrap(),
@@ -695,19 +704,17 @@ mod tests {
         // and record walk the name's labels watching for pointers.
         let mut pointers = Vec::new();
         let mut pos = 12;
-        let mut walk_name = |pos: &mut usize| {
-            loop {
-                let b = wire[*pos];
-                if b & 0xc0 == 0xc0 {
-                    let target = ((b as usize & 0x3f) << 8) | wire[*pos + 1] as usize;
-                    pointers.push((*pos, target));
-                    *pos += 2;
-                    return;
-                }
-                *pos += 1 + b as usize;
-                if b == 0 {
-                    return;
-                }
+        let mut walk_name = |pos: &mut usize| loop {
+            let b = wire[*pos];
+            if b & 0xc0 == 0xc0 {
+                let target = ((b as usize & 0x3f) << 8) | wire[*pos + 1] as usize;
+                pointers.push((*pos, target));
+                *pos += 2;
+                return;
+            }
+            *pos += 1 + b as usize;
+            if b == 0 {
+                return;
             }
         };
         for _ in &decoded.questions {

@@ -228,7 +228,9 @@ pub fn parse_zone(text: &str) -> Result<Zone, ZoneFileError> {
                 RData::Txt(parts)
             }
             "NS" => {
-                let host = data.first().ok_or_else(|| bad(line_no, "NS needs a host"))?;
+                let host = data
+                    .first()
+                    .ok_or_else(|| bad(line_no, "NS needs a host"))?;
                 RData::Ns(resolve_name(host, &origin_name, line_no)?)
             }
             "CNAME" => {
@@ -409,10 +411,8 @@ ext      IN MX    20 backup.example.net.
 
     #[test]
     fn owner_inheritance_via_leading_whitespace() {
-        let zone = parse_zone(
-            "$ORIGIN i.test.\nhost IN A 192.0.2.1\n     IN A 192.0.2.2\n",
-        )
-        .unwrap();
+        let zone =
+            parse_zone("$ORIGIN i.test.\nhost IN A 192.0.2.1\n     IN A 192.0.2.2\n").unwrap();
         let host = Name::parse("host.i.test").unwrap();
         match zone.lookup(&host, RecordType::A) {
             ZoneAnswer::Records(rs) => assert_eq!(rs.len(), 2),
@@ -422,10 +422,9 @@ ext      IN MX    20 backup.example.net.
 
     #[test]
     fn comments_are_stripped() {
-        let zone = parse_zone(
-            "; leading comment\n$ORIGIN c.test. ; trailing\n@ IN A 192.0.2.9 ; note\n",
-        )
-        .unwrap();
+        let zone =
+            parse_zone("; leading comment\n$ORIGIN c.test. ; trailing\n@ IN A 192.0.2.9 ; note\n")
+                .unwrap();
         assert_eq!(zone.records().count(), 1);
     }
 
@@ -481,10 +480,8 @@ ext      IN MX    20 backup.example.net.
 
     #[test]
     fn aaaa_and_ptr_round_trip() {
-        let zone = parse_zone(
-            "$ORIGIN p.test.\nv6 IN AAAA 2001:db8::1\nrev IN PTR host.p.test.\n",
-        )
-        .unwrap();
+        let zone = parse_zone("$ORIGIN p.test.\nv6 IN AAAA 2001:db8::1\nrev IN PTR host.p.test.\n")
+            .unwrap();
         assert_eq!(zone.records().count(), 2);
     }
 }

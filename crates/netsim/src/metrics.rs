@@ -71,15 +71,30 @@ impl Metrics {
         connections_aborted,
         "aborted connections"
     );
-    counter!(inc_datagrams_sent, datagrams_sent, datagrams_sent, "datagrams sent");
+    counter!(
+        inc_datagrams_sent,
+        datagrams_sent,
+        datagrams_sent,
+        "datagrams sent"
+    );
     counter!(
         inc_datagrams_dropped,
         datagrams_dropped,
         datagrams_dropped,
         "datagrams dropped"
     );
-    counter!(inc_dns_queries, dns_queries, dns_queries, "DNS queries issued");
-    counter!(inc_dns_cache_hits, dns_cache_hits, dns_cache_hits, "DNS cache hits");
+    counter!(
+        inc_dns_queries,
+        dns_queries,
+        dns_queries,
+        "DNS queries issued"
+    );
+    counter!(
+        inc_dns_cache_hits,
+        dns_cache_hits,
+        dns_cache_hits,
+        "DNS cache hits"
+    );
     counter!(
         inc_dns_truncated,
         dns_truncated,
@@ -116,7 +131,12 @@ impl Metrics {
         window_closed_probes,
         "probes that found the host's reachability window closed"
     );
-    counter!(inc_probe_retries, probe_retries, probe_retries, "probe retry attempts");
+    counter!(
+        inc_probe_retries,
+        probe_retries,
+        probe_retries,
+        "probe retry attempts"
+    );
     counter!(
         inc_probes_recovered,
         probes_recovered,
@@ -567,9 +587,21 @@ mod tests {
             probes_recovered,
         } = merged;
         let sums = [
-            (connections_attempted, a.connections_attempted, b.connections_attempted),
-            (connections_refused, a.connections_refused, b.connections_refused),
-            (connections_aborted, a.connections_aborted, b.connections_aborted),
+            (
+                connections_attempted,
+                a.connections_attempted,
+                b.connections_attempted,
+            ),
+            (
+                connections_refused,
+                a.connections_refused,
+                b.connections_refused,
+            ),
+            (
+                connections_aborted,
+                a.connections_aborted,
+                b.connections_aborted,
+            ),
             (datagrams_sent, a.datagrams_sent, b.datagrams_sent),
             (datagrams_dropped, a.datagrams_dropped, b.datagrams_dropped),
             (bytes_sent, a.bytes_sent, b.bytes_sent),
@@ -580,7 +612,11 @@ mod tests {
             (dns_servfails, a.dns_servfails, b.dns_servfails),
             (smtp_tempfails, a.smtp_tempfails, b.smtp_tempfails),
             (connection_resets, a.connection_resets, b.connection_resets),
-            (window_closed_probes, a.window_closed_probes, b.window_closed_probes),
+            (
+                window_closed_probes,
+                a.window_closed_probes,
+                b.window_closed_probes,
+            ),
             (probe_retries, a.probe_retries, b.probe_retries),
             (probes_recovered, a.probes_recovered, b.probes_recovered),
         ];

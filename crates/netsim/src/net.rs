@@ -48,7 +48,12 @@ pub struct Link {
 
 impl Link {
     /// A link with the given latency and fault behaviour.
-    pub fn new(latency: LatencyModel, faults: FaultPlan, clock: SimClock, metrics: Metrics) -> Self {
+    pub fn new(
+        latency: LatencyModel,
+        faults: FaultPlan,
+        clock: SimClock,
+        metrics: Metrics,
+    ) -> Self {
         Link {
             latency,
             faults,
@@ -120,7 +125,12 @@ impl Link {
 
     /// Send one datagram and wait for its reply (e.g. a DNS query): charges
     /// one RTT on success or `timeout` when the datagram is dropped.
-    pub fn datagram(&self, rng: &mut SimRng, bytes: usize, timeout: SimDuration) -> LinkObservation {
+    pub fn datagram(
+        &self,
+        rng: &mut SimRng,
+        bytes: usize,
+        timeout: SimDuration,
+    ) -> LinkObservation {
         self.metrics.inc_datagrams_sent();
         self.metrics.add_bytes_sent(bytes as u64);
         match self.faults.datagram_outcome(rng) {
@@ -182,7 +192,12 @@ mod tests {
     fn refused_connection_is_counted() {
         let clock = SimClock::new();
         let metrics = Metrics::new();
-        let link = Link::new(LatencyModel::ZERO, FaultPlan::REFUSE_ALL, clock, metrics.clone());
+        let link = Link::new(
+            LatencyModel::ZERO,
+            FaultPlan::REFUSE_ALL,
+            clock,
+            metrics.clone(),
+        );
         let mut rng = SimRng::new(3);
         assert_eq!(link.connect(&mut rng), LinkObservation::Refused);
         assert_eq!(metrics.connections_attempted(), 1);

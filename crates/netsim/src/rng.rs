@@ -278,7 +278,9 @@ mod tests {
         let mut r = SimRng::new(9);
         let s = r.alnum_label(12);
         assert_eq!(s.len(), 12);
-        assert!(s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
+        assert!(s
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
     }
 
     #[test]

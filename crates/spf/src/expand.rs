@@ -251,9 +251,9 @@ impl MacroExpander for CompliantExpander {
         in_exp: bool,
     ) -> Result<String, ExpandError> {
         let mut out = String::new(); // lint:allow(alloc-hot-path) the trait returns an owned String; one result buffer per expansion is the contract
-        // Two scratch buffers reused across every macro token: one for
-        // the raw letter value, one for its transformed form when the
-        // token also asks for URL escaping.
+                                     // Two scratch buffers reused across every macro token: one for
+                                     // the raw letter value, one for its transformed form when the
+                                     // token also asks for URL escaping.
         let mut raw = String::new(); // lint:allow(alloc-hot-path) String::new is allocation-free; the buffer is reused across all tokens
         let mut transformed = String::new(); // lint:allow(alloc-hot-path) String::new is allocation-free; the buffer is reused across all tokens
         for token in ms.tokens() {

@@ -371,10 +371,7 @@ mod tests {
 
     #[test]
     fn errors() {
-        assert_eq!(
-            MacroString::parse("%x"),
-            Err(MacroError::BadEscape('x'))
-        );
+        assert_eq!(MacroString::parse("%x"), Err(MacroError::BadEscape('x')));
         assert_eq!(MacroString::parse("%{d"), Err(MacroError::Unterminated));
         assert_eq!(MacroString::parse("%{q}"), Err(MacroError::BadLetter('q')));
         assert_eq!(MacroString::parse("abc%"), Err(MacroError::TrailingPercent));

@@ -200,12 +200,10 @@ impl SpfRecord {
                         )
                     };
                     if modifiers.iter().any(dup) {
-                        return Err(RecordError::DuplicateModifier(
-                            match modifier {
-                                Modifier::Redirect(_) => "redirect",
-                                _ => "exp",
-                            },
-                        ));
+                        return Err(RecordError::DuplicateModifier(match modifier {
+                            Modifier::Redirect(_) => "redirect",
+                            _ => "exp",
+                        }));
                     }
                     modifiers.push(modifier);
                     continue;
@@ -374,9 +372,7 @@ fn parse_cidr(text: Option<&str>, max: u8) -> Result<u8, RecordError> {
     match text {
         None => Ok(max),
         Some(t) => {
-            let v: u8 = t
-                .parse()
-                .map_err(|_| RecordError::BadCidr(t.to_string()))?;
+            let v: u8 = t.parse().map_err(|_| RecordError::BadCidr(t.to_string()))?;
             if v > max {
                 Err(RecordError::BadCidr(t.to_string()))
             } else {
@@ -405,10 +401,8 @@ mod tests {
     /// The example policy from paper §2.2.
     #[test]
     fn paper_policy_parses() {
-        let r = SpfRecord::parse(
-            "v=spf1 a:foo.example.com ip4:192.0.2.1 include:bar.org -all",
-        )
-        .unwrap();
+        let r = SpfRecord::parse("v=spf1 a:foo.example.com ip4:192.0.2.1 include:bar.org -all")
+            .unwrap();
         assert_eq!(r.mechanisms.len(), 4);
         assert!(matches!(r.mechanisms[0].kind, MechanismKind::A { .. }));
         assert!(matches!(
@@ -553,8 +547,9 @@ mod tests {
 
     #[test]
     fn lookup_limit_accounting() {
-        assert!(MechanismKind::Include(MacroString::parse("x").unwrap())
-            .counts_against_lookup_limit());
+        assert!(
+            MechanismKind::Include(MacroString::parse("x").unwrap()).counts_against_lookup_limit()
+        );
         assert!(!MechanismKind::All.counts_against_lookup_limit());
         assert!(!MechanismKind::Ip4 {
             addr: Ipv4Addr::new(10, 0, 0, 0),
