@@ -1,7 +1,5 @@
 //! Benchmark-only crate: see the `benches/` directory.
 //!
-//! * `components` — micro-benchmarks of the substrates (DNS codec, SPF
-//!   evaluation, macro expansion, probe classification).
 //! * `exhibits` — one benchmark per paper table/figure, regenerating the
 //!   exhibit from a shared pipeline run, plus the full pipeline itself.
 //! * `ablations` — the design-choice ablations called out in DESIGN.md

@@ -23,10 +23,8 @@
 #![warn(missing_docs)]
 
 pub mod authority;
-pub mod iterative;
 pub mod message;
 pub mod name;
-pub mod pcap;
 pub mod querylog;
 pub mod rdata;
 pub mod resolver;
@@ -36,10 +34,8 @@ pub mod zone;
 pub mod zonefile;
 
 pub use authority::{Authority, StaticAuthority};
-pub use iterative::{IterativeError, IterativeResolver, WalkResult};
 pub use message::{Header, Message, Opcode, Question, Rcode};
 pub use name::{Name, NameError};
-pub use pcap::{PcapSink, PcapWriter};
 pub use querylog::{QueryLog, QueryLogEntry};
 pub use rdata::{RData, Record, RecordClass, RecordType};
 pub use resolver::{

@@ -111,18 +111,6 @@ impl FileCtx<'_> {
         self.test_ranges.iter().any(|&(s, e)| at >= s && at < e)
     }
 
-    /// The index of the *next* non-comment token at or after `i`.
-    pub fn skip_comments(&self, mut i: usize) -> usize {
-        while self
-            .tokens
-            .get(i)
-            .is_some_and(|t| matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        {
-            i += 1;
-        }
-        i
-    }
-
     /// A finding at token `i`.
     pub fn finding(&self, i: usize, rule: &'static str, message: String) -> Finding {
         let t = &self.tokens[i];

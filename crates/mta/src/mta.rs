@@ -24,7 +24,7 @@ use spfail_smtp::session::{ServerPolicy, ServerSession};
 use spfail_spf::compile::{
     splice_id, templatize, CompiledEvaluator, PolicyCache, ScriptEntry, ScriptKey, ScriptStep,
 };
-use spfail_spf::eval::{Evaluator, SpfDns};
+use spfail_spf::eval::SpfDns;
 use spfail_spf::result::SpfResult;
 
 use crate::config::{ConnectPolicy, MtaConfig, SmtpQuirk, SpfStage};
@@ -79,8 +79,8 @@ pub struct Mta {
     peer: IpAddr,
     pending_sender: Option<EmailAddress>,
     validations: Vec<ValidationRecord>,
-    /// Shard-shared compiled-policy cache; `None` runs the original
-    /// interpretive evaluation loop.
+    /// Shard-shared compiled-policy cache; `None` gives every SPF check
+    /// a cache of its own, so nothing carries over between checks.
     policy_cache: Option<Arc<Mutex<PolicyCache>>>,
     /// The implementation-mix token of [`ScriptKey::impls`], joined once
     /// at construction so per-validation cache lookups borrow it.
@@ -179,9 +179,10 @@ impl Mta {
         }
     }
 
-    /// Attach the shard's shared [`PolicyCache`]. SPF validation then runs
-    /// through the compiled evaluator and, where provably transparent,
-    /// replays whole memoized evaluations instead of re-doing their work.
+    /// Attach the shard's shared [`PolicyCache`]. SPF validation then
+    /// reuses compiled policies across checks and, where provably
+    /// transparent, replays whole memoized evaluations instead of
+    /// re-doing their work.
     pub fn set_policy_cache(&mut self, cache: Arc<Mutex<PolicyCache>>) {
         self.policy_cache = Some(cache);
     }
@@ -293,35 +294,20 @@ impl Mta {
 
     /// Run SPF validation for `sender` with every configured
     /// implementation; returns the reply that should reject the mail, if
-    /// any.
+    /// any. Without a shared cache the check gets a cache of its own, the
+    /// cache-off reference the shared one must be transparent against;
+    /// that cache is dropped with the check, so no replay script is
+    /// recorded into it.
     fn run_spf(&mut self, sender: &EmailAddress) -> Option<Reply> {
-        match self.policy_cache.clone() {
-            None => self.run_spf_interpretive(sender),
-            Some(cache) => self.run_spf_cached(sender, &cache),
-        }
-    }
-
-    /// The original interpretive evaluation loop — the cache-off baseline.
-    fn run_spf_interpretive(&mut self, sender: &EmailAddress) -> Option<Reply> {
-        let impls = self.config.spf_impls.clone();
-        let mut reject: Option<Reply> = None;
-        for behavior in impls {
-            let mut expander = behavior.expander();
-            let result = {
-                let mut dns = ResolverDns {
-                    resolver: &mut self.resolver,
-                    rng: &mut self.rng,
-                };
-                let mut eval = Evaluator::new(&mut dns, &mut expander);
-                eval.check_host(self.peer, sender.local(), sender.domain())
-            };
-            reject = self.record_validation(sender, reject, expander.describe(), result);
-        }
-        reject
+        let (cache, shape) = match self.policy_cache.clone() {
+            Some(cache) => (cache, self.script_shape(sender)),
+            None => (new_policy_cache(), None),
+        };
+        self.run_spf_cached(sender, &cache, shape)
     }
 
     /// Record one implementation's verdict and fold it into the pending
-    /// reject decision, exactly as the interpretive loop always has.
+    /// reject decision.
     fn record_validation(
         &mut self,
         sender: &EmailAddress,
@@ -347,15 +333,16 @@ impl Mta {
     }
 
     /// Cache-backed validation: replay a memoized evaluation when one
-    /// exists for this probe shape, otherwise evaluate live through the
-    /// compiled evaluator and — when the exchange was provably clean —
-    /// record a validated replay script for the next same-shape probe.
+    /// exists for this probe `shape` (see `script_shape`), otherwise
+    /// evaluate live through the compiled evaluator and — when the
+    /// exchange was provably clean — record a validated replay script for
+    /// the next same-shape probe.
     fn run_spf_cached(
         &mut self,
         sender: &EmailAddress,
         cache: &Arc<Mutex<PolicyCache>>,
+        shape: Option<(&str, &str)>,
     ) -> Option<Reply> {
-        let shape = self.script_shape(sender);
         let record_candidate = match shape {
             Some((id, domain_rest)) => {
                 let entry = cache.lock().script_for(
@@ -371,9 +358,10 @@ impl Mta {
                 true
             }
             None => {
-                // A gate closed (warm resolver cache, latency, faults, or
-                // a non-probe sender shape): the evaluation is live and
-                // unmemoizable, but still runs compiled.
+                // A gate closed (warm resolver cache, latency, faults, a
+                // non-probe sender shape, or no shared cache): the
+                // evaluation is live and unmemoizable, but still runs
+                // compiled.
                 cache.lock().note_miss();
                 false
             }
@@ -485,11 +473,13 @@ impl Mta {
     /// if the evaluation does not generalise over the probe id. Every
     /// name and record string is templatized over the id (refusing
     /// non-label-aligned occurrences), then the whole multi-implementation
-    /// evaluation is re-run — side-effect-free — against the templates
-    /// spliced for a *different* same-length id. Only when that shadow run
-    /// asks exactly the spliced questions and reaches exactly the same
-    /// verdicts is the script accepted; any id-specific behaviour fails
-    /// the shadow run and the probe shape simply stays live.
+    /// evaluation is re-run — side-effect-free, over a scratch cache so the
+    /// shared one neither interns the shadow's texts nor counts its
+    /// lookups — against the templates spliced for a *different*
+    /// same-length id. Only when that shadow run asks exactly the spliced
+    /// questions and reaches exactly the same verdicts is the script
+    /// accepted; any id-specific behaviour fails the shadow run and the
+    /// probe shape simply stays live.
     fn build_script(
         &self,
         sender: &EmailAddress,
@@ -543,10 +533,11 @@ impl Mta {
                 }
             }
         };
+        let mut scratch = PolicyCache::new();
         for (i, behavior) in self.config.spf_impls.iter().enumerate() {
             let mut expander = behavior.expander();
             let verdict = {
-                let mut eval = Evaluator::new(&mut dns, &mut expander);
+                let mut eval = CompiledEvaluator::new(&mut dns, &mut expander, &mut scratch);
                 eval.check_host(self.peer, &key.sender_local, &shadow_domain)
             };
             if diverged.get() || results.get(i).map(|(_, r)| *r) != Some(verdict) {

@@ -11,7 +11,6 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time.
 //! * [`SimClock`] — a cheaply clonable shared clock.
 //! * [`SimRng`] — a seeded, forkable deterministic random source.
-//! * [`EventQueue`] — a stable-ordered future-event list.
 //! * [`LatencyModel`], [`FaultPlan`], [`Link`] — network path behaviour.
 //! * [`Metrics`] — cheap counters for ablation benchmarks.
 //!
@@ -22,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod latency;
 pub mod metrics;
@@ -31,7 +29,6 @@ pub mod rng;
 pub mod time;
 
 pub use error::ProbeError;
-pub use event::EventQueue;
 pub use fault::{FaultOutcome, FaultPlan, FaultProfile, FlakyWindow};
 pub use latency::LatencyModel;
 pub use metrics::{Histogram, Metrics, MetricsSnapshot, PolicyCacheStats};

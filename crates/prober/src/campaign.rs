@@ -373,7 +373,7 @@ pub struct CampaignRun {
 
 /// Cache tallies are bookkeeping about *how* evaluations were answered,
 /// not *what* was measured, so they are excluded from run equality: a
-/// cached run equals its interpretive twin.
+/// run with the shared cache equals its cache-off twin.
 impl PartialEq for CampaignRun {
     fn eq(&self, other: &CampaignRun) -> bool {
         self.data == other.data && self.timing == other.timing && self.trace == other.trace
@@ -456,11 +456,13 @@ impl CampaignBuilder {
     }
 
     /// Enable (`true`, the default) or disable the per-shard compiled
-    /// SPF policy cache. The cache is measurement-transparent:
-    /// [`CampaignData`], traces, and exhibits are bit-for-bit identical
-    /// either way (`tests/policy_cache.rs`), only the wall-clock cost of
-    /// re-parsing and re-interpreting policies changes — so `false`
-    /// exists for measuring the cache and fencing it off when debugging.
+    /// SPF policy cache. Disabled, every SPF check compiles through a
+    /// cache of its own and nothing carries over between checks. The
+    /// shared cache is measurement-transparent: [`CampaignData`], traces,
+    /// and exhibits are bit-for-bit identical either way
+    /// (`tests/policy_cache.rs`), only the wall-clock cost changes — so
+    /// `false` exists as the reference for that test and for the
+    /// `campaign_throughput` bench, not as a production mode.
     pub fn policy_cache(mut self, enabled: bool) -> CampaignBuilder {
         self.no_policy_cache = !enabled;
         self

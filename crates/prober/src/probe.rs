@@ -199,9 +199,10 @@ pub struct ProbeContext {
     /// default, which costs nothing).
     pub tracer: Tracer,
     /// The shard's compiled-policy evaluation cache, shared by every MTA
-    /// this context builds (`None` = the interpretive evaluator). The
-    /// cache is measurement-transparent, so probing observes the same
-    /// queries, clock, and traces either way.
+    /// this context builds (`None` = each SPF check gets a cache of its
+    /// own, so nothing carries over between checks). The shared cache is
+    /// measurement-transparent, so probing observes the same queries,
+    /// clock, and traces either way.
     pub policy_cache: Option<PolicyCacheHandle>,
 }
 
@@ -246,8 +247,8 @@ impl ProbeContext {
         self
     }
 
-    /// The same context with a fresh compiled-policy cache when
-    /// `enabled`, or back on the interpretive evaluator when not.
+    /// The same context with a fresh shared compiled-policy cache when
+    /// `enabled`, or with a per-check cache when not.
     pub fn with_policy_cache(mut self, enabled: bool) -> ProbeContext {
         self.policy_cache = enabled.then(new_policy_cache);
         self
@@ -466,7 +467,7 @@ impl<'w> Prober<'w> {
     }
 
     /// The context's compiled-policy cache tallies (zeros when this
-    /// prober runs interpretively). Shard-local, merged like any other
+    /// prober has no shared cache). Shard-local, merged like any other
     /// per-worker counter — and deliberately kept out of
     /// [`MetricsSnapshot`](spfail_netsim::MetricsSnapshot), which must
     /// stay identical cache on or off.

@@ -187,11 +187,6 @@ impl ClientRunner {
         &self.plan
     }
 
-    /// Index of the recipient that was being tried most recently.
-    pub fn recipients_tried(&self) -> usize {
-        self.rcpt_index + usize::from(self.state != ClientState::WaitBanner)
-    }
-
     /// Feed the next server reply; returns what to do next.
     pub fn on_reply(&mut self, reply: &Reply) -> ClientAction {
         match self.state {

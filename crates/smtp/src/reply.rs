@@ -94,11 +94,6 @@ impl Reply {
         Reply::new(503, "Bad sequence of commands")
     }
 
-    /// 500 syntax error.
-    pub fn syntax_error() -> Reply {
-        Reply::new(500, "Syntax error, command unrecognized")
-    }
-
     /// The text lines, first to last (at least one, possibly empty).
     pub fn lines(&self) -> impl Iterator<Item = &str> {
         self.text.split('\n')

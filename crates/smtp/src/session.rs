@@ -137,11 +137,6 @@ impl<P: ServerPolicy> ServerSession<P> {
         &self.policy
     }
 
-    /// Mutable access to the policy.
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
-
     /// Drain accumulated events.
     pub fn take_events(&mut self) -> Vec<SessionEvent> {
         std::mem::take(&mut self.events)

@@ -10,9 +10,13 @@
 //!   plugging in through the [`expand::MacroExpander`] trait.
 //! * [`record`] — `v=spf1` record parsing: mechanisms, qualifiers,
 //!   modifiers.
-//! * [`eval`] — the `check_host()` evaluation of RFC 7208 §4, including the
-//!   10-term lookup limit and the void-lookup limit, over an abstract
-//!   [`eval::SpfDns`] so it runs against the simulated resolver.
+//! * [`compile`] — the `check_host()` evaluation of RFC 7208 §4, including
+//!   the 10-term lookup limit and the void-lookup limit: records lowered
+//!   once into [`CompiledPolicy`] ops, walked by [`CompiledEvaluator`]
+//!   through a [`PolicyCache`] that campaigns share across probes.
+//! * [`eval`] — the evaluation vocabulary: the abstract [`eval::SpfDns`]
+//!   the evaluator queries (so it runs against the simulated resolver),
+//!   its limits, and its trace events.
 //! * [`result`] — the seven SPF results.
 //!
 //! The design choice that matters for the reproduction: **the evaluator is
@@ -35,7 +39,7 @@ pub use compile::{
     canonicalize, splice_id, templatize, CompiledEvaluator, CompiledPolicy, PolicyCache, PolicyId,
     ScriptEntry, ScriptKey, ScriptStep, ID_HOLE,
 };
-pub use eval::{EvalConfig, Evaluator, SpfDns, TraceEvent};
+pub use eval::{EvalConfig, SpfDns, TraceEvent};
 pub use expand::{CompliantExpander, ExpandError, MacroContext, MacroExpander};
 pub use macrostring::{MacroLetter, MacroString, MacroToken, MacroTransform};
 pub use record::{Mechanism, MechanismKind, Modifier, RecordError, SpfRecord};

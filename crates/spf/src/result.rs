@@ -81,16 +81,6 @@ impl Qualifier {
             _ => (Qualifier::Pass, term),
         }
     }
-
-    /// The qualifier's character, empty for the default `+`.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            Qualifier::Pass => "",
-            Qualifier::Fail => "-",
-            Qualifier::SoftFail => "~",
-            Qualifier::Neutral => "?",
-        }
-    }
 }
 
 #[cfg(test)]

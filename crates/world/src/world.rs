@@ -50,7 +50,7 @@ pub struct MtaInstrumentation<'a> {
     /// disabled default costs nothing.
     pub tracer: Tracer,
     /// Shard-shared compiled-policy cache installed on the MTA; `None`
-    /// keeps the original interpretive SPF evaluation loop.
+    /// gives each of its SPF checks a cache of its own.
     pub policy_cache: Option<PolicyCacheHandle>,
 }
 
@@ -122,24 +122,6 @@ impl World {
             return Vec::new();
         }
         d.hosts.clone()
-    }
-
-    /// The patch-event horizon for a host set: which of `hosts` have a
-    /// status-changing event (a patch day) scheduled in `(after, upto]`.
-    /// An incremental longitudinal round must re-probe exactly these
-    /// hosts plus any whose behaviour is not deterministically
-    /// repeatable (see [`crate::HostProfile::reprobe_is_deterministic`]).
-    pub fn hosts_with_status_events(
-        &self,
-        hosts: &[HostId],
-        after: u16,
-        upto: u16,
-    ) -> Vec<HostId> {
-        hosts
-            .iter()
-            .copied()
-            .filter(|&h| self.host(h).profile.status_event_in(after, upto))
-            .collect()
     }
 
     /// Hosts that were running vulnerable libSPF2 at the initial

@@ -10,9 +10,6 @@
 //!   plus `PATH.collapsed` (flamegraph stacks);
 //! * `--profile` — print the per-span-path latency profile;
 //! * `--incremental` — re-probe only hosts whose status can have changed;
-//! * `--no-policy-cache` — evaluate every SPF check interpretively
-//!   instead of through the compiled-policy cache (the measurements are
-//!   bit-for-bit identical; only the wall-clock cost changes);
 //! * `--cache-stats` — print the policy cache's hit/miss/interned tallies;
 //! * `--checkpoint PATH` — drive the staged `Session` API and write a
 //!   resumable checkpoint after the initial sweep and after every round;
@@ -39,7 +36,6 @@ pub struct CampaignArgs {
     pub trace_out: Option<String>,
     pub profile: bool,
     pub incremental: bool,
-    pub no_policy_cache: bool,
     pub cache_stats: bool,
     pub checkpoint: Option<String>,
     pub resume: bool,
@@ -63,7 +59,6 @@ impl CampaignArgs {
             trace_out: None,
             profile: false,
             incremental: false,
-            no_policy_cache: false,
             cache_stats: false,
             checkpoint: None,
             resume: false,
@@ -106,7 +101,6 @@ impl CampaignArgs {
                 "--trace-out" => opts.trace_out = Some(value("--trace-out", "an output path")),
                 "--profile" => opts.profile = true,
                 "--incremental" => opts.incremental = true,
-                "--no-policy-cache" => opts.no_policy_cache = true,
                 "--cache-stats" => opts.cache_stats = true,
                 "--checkpoint" => {
                     opts.checkpoint = Some(value("--checkpoint", "a checkpoint path"));
@@ -156,9 +150,6 @@ impl CampaignArgs {
         }
         if self.incremental {
             builder = builder.incremental();
-        }
-        if self.no_policy_cache {
-            builder = builder.policy_cache(false);
         }
         builder
     }

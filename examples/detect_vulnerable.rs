@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use spfail::dns::{Directory, PcapSink, QueryLog, SpfTestAuthority};
+use spfail::dns::{Directory, QueryLog, SpfTestAuthority};
 use spfail::libspf2::MacroBehavior;
 use spfail::mta::{Mta, MtaConfig};
 use spfail::netsim::{SimClock, SimRng};
@@ -72,12 +72,11 @@ fn main() {
     // logs every query.
     let clock = SimClock::new();
     let log = QueryLog::new();
-    let pcap = PcapSink::new();
     let directory = Directory::new();
-    directory.register(Arc::new(
-        SpfTestAuthority::new(SpfTestAuthority::default_origin(), log.clone())
-            .with_pcap(pcap.clone()),
-    ));
+    directory.register(Arc::new(SpfTestAuthority::new(
+        SpfTestAuthority::default_origin(),
+        log.clone(),
+    )));
 
     let build = |config: MtaConfig, seed: u64| {
         Mta::new(
@@ -109,15 +108,4 @@ fn main() {
     let mut sloppy = MtaConfig::compliant("mx.sloppy.example");
     sloppy.spf_impls = vec![MacroBehavior::ReverseNoTruncate];
     probe(&mut build(sloppy, 3), &log, "cc3", "demo");
-
-    // Everything the measurement server saw, as a real capture file —
-    // open it in Wireshark and the vulnerable query is right there.
-    let path = std::env::temp_dir().join("spfail-probe.pcap");
-    pcap.write_to(&path).expect("writable temp dir");
-    println!(
-        "wrote {} ({} packets, {} bytes) — try `tshark -r` or Wireshark",
-        path.display(),
-        pcap.packet_count(),
-        pcap.to_bytes().len()
-    );
 }

@@ -1,24 +1,13 @@
-//! The DNS substrate as a standalone toolbox: parse a master file, serve
-//! it, resolve through the real delegation hierarchy, and capture the
-//! traffic as a pcap.
+//! The DNS substrate as a standalone toolbox: parse a master file and
+//! render the zone back in canonical form.
 //!
 //! ```text
 //! cargo run -p spfail --example dns_toolbox
 //! ```
 
-use std::net::Ipv4Addr;
-use std::sync::Arc;
-
-use spfail::dns::{
-    parse_zone, render_zone, IterativeResolver, Name, PcapSink, RecordType, SpfTestAuthority,
-    StaticAuthority, ZoneBuilder,
-};
-use spfail::dns::rdata::{RData, Record};
-use spfail::dns::QueryLog;
-use spfail::netsim::{SimRng, SimTime};
+use spfail::dns::{parse_zone, render_zone};
 
 fn main() {
-    // ---- 1. A zone from its master file. --------------------------------
     let zone_text = concat!(
         "$ORIGIN dns-lab.org.\n",
         "$TTL 300\n",
@@ -35,84 +24,4 @@ fn main() {
         zone.records().count()
     );
     print!("{}", render_zone(&zone));
-    println!();
-
-    // ---- 2. A delegation hierarchy: root -> org -> dns-lab.org. ---------
-    let root_zone = ZoneBuilder::new(Name::root())
-        .record(Record::new(
-            Name::parse("org").expect("name"),
-            86_400,
-            RData::Ns(Name::parse("a.gtld.net").expect("name")),
-        ))
-        .a(
-            &Name::parse("a.gtld.net").expect("name"),
-            86_400,
-            Ipv4Addr::new(192, 0, 2, 2),
-        )
-        .build();
-    let org_zone = ZoneBuilder::new(Name::parse("org").expect("name"))
-        .record(Record::new(
-            Name::parse("dns-lab.org").expect("name"),
-            86_400,
-            RData::Ns(Name::parse("ns1.dns-lab.org").expect("name")),
-        ))
-        .a(
-            &Name::parse("ns1.dns-lab.org").expect("name"),
-            86_400,
-            Ipv4Addr::new(192, 0, 2, 3),
-        )
-        .build();
-
-    let mut resolver = IterativeResolver::new(
-        Ipv4Addr::new(192, 0, 2, 1),
-        "198.51.100.1".parse().expect("ip"),
-    );
-    resolver.register(Ipv4Addr::new(192, 0, 2, 1), Arc::new(StaticAuthority::new(root_zone)));
-    resolver.register(Ipv4Addr::new(192, 0, 2, 2), Arc::new(StaticAuthority::new(org_zone)));
-    resolver.register(Ipv4Addr::new(192, 0, 2, 3), Arc::new(StaticAuthority::new(zone)));
-
-    let mut rng = SimRng::new(1);
-    let result = resolver
-        .resolve(
-            &mut rng,
-            &Name::parse("probe.dns-lab.org").expect("name"),
-            RecordType::A,
-            SimTime::EPOCH,
-        )
-        .expect("resolves");
-    println!(
-        "iterative walk for probe.dns-lab.org A: {} hop(s) via {:?}",
-        result.path.len(),
-        result.path
-    );
-    for answer in &result.response.answers {
-        println!("  answer: {answer}");
-    }
-    println!();
-
-    // ---- 3. The measurement zone, captured to pcap. ---------------------
-    let pcap = PcapSink::new();
-    let log = QueryLog::new();
-    let authority = SpfTestAuthority::new(SpfTestAuthority::default_origin(), log)
-        .with_pcap(pcap.clone());
-    use spfail::dns::{Authority, Message};
-    for (i, qname) in [
-        "ab1.s1.spf-test.dns-lab.org",
-        "org.org.dns-lab.spf-test.s1.ab1.ab1.s1.spf-test.dns-lab.org",
-        "b.ab1.s1.spf-test.dns-lab.org",
-    ]
-    .iter()
-    .enumerate()
-    {
-        let rtype = if i == 0 { RecordType::TXT } else { RecordType::A };
-        let q = Message::query(i as u16 + 1, Name::parse(qname).expect("name"), rtype);
-        authority.answer(&q, "198.51.100.9".parse().expect("ip"), SimTime::EPOCH);
-    }
-    let path = std::env::temp_dir().join("spfail-toolbox.pcap");
-    pcap.write_to(&path).expect("writable temp dir");
-    println!(
-        "captured a vulnerable host's SPF lookups: {} packets -> {}",
-        pcap.packet_count(),
-        path.display()
-    );
 }

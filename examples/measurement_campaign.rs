@@ -29,10 +29,8 @@
 //! deterministic kill for exercising resume. `--incremental` re-probes
 //! only hosts whose status can have changed since their last conclusive
 //! measurement; the measured data is identical, the probe volume is not.
-//! `--no-policy-cache` runs every SPF evaluation interpretively instead
-//! of through the compiled-policy cache (bit-for-bit identical output,
-//! slower), and `--cache-stats` prints the cache's hit/miss/interned
-//! tallies. `--streaming` synthesizes the world lazily and runs the
+//! `--cache-stats` prints the policy cache's hit/miss/interned tallies.
+//! `--streaming` synthesizes the world lazily and runs the
 //! bounded-memory sweep — peak heap stays O(vulnerable) instead of
 //! O(hosts), and every measurement (including checkpoints driven by
 //! `--checkpoint`/`--resume`) is bit-for-bit identical
@@ -199,16 +197,17 @@ fn main() {
             (run, Some(population))
         }
     };
+    // `run.cache` is `None` only for a resumed checkpoint whose campaign
+    // ran with the cache off.
     if options.cache_stats {
-        match &run.cache {
-            Some(stats) => println!(
+        if let Some(stats) = &run.cache {
+            println!(
                 "policy cache: {} hits, {} misses ({:.1}% hit rate), {} policies interned",
                 stats.hits,
                 stats.misses,
                 100.0 * stats.hit_rate().unwrap_or(0.0),
                 stats.interned
-            ),
-            None => println!("policy cache: disabled (--no-policy-cache)"),
+            );
         }
     }
     let data = run.data;

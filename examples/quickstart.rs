@@ -10,10 +10,11 @@ use std::collections::HashMap;
 use spfail::dns::resolver::{LookupError, LookupOutcome};
 use spfail::dns::{Name, RData, Record, RecordType};
 use spfail::libspf2::LibSpf2Expander;
-use spfail::spf::eval::{Evaluator, SpfDns};
+use spfail::spf::eval::SpfDns;
 use spfail::spf::expand::{CompliantExpander, MacroContext, MacroExpander};
 use spfail::spf::macrostring::MacroString;
 use spfail::spf::record::SpfRecord;
+use spfail::spf::{CompiledEvaluator, PolicyCache};
 
 /// A tiny in-memory DNS fixture.
 #[derive(Default)]
@@ -53,9 +54,12 @@ fn main() {
     dns.add("foo.example.com", RData::A("192.0.2.7".parse().expect("ip")));
     dns.add("bar.org", RData::txt("v=spf1 ip4:203.0.113.0/24 -all"));
 
+    // The cache keeps each policy compiled across the four checks, the
+    // way a campaign shares one cache across its probes.
     let mut expander = CompliantExpander;
+    let mut cache = PolicyCache::new();
     for client in ["192.0.2.7", "192.0.2.1", "203.0.113.9", "198.51.100.1"] {
-        let mut eval = Evaluator::new(&mut dns, &mut expander);
+        let mut eval = CompiledEvaluator::new(&mut dns, &mut expander, &mut cache);
         let result = eval.check_host(client.parse().expect("ip"), "user", "example.com");
         println!("  mail from user@example.com via {client}: {result}");
     }

@@ -17,9 +17,10 @@
 use spfail::dns::resolver::{LookupError, LookupOutcome};
 use spfail::dns::{Name, RData, Record, RecordType};
 use spfail::libspf2::LibSpf2Expander;
-use spfail::spf::eval::{Evaluator, SpfDns, TraceEvent};
+use spfail::spf::eval::{SpfDns, TraceEvent};
 use spfail::spf::expand::{CompliantExpander, MacroExpander};
 use spfail::spf::record::SpfRecord;
+use spfail::spf::{CompiledEvaluator, PolicyCache};
 
 struct EchoDns {
     record: String,
@@ -105,7 +106,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut eval = Evaluator::new(&mut dns, &mut expander);
+    let mut cache = PolicyCache::new();
+    let mut eval = CompiledEvaluator::new(&mut dns, &mut expander, &mut cache);
     let result = eval.check_host(client, local, domain);
 
     println!("sender: {local}@{domain}, client ip: {client}, impl: {implementation}");

@@ -1,15 +1,22 @@
 //! IPv6 paths through the SPF engine: `ip6` mechanisms, AAAA-based `a`
 //! matching, and the nibble forms of the `i`/`v` macros.
+//!
+//! Every evaluation runs through the conformance crate's reference
+//! evaluator and through the compiled evaluator campaigns use, cold and
+//! then warm on one [`PolicyCache`]; all three must agree on the result
+//! and on the DNS queries sent.
 
 use std::collections::HashMap;
 
+use spfail::conformance::Evaluator;
 use spfail::dns::resolver::{LookupError, LookupOutcome};
 use spfail::dns::{Name, RData, Record, RecordType};
 use spfail::libspf2::LibSpf2Expander;
-use spfail::spf::eval::{Evaluator, SpfDns, TraceEvent};
+use spfail::spf::eval::{SpfDns, TraceEvent};
 use spfail::spf::expand::{CompliantExpander, MacroContext, MacroExpander};
 use spfail::spf::macrostring::MacroString;
 use spfail::spf::result::SpfResult;
+use spfail::spf::{CompiledEvaluator, PolicyCache};
 
 #[derive(Default)]
 struct V6Zone {
@@ -35,10 +42,44 @@ impl SpfDns for V6Zone {
     }
 }
 
+/// The DNS queries of an evaluation trace, in order.
+fn queries(trace: &[TraceEvent]) -> Vec<(Name, RecordType)> {
+    trace
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Query { name, rtype } => Some((name.clone(), *rtype)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Evaluate `user@example.com` from `client` with the reference
+/// evaluator, then with the compiled one cold and warm; returns the
+/// agreed result and query sequence.
+fn evaluate(zone: &mut V6Zone, client: &str) -> (SpfResult, Vec<(Name, RecordType)>) {
+    let ip = client.parse().expect("ip");
+    let reference = {
+        let mut expander = CompliantExpander;
+        let mut eval = Evaluator::new(zone, &mut expander);
+        let result = eval.check_host(ip, "user", "example.com");
+        (result, queries(eval.trace()))
+    };
+    let mut cache = PolicyCache::new();
+    for pass in ["cold", "warm"] {
+        let mut expander = CompliantExpander;
+        let mut eval = CompiledEvaluator::new(zone, &mut expander, &mut cache);
+        let result = eval.check_host(ip, "user", "example.com");
+        assert_eq!(
+            (result, queries(eval.trace())),
+            reference,
+            "compiled evaluator diverged from the reference for {client} ({pass} cache)"
+        );
+    }
+    reference
+}
+
 fn check(zone: &mut V6Zone, client: &str) -> SpfResult {
-    let mut expander = CompliantExpander;
-    let mut eval = Evaluator::new(zone, &mut expander);
-    eval.check_host(client.parse().expect("ip"), "user", "example.com")
+    evaluate(zone, client).0
 }
 
 #[test]
@@ -63,24 +104,10 @@ fn a_mechanism_uses_aaaa_for_v6_clients() {
     assert_eq!(check(&mut zone, "2001:db8::25"), SpfResult::Pass);
     assert_eq!(check(&mut zone, "2001:db8::26"), SpfResult::Fail);
 
-    // The evaluator must have asked for AAAA, not A.
-    let mut expander = CompliantExpander;
-    let mut eval = Evaluator::new(&mut zone, &mut expander);
-    eval.check_host("2001:db8::25".parse().expect("ip"), "user", "example.com");
-    assert!(eval.trace().iter().any(|e| matches!(
-        e,
-        TraceEvent::Query {
-            rtype: RecordType::AAAA,
-            ..
-        }
-    )));
-    assert!(!eval.trace().iter().any(|e| matches!(
-        e,
-        TraceEvent::Query {
-            rtype: RecordType::A,
-            ..
-        }
-    )));
+    // The evaluators must have asked for AAAA, not A.
+    let (_, queried) = evaluate(&mut zone, "2001:db8::25");
+    assert!(queried.iter().any(|(_, rtype)| *rtype == RecordType::AAAA));
+    assert!(!queried.iter().any(|(_, rtype)| *rtype == RecordType::A));
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use spfail::dns::{wire, Message, Name, RData, Record, RecordType};
 use spfail::libspf2::{LibSpf2Expander, MemSim};
-use spfail::netsim::{EventQueue, Histogram, SimClock, SimDuration, SimRng, SimTime};
+use spfail::netsim::{Histogram, SimClock, SimDuration, SimRng};
 use spfail::prober::{partition_hosts, shard_of};
 use spfail::trace::{parse_collapsed, Phase, Profile, SpanKind, Trace, TraceConfig, Tracer};
 use spfail::smtp::command::Command;
@@ -736,26 +736,6 @@ fn smtp_parsers_never_panic_on_arbitrary_utf8() {
 // ---------------------------------------------------------------------------
 // Simulation substrate
 // ---------------------------------------------------------------------------
-
-/// Event queues pop in non-decreasing time order regardless of push order.
-#[test]
-fn event_queue_orders() {
-    for mut rng in cases("event_queue_orders") {
-        let times: Vec<u64> = (0..rng.range(1, 100)).map(|_| rng.below(1_000_000)).collect();
-        let mut queue = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            queue.push(SimTime::from_micros(t), i);
-        }
-        let mut last = SimTime::EPOCH;
-        let mut count = 0;
-        while let Some((at, _)) = queue.pop() {
-            assert!(at >= last);
-            last = at;
-            count += 1;
-        }
-        assert_eq!(count, times.len());
-    }
-}
 
 /// Forked RNG streams are reproducible.
 #[test]

@@ -6,8 +6,9 @@ use std::collections::HashMap;
 use std::net::IpAddr;
 
 use spfail::dns::resolver::{LookupError, LookupOutcome};
+use spfail::conformance::Evaluator;
 use spfail::dns::{Name, RData, Record, RecordType};
-use spfail::spf::eval::{Evaluator, SpfDns};
+use spfail::spf::eval::SpfDns;
 use spfail::spf::expand::CompliantExpander;
 use spfail::spf::result::SpfResult;
 use spfail::spf::{CompiledEvaluator, PolicyCache};
@@ -78,7 +79,7 @@ impl SpfDns for Zone {
 
 fn check(zone: &mut Zone, client: &str) -> SpfResult {
     let ip: IpAddr = client.parse().expect("ip");
-    let interpretive = {
+    let reference = {
         let mut expander = CompliantExpander;
         let mut eval = Evaluator::new(zone, &mut expander);
         eval.check_host(ip, "strong-bad", "example.com")
@@ -92,11 +93,11 @@ fn check(zone: &mut Zone, client: &str) -> SpfResult {
         let mut eval = CompiledEvaluator::new(zone, &mut expander, &mut cache);
         let compiled = eval.check_host(ip, "strong-bad", "example.com");
         assert_eq!(
-            compiled, interpretive,
-            "compiled evaluator diverged from interpretive ({pass} cache)"
+            compiled, reference,
+            "compiled evaluator diverged from the reference ({pass} cache)"
         );
     }
-    interpretive
+    reference
 }
 
 // --- RFC 7208 Appendix A.1: simple examples --------------------------------
