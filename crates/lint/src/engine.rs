@@ -167,7 +167,11 @@ impl Report {
 
 /// Extract suppression directives from the token stream. Only line
 /// comments participate: block comments are prose.
-fn parse_suppressions(meta: &FileMeta, source: &str, tokens: &[Token]) -> (Vec<Suppression>, Vec<Finding>) {
+fn parse_suppressions(
+    meta: &FileMeta,
+    source: &str,
+    tokens: &[Token],
+) -> (Vec<Suppression>, Vec<Finding>) {
     let mut out = Vec::new();
     let mut bad = Vec::new();
     for (i, tok) in tokens.iter().enumerate() {
@@ -214,8 +218,7 @@ fn parse_suppressions(meta: &FileMeta, source: &str, tokens: &[Token]) -> (Vec<S
         // Trailing comment → applies to its own line. Standalone comment
         // → applies to the next code-bearing line (scan past comments).
         let standalone = !tokens[..i].iter().any(|t| {
-            t.line == tok.line
-                && !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
+            t.line == tok.line && !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
         });
         let target_line = if standalone {
             tokens[i + 1..]
@@ -339,7 +342,10 @@ fn fn_bodies(source: &str, tokens: &[Token]) -> Vec<(usize, usize, usize)> {
             continue;
         }
         let name_ix = i + 1;
-        if !tokens.get(name_ix).is_some_and(|t| t.kind == TokKind::Ident) {
+        if !tokens
+            .get(name_ix)
+            .is_some_and(|t| t.kind == TokKind::Ident)
+        {
             i += 1;
             continue;
         }
@@ -468,7 +474,10 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Report {
     };
     crate_dirs.sort();
     for crate_dir in crate_dirs {
-        let Some(crate_name) = crate_dir.file_name().and_then(|n| n.to_str()).map(String::from)
+        let Some(crate_name) = crate_dir
+            .file_name()
+            .and_then(|n| n.to_str())
+            .map(String::from)
         else {
             continue;
         };

@@ -314,7 +314,7 @@ fn lex_quote(cur: &mut Cursor) -> Result<TokKind, String> {
             // Escaped char literal: consume until the closing quote.
             cur.bump(); // backslash
             cur.bump(); // escaped byte (n, ', u, x, …)
-            // `\u{…}` carries a braced payload.
+                        // `\u{…}` carries a braced payload.
             if cur.peek(0) == Some(b'{') {
                 while let Some(n) = cur.bump() {
                     if n == b'}' {
@@ -373,7 +373,10 @@ fn lex_quote(cur: &mut Cursor) -> Result<TokKind, String> {
 
 fn lex_number(cur: &mut Cursor) -> Result<TokKind, String> {
     // Leading digits (or 0x/0o/0b radix bodies — alphanumerics cover it).
-    while cur.peek(0).is_some_and(|n| n.is_ascii_alphanumeric() || n == b'_') {
+    while cur
+        .peek(0)
+        .is_some_and(|n| n.is_ascii_alphanumeric() || n == b'_')
+    {
         // Exponent sign: `1e-3` / `2.5E+7`.
         let n = cur.bump();
         if matches!(n, Some(b'e') | Some(b'E'))
@@ -387,7 +390,10 @@ fn lex_number(cur: &mut Cursor) -> Result<TokKind, String> {
     // `0..n` and `1.max(2)` keep their dots.
     if cur.peek(0) == Some(b'.') && cur.peek(1).is_some_and(|n| n.is_ascii_digit()) {
         cur.bump(); // .
-        while cur.peek(0).is_some_and(|n| n.is_ascii_alphanumeric() || n == b'_') {
+        while cur
+            .peek(0)
+            .is_some_and(|n| n.is_ascii_alphanumeric() || n == b'_')
+        {
             let n = cur.bump();
             if matches!(n, Some(b'e') | Some(b'E'))
                 && matches!(cur.peek(0), Some(b'+') | Some(b'-'))

@@ -37,7 +37,8 @@ pub const ALL_RULES: &[Rule] = &[
     },
     Rule {
         id: "det-float-field",
-        summary: "no float fields in mergeable aggregates (u128 moment squares are the house style)",
+        summary:
+            "no float fields in mergeable aggregates (u128 moment squares are the house style)",
         applies: |cfg, meta| cfg.aggregate_files.contains(&meta.rel_path),
         check: check_float_field,
     },
@@ -56,9 +57,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule {
         id: "ethics-probe-budget",
         summary: "probe-emitting functions must reference the ethics budget",
-        applies: |cfg, meta| {
-            !meta.is_bin && cfg.ethics_crates.contains(&meta.crate_name)
-        },
+        applies: |cfg, meta| !meta.is_bin && cfg.ethics_crates.contains(&meta.crate_name),
         check: check_ethics_budget,
     },
     Rule {
@@ -91,7 +90,13 @@ pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
 // ---------------------------------------------------------------------------
 
 const WALL_CLOCK_IDENTS: &[&str] = &["Instant", "SystemTime", "UNIX_EPOCH"];
-const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom", "RandomState"];
+const ENTROPY_IDENTS: &[&str] = &[
+    "thread_rng",
+    "from_entropy",
+    "OsRng",
+    "getrandom",
+    "RandomState",
+];
 
 fn check_forbidden_idents(
     ctx: &FileCtx,
@@ -128,13 +133,15 @@ fn check_wall_clock(ctx: &FileCtx, _cfg: &Config) -> Vec<Finding> {
             && ctx.is_ident(i + 3, "time")
             && !ctx.in_test_code(ctx.tokens[i].start)
         {
-            out.push(ctx.finding(
-                i,
-                "det-wall-clock",
-                "`std::time` in a simulation crate — use `SimClock`/`SimDuration` so time \
+            out.push(
+                ctx.finding(
+                    i,
+                    "det-wall-clock",
+                    "`std::time` in a simulation crate — use `SimClock`/`SimDuration` so time \
                  is a deterministic function of the event stream"
-                    .to_string(),
-            ));
+                        .to_string(),
+                ),
+            );
         }
     }
     out
@@ -531,13 +538,15 @@ fn check_unwrap(ctx: &FileCtx, _cfg: &Config) -> Vec<Finding> {
             && ctx.is_punct(i + 2, ')')
             && !ctx.in_test_code(ctx.tokens[i].start)
         {
-            out.push(ctx.finding(
-                i,
-                "panic-unwrap",
-                "bare `unwrap()` in library code — state the invariant with \
+            out.push(
+                ctx.finding(
+                    i,
+                    "panic-unwrap",
+                    "bare `unwrap()` in library code — state the invariant with \
                  `expect(\"…\")`, or propagate a real error through `ProbeError`"
-                    .to_string(),
-            ));
+                        .to_string(),
+                ),
+            );
         }
     }
     out
@@ -552,17 +561,24 @@ fn check_empty_expect(ctx: &FileCtx, _cfg: &Config) -> Vec<Finding> {
         if ctx.in_test_code(ctx.tokens[i].start) {
             continue;
         }
-        let Some(arg) = ctx.tokens.get(i + 2) else { continue };
+        let Some(arg) = ctx.tokens.get(i + 2) else {
+            continue;
+        };
         if arg.kind == TokKind::Str
-            && !arg.text(ctx.source).bytes().any(|b| b.is_ascii_alphanumeric())
+            && !arg
+                .text(ctx.source)
+                .bytes()
+                .any(|b| b.is_ascii_alphanumeric())
         {
-            out.push(ctx.finding(
-                i,
-                "panic-empty-expect",
-                "`expect` with an empty message — the message must name the invariant \
+            out.push(
+                ctx.finding(
+                    i,
+                    "panic-empty-expect",
+                    "`expect` with an empty message — the message must name the invariant \
                  that makes the failure impossible"
-                    .to_string(),
-            ));
+                        .to_string(),
+                ),
+            );
         }
     }
     out

@@ -67,11 +67,7 @@ fn every_rule_fires_on_pos_and_stays_silent_on_neg() {
             let rel = format!("crates/world/src/{name}");
             let (cfg, meta) = scoped(&rule, &rel);
             let report = lint_source(&meta, &src, &cfg);
-            let hits: Vec<_> = report
-                .findings
-                .iter()
-                .filter(|f| f.rule == rule)
-                .collect();
+            let hits: Vec<_> = report.findings.iter().filter(|f| f.rule == rule).collect();
             if name.starts_with("pos_") {
                 assert!(
                     !hits.is_empty(),

@@ -60,7 +60,10 @@ fn raw_strings_with_fences() {
 fn byte_and_c_strings() {
     let src = r##"let a = b"bytes\x00"; let b2 = br#"raw bytes"#; let c = c"cstr";"##;
     assert_round_trip(src);
-    let n = kinds(src).iter().filter(|(k, _)| *k == TokKind::Str).count();
+    let n = kinds(src)
+        .iter()
+        .filter(|(k, _)| *k == TokKind::Str)
+        .count();
     assert_eq!(n, 3);
 }
 
@@ -122,14 +125,18 @@ fn raw_identifiers() {
 
 #[test]
 fn numbers_keep_range_and_method_dots() {
-    let src = "let a = 0..10; let b = 1.max(2); let c = 2.5e-3; let d = 0x3FFF_u32; let e = 1_000.5f64;";
+    let src =
+        "let a = 0..10; let b = 1.max(2); let c = 2.5e-3; let d = 0x3FFF_u32; let e = 1_000.5f64;";
     assert_round_trip(src);
     let nums: Vec<_> = kinds(src)
         .into_iter()
         .filter(|(k, _)| *k == TokKind::Num)
         .map(|(_, t)| t)
         .collect();
-    assert_eq!(nums, vec!["0", "10", "1", "2", "2.5e-3", "0x3FFF_u32", "1_000.5f64"]);
+    assert_eq!(
+        nums,
+        vec!["0", "10", "1", "2", "2.5e-3", "0x3FFF_u32", "1_000.5f64"]
+    );
 }
 
 #[test]

@@ -17,11 +17,9 @@ fn run(src: &str) -> lint::Report {
 
 #[test]
 fn trailing_suppression_silences_its_own_line() {
-    let report = run(
-        "pub fn f(s: &str) -> u16 {\n\
+    let report = run("pub fn f(s: &str) -> u16 {\n\
          \x20   s.parse().unwrap() // lint:allow(panic-unwrap) demo: caller guarantees digits\n\
-         }\n",
-    );
+         }\n");
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
     assert_eq!(report.suppressed, 1);
     assert!(report.unused.is_empty());
@@ -29,24 +27,20 @@ fn trailing_suppression_silences_its_own_line() {
 
 #[test]
 fn standalone_suppression_covers_the_next_code_line() {
-    let report = run(
-        "pub fn f(s: &str) -> u16 {\n\
+    let report = run("pub fn f(s: &str) -> u16 {\n\
          \x20   // lint:allow(panic-unwrap) demo: caller guarantees digits\n\
          \x20   // (an unrelated comment between directive and code is fine)\n\
          \x20   s.parse().unwrap()\n\
-         }\n",
-    );
+         }\n");
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
     assert_eq!(report.suppressed, 1);
 }
 
 #[test]
 fn suppression_without_reason_is_itself_a_finding() {
-    let report = run(
-        "pub fn f(s: &str) -> u16 {\n\
+    let report = run("pub fn f(s: &str) -> u16 {\n\
          \x20   s.parse().unwrap() // lint:allow(panic-unwrap)\n\
-         }\n",
-    );
+         }\n");
     // Both the naked unwrap and the reasonless directive are reported.
     assert!(report.findings.iter().any(|f| f.rule == "panic-unwrap"));
     assert!(report
@@ -66,11 +60,9 @@ fn suppression_of_unknown_rule_is_a_finding() {
 
 #[test]
 fn suppression_only_matches_its_own_rule() {
-    let report = run(
-        "pub fn f(s: &str) -> u16 {\n\
+    let report = run("pub fn f(s: &str) -> u16 {\n\
          \x20   s.parse().unwrap() // lint:allow(det-hash-iter) wrong rule named\n\
-         }\n",
-    );
+         }\n");
     assert!(report.findings.iter().any(|f| f.rule == "panic-unwrap"));
     // The mismatched directive silenced nothing.
     assert_eq!(report.unused.len(), 1);

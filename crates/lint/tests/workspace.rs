@@ -8,7 +8,11 @@ use lint::{known_rule_ids, lint_workspace, Config};
 #[test]
 fn workspace_has_zero_unsuppressed_findings() {
     let report = lint_workspace(&lint::workspace_root(), &Config::workspace());
-    assert!(report.files >= 80, "expected to scan the whole workspace, saw {} files", report.files);
+    assert!(
+        report.files >= 80,
+        "expected to scan the whole workspace, saw {} files",
+        report.files
+    );
     assert!(
         report.findings.is_empty(),
         "unsuppressed lint findings:\n{}",
@@ -62,9 +66,15 @@ fn every_suppression_comment_names_a_real_rule() {
     let root = lint::workspace_root();
     let known = known_rule_ids();
     let mut checked = 0usize;
-    let mut stack = vec![root.join("crates"), root.join("tests"), root.join("examples")];
+    let mut stack = vec![
+        root.join("crates"),
+        root.join("tests"),
+        root.join("examples"),
+    ];
     while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
         for entry in entries.filter_map(|e| e.ok()) {
             let path = entry.path();
             if path.is_dir() {
@@ -74,7 +84,9 @@ fn every_suppression_comment_names_a_real_rule() {
                 }
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
-                let Ok(src) = std::fs::read_to_string(&path) else { continue };
+                let Ok(src) = std::fs::read_to_string(&path) else {
+                    continue;
+                };
                 for (ln, line) in src.lines().enumerate() {
                     let mut rest = line;
                     while let Some(at) = rest.find("lint:allow(") {
@@ -105,7 +117,10 @@ fn every_suppression_comment_names_a_real_rule() {
             }
         }
     }
-    assert!(checked > 0, "expected at least one suppression in the workspace");
+    assert!(
+        checked > 0,
+        "expected at least one suppression in the workspace"
+    );
 }
 
 /// The rule catalog itself stays well-formed: unique kebab-case ids,
@@ -123,7 +138,9 @@ fn rule_catalog_is_well_formed() {
             rule.id
         );
         assert!(!rule.summary.is_empty());
-        let dir = lint::workspace_root().join("crates/lint/fixtures").join(rule.id);
+        let dir = lint::workspace_root()
+            .join("crates/lint/fixtures")
+            .join(rule.id);
         assert!(dir.is_dir(), "rule `{}` has no fixture directory", rule.id);
     }
 }

@@ -105,7 +105,11 @@ impl NotificationCampaign {
         let origin = spfail_dns::Name::parse("notify.dns-lab.org").expect("static name");
         let zone = spfail_dns::ZoneBuilder::new(origin.clone())
             .txt(&origin, 300, "v=spf1 ip4:198.51.100.53 -all")
-            .a(&origin, 300, "198.51.100.53".parse().expect("static address"))
+            .a(
+                &origin,
+                300,
+                "198.51.100.53".parse().expect("static address"),
+            )
             .build();
         runtime
             .directory
@@ -159,7 +163,8 @@ impl NotificationCampaign {
                         .filter_map(|&h| world.host(h).profile.patch_day)
                         .min()
                         .unwrap_or(day);
-                    day.min(earliest_patch.saturating_sub(1)).max(Timeline::PRIVATE_NOTIFICATION + 1)
+                    day.min(earliest_patch.saturating_sub(1))
+                        .max(Timeline::PRIVATE_NOTIFICATION + 1)
                 } else {
                     day
                 };
@@ -232,8 +237,8 @@ impl NotificationCampaign {
         if !banner.is_positive() {
             return (false, banner.code);
         }
-        let sender = EmailAddress::new("security-notice", "notify.dns-lab.org")
-            .expect("static address");
+        let sender =
+            EmailAddress::new("security-notice", "notify.dns-lab.org").expect("static address");
         let rcpt = match EmailAddress::new("postmaster", &record.name) {
             Ok(a) => a,
             Err(_) => return (false, 0),
@@ -291,8 +296,7 @@ impl NotificationCampaign {
                 continue;
             }
             let html_arm = rng.chance(0.5);
-            let (delivered, _code) =
-                Self::deliver(world, &mut rng, domain, "ab-experiment");
+            let (delivered, _code) = Self::deliver(world, &mut rng, domain, "ab-experiment");
             let arm = if html_arm {
                 &mut experiment.html
             } else {
@@ -323,9 +327,8 @@ impl NotificationCampaign {
             sent: records.len(),
             ..NotificationReport::default()
         };
-        let patch_window = |day: u16| {
-            day > Timeline::PRIVATE_NOTIFICATION && day < Timeline::PUBLIC_DISCLOSURE
-        };
+        let patch_window =
+            |day: u16| day > Timeline::PRIVATE_NOTIFICATION && day < Timeline::PUBLIC_DISCLOSURE;
         for record in records {
             let group_patch_day = record
                 .covered

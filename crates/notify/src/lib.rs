@@ -23,7 +23,6 @@ pub mod campaign;
 pub mod pixel;
 
 pub use campaign::{
-    FormatArm, FormatExperiment, NotificationCampaign, NotificationRecord,
-    NotificationReport,
+    FormatArm, FormatExperiment, NotificationCampaign, NotificationRecord, NotificationReport,
 };
 pub use pixel::{PixelHit, PixelLog};

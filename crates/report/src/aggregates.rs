@@ -401,7 +401,10 @@ mod tests {
         // Shape sanity: every host serves some domain, so the All column
         // covers the whole mask column.
         assert_eq!(eager.addresses[SetFilter::All.index()].total, masks.len());
-        assert_eq!(eager.set_counts[SetFilter::All.index()], world.domains.len());
+        assert_eq!(
+            eager.set_counts[SetFilter::All.index()],
+            world.domains.len()
+        );
         assert!(eager.measured_hosts > 0);
     }
 }

@@ -160,7 +160,11 @@ fn main() {
     };
     eprintln!(
         "{} world at scale {} (seed 0x{:x}) and running the full campaign...",
-        if args.streaming { "streaming" } else { "generating" },
+        if args.streaming {
+            "streaming"
+        } else {
+            "generating"
+        },
         args.scale,
         args.seed
     );
@@ -250,8 +254,7 @@ fn report<S: Source>(args: &Args, src: &S, hosts: usize, started: Instant) {
                 continue;
             };
             let tex = table.render_latex(exhibit.title, &format!("tab:{}", exhibit.id));
-            std::fs::write(format!("{dir}/{}.tex", exhibit.id), tex)
-                .expect("write latex exhibit");
+            std::fs::write(format!("{dir}/{}.tex", exhibit.id), tex).expect("write latex exhibit");
             written += 1;
         }
         eprintln!("wrote {written} LaTeX tables to {dir}/");
@@ -332,7 +335,10 @@ mod tests {
     #[test]
     fn an_unknown_only_id_is_an_error() {
         let message = error("--only fig7,fig99");
-        assert!(message.starts_with("unknown exhibit id \"fig99\""), "{message}");
+        assert!(
+            message.starts_with("unknown exhibit id \"fig99\""),
+            "{message}"
+        );
         assert!(message.contains("table1"), "lists the known ids: {message}");
     }
 }

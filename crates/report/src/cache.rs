@@ -25,10 +25,16 @@ pub fn cache_efficiency(src: &impl Source) -> Exhibit {
         Some(stats) => {
             let total = stats.hits + stats.misses;
             let hit_rate = stats.hit_rate().unwrap_or(0.0);
-            table.row(["Evaluations answered from cache".to_string(), stats.hits.to_string()]);
+            table.row([
+                "Evaluations answered from cache".to_string(),
+                stats.hits.to_string(),
+            ]);
             table.row(["Evaluations run live".to_string(), stats.misses.to_string()]);
             table.row(["Hit rate".to_string(), format!("{:.1}%", 100.0 * hit_rate)]);
-            table.row(["Distinct policies interned".to_string(), stats.interned.to_string()]);
+            table.row([
+                "Distinct policies interned".to_string(),
+                stats.interned.to_string(),
+            ]);
             json!({
                 "enabled": true,
                 "hits": stats.hits,
@@ -69,7 +75,10 @@ mod tests {
         // The pipeline's campaign probes thousands of hosts against a
         // handful of distinct policies: the cache must be doing real
         // work, not idling.
-        assert!(exhibit.json["hits"].as_u64().unwrap() > 0, "cache never hit");
+        assert!(
+            exhibit.json["hits"].as_u64().unwrap() > 0,
+            "cache never hit"
+        );
         assert!(exhibit.json["interned"].as_u64().unwrap() >= 1);
         assert!(exhibit.json["hit_rate"].as_f64().unwrap() > 0.0);
         assert!(exhibit.rendered.contains("Hit rate"));

@@ -200,7 +200,13 @@ pub fn fig2(src: &impl Source) -> Exhibit {
         SetFilter::Alexa1000,
         SetFilter::TwoWeek,
     ];
-    let mut table = Table::new(["Group", "Init. vulnerable", "Patched", "Vulnerable", "Unknown"]);
+    let mut table = Table::new([
+        "Group",
+        "Init. vulnerable",
+        "Patched",
+        "Vulnerable",
+        "Unknown",
+    ]);
     let mut data = serde_json::Map::new();
     for group in groups {
         let domains = src.vulnerable_domains_in(group);
@@ -308,8 +314,7 @@ pub fn fig4(src: &impl Source) -> Exhibit {
         let mut patched = vec![0usize; 20];
         for &d in &src.vulnerable_domains_in(set) {
             let Some(rank) = rank_of(d) else { continue };
-            let bucket =
-                (((rank as usize - 1) * 20) / total_ranks.max(1)).min(19);
+            let bucket = (((rank as usize - 1) * 20) / total_ranks.max(1)).min(19);
             vulnerable[bucket] += 1;
             if src.campaign().snapshot.get(&d) == Some(&SnapshotStatus::Patched) {
                 patched[bucket] += 1;
@@ -427,7 +432,11 @@ pub fn fig5(src: &impl Source) -> Exhibit {
 /// Shared builder for the Figure 6/7 vulnerability-rate series.
 fn vulnerability_rates(src: &impl Source, window1_only: bool) -> (Vec<Series>, Vec<Value>) {
     let view = View::new(src.campaign());
-    let sets = [SetFilter::AlexaTopList, SetFilter::Alexa1000, SetFilter::TwoWeek];
+    let sets = [
+        SetFilter::AlexaTopList,
+        SetFilter::Alexa1000,
+        SetFilter::TwoWeek,
+    ];
     let mut all_series: Vec<Series> = sets.iter().map(|s| Series::new(s.label())).collect();
     let mut json_rows = Vec::new();
     let hosts_per_set: Vec<DomainHosts> = sets
@@ -708,8 +717,10 @@ mod reference {
             let mut first_patched = BTreeMap::new();
             let mut last_vulnerable = BTreeMap::new();
             for (day, statuses) in &campaign.rounds {
-                let mut by_host: Vec<(HostId, RoundStatus)> =
-                    statuses.iter().map(|(&host, &status)| (host, status)).collect();
+                let mut by_host: Vec<(HostId, RoundStatus)> = statuses
+                    .iter()
+                    .map(|(&host, &status)| (host, status))
+                    .collect();
                 by_host.sort_unstable_by_key(|(host, _)| *host);
                 for (host, status) in by_host {
                     match status {
@@ -1003,7 +1014,10 @@ mod tests {
         let rows = e.json.as_array().expect("array");
         let last = rows.last().expect("rows");
         let final_rate = last["alexa_top_list"].as_f64().expect("rate");
-        assert!(final_rate > 60.0, "most domains stay vulnerable: {final_rate}");
+        assert!(
+            final_rate > 60.0,
+            "most domains stay vulnerable: {final_rate}"
+        );
         // The rate must drop across the disclosure.
         let before = rows
             .iter()

@@ -172,11 +172,8 @@ impl StreamContext {
         let StreamingRun { run, population } = CampaignBuilder::new().run_streaming(config.clone());
         let aggregates = WorldAggregates::from_config(&config, &run.summary.masks);
         let mut pixels = PixelLog::new();
-        let (notifications, funnel) = NotificationCampaign::run(
-            &population,
-            &run.summary.vulnerable_domains,
-            &mut pixels,
-        );
+        let (notifications, funnel) =
+            NotificationCampaign::run(&population, &run.summary.vulnerable_domains, &mut pixels);
         StreamContext {
             config,
             population,

@@ -136,7 +136,10 @@ mod tests {
         assert_eq!(rows.len(), 3);
         let found = |i: usize| rows[i]["found"].as_u64().unwrap();
         let (clean, bare, retried) = (found(0), found(1), found(2));
-        assert!(retried >= bare, "retry recall regressed: {retried} < {bare}");
+        assert!(
+            retried >= bare,
+            "retry recall regressed: {retried} < {bare}"
+        );
         // No upper-bound check against the fault-free row: the world
         // itself greylists, and retries recover those tempfails too, so
         // "faults + retry" may legitimately beat "fault-free, no retry".

@@ -48,7 +48,11 @@ impl Series {
         self.points
             .iter()
             .map(|(_, v)| {
-                let t = if hi > lo { ((v - lo) / (hi - lo)).clamp(0.0, 1.0) } else { 0.0 };
+                let t = if hi > lo {
+                    ((v - lo) / (hi - lo)).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                };
                 GLYPHS[(t * 9.0).round() as usize]
             })
             .collect()

@@ -20,7 +20,12 @@ use crate::Exhibit;
 /// Table 1: overlap between the domain measurement sets.
 pub fn table1(src: &impl Source) -> Exhibit {
     let agg = src.aggregates();
-    let mut table = Table::new(["Domain Set", "∩ 2-Week MX", "∩ Alexa 1000", "∩ Alexa Top List"]);
+    let mut table = Table::new([
+        "Domain Set",
+        "∩ 2-Week MX",
+        "∩ Alexa 1000",
+        "∩ Alexa Top List",
+    ]);
     let mut cells = serde_json::Map::new();
     for (r, row_set) in TABLE1_SETS.iter().enumerate() {
         let row_total = agg.set_counts[row_set.index()];
@@ -87,15 +92,20 @@ pub fn table2(src: &impl Source) -> Exhibit {
 pub fn table3(src: &impl Source) -> Exhibit {
     let agg = src.aggregates();
     let columns = [
-        ("Alexa domains", agg.domains[SetFilter::AlexaTopList.index()]),
-        ("Alexa addrs", agg.addresses[SetFilter::AlexaTopList.index()]),
+        (
+            "Alexa domains",
+            agg.domains[SetFilter::AlexaTopList.index()],
+        ),
+        (
+            "Alexa addrs",
+            agg.addresses[SetFilter::AlexaTopList.index()],
+        ),
         ("2-Week domains", agg.domains[SetFilter::TwoWeek.index()]),
         ("2-Week addrs", agg.addresses[SetFilter::TwoWeek.index()]),
         ("Providers", agg.domains[SetFilter::TopProviders.index()]),
     ];
     let mut table = Table::new(
-        std::iter::once("Outcome".to_string())
-            .chain(columns.iter().map(|(l, _)| l.to_string())),
+        std::iter::once("Outcome".to_string()).chain(columns.iter().map(|(l, _)| l.to_string())),
     );
     type RowGetter = fn(&Outcomes) -> (usize, usize);
     let rows: [(&str, RowGetter); 11] = [
@@ -104,11 +114,15 @@ pub fn table3(src: &impl Source) -> Exhibit {
         ("NoMsg Test", |o| (o.nomsg_total, o.total)),
         ("  SMTP Failure", |o| (o.nomsg_failure, o.nomsg_total)),
         ("  SPF Measured", |o| (o.nomsg_measured, o.nomsg_total)),
-        ("  SPF Not Measured", |o| (o.nomsg_not_measured, o.nomsg_total)),
+        ("  SPF Not Measured", |o| {
+            (o.nomsg_not_measured, o.nomsg_total)
+        }),
         ("BlankMsg Test", |o| (o.blank_total, o.total)),
         ("  SMTP Failure", |o| (o.blank_failure, o.blank_total)),
         ("  SPF Measured", |o| (o.blank_measured, o.blank_total)),
-        ("  SPF Not Measured", |o| (o.blank_not_measured, o.blank_total)),
+        ("  SPF Not Measured", |o| {
+            (o.blank_not_measured, o.blank_total)
+        }),
         ("Total SPF Measured", |o| (o.total_measured, o.total)),
     ];
     for (label, get) in rows {
@@ -216,12 +230,23 @@ pub fn table5(src: &impl Source) -> Exhibit {
         .iter()
         .filter(|(_, (_, total))| *total >= min_group)
         .map(|(tld, (patched, total))| {
-            (tld.clone(), *patched, *total, *patched as f64 / *total as f64)
+            (
+                tld.clone(),
+                *patched,
+                *total,
+                *patched as f64 / *total as f64,
+            )
         })
         .collect();
     rows.sort_by(|a, b| b.3.partial_cmp(&a.3).expect("rates are finite"));
 
-    let mut table = Table::new(["TLD", "# Patched", "# Initially Vulnerable", "% Patched", "Paper"]);
+    let mut table = Table::new([
+        "TLD",
+        "# Patched",
+        "# Initially Vulnerable",
+        "% Patched",
+        "Paper",
+    ]);
     let paper = |tld: &str| -> String {
         tldmod::TLD_PATCH_RATES
             .iter()
@@ -232,7 +257,10 @@ pub fn table5(src: &impl Source) -> Exhibit {
     let shown: Vec<&(String, usize, usize, f64)> = if rows.len() <= 10 {
         rows.iter().collect()
     } else {
-        rows.iter().take(5).chain(rows.iter().rev().take(5).rev()).collect()
+        rows.iter()
+            .take(5)
+            .chain(rows.iter().rev().take(5).rev())
+            .collect()
     };
     for (tld, patched, total, rate) in shown {
         table.row([
@@ -260,11 +288,7 @@ pub fn table5(src: &impl Source) -> Exhibit {
 /// paper prints it). It reads nothing of the run; it takes the source
 /// so that it has the same shape as every other exhibit builder.
 pub fn table6(_src: &impl Source) -> Exhibit {
-    let mut table = Table::new([
-        "Package Manager",
-        "CVE-2021-20314",
-        "CVE-2021-33912/13",
-    ]);
+    let mut table = Table::new(["Package Manager", "CVE-2021-20314", "CVE-2021-33912/13"]);
     for row in PACKAGE_TIMELINE {
         let fmt = |days: Option<u16>, date: Option<&str>, bundled: bool| match (days, date) {
             (Some(d), Some(date)) => {
@@ -285,7 +309,10 @@ pub fn table6(_src: &impl Source) -> Exhibit {
         paper_claim: "Debian patched the day after disclosure; RedHat/Gentoo/Arch \
                       bundled the fix with CVE-2021-20314 before disclosure; \
                       Ubuntu, FreeBSD, NetBSD and SUSE remained unpatched",
-        rendered: format!("{}(* fix bundled with the CVE-2021-20314 update)\n", table.render()),
+        rendered: format!(
+            "{}(* fix bundled with the CVE-2021-20314 update)\n",
+            table.render()
+        ),
         json: json!(PACKAGE_TIMELINE
             .iter()
             .map(|r| json!({
@@ -320,7 +347,11 @@ pub fn table7(src: &impl Source) -> Exhibit {
         table.row([label.to_string(), count.to_string(), pct(*count, measured)]);
     }
     if unknown > 0 {
-        table.row(["other/unknown".to_string(), unknown.to_string(), pct(unknown, measured)]);
+        table.row([
+            "other/unknown".to_string(),
+            unknown.to_string(),
+            pct(unknown, measured),
+        ]);
     }
     table.row([
         "≥2 distinct patterns".to_string(),
@@ -364,7 +395,9 @@ mod tests {
             two_week_total
         );
         // Scaled Table 1: the 2-week ∩ toplist overlap is ~12.7%.
-        let overlap = e.json["2-Week MX|Alexa Top List"].as_u64().expect("present") as f64;
+        let overlap = e.json["2-Week MX|Alexa Top List"]
+            .as_u64()
+            .expect("present") as f64;
         let share = overlap / two_week_total as f64;
         assert!((0.08..0.18).contains(&share), "overlap share {share}");
     }
@@ -385,7 +418,10 @@ mod tests {
             o.nomsg_total,
             o.nomsg_failure + o.nomsg_measured + o.nomsg_not_measured
         );
-        assert_eq!(o.blank_total, o.nomsg_not_measured, "BlankMsg follows NoMsg misses");
+        assert_eq!(
+            o.blank_total, o.nomsg_not_measured,
+            "BlankMsg follows NoMsg misses"
+        );
         assert_eq!(
             o.blank_total,
             o.blank_failure + o.blank_measured + o.blank_not_measured
@@ -393,7 +429,10 @@ mod tests {
         assert_eq!(o.total_measured, o.nomsg_measured + o.blank_measured);
         // Shape: refusal rate near the calibrated 47%.
         let refuse_rate = o.refused as f64 / o.total as f64;
-        assert!((0.35..0.60).contains(&refuse_rate), "refuse rate {refuse_rate}");
+        assert!(
+            (0.35..0.60).contains(&refuse_rate),
+            "refuse rate {refuse_rate}"
+        );
     }
 
     #[test]
@@ -424,7 +463,10 @@ mod tests {
         let ctx = ctx();
         let e = table5(ctx);
         let rows = e.json.as_array().expect("array");
-        let rates: Vec<f64> = rows.iter().map(|r| r["rate"].as_f64().expect("rate")).collect();
+        let rates: Vec<f64> = rows
+            .iter()
+            .map(|r| r["rate"].as_f64().expect("rate"))
+            .collect();
         for pair in rates.windows(2) {
             assert!(pair[0] >= pair[1] - 1e-9, "sorted descending");
         }

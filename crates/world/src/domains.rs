@@ -127,10 +127,7 @@ mod tests {
         let sampler = TldSampler::alexa(&config);
         let mut rng = SimRng::new(1);
         let n = 20_000;
-        let com = (0..n)
-            .filter(|_| sampler.sample(&mut rng) == "com")
-            .count() as f64
-            / n as f64;
+        let com = (0..n).filter(|_| sampler.sample(&mut rng) == "com").count() as f64 / n as f64;
         // Paper: 230,801 / 418,842 = 55.1%.
         assert!((0.52..0.59).contains(&com), "com share {com}");
     }

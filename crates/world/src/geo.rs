@@ -50,8 +50,8 @@ const COUNTRIES: [(&str, f64, f64, f64); 24] = [
 
 /// Country-coded TLDs we map directly to a country.
 const CC_TLDS: [&str; 22] = [
-    "de", "fr", "nl", "uk", "ru", "cn", "jp", "kr", "in", "br", "ca", "au", "ir", "tr", "ua",
-    "pl", "cz", "za", "gr", "il", "by", "tw",
+    "de", "fr", "nl", "uk", "ru", "cn", "jp", "kr", "in", "br", "ca", "au", "ir", "tr", "ua", "pl",
+    "cz", "za", "gr", "il", "by", "tw",
 ];
 
 /// Geolocate a host: ccTLD domains stay in their country with high

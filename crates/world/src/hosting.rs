@@ -84,7 +84,8 @@ impl HostProfile {
     /// its patch day, so the answer is whether that day falls in
     /// `(after, upto]`.
     pub fn status_event_in(&self, after: u16, upto: u16) -> bool {
-        self.patch_day.is_some_and(|patch| after < patch && patch <= upto)
+        self.patch_day
+            .is_some_and(|patch| after < patch && patch <= upto)
     }
 
     /// Whether re-probing this host is guaranteed to repeat the last
@@ -444,13 +445,7 @@ mod tests {
         let mut rng = SimRng::new(13);
         let mut za_patched = 0;
         for _ in 0..1_000 {
-            let (day, _) = sample_patch(
-                &config,
-                "tw",
-                false,
-                PackageManager::Debian,
-                &mut rng,
-            );
+            let (day, _) = sample_patch(&config, "tw", false, PackageManager::Debian, &mut rng);
             assert_eq!(day, None, "tw patch rate is 0%");
             let (day, _) = sample_patch(&config, "za", false, PackageManager::Other, &mut rng);
             if day.is_some() {

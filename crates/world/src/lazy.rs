@@ -200,8 +200,14 @@ pub trait Population: Sync {
         clock: SimClock,
         instrumentation: MtaInstrumentation<'_>,
     ) -> Mta {
-        self.runtime()
-            .build_mta_record(host, self.host(host), day, directory, clock, instrumentation)
+        self.runtime().build_mta_record(
+            host,
+            self.host(host),
+            day,
+            directory,
+            clock,
+            instrumentation,
+        )
     }
 
     /// Build the live MTA for `host` as of day `day` against the shared
@@ -460,7 +466,9 @@ impl LazyWorld {
 
         // The 2-Week overlap picks and rank shuffle, exactly as the
         // eager generator draws them (same RNG streams, same order).
-        let overlap_total = config.scaled(config.overlap_toplist_two_week).min(n_two_week);
+        let overlap_total = config
+            .scaled(config.overlap_toplist_two_week)
+            .min(n_two_week);
         let overlap_1000 = config
             .scaled(config.overlap_top1000_two_week)
             .min(overlap_total)
@@ -567,8 +575,7 @@ impl LazyWorld {
             // §7.6: Alexa Top 1000 hosts go inconclusive early (blacklist)
             // and only the final snapshot sees the few that patched.
             profile.blacklist_after = Some(4 + self.rng.below(5) as u32);
-            let (day, cause) =
-                sample_patch(&self.config, tld, true, profile.distro, &mut self.rng);
+            let (day, cause) = sample_patch(&self.config, tld, true, profile.distro, &mut self.rng);
             profile.patch_day = day;
             profile.patch_cause = cause;
         }

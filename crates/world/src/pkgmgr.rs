@@ -195,7 +195,10 @@ mod tests {
             .filter(|r| r.days_33912.is_none())
             .map(|r| r.name)
             .collect();
-        assert_eq!(unpatched, vec!["Ubuntu", "FreeBSD Ports", "NetBSD", "SUSE Hub"]);
+        assert_eq!(
+            unpatched,
+            vec!["Ubuntu", "FreeBSD Ports", "NetBSD", "SUSE Hub"]
+        );
     }
 
     #[test]

@@ -84,14 +84,20 @@ mod tests {
     #[test]
     fn milestone_dates_match_the_paper() {
         assert_eq!(Timeline::date_label(Timeline::INITIAL), "2021-10-11");
-        assert_eq!(Timeline::date_label(Timeline::LONGITUDINAL_START), "2021-10-26");
+        assert_eq!(
+            Timeline::date_label(Timeline::LONGITUDINAL_START),
+            "2021-10-26"
+        );
         assert_eq!(
             Timeline::date_label(Timeline::PRIVATE_NOTIFICATION),
             "2021-11-15"
         );
         assert_eq!(Timeline::date_label(Timeline::WINDOW1_END), "2021-11-30");
         assert_eq!(Timeline::date_label(Timeline::WINDOW2_START), "2022-01-15");
-        assert_eq!(Timeline::date_label(Timeline::PUBLIC_DISCLOSURE), "2022-01-19");
+        assert_eq!(
+            Timeline::date_label(Timeline::PUBLIC_DISCLOSURE),
+            "2022-01-19"
+        );
         assert_eq!(Timeline::date_label(Timeline::DEBIAN_PATCH), "2022-01-20");
         assert_eq!(Timeline::date_label(Timeline::END), "2022-02-14");
     }

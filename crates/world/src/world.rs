@@ -191,8 +191,14 @@ impl World {
         clock: SimClock,
         instrumentation: MtaInstrumentation<'_>,
     ) -> Mta {
-        self.runtime
-            .build_mta_record(host, self.host(host), day, directory, clock, instrumentation)
+        self.runtime.build_mta_record(
+            host,
+            self.host(host),
+            day,
+            directory,
+            clock,
+            instrumentation,
+        )
     }
 
     /// A deterministic RNG stream for a named consumer of this world.
@@ -269,14 +275,16 @@ mod tests {
         let vulnerable_domains = w.initially_vulnerable_domains().len() as f64;
         let rate_d = vulnerable_domains / w.domains.len() as f64;
         // Paper: 18,660 of ~440K ≈ 4.3%.
-        assert!((0.015..0.09).contains(&rate_d), "vulnerable domain rate {rate_d}");
+        assert!(
+            (0.015..0.09).contains(&rate_d),
+            "vulnerable domain rate {rate_d}"
+        );
     }
 
     #[test]
     fn providers_exist_and_some_are_vulnerable() {
         let w = small_world();
-        let providers: Vec<&DomainRecord> =
-            w.domains.iter().filter(|d| d.top_provider).collect();
+        let providers: Vec<&DomainRecord> = w.domains.iter().filter(|d| d.top_provider).collect();
         assert_eq!(providers.len(), 20);
         let vulnerable = providers
             .iter()
