@@ -128,6 +128,8 @@ fn emit_json(_c: &mut Criterion) {
             "statistic": "best_of_rounds",
             "fresh_world_per_run": true,
             "transparency_checked_per_round": true,
+            "uncached_baseline": "policy_cache(false): every SPF check parses and \
+                                  compiles its policies through a cache of its own",
         },
         "wall_clock_s": {
             "cached": on_best,

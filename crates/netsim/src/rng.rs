@@ -137,7 +137,21 @@ impl SimRng {
     /// Pick an index according to non-negative weights. Returns `None` when
     /// every weight is zero or the slice is empty.
     pub fn pick_weighted(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
+        self.pick_weighted_with_total(weights, SimRng::weight_total(weights))
+    }
+
+    /// The total [`SimRng::pick_weighted`] draws against: the sum of the
+    /// positive weights, in slice order. A sampler that draws from the
+    /// same weights many times keeps this once and calls
+    /// [`SimRng::pick_weighted_with_total`].
+    pub fn weight_total(weights: &[f64]) -> f64 {
+        weights.iter().copied().filter(|w| *w > 0.0).sum()
+    }
+
+    /// [`SimRng::pick_weighted`] with the weights' total given, which
+    /// must be [`SimRng::weight_total`] of `weights`: the same draw and
+    /// the same index, without re-summing the weights.
+    pub fn pick_weighted_with_total(&mut self, weights: &[f64], total: f64) -> Option<usize> {
         if total <= 0.0 {
             return None;
         }

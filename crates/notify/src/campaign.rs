@@ -3,6 +3,7 @@
 use std::collections::{HashMap, HashSet};
 
 use spfail_mta::mta::ConnectDecision;
+use spfail_mta::Mta;
 use spfail_netsim::SimRng;
 use spfail_smtp::address::EmailAddress;
 use spfail_smtp::command::Command;
@@ -11,7 +12,7 @@ use spfail_world::{DomainId, HostId, PatchCause, Population, Timeline, World};
 use crate::pixel::PixelLog;
 
 /// One notification email's fate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NotificationRecord {
     /// The domain whose postmaster was addressed.
     pub domain: DomainId,
@@ -81,6 +82,50 @@ pub struct FormatExperiment {
 /// The notification campaign driver.
 pub struct NotificationCampaign;
 
+/// The receiving MTA of one notification run: one MTA, rebuilt for each
+/// host the run delivers to (the prober's reuse pattern, through
+/// [`spfail_world::WorldRuntime::rebuild_mta_record`]), with one
+/// compiled-policy cache for the whole run. Every receiver checks the
+/// same notifier policy, so it is compiled once per run instead of once
+/// per delivery; the cache and the rebuild are both
+/// measurement-transparent, so every delivery ends as it would on a
+/// freshly built MTA.
+struct Receiver {
+    mta: Option<Mta>,
+    /// `false` builds a fresh, cacheless MTA for every host instead: the
+    /// reference the reused receiver is tested against.
+    reuse: bool,
+}
+
+impl Receiver {
+    fn new() -> Receiver {
+        Receiver {
+            mta: None,
+            reuse: true,
+        }
+    }
+
+    /// The MTA of `host` as of the private notification day.
+    fn for_host(&mut self, world: &dyn Population, host: HostId) -> &mut Mta {
+        let day = Timeline::PRIVATE_NOTIFICATION;
+        match self.mta.as_mut() {
+            Some(mta) if self.reuse => {
+                world
+                    .runtime()
+                    .rebuild_mta_record(mta, host, world.host(host), day, None);
+            }
+            _ => {
+                let mut mta = world.build_mta(host, day);
+                if self.reuse {
+                    mta.set_policy_cache(spfail_mta::new_policy_cache());
+                }
+                self.mta = Some(mta);
+            }
+        }
+        self.mta.as_mut().expect("built above")
+    }
+}
+
 impl NotificationCampaign {
     /// Send one notification per vulnerable host-group on the private
     /// notification day and derive the funnel.
@@ -92,6 +137,15 @@ impl NotificationCampaign {
         world: &dyn Population,
         vulnerable_domains: &[DomainId],
         pixel_log: &mut PixelLog,
+    ) -> (Vec<NotificationRecord>, NotificationReport) {
+        Self::run_with(world, vulnerable_domains, pixel_log, &mut Receiver::new())
+    }
+
+    fn run_with(
+        world: &dyn Population,
+        vulnerable_domains: &[DomainId],
+        pixel_log: &mut PixelLog,
+        receiver: &mut Receiver,
     ) -> (Vec<NotificationRecord>, NotificationReport) {
         let runtime = world.runtime();
         let mut rng = runtime.fork_rng("notify");
@@ -134,7 +188,7 @@ impl NotificationCampaign {
         let mut records = Vec::with_capacity(groups.len());
         for (i, (domain, covered)) in groups.into_iter().enumerate() {
             let token = format!("ntfy{i:06}");
-            let (delivered, final_code) = Self::deliver(world, &mut rng, domain, &token);
+            let (delivered, final_code) = Self::deliver(world, receiver, &mut rng, domain, &token);
             // Each notification's reader behaviour draws from its own
             // derived stream, so one recipient's dice never depend on
             // how many draws delivery to earlier recipients consumed.
@@ -195,6 +249,7 @@ impl NotificationCampaign {
     /// violate that).
     fn deliver(
         world: &dyn Population,
+        receiver: &mut Receiver,
         rng: &mut SimRng,
         domain: DomainId,
         token: &str,
@@ -204,12 +259,10 @@ impl NotificationCampaign {
         // (RFC 5321 §5.1); only exhausting the list bounces.
         let mut last = (false, 0);
         for &host in &record.hosts {
-            let mut mta = world.build_mta(host, Timeline::PRIVATE_NOTIFICATION);
+            let mta = receiver.for_host(world, host);
             // Greylisting is a "try again later", not a bounce: retry once.
-            let attempt = match Self::deliver_once(world, rng, &mut mta, record, token) {
-                (false, 450) | (false, 451) => {
-                    Self::deliver_once(world, rng, &mut mta, record, token)
-                }
+            let attempt = match Self::deliver_once(rng, mta, record, token) {
+                (false, 450) | (false, 451) => Self::deliver_once(rng, mta, record, token),
                 other => other,
             };
             if attempt.0 {
@@ -221,9 +274,8 @@ impl NotificationCampaign {
     }
 
     fn deliver_once(
-        _world: &dyn Population,
         rng: &mut SimRng,
-        mta: &mut spfail_mta::Mta,
+        mta: &mut Mta,
         record: &spfail_world::DomainRecord,
         token: &str,
     ) -> (bool, u16) {
@@ -283,6 +335,14 @@ impl NotificationCampaign {
         world: &World,
         vulnerable_domains: &[DomainId],
     ) -> FormatExperiment {
+        Self::format_experiment_with(world, vulnerable_domains, &mut Receiver::new())
+    }
+
+    fn format_experiment_with(
+        world: &World,
+        vulnerable_domains: &[DomainId],
+        receiver: &mut Receiver,
+    ) -> FormatExperiment {
         let mut rng = world.fork_rng("notify-ab");
         world
             .clock
@@ -296,7 +356,8 @@ impl NotificationCampaign {
                 continue;
             }
             let html_arm = rng.chance(0.5);
-            let (delivered, _code) = Self::deliver(world, &mut rng, domain, "ab-experiment");
+            let (delivered, _code) =
+                Self::deliver(world, receiver, &mut rng, domain, "ab-experiment");
             let arm = if html_arm {
                 &mut experiment.html
             } else {
@@ -451,6 +512,48 @@ mod tests {
         assert!(experiment.plain.patch_rate() < 0.25);
         assert!(experiment.html.delivered <= experiment.html.sent);
         assert!(experiment.plain.delivered <= experiment.plain.sent);
+    }
+
+    /// One reused MTA with one policy cache per run delivers every
+    /// notification exactly as a fresh, cacheless MTA per host does: in
+    /// a world where greylisting forces retries on the same MTA, missing
+    /// postmasters bounce, and groups span several hosts.
+    #[test]
+    fn reused_receiver_matches_fresh_builds() {
+        let config = WorldConfig {
+            scale: 0.02,
+            greylist_rate: 0.5,
+            postmaster_missing_rate: 0.4,
+            ..WorldConfig::small(17)
+        };
+        let fresh = || Receiver {
+            mta: None,
+            reuse: false,
+        };
+        let run = |receiver: &dyn Fn() -> Receiver| {
+            let world = World::generate(config.clone());
+            let vulnerable = world.initially_vulnerable_domains();
+            let mut pixels = PixelLog::new();
+            let (records, report) =
+                NotificationCampaign::run_with(&world, &vulnerable, &mut pixels, &mut receiver());
+            let experiment =
+                NotificationCampaign::format_experiment_with(&world, &vulnerable, &mut receiver());
+            (world, records, report, experiment)
+        };
+        let (world, records, report, experiment) = run(&Receiver::new);
+        let (_, ref_records, ref_report, ref_experiment) = run(&fresh);
+        assert_eq!(records, ref_records);
+        assert_eq!(report, ref_report);
+        assert_eq!(experiment, ref_experiment);
+
+        // The world exercises what the reuse must survive.
+        assert!(report.bounced > 0 && report.bounced < report.sent);
+        let hosts = |r: &NotificationRecord| &world.domain(r.domain).hosts;
+        assert!(records.iter().any(|r| hosts(r).len() > 1));
+        assert!(records
+            .iter()
+            .any(|r| r.delivered && hosts(r).iter().any(|&h| world.host(h).profile.greylist)));
+        assert!(experiment.html.delivered + experiment.plain.delivered > 0);
     }
 
     #[test]

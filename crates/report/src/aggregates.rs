@@ -130,9 +130,9 @@ pub struct WorldAggregates {
     /// Pairwise overlap counts among [`TABLE1_SETS`].
     pub overlaps: [[usize; 3]; 3],
     /// TLD histogram of the Alexa Top List.
-    pub tld_alexa: BTreeMap<String, usize>,
+    pub tld_alexa: BTreeMap<&'static str, usize>,
     /// TLD histogram of the 2-Week MX set.
-    pub tld_two_week: BTreeMap<String, usize>,
+    pub tld_two_week: BTreeMap<&'static str, usize>,
     /// Address-level Table 3 outcomes per set.
     pub addresses: [Outcomes; 5],
     /// Domain-level Table 3 outcomes per set.
@@ -181,8 +181,8 @@ impl WorldAggregates {
 struct Fold {
     set_counts: [usize; 5],
     overlaps: [[usize; 3]; 3],
-    tld_alexa: BTreeMap<String, usize>,
-    tld_two_week: BTreeMap<String, usize>,
+    tld_alexa: BTreeMap<&'static str, usize>,
+    tld_two_week: BTreeMap<&'static str, usize>,
     domains: [Outcomes; 5],
     table4_domains: [Breakdown; 5],
     host_sets: Vec<u8>,
@@ -221,37 +221,40 @@ impl Fold {
             }
         }
         if bits & (1 << SetFilter::AlexaTopList.index()) != 0 {
-            *self.tld_alexa.entry(domain.tld.clone()).or_default() += 1;
+            *self.tld_alexa.entry(domain.tld).or_default() += 1;
         }
         if bits & (1 << SetFilter::TwoWeek.index()) != 0 {
-            *self.tld_two_week.entry(domain.tld.clone()).or_default() += 1;
-        }
-        for &host in &domain.hosts {
-            self.host_sets[host.0 as usize] |= bits;
+            *self.tld_two_week.entry(domain.tld).or_default() += 1;
         }
 
-        // The domain-level outcome ladder, computed once from the member
+        // The domain-level outcome ladder, folded once over the member
         // hosts' masks and applied to every set holding the domain.
-        let ms: Vec<HostMask> = domain
-            .hosts
-            .iter()
-            .map(|h| HostMask(masks[h.0 as usize]))
-            .collect();
-        let all_refused = ms.iter().all(|m| m.nomsg_refused());
-        let any_nomsg_measured = ms.iter().any(|m| m.nomsg_measured());
-        let all_nomsg_failed = ms
-            .iter()
-            .filter(|m| !m.nomsg_refused())
-            .all(|m| m.nomsg_failure());
-        let blank_ran = ms.iter().any(|m| m.blank_present());
-        let any_blank_measured = ms.iter().any(|m| m.blank_measured());
-        let all_blank_failed = ms
-            .iter()
-            .filter(|m| m.blank_present())
-            .all(|m| m.blank_failure());
-        let any_measured = ms.iter().any(|m| m.measured());
-        let any_vulnerable = ms.iter().any(|m| m.vulnerable());
-        let any_erroneous = ms.iter().any(|m| m.erroneous());
+        let mut all_refused = true;
+        let mut any_nomsg_measured = false;
+        let mut all_nomsg_failed = true;
+        let mut blank_ran = false;
+        let mut any_blank_measured = false;
+        let mut all_blank_failed = true;
+        let mut any_measured = false;
+        let mut any_vulnerable = false;
+        let mut any_erroneous = false;
+        for &host in &domain.hosts {
+            self.host_sets[host.0 as usize] |= bits;
+            let m = HostMask(masks[host.0 as usize]);
+            all_refused &= m.nomsg_refused();
+            any_nomsg_measured |= m.nomsg_measured();
+            if !m.nomsg_refused() {
+                all_nomsg_failed &= m.nomsg_failure();
+            }
+            blank_ran |= m.blank_present();
+            any_blank_measured |= m.blank_measured();
+            if m.blank_present() {
+                all_blank_failed &= m.blank_failure();
+            }
+            any_measured |= m.measured();
+            any_vulnerable |= m.vulnerable();
+            any_erroneous |= m.erroneous();
+        }
         for i in 0..REPORT_SETS.len() {
             if bits & (1 << i) == 0 {
                 continue;

@@ -54,10 +54,9 @@ pub fn table1(src: &impl Source) -> Exhibit {
 pub fn table2(src: &impl Source) -> Exhibit {
     let agg = src.aggregates();
     let mut table = Table::new(["#", "Alexa TLD", "Count", "2-Week TLD", "Count"]);
-    let top15 = |counts: &BTreeMap<String, usize>| -> Vec<(String, usize)> {
-        let mut sorted: Vec<(String, usize)> =
-            counts.iter().map(|(t, c)| (t.clone(), *c)).collect();
-        sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let top15 = |counts: &BTreeMap<&'static str, usize>| -> Vec<(&'static str, usize)> {
+        let mut sorted: Vec<(&'static str, usize)> = counts.iter().map(|(t, c)| (*t, *c)).collect();
+        sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         sorted.truncate(15);
         sorted
     };
@@ -66,11 +65,11 @@ pub fn table2(src: &impl Source) -> Exhibit {
     for i in 0..15 {
         let (at, ac) = alexa
             .get(i)
-            .map(|(t, c)| (t.clone(), c.to_string()))
+            .map(|(t, c)| (t.to_string(), c.to_string()))
             .unwrap_or_default();
         let (wt, wc) = two_week
             .get(i)
-            .map(|(t, c)| (t.clone(), c.to_string()))
+            .map(|(t, c)| (t.to_string(), c.to_string()))
             .unwrap_or_default();
         table.row([format!("{}", i + 1), at, ac, wt, wc]);
     }
@@ -217,10 +216,9 @@ pub fn table4(src: &impl Source) -> Exhibit {
 pub fn table5(src: &impl Source) -> Exhibit {
     let campaign = src.campaign();
     let min_group = ((50.0 * src.config().scale).round() as usize).max(3);
-    let mut per_tld: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    let mut per_tld: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
     for &domain in &campaign.vulnerable_domains {
-        let tld = src.domain(domain).tld.clone();
-        let entry = per_tld.entry(tld).or_default();
+        let entry = per_tld.entry(src.domain(domain).tld).or_default();
         entry.1 += 1;
         if campaign.snapshot.get(&domain) == Some(&SnapshotStatus::Patched) {
             entry.0 += 1;
@@ -231,7 +229,7 @@ pub fn table5(src: &impl Source) -> Exhibit {
         .filter(|(_, (_, total))| *total >= min_group)
         .map(|(tld, (patched, total))| {
             (
-                tld.clone(),
+                tld.to_string(),
                 *patched,
                 *total,
                 *patched as f64 / *total as f64,

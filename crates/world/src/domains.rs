@@ -26,8 +26,8 @@ pub enum SetMembership {
 pub struct DomainRecord {
     /// The domain name (synthetic, unique).
     pub name: String,
-    /// Its TLD.
-    pub tld: String,
+    /// Its TLD, from the static TLD tables.
+    pub tld: &'static str,
     /// Rank in the Alexa Top List (1-based), if a member.
     pub alexa_rank: Option<u32>,
     /// Rank by MX-query frequency in the 2-Week MX set (1-based), if a
@@ -78,6 +78,8 @@ impl DomainRecord {
 pub struct TldSampler {
     tlds: Vec<&'static str>,
     weights: Vec<f64>,
+    /// [`SimRng::weight_total`] of `weights`, summed once.
+    total: f64,
 }
 
 impl TldSampler {
@@ -107,12 +109,19 @@ impl TldSampler {
             tlds.push(tld);
             weights.push(remainder * f64::from(weight) / tail_total);
         }
-        TldSampler { tlds, weights }
+        let total = SimRng::weight_total(&weights);
+        TldSampler {
+            tlds,
+            weights,
+            total,
+        }
     }
 
     /// Sample one TLD.
     pub fn sample(&self, rng: &mut SimRng) -> &'static str {
-        let idx = rng.pick_weighted(&self.weights).expect("non-empty weights");
+        let idx = rng
+            .pick_weighted_with_total(&self.weights, self.total)
+            .expect("non-empty weights");
         self.tlds[idx]
     }
 }
@@ -158,7 +167,7 @@ mod tests {
     fn membership_predicates() {
         let d = DomainRecord {
             name: "a5.com".into(),
-            tld: "com".into(),
+            tld: "com",
             alexa_rank: Some(5),
             two_week_rank: Some(12),
             top_provider: false,

@@ -136,8 +136,9 @@ pub struct HostRecord {
     pub geo: GeoPoint,
     /// The set whose rates generated this host.
     pub primary_set: SetMembership,
-    /// TLD of the host's primary domain (drives geo and patch rates).
-    pub primary_tld: String,
+    /// TLD of the host's primary domain (drives geo and patch rates),
+    /// from the static TLD tables.
+    pub primary_tld: &'static str,
     /// Whether the host serves an Alexa Top 1000 domain.
     pub serves_top1000: bool,
     /// Behaviour profile.
@@ -212,7 +213,10 @@ pub fn sample_profile(
     } else {
         MacroBehavior::Compliant
     };
-    let mut impls = vec![primary];
+    // Room for the second implementation, so a multi-implementation
+    // host allocates its list once.
+    let mut impls = Vec::with_capacity(2);
+    impls.push(primary);
     if spf_stage != SpfStage::Never && rng.chance(config.multi_impl_rate) {
         let second = loop {
             let candidate = match rng.below(10) {
@@ -278,8 +282,20 @@ fn sample_quirk_behavior(rng: &mut SimRng) -> MacroBehavior {
         (MacroBehavior::EmptyExpansion, 0.06),
         (MacroBehavior::MacroUnsupported, 0.06),
     ];
-    let weights: Vec<f64> = QUIRKS.iter().map(|(_, w)| *w).collect();
-    QUIRKS[rng.pick_weighted(&weights).expect("non-empty")].0
+    const WEIGHTS: [f64; 6] = weight_column(&QUIRKS);
+    QUIRKS[rng.pick_weighted(&WEIGHTS).expect("non-empty")].0
+}
+
+/// The weight column of a `(choice, weight)` table, built at compile
+/// time so a draw from the table allocates nothing.
+pub(crate) const fn weight_column<T: Copy, const N: usize>(table: &[(T, f64); N]) -> [f64; N] {
+    let mut weights = [0.0; N];
+    let mut i = 0;
+    while i < N {
+        weights[i] = table[i].1;
+        i += 1;
+    }
+    weights
 }
 
 /// Sample whether/when a vulnerable host patches.

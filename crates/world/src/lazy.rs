@@ -433,9 +433,13 @@ pub struct LazyWorld {
     cutoff: usize,
     alexa_tlds: TldSampler,
     two_week_tlds: TldSampler,
-    /// Precomputed 2-Week rank per domain index — the rank shuffle is
-    /// the one global draw in generation. O(two-week set) `u32`s.
-    two_week_rank: HashMap<u32, u32>,
+    /// Precomputed `(domain index, 2-Week rank)` for every 2-Week member,
+    /// ascending by domain index — the rank shuffle is the one global
+    /// draw in generation. O(two-week set) pairs, read by a cursor as
+    /// domain ids ascend.
+    two_week_ranks: Vec<(u32, u32)>,
+    /// The next unread entry of `two_week_ranks`.
+    rank_cursor: usize,
     // Sequential per-domain RNG streams, consumed in domain-id order.
     tld_rng: SimRng,
     churn_rng: SimRng,
@@ -488,14 +492,7 @@ impl LazyWorld {
         for i in 0..n_two_week_only {
             two_week_members.push(n_alexa + i);
         }
-        let mut rank_rng = rng.fork("two-week-ranks");
-        let mut shuffled = two_week_members.clone();
-        rank_rng.shuffle(&mut shuffled);
-        let two_week_rank: HashMap<u32, u32> = shuffled
-            .iter()
-            .enumerate()
-            .map(|(rank0, idx)| (*idx as u32, rank0 as u32 + 1))
-            .collect();
+        let two_week_ranks = two_week_ranks(&two_week_members, rng.fork("two-week-ranks"));
 
         let alexa_tlds = TldSampler::alexa(&config);
         let two_week_tlds = TldSampler::two_week(&config);
@@ -508,7 +505,8 @@ impl LazyWorld {
             cutoff,
             alexa_tlds,
             two_week_tlds,
-            two_week_rank,
+            two_week_ranks,
+            rank_cursor: 0,
             tld_rng: rng.fork("alexa-tlds"),
             churn_rng: rng.fork("churn"),
             mx_rng: rng.fork("mx"),
@@ -553,7 +551,7 @@ impl LazyWorld {
     fn push_host(
         &mut self,
         set: SetMembership,
-        tld: &str,
+        tld: &'static str,
         rank_fraction: f64,
         refuse_override: Option<f64>,
         serves_top1000: bool,
@@ -585,7 +583,7 @@ impl LazyWorld {
             ip,
             geo,
             primary_set: set,
-            primary_tld: tld.to_string(),
+            primary_tld: tld,
             serves_top1000,
             profile,
         });
@@ -595,7 +593,7 @@ impl LazyWorld {
     }
 
     /// A parked/no-MX host: almost always refuses connections.
-    fn parking_host(&mut self, tld: &str) -> HostId {
+    fn parking_host(&mut self, tld: &'static str) -> HostId {
         if self.parking_slots == 0 {
             let id = self.push_host(SetMembership::Alexa, tld, 0.9, Some(0.92), false);
             self.parking_last = Some(id);
@@ -610,7 +608,7 @@ impl LazyWorld {
     fn mail_hosts(
         &mut self,
         set: SetMembership,
-        tld: &str,
+        tld: &'static str,
         rank_fraction: f64,
         serves_top1000: bool,
     ) -> Vec<HostId> {
@@ -636,8 +634,9 @@ impl LazyWorld {
     }
 
     /// Hosts for a top email provider: several addresses, no refusals.
-    fn provider_hosts(&mut self, tld: &str, provider_index: usize) -> Vec<HostId> {
+    fn provider_hosts(&mut self, tld: &'static str, provider_index: usize) -> Vec<HostId> {
         let count = 2 + self.rng.below(4) as usize;
+        self.fresh.reserve_exact(count);
         // §7.5 names exactly four vulnerable providers; the rest are kept
         // explicitly clean so the reference-set counts stay calibrated.
         let vulnerable = provider_index < self.config.vulnerable_top_providers;
@@ -653,7 +652,8 @@ impl LazyWorld {
                     if profile.spf_stage == SpfStage::Never {
                         profile.spf_stage = SpfStage::OnData;
                     }
-                    profile.impls = vec![MacroBehavior::VulnerableLibSpf2];
+                    profile.impls.clear();
+                    profile.impls.push(MacroBehavior::VulnerableLibSpf2);
                     // §7.5: none of the vulnerable providers patched during
                     // the four months of measurement.
                     profile.patch_day = None;
@@ -698,8 +698,8 @@ impl Iterator for LazyWorld {
                 let i = rank - 6;
                 let tld = PROVIDER_TLDS[i];
                 DomainRecord {
-                    name: format!("mailprov{i}.{tld}"),
-                    tld: tld.to_string(),
+                    name: domain_name("mailprov", i, tld),
+                    tld,
                     alexa_rank: Some(rank as u32),
                     two_week_rank: None,
                     top_provider: true,
@@ -709,8 +709,8 @@ impl Iterator for LazyWorld {
                 }
             } else {
                 DomainRecord {
-                    name: format!("a{rank}.{tld}"),
-                    tld: tld.to_string(),
+                    name: domain_name("a", rank, tld),
+                    tld,
                     alexa_rank: Some(rank as u32),
                     two_week_rank: None,
                     top_provider: false,
@@ -723,8 +723,8 @@ impl Iterator for LazyWorld {
             let i = idx - self.n_alexa;
             let tld = self.two_week_tlds.sample(&mut self.tld_rng);
             DomainRecord {
-                name: format!("m{i}.{tld}"),
-                tld: tld.to_string(),
+                name: domain_name("m", i, tld),
+                tld,
                 alexa_rank: None,
                 two_week_rank: None,
                 top_provider: false,
@@ -733,7 +733,12 @@ impl Iterator for LazyWorld {
                 hosts: Vec::new(),
             }
         };
-        record.two_week_rank = self.two_week_rank.get(&(idx as u32)).copied();
+        if let Some(&(member, rank)) = self.two_week_ranks.get(self.rank_cursor) {
+            if member as usize == idx {
+                record.two_week_rank = Some(rank);
+                self.rank_cursor += 1;
+            }
+        }
         if record.alexa_rank.is_some()
             && record.two_week_rank.is_none()
             && !record.top_provider
@@ -752,14 +757,14 @@ impl Iterator for LazyWorld {
             (None, None) => 0.75,
         };
         let in_top1000 = record.in_alexa_top(self.cutoff);
-        let tld = record.tld.clone();
+        let tld = record.tld;
         let host_ids = if record.top_provider {
             // Providers occupy ranks 6..6+P, i.e. indices 5..5+P.
-            self.provider_hosts(&tld, idx - 5)
+            self.provider_hosts(tld, idx - 5)
         } else if !record.has_mx {
-            vec![self.parking_host(&tld)]
+            vec![self.parking_host(tld)]
         } else {
-            self.mail_hosts(set, &tld, rank_fraction, in_top1000)
+            self.mail_hosts(set, tld, rank_fraction, in_top1000)
         };
         record.hosts = host_ids;
 
@@ -770,6 +775,52 @@ impl Iterator for LazyWorld {
             fresh: std::mem::take(&mut self.fresh),
         })
     }
+}
+
+/// The 2-Week rank of every member of `members` (domain indices, in
+/// the order the overlap picks produced them), as `(domain index, rank)`
+/// pairs ascending by index.
+///
+/// The ranks are those of shuffling `members` with `rng` and numbering
+/// the result from 1. A shuffle's draws depend only on the slice's
+/// length, so shuffling member *positions* applies the same permutation:
+/// the member at position `order[k]` gets rank `k + 1`, and no hashing
+/// is needed to look a rank up. `members` is already ascending unless
+/// [`pick_distinct`] took its dense branch with more than one pick,
+/// which no calibrated world does; only then are the pairs sorted.
+fn two_week_ranks(members: &[usize], mut rng: SimRng) -> Vec<(u32, u32)> {
+    let mut order: Vec<u32> = (0..members.len() as u32).collect();
+    rng.shuffle(&mut order);
+    let mut ranks: Vec<(u32, u32)> = members.iter().map(|&idx| (idx as u32, 0)).collect();
+    for (rank0, &position) in order.iter().enumerate() {
+        ranks[position as usize].1 = rank0 as u32 + 1;
+    }
+    if !ranks.windows(2).all(|w| w[0].0 < w[1].0) {
+        ranks.sort_unstable();
+    }
+    ranks
+}
+
+/// `{prefix}{n}.{tld}`, written into one exactly-sized `String`.
+fn domain_name(prefix: &str, n: usize, tld: &str) -> String {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let digits = std::str::from_utf8(&digits[start..]).expect("ASCII digits");
+    let mut name = String::with_capacity(prefix.len() + digits.len() + 1 + tld.len());
+    name.push_str(prefix);
+    name.push_str(digits);
+    name.push('.');
+    name.push_str(tld);
+    name
 }
 
 /// Pick `count` distinct indices in `[0, bound)`.
@@ -855,6 +906,23 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(x, sorted, "sparse branch must return sorted picks");
         assert_eq!(x.len(), 50);
+    }
+
+    #[test]
+    fn two_week_ranks_number_a_shuffle_of_the_members() {
+        // Ascending members (every calibrated world), then members out
+        // of order, as `pick_distinct`'s dense branch can return them.
+        for members in [vec![0, 3, 7, 9, 12, 40, 41], vec![7, 3, 9, 0, 12, 40, 41]] {
+            let mut shuffled = members.clone();
+            SimRng::new(5).shuffle(&mut shuffled);
+            let mut expected: Vec<(u32, u32)> = shuffled
+                .iter()
+                .enumerate()
+                .map(|(rank0, &idx)| (idx as u32, rank0 as u32 + 1))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(two_week_ranks(&members, SimRng::new(5)), expected);
+        }
     }
 
     #[test]

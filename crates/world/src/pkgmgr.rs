@@ -174,8 +174,8 @@ impl PackageManager {
             (PackageManager::Suse, 0.06),
             (PackageManager::Other, 0.15),
         ];
-        let weights: Vec<f64> = CHOICES.iter().map(|(_, w)| *w).collect();
-        let idx = rng.pick_weighted(&weights).expect("non-empty");
+        const WEIGHTS: [f64; 8] = crate::hosting::weight_column(&CHOICES);
+        let idx = rng.pick_weighted(&WEIGHTS).expect("non-empty");
         CHOICES[idx].0
     }
 }

@@ -31,9 +31,9 @@ fn stream_digest(config: WorldConfig) -> (u64, usize, usize) {
     let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
     let (mut domains, mut hosts) = (0, 0);
     for step in LazyWorld::new(config) {
-        write!(
+        writeln!(
             hash,
-            "{:?}|{:?}|{:?}|{:?}\n",
+            "{:?}|{:?}|{:?}|{:?}",
             step.id, step.domain, step.first_fresh, step.fresh
         )
         .expect("hashing cannot fail");
