@@ -42,8 +42,11 @@ fn fixture_message() -> Message {
                 exchange: n("mail.dns-lab.org"),
             },
         ));
-        m.additionals
-            .push(Record::new(owner, 300, RData::A(Ipv4Addr::new(203, 0, 113, 25))));
+        m.additionals.push(Record::new(
+            owner,
+            300,
+            RData::A(Ipv4Addr::new(203, 0, 113, 25)),
+        ));
     }
     m
 }

@@ -17,23 +17,37 @@ fn shared() -> &'static Context {
 
 fn bench_tables(c: &mut Criterion) {
     let ctx = shared();
-    c.bench_function("table1_overlap", |b| b.iter(|| tables::table1(black_box(ctx))));
+    c.bench_function("table1_overlap", |b| {
+        b.iter(|| tables::table1(black_box(ctx)))
+    });
     c.bench_function("table2_tlds", |b| b.iter(|| tables::table2(black_box(ctx))));
     c.bench_function("table3_probe_outcomes", |b| {
         b.iter(|| tables::table3(black_box(ctx)))
     });
-    c.bench_function("table4_breakdown", |b| b.iter(|| tables::table4(black_box(ctx))));
-    c.bench_function("table5_tld_patch", |b| b.iter(|| tables::table5(black_box(ctx))));
-    c.bench_function("table6_pkgmgr", |b| b.iter(|| tables::table6(black_box(ctx))));
-    c.bench_function("table7_behaviors", |b| b.iter(|| tables::table7(black_box(ctx))));
+    c.bench_function("table4_breakdown", |b| {
+        b.iter(|| tables::table4(black_box(ctx)))
+    });
+    c.bench_function("table5_tld_patch", |b| {
+        b.iter(|| tables::table5(black_box(ctx)))
+    });
+    c.bench_function("table6_pkgmgr", |b| {
+        b.iter(|| tables::table6(black_box(ctx)))
+    });
+    c.bench_function("table7_behaviors", |b| {
+        b.iter(|| tables::table7(black_box(ctx)))
+    });
 }
 
 fn bench_figures(c: &mut Criterion) {
     let ctx = shared();
-    c.bench_function("fig2_final_snapshot", |b| b.iter(|| figures::fig2(black_box(ctx))));
+    c.bench_function("fig2_final_snapshot", |b| {
+        b.iter(|| figures::fig2(black_box(ctx)))
+    });
     c.bench_function("fig3_geo", |b| b.iter(|| figures::fig3(black_box(ctx))));
     c.bench_function("fig4_rank", |b| b.iter(|| figures::fig4(black_box(ctx))));
-    c.bench_function("fig5_conclusive", |b| b.iter(|| figures::fig5(black_box(ctx))));
+    c.bench_function("fig5_conclusive", |b| {
+        b.iter(|| figures::fig5(black_box(ctx)))
+    });
     c.bench_function("fig6_window1", |b| b.iter(|| figures::fig6(black_box(ctx))));
     c.bench_function("fig7_full", |b| b.iter(|| figures::fig7(black_box(ctx))));
     c.bench_function("fig8_top1000", |b| b.iter(|| figures::fig8(black_box(ctx))));
@@ -75,9 +89,7 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| {
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..4u64)
-                    .map(|seed| {
-                        scope.spawn(move |_| Context::run(black_box(0.002), 0xC0DE + seed))
-                    })
+                    .map(|seed| scope.spawn(move |_| Context::run(black_box(0.002), 0xC0DE + seed)))
                     .collect();
                 handles
                     .into_iter()

@@ -35,7 +35,11 @@ fn scaling_wall_clock(c: &mut Criterion) {
     });
     for shards in [1usize, 4] {
         group.bench_function(&format!("sharded_{shards}"), |b| {
-            b.iter(|| CampaignBuilder::new().shards(shards).run(black_box(&bench_world())))
+            b.iter(|| {
+                CampaignBuilder::new()
+                    .shards(shards)
+                    .run(black_box(&bench_world()))
+            })
         });
     }
     group.finish();

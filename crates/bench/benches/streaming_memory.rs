@@ -26,8 +26,8 @@ static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for MeteredAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let now = CURRENT_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed)
-            + layout.size() as u64;
+        let now =
+            CURRENT_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
         PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
         System.alloc(layout)
     }
@@ -39,8 +39,7 @@ unsafe impl GlobalAlloc for MeteredAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CURRENT_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        let now =
-            CURRENT_BYTES.fetch_add(new_size as u64, Ordering::Relaxed) + new_size as u64;
+        let now = CURRENT_BYTES.fetch_add(new_size as u64, Ordering::Relaxed) + new_size as u64;
         PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -94,7 +93,11 @@ fn measure_pair(scale: f64) -> ((u64, f64), (u64, f64), usize) {
         "bounded memory must not change a single measurement"
     );
     let hosts = eager_summary.masks.len();
-    ((eager_peak, eager_wall), (streaming_peak, streaming_wall), hosts)
+    (
+        (eager_peak, eager_wall),
+        (streaming_peak, streaming_wall),
+        hosts,
+    )
 }
 
 fn footprint(c: &mut Criterion) {

@@ -191,19 +191,18 @@ impl LibSpf2Expander {
         let limit = alloc_size + self.config.overrun_cap;
         let mut truncated_by_cap = false;
         'write: for &b in plain_output.as_bytes() {
-            let encoded: Vec<u8> = if b.is_ascii_alphanumeric()
-                || matches!(b, b'-' | b'.' | b'_' | b'~')
-            {
-                vec![b]
-            } else if b < 0x80 || !vulnerable {
-                // sprintf("%%%02x", c): lowercase hex, 3 bytes.
-                format!("%{b:02x}").into_bytes()
-            } else {
-                // Signed char sign-extension: -2 -> 0xfffffffe -> 10-byte
-                // output counting the NUL (9 visible characters).
-                let widened = b as i8 as i32 as u32;
-                format!("%{widened:08x}").into_bytes()
-            };
+            let encoded: Vec<u8> =
+                if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'.' | b'_' | b'~') {
+                    vec![b]
+                } else if b < 0x80 || !vulnerable {
+                    // sprintf("%%%02x", c): lowercase hex, 3 bytes.
+                    format!("%{b:02x}").into_bytes()
+                } else {
+                    // Signed char sign-extension: -2 -> 0xfffffffe -> 10-byte
+                    // output counting the NUL (9 visible characters).
+                    let widened = b as i8 as i32 as u32;
+                    format!("%{widened:08x}").into_bytes()
+                };
             for byte in encoded {
                 if offset >= limit {
                     truncated_by_cap = true;
@@ -306,7 +305,11 @@ mod tests {
     fn paper_fingerprint_three_way() {
         // RFC-compliant behaviour.
         let compliant = CompliantExpander
-            .expand(&MacroString::parse("%{d1r}.foo.com").unwrap(), &ctx(), false)
+            .expand(
+                &MacroString::parse("%{d1r}.foo.com").unwrap(),
+                &ctx(),
+                false,
+            )
             .unwrap();
         assert_eq!(compliant, "example.foo.com");
 
@@ -324,7 +327,10 @@ mod tests {
 
         // Patched libSPF2 behaves compliantly.
         let mut patched = LibSpf2Expander::patched();
-        assert_eq!(expand_with(&mut patched, "%{d1r}.foo.com"), "example.foo.com");
+        assert_eq!(
+            expand_with(&mut patched, "%{d1r}.foo.com"),
+            "example.foo.com"
+        );
         assert!(!patched.heap().corrupted());
     }
 
@@ -437,7 +443,10 @@ mod tests {
     #[test]
     fn overrun_is_capped() {
         // A very long crafted domain would try to run far past the end.
-        let long = (0..40).map(|i| format!("l{i}")).collect::<Vec<_>>().join(".");
+        let long = (0..40)
+            .map(|i| format!("l{i}"))
+            .collect::<Vec<_>>()
+            .join(".");
         let ctx = MacroContext::new("u", &format!("{long}.z"), "192.0.2.3".parse().unwrap());
         let mut vulnerable = LibSpf2Expander::vulnerable();
         let _ = vulnerable

@@ -265,7 +265,10 @@ mod tests {
 
     #[test]
     fn labels_are_stable() {
-        assert_eq!(MacroBehavior::VulnerableLibSpf2.label(), "vulnerable-libspf2");
+        assert_eq!(
+            MacroBehavior::VulnerableLibSpf2.label(),
+            "vulnerable-libspf2"
+        );
         assert_eq!(MacroBehavior::NoExpansion.label(), "no-expansion");
     }
 

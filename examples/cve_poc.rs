@@ -18,11 +18,17 @@ fn main() {
     println!("== CVE-2021-33912: URL-encoding sprintf overflow ==");
     println!("record mechanism: exists:%{{L}}.attacker.example   (uppercase L = URL-encode)");
     println!("crafted MAIL FROM local part contains bytes >= 0x80 (\"caf\\u{{e9}}\")");
-    let ctx = MacroContext::new("caf\u{e9}", "victim-sender.example", "192.0.2.66".parse().expect("ip"));
+    let ctx = MacroContext::new(
+        "caf\u{e9}",
+        "victim-sender.example",
+        "192.0.2.66".parse().expect("ip"),
+    );
     let ms = MacroString::parse("%{L}.attacker.example").expect("valid macro");
 
     let mut vulnerable = LibSpf2Expander::vulnerable();
-    let out = vulnerable.expand(&ms, &ctx, false).expect("expansion survives");
+    let out = vulnerable
+        .expand(&ms, &ctx, false)
+        .expect("expansion survives");
     println!("  expansion written: {out}");
     let heap = vulnerable.heap();
     println!(
@@ -46,7 +52,9 @@ fn main() {
     let ms = MacroString::parse("%{D1R}").expect("valid macro");
 
     let mut vulnerable = LibSpf2Expander::vulnerable();
-    let out = vulnerable.expand(&ms, &ctx, false).expect("expansion survives");
+    let out = vulnerable
+        .expand(&ms, &ctx, false)
+        .expect("expansion survives");
     println!("  expansion written: {:.60}...", out);
     let heap = vulnerable.heap();
     println!(

@@ -99,9 +99,12 @@ fn run_staged(world: &World, options: &CampaignArgs) -> CampaignRun {
 /// then the same staged rounds over the retained population.
 fn run_streaming(config: WorldConfig, options: &CampaignArgs) -> (CampaignRun, SparsePopulation) {
     let streamed = if options.resume {
-        let path = options.checkpoint.as_deref().expect("--resume requires --checkpoint");
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let path = options
+            .checkpoint
+            .as_deref()
+            .expect("--resume requires --checkpoint");
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         let state = CampaignState::parse(&text)
             .unwrap_or_else(|e| panic!("cannot resume from {path}: {e}"));
         println!("  resumed from {path}: {} rounds done", state.rounds_done);

@@ -51,7 +51,10 @@ fn main() {
     // ---- 2. Evaluate check_host() against fixture DNS. ------------------
     let mut dns = FixtureDns::default();
     dns.add("example.com", RData::txt(policy));
-    dns.add("foo.example.com", RData::A("192.0.2.7".parse().expect("ip")));
+    dns.add(
+        "foo.example.com",
+        RData::A("192.0.2.7".parse().expect("ip")),
+    );
     dns.add("bar.org", RData::txt("v=spf1 ip4:203.0.113.0/24 -all"));
 
     // The cache keeps each policy compiled across the four checks, the
@@ -71,7 +74,10 @@ fn main() {
     let ctx = MacroContext::new("user", "example.com", "192.0.2.3".parse().expect("ip"));
     let mut implementations: Vec<(&str, Box<dyn MacroExpander>)> = vec![
         ("RFC 7208 compliant", Box::new(CompliantExpander)),
-        ("libSPF2 1.2.10 (vulnerable)", Box::new(LibSpf2Expander::vulnerable())),
+        (
+            "libSPF2 1.2.10 (vulnerable)",
+            Box::new(LibSpf2Expander::vulnerable()),
+        ),
         ("libSPF2 patched", Box::new(LibSpf2Expander::patched())),
     ];
     for (label, expander) in implementations.iter_mut() {

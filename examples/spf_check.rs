@@ -31,25 +31,29 @@ impl SpfDns for EchoDns {
     fn lookup(&mut self, name: &Name, rtype: RecordType) -> Result<LookupOutcome, LookupError> {
         match rtype {
             RecordType::TXT if name.to_ascii().eq_ignore_ascii_case(&self.sender_domain) => {
-                Ok(LookupOutcome::Records(vec![Record::new(
+                Ok(LookupOutcome::Records(
+                    vec![Record::new(name.clone(), 300, RData::txt(&self.record))].into(),
+                ))
+            }
+            RecordType::A => Ok(LookupOutcome::Records(
+                vec![Record::new(
                     name.clone(),
                     300,
-                    RData::txt(&self.record),
-                )].into()))
-            }
-            RecordType::A => Ok(LookupOutcome::Records(vec![Record::new(
-                name.clone(),
-                300,
-                RData::A("192.0.2.55".parse().expect("ip")),
-            )].into())),
-            RecordType::MX => Ok(LookupOutcome::Records(vec![Record::new(
-                name.clone(),
-                300,
-                RData::Mx {
-                    preference: 10,
-                    exchange: name.child("mx").unwrap_or_else(|_| name.clone()),
-                },
-            )].into())),
+                    RData::A("192.0.2.55".parse().expect("ip")),
+                )]
+                .into(),
+            )),
+            RecordType::MX => Ok(LookupOutcome::Records(
+                vec![Record::new(
+                    name.clone(),
+                    300,
+                    RData::Mx {
+                        preference: 10,
+                        exchange: name.child("mx").unwrap_or_else(|_| name.clone()),
+                    },
+                )]
+                .into(),
+            )),
             _ => Ok(LookupOutcome::NoRecords),
         }
     }
@@ -63,7 +67,10 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().unwrap_or_else(|| panic!("{name} needs a value"));
+        let mut value = |name: &str| {
+            args.next()
+                .unwrap_or_else(|| panic!("{name} needs a value"))
+        };
         match flag.as_str() {
             "--record" => record = value("--record"),
             "--sender" => sender = value("--sender"),
@@ -116,7 +123,10 @@ fn main() {
         match event {
             TraceEvent::Query { name, rtype } => println!("  query {rtype} {name}"),
             TraceEvent::Mechanism { name, matched } => {
-                println!("  mechanism {name}: {}", if *matched { "match" } else { "no match" })
+                println!(
+                    "  mechanism {name}: {}",
+                    if *matched { "match" } else { "no match" }
+                )
             }
             TraceEvent::Recurse { domain } => println!("  recurse into {domain}"),
             TraceEvent::ExpanderFault(fault) => println!("  expander fault: {fault}"),

@@ -5,8 +5,8 @@
 //! `SPFAIL_CONFORMANCE_CASES` overrides the differential case count (CI
 //! runs a larger fixed-seed smoke in release mode).
 
-use spfail::conformance::{generate_case, oracle, regressions, rfc_corpus, run_case, shrink};
 use spfail::conformance::oracle::Verdict;
+use spfail::conformance::{generate_case, oracle, regressions, rfc_corpus, run_case, shrink};
 
 /// The fixed fuzz seed; shared with the CI smoke job.
 const SEED: u64 = 0x5bf5_fa11;

@@ -42,11 +42,8 @@ impl Rig {
             SimRng::new(7),
         );
         let origin = SpfTestAuthority::default_origin();
-        let sender = EmailAddress::new(
-            "mmj7yzdm0tbk",
-            &format!("{id}.sde.{}", origin.to_ascii()),
-        )
-        .expect("valid address");
+        let sender = EmailAddress::new("mmj7yzdm0tbk", &format!("{id}.sde.{}", origin.to_ascii()))
+            .expect("valid address");
 
         let log_start = self.log.len();
         mta.connect("203.0.113.25".parse().expect("ip"));
@@ -74,7 +71,11 @@ fn every_behaviour_classifies_back_to_itself() {
         ),
         // Patched libSPF2 is indistinguishable from compliant on the wire
         // — that is the point of the longitudinal measurement.
-        (MacroBehavior::PatchedLibSpf2, MacroBehavior::Compliant, "p1"),
+        (
+            MacroBehavior::PatchedLibSpf2,
+            MacroBehavior::Compliant,
+            "p1",
+        ),
         (MacroBehavior::NoExpansion, MacroBehavior::NoExpansion, "n1"),
         (
             MacroBehavior::ReverseNoTruncate,
@@ -144,10 +145,7 @@ fn vulnerable_is_detectable_at_both_validation_stages() {
 fn chained_filters_show_multiple_patterns() {
     let rig = Rig::new();
     let mut config = MtaConfig::vulnerable("mx.chained.test");
-    config.spf_impls = vec![
-        MacroBehavior::VulnerableLibSpf2,
-        MacroBehavior::NoExpansion,
-    ];
+    config.spf_impls = vec![MacroBehavior::VulnerableLibSpf2, MacroBehavior::NoExpansion];
     config.reject_on_spf_fail = false;
     let classification = rig.probe(config, "x9");
     assert!(classification.multi_pattern());

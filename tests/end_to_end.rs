@@ -3,8 +3,8 @@
 //! paper's headline findings hold in miniature.
 
 use spfail::prober::{RoundStatus, SnapshotStatus};
-use spfail::report::pipeline::{Context, SetFilter};
 use spfail::report::all_exhibits;
+use spfail::report::pipeline::{Context, SetFilter};
 use spfail::world::Timeline;
 
 fn ctx() -> &'static Context {

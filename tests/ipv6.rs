@@ -85,7 +85,10 @@ fn check(zone: &mut V6Zone, client: &str) -> SpfResult {
 #[test]
 fn ip6_mechanism_matches_prefixes() {
     let mut zone = V6Zone::default();
-    zone.add("example.com", RData::txt("v=spf1 ip6:2001:db8:100::/48 -all"));
+    zone.add(
+        "example.com",
+        RData::txt("v=spf1 ip6:2001:db8:100::/48 -all"),
+    );
     assert_eq!(check(&mut zone, "2001:db8:100::25"), SpfResult::Pass);
     assert_eq!(check(&mut zone, "2001:db8:100:ffff::1"), SpfResult::Pass);
     assert_eq!(check(&mut zone, "2001:db8:200::25"), SpfResult::Fail);
@@ -127,7 +130,11 @@ fn ip4_and_ip6_mechanisms_coexist() {
 fn i_macro_expands_to_nibbles_for_v6() {
     let ctx = MacroContext::new("u", "example.com", "2001:db8::1".parse().expect("ip"));
     let out = CompliantExpander
-        .expand(&MacroString::parse("%{ir}.%{v}.arpa").expect("macro"), &ctx, false)
+        .expand(
+            &MacroString::parse("%{ir}.%{v}.arpa").expect("macro"),
+            &ctx,
+            false,
+        )
         .expect("expands");
     // 32 nibbles reversed + ip6.arpa — the standard reverse-zone shape.
     assert!(out.ends_with(".ip6.arpa"));

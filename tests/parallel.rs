@@ -26,10 +26,18 @@ fn build_world(seed: u64, scale: f64) -> World {
 fn assert_equivalent(reference: &CampaignData, sharded: &CampaignData, label: &str) {
     // Initial sweep: same host set, and for each host the same probe
     // outcomes (ids, transaction endings, classifications).
-    let ref_hosts: BTreeMap<HostId, _> =
-        reference.initial.results.iter().map(|(&h, r)| (h, r)).collect();
-    let sh_hosts: BTreeMap<HostId, _> =
-        sharded.initial.results.iter().map(|(&h, r)| (h, r)).collect();
+    let ref_hosts: BTreeMap<HostId, _> = reference
+        .initial
+        .results
+        .iter()
+        .map(|(&h, r)| (h, r))
+        .collect();
+    let sh_hosts: BTreeMap<HostId, _> = sharded
+        .initial
+        .results
+        .iter()
+        .map(|(&h, r)| (h, r))
+        .collect();
     assert_eq!(
         ref_hosts.keys().collect::<Vec<_>>(),
         sh_hosts.keys().collect::<Vec<_>>(),
@@ -115,8 +123,14 @@ fn sharded_engine_matches_sequential_for_all_shard_counts() {
 
 #[test]
 fn sharded_runs_are_reproducible_across_repeats() {
-    let first = CampaignBuilder::new().shards(4).run(&build_world(5, 0.003)).data;
-    let second = CampaignBuilder::new().shards(4).run(&build_world(5, 0.003)).data;
+    let first = CampaignBuilder::new()
+        .shards(4)
+        .run(&build_world(5, 0.003))
+        .data;
+    let second = CampaignBuilder::new()
+        .shards(4)
+        .run(&build_world(5, 0.003))
+        .data;
     assert_eq!(first, second, "same seed + shard count must reproduce");
 }
 

@@ -81,7 +81,11 @@ fn exhibits_are_iteration_order_independent() {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.id, y.id);
-        assert_eq!(x.rendered, y.rendered, "exhibit {} leaks iteration order", x.id);
+        assert_eq!(
+            x.rendered, y.rendered,
+            "exhibit {} leaks iteration order",
+            x.id
+        );
         assert_eq!(
             serde_json::to_string(&x.json).expect("serialize"),
             serde_json::to_string(&y.json).expect("serialize"),

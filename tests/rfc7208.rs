@@ -5,8 +5,8 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use spfail::dns::resolver::{LookupError, LookupOutcome};
 use spfail::conformance::Evaluator;
+use spfail::dns::resolver::{LookupError, LookupOutcome};
 use spfail::dns::{Name, RData, Record, RecordType};
 use spfail::spf::eval::SpfDns;
 use spfail::spf::expand::CompliantExpander;
@@ -33,11 +33,26 @@ impl Zone {
         // Hosts.
         z.add("example.com", RData::A("192.0.2.10".parse().expect("ip")));
         z.add("example.com", RData::A("192.0.2.11".parse().expect("ip")));
-        z.add("amy.example.com", RData::A("192.0.2.65".parse().expect("ip")));
-        z.add("bob.example.com", RData::A("192.0.2.66".parse().expect("ip")));
-        z.add("mail-a.example.com", RData::A("192.0.2.129".parse().expect("ip")));
-        z.add("mail-b.example.com", RData::A("192.0.2.130".parse().expect("ip")));
-        z.add("mail-c.example.org", RData::A("192.0.2.140".parse().expect("ip")));
+        z.add(
+            "amy.example.com",
+            RData::A("192.0.2.65".parse().expect("ip")),
+        );
+        z.add(
+            "bob.example.com",
+            RData::A("192.0.2.66".parse().expect("ip")),
+        );
+        z.add(
+            "mail-a.example.com",
+            RData::A("192.0.2.129".parse().expect("ip")),
+        );
+        z.add(
+            "mail-b.example.com",
+            RData::A("192.0.2.130".parse().expect("ip")),
+        );
+        z.add(
+            "mail-c.example.org",
+            RData::A("192.0.2.140".parse().expect("ip")),
+        );
         // MX records.
         for (pref, exchange) in [(10, "mail-a.example.com"), (20, "mail-b.example.com")] {
             z.add(
@@ -63,10 +78,7 @@ impl SpfDns for Zone {
             Some(records) => Ok(LookupOutcome::Records(records.clone().into())),
             None => {
                 // NODATA when the name exists with other types.
-                let exists = self
-                    .records
-                    .keys()
-                    .any(|(n, _)| n == &name.to_lowercase());
+                let exists = self.records.keys().any(|(n, _)| n == &name.to_lowercase());
                 if exists {
                     Ok(LookupOutcome::NoRecords)
                 } else {
@@ -175,8 +187,7 @@ fn none_when_no_record() {
 fn first_match_wins() {
     // §4.6.2: mechanisms are evaluated left to right; the first match's
     // qualifier decides.
-    let mut zone =
-        Zone::rfc_appendix_a().with_policy("v=spf1 -ip4:192.0.2.10 +a -all");
+    let mut zone = Zone::rfc_appendix_a().with_policy("v=spf1 -ip4:192.0.2.10 +a -all");
     assert_eq!(check(&mut zone, "192.0.2.10"), SpfResult::Fail);
     assert_eq!(check(&mut zone, "192.0.2.11"), SpfResult::Pass);
 }
@@ -187,21 +198,18 @@ fn first_match_wins() {
 fn ten_lookup_terms_is_the_ceiling() {
     // Exactly 10 DNS-querying terms is fine...
     let terms: Vec<String> = (0..10).map(|_| "a".to_string()).collect();
-    let mut zone =
-        Zone::rfc_appendix_a().with_policy(&format!("v=spf1 {} +all", terms.join(" ")));
+    let mut zone = Zone::rfc_appendix_a().with_policy(&format!("v=spf1 {} +all", terms.join(" ")));
     assert_eq!(check(&mut zone, "203.0.113.1"), SpfResult::Pass);
     // ... the eleventh is PermError.
     let terms: Vec<String> = (0..11).map(|_| "a".to_string()).collect();
-    let mut zone =
-        Zone::rfc_appendix_a().with_policy(&format!("v=spf1 {} +all", terms.join(" ")));
+    let mut zone = Zone::rfc_appendix_a().with_policy(&format!("v=spf1 {} +all", terms.join(" ")));
     assert_eq!(check(&mut zone, "203.0.113.1"), SpfResult::PermError);
 }
 
 #[test]
 fn ip_mechanisms_do_not_count_against_the_limit() {
     let terms: Vec<String> = (0..30).map(|i| format!("ip4:198.51.100.{i}")).collect();
-    let mut zone =
-        Zone::rfc_appendix_a().with_policy(&format!("v=spf1 {} -all", terms.join(" ")));
+    let mut zone = Zone::rfc_appendix_a().with_policy(&format!("v=spf1 {} -all", terms.join(" ")));
     assert_eq!(check(&mut zone, "198.51.100.7"), SpfResult::Pass);
 }
 
@@ -209,8 +217,7 @@ fn ip_mechanisms_do_not_count_against_the_limit() {
 
 #[test]
 fn exists_with_ip_macro() {
-    let mut zone = Zone::rfc_appendix_a()
-        .with_policy("v=spf1 exists:%{ir}.sbl.example.com -all");
+    let mut zone = Zone::rfc_appendix_a().with_policy("v=spf1 exists:%{ir}.sbl.example.com -all");
     zone.add(
         "65.2.0.192.sbl.example.com",
         RData::A("127.0.0.2".parse().expect("ip")),
@@ -223,8 +230,7 @@ fn exists_with_ip_macro() {
 
 #[test]
 fn include_with_macro_domain() {
-    let mut zone =
-        Zone::rfc_appendix_a().with_policy("v=spf1 include:_spf.%{d2} -all");
+    let mut zone = Zone::rfc_appendix_a().with_policy("v=spf1 include:_spf.%{d2} -all");
     zone.add("_spf.example.com", RData::txt("v=spf1 ip4:203.0.113.0/24"));
     assert_eq!(check(&mut zone, "203.0.113.99"), SpfResult::Pass);
     assert_eq!(check(&mut zone, "198.51.100.1"), SpfResult::Fail);
@@ -233,8 +239,8 @@ fn include_with_macro_domain() {
 #[test]
 fn exists_with_plain_ip_macro() {
     // %{i} expands to the client IP in its natural (unreversed) form.
-    let mut zone = Zone::rfc_appendix_a()
-        .with_policy("v=spf1 exists:%{i}.allowed.example.com -all");
+    let mut zone =
+        Zone::rfc_appendix_a().with_policy("v=spf1 exists:%{i}.allowed.example.com -all");
     zone.add(
         "192.0.2.65.allowed.example.com",
         RData::A("127.0.0.2".parse().expect("ip")),
@@ -248,8 +254,8 @@ fn validated_domain_macro_expands_to_unknown() {
     // §7.3 discourages %{p}; the compliant expander never performs the
     // PTR dance and substitutes the literal "unknown" instead, exactly
     // as the RFC allows for an unresolved validated domain.
-    let mut zone = Zone::rfc_appendix_a()
-        .with_policy("v=spf1 exists:%{p}._pvalid.example.com -all");
+    let mut zone =
+        Zone::rfc_appendix_a().with_policy("v=spf1 exists:%{p}._pvalid.example.com -all");
     zone.add(
         "unknown._pvalid.example.com",
         RData::A("127.0.0.2".parse().expect("ip")),
@@ -257,8 +263,8 @@ fn validated_domain_macro_expands_to_unknown() {
     assert_eq!(check(&mut zone, "192.0.2.65"), SpfResult::Pass);
 
     // Without the "unknown" marker record the mechanism never matches.
-    let mut zone = Zone::rfc_appendix_a()
-        .with_policy("v=spf1 exists:%{p}._pvalid.example.com -all");
+    let mut zone =
+        Zone::rfc_appendix_a().with_policy("v=spf1 exists:%{p}._pvalid.example.com -all");
     assert_eq!(check(&mut zone, "192.0.2.65"), SpfResult::Fail);
 }
 
@@ -310,10 +316,11 @@ fn includes_count_against_the_lookup_limit() {
     // Each include is a DNS-querying term. Ten non-matching includes
     // followed by +all still pass...
     let mk = |n: usize| -> Zone {
-        let terms: Vec<String> =
-            (0..n).map(|i| format!("include:_s{i}.example.com")).collect();
-        let mut zone = Zone::rfc_appendix_a()
-            .with_policy(&format!("v=spf1 {} +all", terms.join(" ")));
+        let terms: Vec<String> = (0..n)
+            .map(|i| format!("include:_s{i}.example.com"))
+            .collect();
+        let mut zone =
+            Zone::rfc_appendix_a().with_policy(&format!("v=spf1 {} +all", terms.join(" ")));
         for i in 0..n {
             zone.add(&format!("_s{i}.example.com"), RData::txt("v=spf1 ?all"));
         }
@@ -329,15 +336,17 @@ fn nested_includes_share_the_global_limit() {
     // A chain of includes nested one inside the next draws from the
     // same global budget as a flat list.
     let mk = |depth: usize| -> Zone {
-        let mut zone =
-            Zone::rfc_appendix_a().with_policy("v=spf1 include:_n0.example.com +all");
+        let mut zone = Zone::rfc_appendix_a().with_policy("v=spf1 include:_n0.example.com +all");
         for i in 0..depth - 1 {
             zone.add(
                 &format!("_n{i}.example.com"),
                 RData::txt(&format!("v=spf1 include:_n{}.example.com ?all", i + 1)),
             );
         }
-        zone.add(&format!("_n{}.example.com", depth - 1), RData::txt("v=spf1 ?all"));
+        zone.add(
+            &format!("_n{}.example.com", depth - 1),
+            RData::txt("v=spf1 ?all"),
+        );
         zone
     };
     // Ten chained includes in total: the budget is exactly spent.
@@ -378,18 +387,15 @@ fn redirect_chains_and_inherits_sender_domain() {
     let mut zone = Zone::rfc_appendix_a().with_policy("v=spf1 redirect=_spf.example.com");
     // %{d} inside the redirected record refers to the *redirect target*
     // domain (the current domain), while %{o} stays the sender's.
-    zone.add(
-        "_spf.example.com",
-        RData::txt("v=spf1 a:%{o} -all"),
-    );
+    zone.add("_spf.example.com", RData::txt("v=spf1 a:%{o} -all"));
     assert_eq!(check(&mut zone, "192.0.2.10"), SpfResult::Pass);
     assert_eq!(check(&mut zone, "203.0.113.1"), SpfResult::Fail);
 }
 
 #[test]
 fn mechanisms_before_redirect_win() {
-    let mut zone = Zone::rfc_appendix_a()
-        .with_policy("v=spf1 ip4:198.51.100.0/24 redirect=_spf.example.com");
+    let mut zone =
+        Zone::rfc_appendix_a().with_policy("v=spf1 ip4:198.51.100.0/24 redirect=_spf.example.com");
     zone.add("_spf.example.com", RData::txt("v=spf1 -all"));
     assert_eq!(check(&mut zone, "198.51.100.1"), SpfResult::Pass);
     assert_eq!(check(&mut zone, "203.0.113.1"), SpfResult::Fail);

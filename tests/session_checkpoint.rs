@@ -98,7 +98,11 @@ fn assert_same_run(reference: &CampaignRun, candidate: &CampaignRun, label: &str
 /// At every round boundary of `session` (over `pop`): the checkpoint text
 /// is an exact round trip of the state and a canonical fixed point, and
 /// restoring the parsed state and capturing it again gives it back.
-fn assert_round_trips_at_every_boundary(mut session: Session<'_>, pop: &dyn Population, label: &str) {
+fn assert_round_trips_at_every_boundary(
+    mut session: Session<'_>,
+    pop: &dyn Population,
+    label: &str,
+) {
     loop {
         let boundary = session.rounds_done();
         let state = session.to_state();
@@ -296,8 +300,7 @@ fn file_checkpoint_resume_matches_exhibits() {
 
     // Every exhibit built from the resumed campaign matches the
     // uninterrupted run's byte for byte.
-    let ref_ctx =
-        spfail::report::Context::from_campaign(build_world(seed), reference.data);
+    let ref_ctx = spfail::report::Context::from_campaign(build_world(seed), reference.data);
     let res_ctx = spfail::report::Context::from_campaign(build_world(seed), resumed.data);
     let ref_exhibits = spfail::report::all_exhibits(&ref_ctx);
     let res_exhibits = spfail::report::all_exhibits(&res_ctx);

@@ -175,7 +175,9 @@ fn all_exhibits_match_across_modes() {
 #[test]
 fn streamed_checkpoint_text_round_trips_at_every_boundary() {
     let streamed = StreamedCampaign::sweep(builder(4, true), config(2024));
-    let mut session = streamed.session().expect("handoff state is self-consistent");
+    let mut session = streamed
+        .session()
+        .expect("handoff state is self-consistent");
     loop {
         let state = session.to_state();
         let text = state.to_text();
@@ -258,7 +260,9 @@ fn eager_checkpoint_resumes_under_streaming_engine() {
         // The streaming half: adopt the checkpoint, finish the campaign.
         let state = CampaignState::parse(&text).expect("eager checkpoint parses");
         let streamed = StreamedCampaign::adopt(state, config(11));
-        let mut session = streamed.session().expect("adopted state is self-consistent");
+        let mut session = streamed
+            .session()
+            .expect("adopted state is self-consistent");
         assert_eq!(session.rounds_done(), kill_at);
         while session.advance_round().is_some() {}
         let resumed = session.finish();
@@ -284,7 +288,9 @@ fn streamed_checkpoint_resumes_under_eager_engine() {
 
         // The streaming half, killed at the boundary.
         let streamed = StreamedCampaign::sweep(builder(4, false), config(77));
-        let mut session = streamed.session().expect("handoff state is self-consistent");
+        let mut session = streamed
+            .session()
+            .expect("handoff state is self-consistent");
         for _ in 0..kill_at {
             session.advance_round();
         }
