@@ -1,5 +1,6 @@
 //! Delivering the notifications and measuring their effect.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use spfail_mta::mta::ConnectDecision;
@@ -169,19 +170,19 @@ impl NotificationCampaign {
             .directory
             .register(std::sync::Arc::new(spfail_dns::StaticAuthority::new(zone)));
 
-        // Deduplicate: one email per distinct vulnerable host-set (§7.7).
-        let mut seen_hostsets: HashSet<Vec<HostId>> = HashSet::new();
+        // Deduplicate: one email per distinct vulnerable host-set (§7.7),
+        // each host-set keyed once by its sorted host list.
         let mut groups: Vec<(DomainId, Vec<DomainId>)> = Vec::new();
         let mut group_index: HashMap<Vec<HostId>, usize> = HashMap::new();
         for &domain in vulnerable_domains {
             let mut hosts = world.domain(domain).hosts.clone();
             hosts.sort();
-            if seen_hostsets.insert(hosts.clone()) {
-                group_index.insert(hosts, groups.len());
-                groups.push((domain, vec![domain]));
-            } else {
-                let idx = group_index[&hosts];
-                groups[idx].1.push(domain);
+            match group_index.entry(hosts) {
+                Entry::Occupied(group) => groups[*group.get()].1.push(domain),
+                Entry::Vacant(slot) => {
+                    slot.insert(groups.len());
+                    groups.push((domain, vec![domain]));
+                }
             }
         }
 

@@ -15,13 +15,12 @@
 //! campaign's output that both eager and streaming mode produce, compared
 //! bit-for-bit by `tests/streaming_equivalence.rs`.
 
-use std::collections::HashMap;
-
 use spfail_libspf2::MacroBehavior;
 use spfail_netsim::MetricsSnapshot;
 use spfail_world::{DomainId, HostId, Population};
 
 use crate::campaign::{CampaignData, HostClass, HostInitialResult, RoundStatus, SnapshotStatus};
+use crate::column::IdColumn;
 use crate::ethics::EthicsAudit;
 use crate::probe::ProbeTest;
 
@@ -225,6 +224,12 @@ impl HostMask {
         HostClass::SpfNotMeasured
     }
 
+    /// The test a tracked host is re-probed with in every round and the
+    /// snapshot: the test that measured it conclusively, else BlankMsg.
+    pub fn preferred_test(self) -> ProbeTest {
+        self.measured_by().unwrap_or(ProbeTest::BlankMsg)
+    }
+
     /// Whether the longitudinal engine tracks this host: the §5.1 rule
     /// tracks exactly the initially vulnerable hosts. A transient probe
     /// failure adds no host — only a vulnerable one would be re-tracked,
@@ -251,9 +256,6 @@ pub(crate) fn tracked_hosts(masks: &[u32]) -> Vec<HostId> {
 pub(crate) struct Tracking {
     /// The tracked hosts, id-sorted.
     pub(crate) tracked: Vec<HostId>,
-    /// Each tracked host's re-probe test: the test that measured it
-    /// conclusively, else BlankMsg.
-    pub(crate) preferred: HashMap<HostId, ProbeTest>,
     /// The initially vulnerable domains: every domain with a tracked
     /// host, id-sorted.
     pub(crate) vulnerable_domains: Vec<DomainId>,
@@ -264,19 +266,9 @@ impl Tracking {
     /// must hold every domain with a tracked host.
     pub(crate) fn from_masks(masks: &[u32], pop: &dyn Population) -> Tracking {
         let tracked = tracked_hosts(masks);
-        let preferred = tracked
-            .iter()
-            .map(|&h| {
-                let test = HostMask(masks[h.0 as usize])
-                    .measured_by()
-                    .unwrap_or(ProbeTest::BlankMsg);
-                (h, test)
-            })
-            .collect();
         Tracking {
             vulnerable_domains: pop.derive_vulnerable_domains(&tracked),
             tracked,
-            preferred,
         }
     }
 }
@@ -297,9 +289,9 @@ pub struct CampaignSummary {
     /// Initially vulnerable domains (sorted).
     pub vulnerable_domains: Vec<DomainId>,
     /// Per-round statuses, exactly [`CampaignData::rounds`].
-    pub rounds: Vec<(u16, HashMap<HostId, RoundStatus>)>,
+    pub rounds: Vec<(u16, IdColumn<HostId, RoundStatus>)>,
     /// The final snapshot, exactly [`CampaignData::snapshot`].
-    pub snapshot: HashMap<DomainId, SnapshotStatus>,
+    pub snapshot: IdColumn<DomainId, SnapshotStatus>,
     /// The campaign-wide self-restraint audit.
     pub ethics: EthicsAudit,
     /// The campaign-wide network totals.
@@ -307,18 +299,10 @@ pub struct CampaignSummary {
 }
 
 impl CampaignSummary {
-    /// Derive the summary from eager-mode campaign data. The initial
-    /// sweep probes every host exactly once, so `data.initial` is a
-    /// dense host column; any gap is a bug worth failing loudly on.
+    /// Derive the summary from eager-mode campaign data, whose sweep
+    /// record is [`InitialMeasurement::masks`](crate::InitialMeasurement::masks).
     pub fn from_data(data: &CampaignData) -> CampaignSummary {
-        let n = data.initial.results.len();
-        let mut masks = vec![0u32; n];
-        for (host, result) in &data.initial.results {
-            let idx = host.0 as usize;
-            assert!(idx < n, "initial results are a dense host column");
-            masks[idx] = HostMask::from_initial(result).0;
-        }
-        CampaignSummary::with_masks(masks, data)
+        CampaignSummary::with_masks(data.initial.masks(), data)
     }
 
     /// The summary of `data` whose sweep record is `masks`.
@@ -400,18 +384,16 @@ mod tests {
                 .map(|(&h, _)| h)
                 .collect();
             tracked.sort_unstable();
-            let preferred: HashMap<HostId, ProbeTest> = tracked
-                .iter()
-                .map(|h| {
-                    let test = results[h].measured_by().unwrap_or(ProbeTest::BlankMsg);
-                    (*h, test)
-                })
-                .collect();
-
             let tracking = Tracking::from_masks(&run.summary.masks, &world);
             assert!(!tracking.tracked.is_empty(), "shards {shards}");
             assert_eq!(tracking.tracked, tracked, "shards {shards}");
-            assert_eq!(tracking.preferred, preferred, "shards {shards}");
+            for h in &tracked {
+                assert_eq!(
+                    HostMask(run.summary.masks[h.0 as usize]).preferred_test(),
+                    results[h].measured_by().unwrap_or(ProbeTest::BlankMsg),
+                    "shards {shards}, {h:?}"
+                );
+            }
             assert_eq!(
                 tracking.vulnerable_domains,
                 world.derive_vulnerable_domains(&tracked),

@@ -18,6 +18,7 @@ use spfail_world::{DomainId, HostId, HostRecord, Population, Timeline, World};
 
 use crate::aggregate::HostMask;
 use crate::classify::Classification;
+use crate::column::IdColumn;
 use crate::ethics::{EthicsAudit, MAX_CONCURRENT};
 use crate::fxhash::FxBuildHasher;
 use crate::probe::{
@@ -159,62 +160,8 @@ impl HostInitialResult {
 
 /// The initial sweep's per-host results as one host-sorted column: the
 /// shape the sweep produces, the session keeps and the checkpoint's
-/// `init` lines write, so no stage rebuilds a map. Reads go through
-/// [`HostResults::iter`] (ascending host order), [`HostResults::get`]
-/// (binary search) and `results[&host]`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HostResults(pub(crate) Vec<(HostId, HostInitialResult)>);
-
-/// The entry projection [`HostResults::iter`] maps its slice through.
-type EntryRef<'a> = fn(&'a (HostId, HostInitialResult)) -> (&'a HostId, &'a HostInitialResult);
-
-impl HostResults {
-    /// Every host's result, in ascending host order.
-    pub fn iter(&self) -> <&HostResults as IntoIterator>::IntoIter {
-        self.into_iter()
-    }
-
-    /// The result of `host`, if it was probed.
-    pub fn get(&self, host: &HostId) -> Option<&HostInitialResult> {
-        self.0
-            .binary_search_by_key(host, |(h, _)| *h)
-            .ok()
-            .map(|i| &self.0[i].1)
-    }
-
-    /// How many hosts were probed.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether no host was probed (a streamed run keeps none).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-impl<'a> IntoIterator for &'a HostResults {
-    type Item = (&'a HostId, &'a HostInitialResult);
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, (HostId, HostInitialResult)>, EntryRef<'a>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter().map(|(h, r)| (h, r))
-    }
-}
-
-/// `results[&host]`, like a map's index.
-///
-/// # Panics
-///
-/// If `host` has no result; [`HostResults::get`] is the fallible form.
-impl std::ops::Index<&HostId> for HostResults {
-    type Output = HostInitialResult;
-
-    fn index(&self, host: &HostId) -> &HostInitialResult {
-        self.get(host)
-            .expect("indexed host has an initial result (use `get` for a host that may not)")
-    }
-}
+/// `init` lines write, so no stage rebuilds a map.
+pub type HostResults = IdColumn<HostId, HostInitialResult>;
 
 /// The initial sweep's results.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -224,6 +171,24 @@ pub struct InitialMeasurement {
 }
 
 impl InitialMeasurement {
+    /// The results compressed to one [`HostMask`] per host (index = host
+    /// id): the sweep record every session carries. An eager sweep
+    /// probes every host exactly once, so the results are a dense host
+    /// column; a gap is a bug worth failing loudly on.
+    pub fn masks(&self) -> Vec<u32> {
+        self.results
+            .iter()
+            .enumerate()
+            .map(|(i, (host, result))| {
+                assert_eq!(
+                    host.0 as usize, i,
+                    "initial results are a dense host column"
+                );
+                HostMask::from_initial(result).0
+            })
+            .collect()
+    }
+
     /// Hosts whose initial measurement showed the vulnerable fingerprint,
     /// sorted.
     pub fn vulnerable_hosts(&self) -> Vec<HostId> {
@@ -264,10 +229,11 @@ pub struct CampaignData {
     pub initial: InitialMeasurement,
     /// Hosts tracked longitudinally: the initially vulnerable, sorted.
     pub tracked: Vec<HostId>,
-    /// Per-round measurements: `(day, host -> status)`.
-    pub rounds: Vec<(u16, HashMap<HostId, RoundStatus>)>,
-    /// The final snapshot, per initially-vulnerable domain.
-    pub snapshot: HashMap<DomainId, SnapshotStatus>,
+    /// Per-round measurements: `(day, host -> status)`, one entry per
+    /// tracked host, host-sorted.
+    pub rounds: Vec<(u16, IdColumn<HostId, RoundStatus>)>,
+    /// The final snapshot, per initially-vulnerable domain, domain-sorted.
+    pub snapshot: IdColumn<DomainId, SnapshotStatus>,
     /// Initially vulnerable domains (any vulnerable host).
     pub vulnerable_domains: Vec<DomainId>,
     /// The §6.1 self-restraint audit for the whole campaign.
@@ -646,21 +612,22 @@ impl Campaign {
 
     /// Probe each of one worker's snapshot targets once (with one retry
     /// when the first attempt was inconclusive) on the snapshot day and
-    /// record its February status.
+    /// record its February status, in `hosts` order. Each host is probed
+    /// with its mask's preferred test (`masks` is indexed by host id).
     pub(crate) fn snapshot_sweep(
         prober: &mut Prober<'_>,
         hosts: &[HostId],
-        preferred: &HashMap<HostId, ProbeTest>,
-    ) -> (HashMap<HostId, RoundStatus>, SimDuration) {
+        masks: &[u32],
+    ) -> (Vec<(HostId, RoundStatus)>, SimDuration) {
         let start = Self::begin_sweep(prober, Phase::Snapshot, Timeline::END);
-        let mut statuses = HashMap::new();
+        let mut statuses = Vec::with_capacity(hosts.len());
         for &host in hosts {
-            let test = preferred.get(&host).copied().unwrap_or(ProbeTest::BlankMsg);
+            let test = HostMask(masks[host.0 as usize]).preferred_test();
             let (mut outcome, _) = prober.probe_with_retry(host, Timeline::END, test, 0);
             if !outcome.spf_measured() {
                 (outcome, _) = prober.probe_with_retry(host, Timeline::END, test, 0);
             }
-            statuses.insert(host, Self::round_status(&outcome));
+            statuses.push((host, Self::round_status(&outcome)));
         }
         let busy = prober.context().clock.now().since(start);
         (statuses, busy)
@@ -669,12 +636,14 @@ impl Campaign {
     /// Fold per-host snapshot statuses into per-domain verdicts: any
     /// vulnerable host condemns the domain; otherwise any inconclusive
     /// host leaves it unknown; only a clean sweep of patched hosts (of
-    /// at least one host) counts as patched.
+    /// at least one host) counts as patched. `domain_hosts` is in
+    /// vulnerable-domain (id) order, so the verdicts are a column as
+    /// they are folded.
     pub(crate) fn aggregate_snapshot(
         domain_hosts: &[(DomainId, Vec<HostId>)],
-        statuses: &HashMap<HostId, RoundStatus>,
-    ) -> HashMap<DomainId, SnapshotStatus> {
-        domain_hosts
+        statuses: &IdColumn<HostId, RoundStatus>,
+    ) -> IdColumn<DomainId, SnapshotStatus> {
+        let verdicts = domain_hosts
             .iter()
             .map(|(domain, hosts)| {
                 let status = if hosts.is_empty() {
@@ -694,7 +663,8 @@ impl Campaign {
                 };
                 (*domain, status)
             })
-            .collect()
+            .collect();
+        IdColumn::from_sorted(verdicts)
     }
 
     /// A round's status is the probe's graceful-degradation verdict:

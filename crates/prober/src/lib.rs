@@ -35,6 +35,7 @@ pub mod aggregate;
 pub mod campaign;
 pub mod checkpoint;
 pub mod classify;
+mod column;
 pub mod ethics;
 mod fxhash;
 pub mod probe;
@@ -50,6 +51,7 @@ pub use checkpoint::{CampaignState, WorkerState};
 pub use classify::{
     classify, quirk_by_name, quirks_for_behavior, Classification, KnownQuirk, KNOWN_QUIRKS,
 };
+pub use column::IdColumn;
 pub use ethics::{EthicsAudit, EthicsGuard};
 pub use probe::{
     ProbeContext, ProbeOptions, ProbeOutcome, ProbeTest, ProbeVerdict, Prober, RetryPolicy,

@@ -50,8 +50,9 @@
 //! [`shard_of`](crate::shard_of) stride. [`Session::to_state`] therefore
 //! copies them without a hash walk or a sort, [`Session::from_state`]
 //! moves the parsed columns back in, and [`Session::finish`] moves the
-//! sweep column into [`CampaignData`] as a
-//! [`HostResults`]. [`Session::checkpoint`] writes a
+//! sweep column and every round's column into [`CampaignData`] as they
+//! are, as [`IdColumn`]s; the snapshot is folded into one too.
+//! [`Session::checkpoint`] writes a
 //! temporary file and renames it over the target, so a crash mid-write
 //! never destroys the last good checkpoint.
 //!
@@ -92,15 +93,16 @@ use spfail_netsim::{MetricsSnapshot, PolicyCacheStats, SimDuration, SimTime};
 use spfail_trace::{Phase, Trace, Tracer};
 use spfail_world::{DomainId, HostId, Population, Timeline};
 
-use crate::aggregate::{CampaignSummary, Tracking};
+use crate::aggregate::{CampaignSummary, HostMask, Tracking};
 use crate::campaign::{
     interleave_shards, partition_hosts, Campaign, CampaignBuilder, CampaignData, CampaignRun,
     CampaignTiming, HostResults, InitialMeasurement, RoundStatus,
 };
 use crate::checkpoint::{mask_column, CampaignState, WorkerState};
+use crate::column::IdColumn;
 use crate::ethics::EthicsAudit;
 use crate::fxhash::FxBuildHasher;
-use crate::probe::{ProbeTest, Prober};
+use crate::probe::Prober;
 
 /// Probe-volume counters for a session's longitudinal rounds — the
 /// incremental engine's savings, measured.
@@ -196,7 +198,6 @@ pub struct Session<'w> {
     masks: Vec<u32>,
     tracked: Vec<HostId>,
     vulnerable_domains: Vec<DomainId>,
-    preferred: HashMap<HostId, ProbeTest>,
     /// Completed rounds: `(day, statuses)`, each round's statuses one
     /// per tracked host in host order — the checkpoint's `st` lines.
     rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)>,
@@ -228,7 +229,6 @@ impl<'w> Session<'w> {
             masks: Vec::new(),
             tracked: Vec::new(),
             vulnerable_domains: Vec::new(),
-            preferred: HashMap::new(),
             rounds: Vec::new(),
             initial_busy: SimDuration::ZERO,
             rounds_busy: SimDuration::ZERO,
@@ -306,7 +306,7 @@ impl<'w> Session<'w> {
             masks.push(part_masks);
             self.initial_busy = self.initial_busy.max(busy);
         }
-        self.initial = Some(HostResults(interleave_shards(
+        self.initial = Some(IdColumn::from_sorted(interleave_shards(
             results,
             all_hosts.iter().copied(),
         )));
@@ -330,7 +330,6 @@ impl<'w> Session<'w> {
     fn note_sweep(&mut self, masks: Vec<u32>) {
         let Tracking {
             tracked,
-            preferred,
             vulnerable_domains,
         } = Tracking::from_masks(&masks, self.pop);
         self.masks = masks;
@@ -340,7 +339,6 @@ impl<'w> Session<'w> {
             .collect();
         self.tracked = tracked;
         self.vulnerable_domains = vulnerable_domains;
-        self.preferred = preferred;
     }
 
     /// Record a finished round (statuses in host order): push it onto
@@ -372,14 +370,14 @@ impl<'w> Session<'w> {
         // A non-incremental round is a full rescan every time.
         let full_rescan = self.full_rescan_next || !self.builder.incremental;
         let world = self.pop;
-        let preferred = &self.preferred;
+        let masks = &self.masks;
         let last_conclusive = &self.last_conclusive;
         let outputs = on_workers(&mut self.workers, |w| {
             incremental_round_sweep(
                 &mut w.prober,
                 day,
                 &w.hosts,
-                preferred,
+                masks,
                 &mut w.counts,
                 last_conclusive,
                 world,
@@ -428,16 +426,17 @@ impl<'w> Session<'w> {
                 .into_iter()
                 .map(|part| Worker::new(world, &self.builder, part))
                 .collect();
-        let preferred = &self.preferred;
+        let masks = &self.masks;
         let outputs = on_workers(&mut snapshot_workers, |w| {
-            Campaign::snapshot_sweep(&mut w.prober, &w.hosts, preferred)
+            Campaign::snapshot_sweep(&mut w.prober, &w.hosts, masks)
         });
-        let mut host_statuses: HashMap<HostId, RoundStatus> = HashMap::new();
+        let mut parts = Vec::with_capacity(outputs.len());
         let mut snapshot_busy = SimDuration::ZERO;
         for (statuses, busy) in outputs {
-            host_statuses.extend(statuses);
+            parts.push(statuses);
             snapshot_busy = snapshot_busy.max(busy);
         }
+        let host_statuses = IdColumn::from_sorted(interleave_shards(parts, targets));
         let snapshot = Campaign::aggregate_snapshot(&domain_hosts, &host_statuses);
 
         // Leave the world's shared surfaces at the snapshot: clock on
@@ -468,12 +467,11 @@ impl<'w> Session<'w> {
             self.trace_parts.push(w.tracer.finish());
         }
 
-        // The report reads each round as a map; this is the one place a
-        // round's column becomes one.
+        // Each round's column moves into the data as it is.
         let rounds = self
             .rounds
             .into_iter()
-            .map(|(day, statuses)| (day, statuses.into_iter().collect()))
+            .map(|(day, statuses)| (day, IdColumn::from_sorted(statuses)))
             .collect();
         let data = CampaignData {
             initial: InitialMeasurement {
@@ -531,7 +529,7 @@ impl<'w> Session<'w> {
         let initial = self
             .initial
             .as_ref()
-            .map(|results| results.0.clone())
+            .map(|results| results.as_slice().to_vec())
             .unwrap_or_default();
         let rounds = self.rounds.clone();
         let workers = self
@@ -600,7 +598,7 @@ impl<'w> Session<'w> {
         let masks = mask_column(state.masks, &state.initial, world.full_host_count())?;
         let mut session = Session::new(state.builder, world);
         if !streamed {
-            session.initial = Some(HostResults(state.initial));
+            session.initial = Some(IdColumn::from_sorted(state.initial));
         }
         session.note_sweep(masks);
         session.initial_busy = state.initial_busy;
@@ -754,7 +752,7 @@ fn incremental_round_sweep(
     prober: &mut Prober<'_>,
     day: u16,
     hosts: &[HostId],
-    preferred: &HashMap<HostId, ProbeTest>,
+    masks: &[u32],
     counts: &mut HashMap<HostId, u32, FxBuildHasher>,
     last_conclusive: &HashMap<HostId, (u16, RoundStatus)>,
     world: &dyn Population,
@@ -768,7 +766,7 @@ fn incremental_round_sweep(
     let mut skipped = 0u64;
     for &host in hosts {
         let seen = counts.entry(host).or_insert(0);
-        let test = preferred[&host];
+        let test = HostMask(masks[host.0 as usize]).preferred_test();
         // The skip horizon. A host's round probe can be answered from
         // carried state only when nothing that can change the answer
         // lies in between — and injected faults perturb every probe, so

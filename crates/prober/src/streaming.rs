@@ -301,10 +301,12 @@ fn sweep_stream(builder: &CampaignBuilder, lazy: LazyWorld, runtime: &WorldRunti
 /// Two passes: shared-hosting domains reference hosts synthesized for
 /// *earlier* domains, so which hosts to keep is only known once every
 /// domain's membership has streamed by. Pass one collects the host-id
-/// set, pass two the records — synthesis is cheap, holding the
+/// set and counts the domains, pass two the records into columns
+/// reserved to exactly those counts — synthesis is cheap, holding the
 /// population is what streaming avoids.
 fn retain(config: WorldConfig, runtime: WorldRuntime, tracked: &[HostId]) -> SparsePopulation {
     let mut keep_hosts: Vec<HostId> = Vec::new();
+    let mut keep_domains = 0;
     for step in LazyWorld::new(config.clone()) {
         if step
             .domain
@@ -313,12 +315,14 @@ fn retain(config: WorldConfig, runtime: WorldRuntime, tracked: &[HostId]) -> Spa
             .any(|h| tracked.binary_search(h).is_ok())
         {
             keep_hosts.extend(step.domain.hosts.iter().copied());
+            keep_domains += 1;
         }
     }
     keep_hosts.sort();
     keep_hosts.dedup();
 
     let mut population = SparsePopulation::new(runtime);
+    population.reserve(keep_hosts.len(), keep_domains);
     for step in LazyWorld::new(config) {
         let first = step.first_fresh.0;
         for (offset, record) in step.fresh.into_iter().enumerate() {

@@ -385,7 +385,7 @@ impl Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spfail_prober::{CampaignBuilder, CampaignSummary};
+    use spfail_prober::CampaignBuilder;
 
     /// The two fold inputs — the materialized world and the synthesis
     /// stream — must produce identical aggregates.
@@ -397,7 +397,7 @@ mod tests {
         };
         let world = World::generate(config.clone());
         let run = CampaignBuilder::new().run(&world);
-        let masks = CampaignSummary::from_data(&run.data).masks;
+        let masks = run.data.initial.masks();
         let eager = WorldAggregates::from_world(&world, &masks);
         let lazy = WorldAggregates::from_config(&config, &masks);
         assert_eq!(eager, lazy);

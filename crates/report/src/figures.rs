@@ -8,8 +8,9 @@
 //! The longitudinal builders (Figures 3 and 5–8, `attribution`) read
 //! the rounds through a `View` that is dense over the sorted
 //! `campaign.tracked` list: a tracked host is named by its *position*
-//! in that list. Each round's status map becomes a position-sorted
-//! column, and the patch timeline becomes two `u16` columns indexed by
+//! in that list. Each round's host-sorted status column is read in
+//! place into a position-sorted column of its conclusive measurements,
+//! and the patch timeline becomes two `u16` columns indexed by
 //! position. A figure resolves each of its domains to the positions of
 //! its tracked hosts once, then per round fills one `(direct, status)`
 //! entry per tracked host and answers every domain by slice indexing:
@@ -60,18 +61,15 @@ impl<'a> View<'a> {
         let mut last_vulnerable = vec![NEVER; tracked.len()];
         let mut rounds = Vec::with_capacity(campaign.rounds.len());
         for (day, statuses) in &campaign.rounds {
-            let mut by_host: Vec<(HostId, RoundStatus)> = statuses
-                .iter()
-                .filter(|(_, &status)| status != RoundStatus::Inconclusive)
-                .map(|(&host, &status)| (host, status))
-                .collect();
-            by_host.sort_unstable_by_key(|(host, _)| *host);
-            // Merge-walk the sorted column against the sorted tracked
-            // list; a host outside it (never written by the engine) is
-            // skipped.
-            let mut column = Vec::with_capacity(by_host.len());
+            // Merge-walk the host-sorted column against the sorted
+            // tracked list; a host outside it (never written by the
+            // engine) is skipped.
+            let mut column = Vec::with_capacity(statuses.len());
             let mut pos = 0;
-            for (host, status) in by_host {
+            for (&host, &status) in statuses {
+                if status == RoundStatus::Inconclusive {
+                    continue;
+                }
                 while pos < tracked.len() && tracked[pos] < host {
                     pos += 1;
                 }
@@ -697,12 +695,13 @@ pub fn notification_funnel(src: &impl Source) -> Exhibit {
 }
 
 /// The map-based view the dense [`View`] replaced, kept as the
-/// differential reference for it.
+/// differential reference for it: per-host maps of first-patched and
+/// last-vulnerable days, read straight from the round columns.
 #[cfg(test)]
 mod reference {
-    use std::collections::{BTreeMap, BTreeSet, HashMap};
+    use std::collections::{BTreeMap, BTreeSet};
 
-    use spfail_prober::{CampaignData, RoundStatus};
+    use spfail_prober::{CampaignData, IdColumn, RoundStatus};
     use spfail_world::HostId;
 
     pub(super) struct MapView {
@@ -717,12 +716,7 @@ mod reference {
             let mut first_patched = BTreeMap::new();
             let mut last_vulnerable = BTreeMap::new();
             for (day, statuses) in &campaign.rounds {
-                let mut by_host: Vec<(HostId, RoundStatus)> = statuses
-                    .iter()
-                    .map(|(&host, &status)| (host, status))
-                    .collect();
-                by_host.sort_unstable_by_key(|(host, _)| *host);
-                for (host, status) in by_host {
+                for (&host, &status) in statuses {
                     match status {
                         RoundStatus::Patched => {
                             first_patched.entry(host).or_insert(*day);
@@ -745,7 +739,7 @@ mod reference {
             &self,
             host: HostId,
             day: u16,
-            direct: &HashMap<HostId, RoundStatus>,
+            direct: &IdColumn<HostId, RoundStatus>,
         ) -> RoundStatus {
             match direct.get(&host) {
                 Some(&RoundStatus::Vulnerable) => return RoundStatus::Vulnerable,
@@ -767,7 +761,7 @@ mod reference {
             &self,
             domain_hosts: &[HostId],
             day: u16,
-            direct: &HashMap<HostId, RoundStatus>,
+            direct: &IdColumn<HostId, RoundStatus>,
         ) -> (bool, RoundStatus) {
             let hosts: Vec<HostId> = domain_hosts
                 .iter()
@@ -806,7 +800,7 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use spfail_prober::IdColumn;
 
     use super::*;
     use crate::pipeline::{Context, StreamContext};
@@ -875,7 +869,7 @@ mod tests {
         use RoundStatus::{Inconclusive as I, Patched as P, Vulnerable as V};
 
         let h = HostId;
-        let round = |entries: &[(u32, RoundStatus)]| -> HashMap<HostId, RoundStatus> {
+        let round = |entries: &[(u32, RoundStatus)]| -> IdColumn<HostId, RoundStatus> {
             entries
                 .iter()
                 .map(|&(host, status)| (h(host), status))
@@ -893,7 +887,7 @@ mod tests {
                 (19, round(&[(1, I), (2, V), (3, P), (4, P), (7, V)])),
                 (21, round(&[(2, I), (3, P), (4, P), (5, I)])),
             ],
-            snapshot: HashMap::new(),
+            snapshot: IdColumn::default(),
             vulnerable_domains: (0..6).map(DomainId).collect(),
             ethics: Default::default(),
             network: Default::default(),

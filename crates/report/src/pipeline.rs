@@ -99,8 +99,7 @@ impl Context {
         // exactly as the paper built it.
         let (notifications, funnel) =
             NotificationCampaign::run(&world, &campaign.vulnerable_domains, &mut pixels);
-        let aggregates =
-            WorldAggregates::from_world(&world, &CampaignSummary::from_data(&campaign).masks);
+        let aggregates = WorldAggregates::from_world(&world, &campaign.initial.masks());
         Context {
             world,
             campaign,

@@ -19,7 +19,6 @@
 //! streaming campaign's peak heap independent of population size (see
 //! DESIGN.md, "Streaming memory model").
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -253,11 +252,36 @@ pub trait Population: Sync {
 /// phases actually touch (tracked hosts and initially-vulnerable
 /// domains, a few percent of the world); every other record exists only
 /// for the lifetime of its [`DomainStep`].
+///
+/// Records are stored as id-sorted columns: a compact id array per kind
+/// (4 bytes an entry) with the records in a parallel array, looked up by
+/// binary search over the ids. Retention visits ids in ascending order,
+/// so each insert is a push.
 pub struct SparsePopulation {
     /// The runtime surface.
     pub runtime: WorldRuntime,
-    hosts: HashMap<HostId, HostRecord>,
-    domains: HashMap<DomainId, DomainRecord>,
+    host_ids: Vec<HostId>,
+    hosts: Vec<HostRecord>,
+    domain_ids: Vec<DomainId>,
+    domains: Vec<DomainRecord>,
+}
+
+/// Insert `record` under `id` into the id-sorted `ids` and its parallel
+/// `records`, replacing the record of an id already present. An id past
+/// the last one (retention's case) is a push.
+fn insert_sorted<K: Ord + Copy, V>(ids: &mut Vec<K>, records: &mut Vec<V>, id: K, record: V) {
+    if ids.last().map_or(true, |&last| last < id) {
+        ids.push(id);
+        records.push(record);
+        return;
+    }
+    match ids.binary_search(&id) {
+        Ok(i) => records[i] = record,
+        Err(i) => {
+            ids.insert(i, id);
+            records.insert(i, record);
+        }
+    }
 }
 
 impl SparsePopulation {
@@ -265,24 +289,37 @@ impl SparsePopulation {
     pub fn new(runtime: WorldRuntime) -> SparsePopulation {
         SparsePopulation {
             runtime,
-            hosts: HashMap::new(),
-            domains: HashMap::new(),
+            host_ids: Vec::new(),
+            hosts: Vec::new(),
+            domain_ids: Vec::new(),
+            domains: Vec::new(),
         }
     }
 
-    /// Retain a host record.
-    pub fn insert_host(&mut self, id: HostId, record: HostRecord) {
-        self.hosts.insert(id, record);
+    /// Reserve room for `hosts` more host records and `domains` more
+    /// domain records, so a caller that knows its retained counts (the
+    /// streaming driver does after its first replay) grows each column
+    /// once, to exactly that size.
+    pub fn reserve(&mut self, hosts: usize, domains: usize) {
+        self.host_ids.reserve_exact(hosts);
+        self.hosts.reserve_exact(hosts);
+        self.domain_ids.reserve_exact(domains);
+        self.domains.reserve_exact(domains);
     }
 
-    /// Retain a domain record.
+    /// Retain a host record (replacing one already retained under `id`).
+    pub fn insert_host(&mut self, id: HostId, record: HostRecord) {
+        insert_sorted(&mut self.host_ids, &mut self.hosts, id, record);
+    }
+
+    /// Retain a domain record (replacing one already retained under `id`).
     pub fn insert_domain(&mut self, id: DomainId, record: DomainRecord) {
-        self.domains.insert(id, record);
+        insert_sorted(&mut self.domain_ids, &mut self.domains, id, record);
     }
 
     /// Whether a host is retained.
     pub fn has_host(&self, id: HostId) -> bool {
-        self.hosts.contains_key(&id)
+        self.host_ids.binary_search(&id).is_ok()
     }
 
     /// Number of retained hosts.
@@ -302,15 +339,19 @@ impl Population for SparsePopulation {
     }
 
     fn host(&self, id: HostId) -> &HostRecord {
-        self.hosts
-            .get(&id)
-            .expect("streaming phases only touch retained hosts")
+        let i = self
+            .host_ids
+            .binary_search(&id)
+            .expect("streaming phases only touch retained hosts");
+        &self.hosts[i]
     }
 
     fn domain(&self, id: DomainId) -> &DomainRecord {
-        self.domains
-            .get(&id)
-            .expect("streaming phases only touch retained domains")
+        let i = self
+            .domain_ids
+            .binary_search(&id)
+            .expect("streaming phases only touch retained domains");
+        &self.domains[i]
     }
 
     fn full_host_count(&self) -> Option<usize> {
@@ -318,16 +359,13 @@ impl Population for SparsePopulation {
     }
 
     fn derive_vulnerable_domains(&self, tracked: &[HostId]) -> Vec<DomainId> {
-        // Sorted after collection, so the HashMap's iteration order
-        // never reaches the result.
-        let mut ids: Vec<DomainId> = self
-            .domains
+        // The domain column is id-sorted, so the result is too.
+        self.domain_ids
             .iter()
+            .zip(&self.domains)
             .filter(|(_, d)| d.hosts.iter().any(|h| tracked.binary_search(h).is_ok()))
             .map(|(&id, _)| id)
-            .collect();
-        ids.sort();
-        ids
+            .collect()
     }
 }
 
@@ -923,6 +961,103 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(two_week_ranks(&members, SimRng::new(5)), expected);
         }
+    }
+
+    /// Every retained id looks up the record `World` holds for it, in
+    /// whatever order the records went in and whatever they replaced.
+    #[test]
+    fn sparse_columns_look_up_the_world_records() {
+        let config = WorldConfig {
+            scale: 0.002,
+            ..WorldConfig::small(43)
+        };
+        let world = World::generate(config.clone());
+        let mut hosts: Vec<HostId> = (0..world.hosts.len() as u32)
+            .filter(|h| h % 3 != 1)
+            .map(HostId)
+            .collect();
+        let mut domains: Vec<DomainId> = (0..world.domains.len() as u32)
+            .filter(|d| d % 4 == 0)
+            .map(DomainId)
+            .collect();
+        let mut sparse = SparsePopulation::new(WorldRuntime::new(config));
+        // Out of order, with a stale record under some ids that the
+        // world's record then replaces.
+        SimRng::new(9).shuffle(&mut hosts);
+        SimRng::new(9).shuffle(&mut domains);
+        for (i, &h) in hosts.iter().enumerate() {
+            if i % 5 == 0 {
+                sparse.insert_host(h, world.hosts[0].clone());
+            }
+        }
+        for (i, &d) in domains.iter().enumerate() {
+            if i % 5 == 0 {
+                sparse.insert_domain(d, world.domains[1].clone());
+            }
+        }
+        for &h in &hosts {
+            sparse.insert_host(h, world.host(h).clone());
+        }
+        for &d in &domains {
+            sparse.insert_domain(d, world.domain(d).clone());
+        }
+        assert_eq!(sparse.host_count(), hosts.len());
+        assert_eq!(sparse.domain_count(), domains.len());
+        for &h in &hosts {
+            assert!(sparse.has_host(h));
+            assert_eq!(
+                format!("{:?}", Population::host(&sparse, h)),
+                format!("{:?}", world.host(h)),
+                "{h:?}"
+            );
+        }
+        assert!(!sparse.has_host(HostId(1)));
+        for &d in &domains {
+            assert_eq!(
+                format!("{:?}", Population::domain(&sparse, d)),
+                format!("{:?}", world.domain(d)),
+                "{d:?}"
+            );
+        }
+        // The derivation over the retained domains, id-sorted.
+        let tracked: Vec<HostId> = (0..world.hosts.len() as u32)
+            .filter(|h| h % 7 == 0)
+            .map(HostId)
+            .collect();
+        domains.sort();
+        let expected: Vec<DomainId> = world
+            .derive_vulnerable_domains(&tracked)
+            .into_iter()
+            .filter(|d| domains.binary_search(d).is_ok())
+            .collect();
+        assert_eq!(sparse.derive_vulnerable_domains(&tracked), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "streaming phases only touch retained hosts")]
+    fn sparse_lookup_of_an_unretained_host_panics() {
+        let config = WorldConfig {
+            scale: 0.002,
+            ..WorldConfig::small(43)
+        };
+        let world = World::generate(config.clone());
+        let mut sparse = SparsePopulation::new(WorldRuntime::new(config));
+        sparse.insert_host(HostId(2), world.host(HostId(2)).clone());
+        sparse.insert_host(HostId(0), world.host(HostId(0)).clone());
+        Population::host(&sparse, HostId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "streaming phases only touch retained domains")]
+    fn sparse_lookup_of_an_unretained_domain_panics() {
+        let config = WorldConfig {
+            scale: 0.002,
+            ..WorldConfig::small(43)
+        };
+        let world = World::generate(config.clone());
+        let mut sparse = SparsePopulation::new(WorldRuntime::new(config));
+        sparse.insert_domain(DomainId(3), world.domain(DomainId(3)).clone());
+        Population::domain(&sparse, DomainId(4));
     }
 
     #[test]
