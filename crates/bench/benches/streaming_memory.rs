@@ -6,7 +6,7 @@
 //! budgets live in tier-1 (`crates/bench/tests/alloc_count.rs`). This
 //! bench *measures* the curve: eager and streaming campaigns over the
 //! same worlds at two scales, recording each mode's high-water mark and
-//! wall clock, re-asserting cross-mode summary equality on every
+//! wall clock, re-asserting cross-mode record equality on every
 //! measured pair (bounded memory must never cost a bit of output).
 //! Emits `BENCH_memory_footprint.json` next to the criterion output.
 
@@ -75,24 +75,26 @@ fn config(scale: f64) -> WorldConfig {
 
 /// One eager + one streaming campaign over the same world config;
 /// returns the per-mode (peak bytes, wall seconds) and the host count,
-/// having asserted the cross-mode summary equality.
+/// having asserted that both runs hold the same sweep record and the
+/// same longitudinal data (`initial` aside: a streamed sweep leaves it
+/// empty, the mask column is its record).
 fn measure_pair(scale: f64) -> ((u64, f64), (u64, f64), usize) {
-    let (eager_peak, eager_wall, eager_summary) = metered(|| {
+    let (eager_peak, eager_wall, eager_record) = metered(|| {
         let world = World::generate(config(scale));
-        let run = CampaignBuilder::new().run(&world);
-        CampaignSummary::from_data(&run.data)
+        let mut data = CampaignBuilder::new().run(&world).data;
+        let summary = CampaignSummary::from_data(&data);
+        data.initial = Default::default();
+        (summary, data)
     });
-    let (streaming_peak, streaming_wall, streamed_summary) = metered(|| {
-        CampaignBuilder::new()
-            .run_streaming(config(scale))
-            .run
-            .summary
+    let (streaming_peak, streaming_wall, streamed_record) = metered(|| {
+        let run = CampaignBuilder::new().run_streaming(config(scale)).run;
+        (run.summary, run.data)
     });
     assert_eq!(
-        eager_summary, streamed_summary,
+        eager_record, streamed_record,
         "bounded memory must not change a single measurement"
     );
-    let hosts = eager_summary.masks.len();
+    let hosts = eager_record.0.masks.len();
     (
         (eager_peak, eager_wall),
         (streaming_peak, streaming_wall),

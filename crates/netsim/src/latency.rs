@@ -34,12 +34,6 @@ impl LatencyModel {
         jitter: SimDuration::from_millis(30),
     };
 
-    /// A plausible same-region path: 5 ms ± 5 ms one-way.
-    pub const REGIONAL: LatencyModel = LatencyModel {
-        base: SimDuration::from_millis(5),
-        jitter: SimDuration::from_millis(5),
-    };
-
     /// Sample a one-way delay.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         if self.jitter == SimDuration::ZERO {

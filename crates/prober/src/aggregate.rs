@@ -11,17 +11,15 @@
 //! one place (`Tracking::from_masks`), for a fresh sweep, a restored
 //! checkpoint and a streamed handoff alike.
 //!
-//! [`CampaignSummary`] is the cross-mode equality artifact: the part of a
-//! campaign's output that both eager and streaming mode produce, compared
-//! bit-for-bit by `tests/streaming_equivalence.rs`.
+//! [`CampaignSummary`] is the sweep record a finished run hands out: the
+//! mask column plus the tracking set derived from it. Eager and
+//! streaming runs produce it bit for bit alike
+//! (`tests/streaming_equivalence.rs`).
 
 use spfail_libspf2::MacroBehavior;
-use spfail_netsim::MetricsSnapshot;
 use spfail_world::{DomainId, HostId, Population};
 
-use crate::campaign::{CampaignData, HostClass, HostInitialResult, RoundStatus, SnapshotStatus};
-use crate::column::IdColumn;
-use crate::ethics::EthicsAudit;
+use crate::campaign::{CampaignData, HostClass, HostInitialResult};
 use crate::probe::ProbeTest;
 
 /// Every macro behaviour, in declaration order; the index of a behaviour
@@ -273,13 +271,15 @@ impl Tracking {
     }
 }
 
-/// The part of a campaign's output that eager and streaming mode both
-/// produce, bit for bit: the cross-mode equality artifact.
+/// The initial sweep's record: the mask column and the tracking set
+/// derived from it — the part of a campaign's output that only the
+/// sweep determines.
 ///
 /// Every session carries `masks` from its initial sweep (or restore) to
-/// `finish`, which fills the rest from the campaign data; eager-mode
-/// data alone yields the same summary through
-/// [`CampaignSummary::from_data`].
+/// `finish`; eager-mode data alone yields the same summary through
+/// [`CampaignSummary::from_data`]. The longitudinal record (rounds,
+/// snapshot, ethics audit, network totals) lives once, in
+/// [`CampaignData`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSummary {
     /// One [`HostMask`] per host, indexed by host id.
@@ -288,14 +288,6 @@ pub struct CampaignSummary {
     pub tracked: Vec<HostId>,
     /// Initially vulnerable domains (sorted).
     pub vulnerable_domains: Vec<DomainId>,
-    /// Per-round statuses, exactly [`CampaignData::rounds`].
-    pub rounds: Vec<(u16, IdColumn<HostId, RoundStatus>)>,
-    /// The final snapshot, exactly [`CampaignData::snapshot`].
-    pub snapshot: IdColumn<DomainId, SnapshotStatus>,
-    /// The campaign-wide self-restraint audit.
-    pub ethics: EthicsAudit,
-    /// The campaign-wide network totals.
-    pub network: MetricsSnapshot,
 }
 
 impl CampaignSummary {
@@ -311,10 +303,6 @@ impl CampaignSummary {
             masks,
             tracked: data.tracked.clone(),
             vulnerable_domains: data.vulnerable_domains.clone(),
-            rounds: data.rounds.clone(),
-            snapshot: data.snapshot.clone(),
-            ethics: data.ethics.clone(),
-            network: data.network,
         }
     }
 }

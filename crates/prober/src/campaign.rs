@@ -316,8 +316,8 @@ impl CampaignTiming {
 pub struct CampaignRun {
     /// The campaign's measurements.
     pub data: CampaignData,
-    /// The mode-independent comparison surface: initial results as
-    /// [`HostMask`]s plus the longitudinal fields.
+    /// The initial sweep's record: initial results as [`HostMask`]s
+    /// plus the tracking set derived from them.
     /// Streaming and eager runs of the same configuration produce equal
     /// summaries bit for bit (`tests/streaming_equivalence.rs`); like
     /// `cache`, it is derived bookkeeping and excluded from run equality

@@ -355,18 +355,26 @@ mod tests {
         }
     }
 
+    /// The streamed run's sweep record and longitudinal data equal the
+    /// eager run's; `initial` is deliberately empty when streaming.
+    fn assert_same_run(streamed: &crate::CampaignRun, eager: &crate::CampaignRun) {
+        assert_eq!(streamed.summary, eager.summary);
+        let (s, e) = (&streamed.data, &eager.data);
+        assert_eq!(s.tracked, e.tracked);
+        assert_eq!(s.rounds, e.rounds);
+        assert_eq!(s.snapshot, e.snapshot);
+        assert_eq!(s.vulnerable_domains, e.vulnerable_domains);
+        assert_eq!(s.ethics, e.ethics);
+        assert_eq!(s.network, e.network);
+        assert!(s.initial.results.is_empty());
+    }
+
     #[test]
     fn streaming_summary_matches_eager_sequential() {
         let world = World::generate(config());
         let eager = CampaignBuilder::new().run(&world);
         let streamed = CampaignBuilder::new().run_streaming(config());
-        assert_eq!(streamed.run.summary, eager.summary);
-        // The longitudinal data minus the (deliberately empty) initial
-        // results is equal too.
-        assert_eq!(streamed.run.data.tracked, eager.data.tracked);
-        assert_eq!(streamed.run.data.rounds, eager.data.rounds);
-        assert_eq!(streamed.run.data.snapshot, eager.data.snapshot);
-        assert!(streamed.run.data.initial.results.is_empty());
+        assert_same_run(&streamed.run, &eager);
     }
 
     #[test]
@@ -374,7 +382,7 @@ mod tests {
         let world = World::generate(config());
         let eager = CampaignBuilder::new().shards(3).run(&world);
         let streamed = CampaignBuilder::new().shards(3).run_streaming(config());
-        assert_eq!(streamed.run.summary, eager.summary);
+        assert_same_run(&streamed.run, &eager);
     }
 
     #[test]

@@ -3,26 +3,27 @@
 //! ```text
 //! cargo run -p spfail-report --release --bin experiments -- \
 //!     [--scale 0.05] [--seed 0x5bf2a117] [--json exhibits.json] [--md EXPERIMENTS.md] \
-//!     [--only fig7,table3] [--streaming]
+//!     [--only fig7,table3]
 //! ```
 //!
 //! Prints each exhibit, and optionally writes the machine-readable JSON
 //! and a paper-vs-measured markdown record. `--only` selects exhibits
-//! from the registry by id (repeatable, comma-separable). `--streaming`
-//! runs the bounded-memory pipeline — same exhibits, bit for bit,
-//! without ever materializing the world.
+//! from the registry by id (repeatable, comma-separable). The run is
+//! the bounded-memory streaming pipeline ([`StreamContext::run`]): the
+//! world is synthesized lazily and never materialized, and every exhibit
+//! equals the eager pipeline's bit for bit
+//! (`tests/streaming_equivalence.rs`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use spfail_report::pipeline::SetFilter;
 use spfail_report::{
-    all_exhibits, exhibit_by_id, Context, Exhibit, ExhibitEntry, Source, StreamContext,
-    EXHIBIT_REGISTRY,
+    all_exhibits, exhibit_by_id, Exhibit, ExhibitEntry, Source, StreamContext, EXHIBIT_REGISTRY,
 };
 
 const USAGE: &str = "usage: experiments [--scale F] [--seed N] [--json PATH] [--md PATH] \
-                     [--latex DIR] [--only ID[,ID...]] [--streaming]";
+                     [--latex DIR] [--only ID[,ID...]]";
 
 struct Args {
     scale: f64,
@@ -31,7 +32,6 @@ struct Args {
     md_path: Option<String>,
     latex_dir: Option<String>,
     only: Vec<&'static ExhibitEntry>,
-    streaming: bool,
 }
 
 /// Every registry id, comma-separated, for help and error messages.
@@ -53,7 +53,6 @@ fn parse_args(mut iter: impl Iterator<Item = String>) -> Result<Option<Args>, St
         md_path: None,
         latex_dir: None,
         only: Vec::new(),
-        streaming: false,
     };
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| {
@@ -89,7 +88,6 @@ fn parse_args(mut iter: impl Iterator<Item = String>) -> Result<Option<Args>, St
                     })?);
                 }
             }
-            "--streaming" => args.streaming = true,
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -99,13 +97,13 @@ fn parse_args(mut iter: impl Iterator<Item = String>) -> Result<Option<Args>, St
 
 /// The selected exhibits: the whole registry, or the `--only` ids in
 /// the order given.
-fn selected_exhibits<S: Source>(args: &Args, src: &S) -> Vec<Exhibit> {
+fn selected_exhibits(args: &Args, sc: &StreamContext) -> Vec<Exhibit> {
     if args.only.is_empty() {
-        return all_exhibits(src);
+        return all_exhibits(sc);
     }
     args.only
         .iter()
-        .map(|entry| S::column(entry)(src))
+        .map(|entry| (entry.build_streaming)(sc))
         .collect()
 }
 
@@ -159,32 +157,20 @@ fn main() {
         }
     };
     eprintln!(
-        "{} world at scale {} (seed 0x{:x}) and running the full campaign...",
-        if args.streaming {
-            "streaming"
-        } else {
-            "generating"
-        },
-        args.scale,
-        args.seed
+        "streaming world at scale {} (seed 0x{:x}) and running the full campaign...",
+        args.scale, args.seed
     );
     let started = Instant::now();
-    // The host count comes from the materialized world eagerly and from
-    // the campaign's mask column when streaming.
-    if args.streaming {
-        let sc = StreamContext::run(args.scale, args.seed);
-        report(&args, &sc, sc.summary.masks.len(), started);
-    } else {
-        let ctx = Context::run(args.scale, args.seed);
-        report(&args, &ctx, ctx.world.hosts.len(), started);
-    }
+    let sc = StreamContext::run(args.scale, args.seed);
+    report(&args, &sc, started);
 }
 
-/// Print, and write where asked, the selected exhibits of one run of
-/// either mode over a world of `hosts` server addresses.
-fn report<S: Source>(args: &Args, src: &S, hosts: usize, started: Instant) {
-    let domains = src.set_size(SetFilter::All);
-    let campaign = src.campaign();
+/// Print, and write where asked, the selected exhibits of one streamed
+/// run. The host count is the length of the sweep's mask column.
+fn report(args: &Args, sc: &StreamContext, started: Instant) {
+    let domains = sc.set_size(SetFilter::All);
+    let hosts = sc.summary.masks.len();
+    let campaign = &sc.campaign;
     eprintln!(
         "world: {} domains, {} hosts, {} initially vulnerable hosts, {} vulnerable domains \
          ({:.1}s)",
@@ -206,7 +192,7 @@ fn report<S: Source>(args: &Args, src: &S, hosts: usize, started: Instant) {
         campaign.ethics.peak_concurrency,
     );
 
-    let exhibits = selected_exhibits(args, src);
+    let exhibits = selected_exhibits(args, sc);
     let mut json_out = serde_json::Map::new();
     let mut md = String::new();
     let _ = writeln!(
@@ -292,10 +278,10 @@ mod tests {
 
     #[test]
     fn flags_and_values_parse() {
-        let args = parse("--scale 0.01 --seed 0x2a --only fig7,table3 --streaming")
+        let args = parse("--scale 0.01 --seed 0x2a --only fig7,table3")
             .expect("valid arguments")
             .expect("not a help request");
-        assert_eq!((args.scale, args.seed, args.streaming), (0.01, 42, true));
+        assert_eq!((args.scale, args.seed), (0.01, 42));
         let ids: Vec<_> = args.only.iter().map(|e| e.id).collect();
         assert_eq!(ids, ["fig7", "table3"]);
         assert_eq!(parse("--seed 2022").unwrap().unwrap().seed, 2022);
@@ -330,6 +316,12 @@ mod tests {
     #[test]
     fn an_unknown_flag_is_an_error() {
         assert_eq!(error("--verbose"), "unknown flag --verbose");
+    }
+
+    /// The run always streams: there is no mode flag to accept.
+    #[test]
+    fn the_removed_streaming_flag_is_an_error() {
+        assert_eq!(error("--streaming"), "unknown flag --streaming");
     }
 
     #[test]

@@ -88,15 +88,6 @@ impl HostProfile {
             .is_some_and(|patch| after < patch && patch <= upto)
     }
 
-    /// Whether re-probing this host is guaranteed to repeat the last
-    /// observation absent a patch event: a flaky host rolls fresh
-    /// transient failures every probe, and a blacklisting host changes
-    /// its answer once the probe counter crosses its threshold, so
-    /// neither can be skipped by an incremental round.
-    pub fn reprobe_is_deterministic(&self) -> bool {
-        self.flaky <= 0.0 && self.blacklist_after.is_none()
-    }
-
     /// Materialise an [`MtaConfig`] for this host as of `day`.
     pub fn mta_config(&self, hostname: impl Into<String>, day: u16) -> MtaConfig {
         let mut config = MtaConfig {

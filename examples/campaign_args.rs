@@ -11,18 +11,17 @@
 //! * `--profile` — print the per-span-path latency profile;
 //! * `--incremental` — re-probe only hosts whose status can have changed;
 //! * `--cache-stats` — print the policy cache's hit/miss/interned tallies;
-//! * `--checkpoint PATH` — drive the staged `Session` API and write a
-//!   resumable checkpoint after the initial sweep and after every round;
+//! * `--checkpoint PATH` — write a resumable checkpoint after the
+//!   initial sweep and after every round;
 //! * `--resume` — continue from the `--checkpoint` file instead of
 //!   starting over;
-//! * `--stop-after-round N` — checkpoint and exit after `N` rounds (a
-//!   deterministic mid-campaign kill, used by the CI resume job);
-//! * `--streaming` — synthesize the world lazily and run the
-//!   bounded-memory streaming sweep instead of materializing the whole
-//!   population; every measurement is bit-for-bit identical.
+//! * `--stop-after-round N` — checkpoint and exit once `N` rounds are
+//!   done, `0` right after the sweep (a deterministic mid-campaign kill,
+//!   used by the CI resume job).
 //!
-//! Flags accept both `--flag value` and `--flag=value`. Unknown flags
-//! abort with exit code 2.
+//! Flags accept both `--flag value` and `--flag=value`. Unknown flags,
+//! and `--resume` or `--stop-after-round` without `--checkpoint`, abort
+//! with exit code 2.
 
 use spfail::netsim::{FaultPlan, FaultProfile};
 use spfail::prober::{CampaignBuilder, RetryPolicy, TraceConfig};
@@ -40,7 +39,6 @@ pub struct CampaignArgs {
     pub checkpoint: Option<String>,
     pub resume: bool,
     pub stop_after_round: Option<usize>,
-    pub streaming: bool,
 }
 
 #[allow(dead_code)]
@@ -63,7 +61,6 @@ impl CampaignArgs {
             checkpoint: None,
             resume: false,
             stop_after_round: None,
-            streaming: false,
         };
         let bad = |flag: &str, wants: &str| -> ! {
             eprintln!("{flag} expects {wants}");
@@ -106,7 +103,6 @@ impl CampaignArgs {
                     opts.checkpoint = Some(value("--checkpoint", "a checkpoint path"));
                 }
                 "--resume" => opts.resume = true,
-                "--streaming" => opts.streaming = true,
                 "--stop-after-round" => {
                     let wants = "a round count";
                     opts.stop_after_round = Some(
@@ -121,9 +117,14 @@ impl CampaignArgs {
                 }
             }
         }
-        if opts.resume && opts.checkpoint.is_none() {
-            eprintln!("--resume requires --checkpoint PATH");
-            std::process::exit(2);
+        for (given, flag) in [
+            (opts.resume, "--resume"),
+            (opts.stop_after_round.is_some(), "--stop-after-round"),
+        ] {
+            if given && opts.checkpoint.is_none() {
+                eprintln!("{flag} requires --checkpoint PATH");
+                std::process::exit(2);
+            }
         }
         opts
     }

@@ -21,88 +21,43 @@
 //! profile. Either flag enables tracing, and the trace is byte-identical
 //! across shard counts (see tests/trace_equivalence.rs).
 //!
-//! `--checkpoint PATH` drives the staged `Session` API and writes a
-//! resumable checkpoint after the initial sweep and after every round;
-//! `--resume` continues from that file (`tests/session_checkpoint.rs`
-//! proves kill-and-resume is byte-identical to an uninterrupted run).
-//! `--stop-after-round N` exits mid-campaign after `N` rounds — a
-//! deterministic kill for exercising resume. `--incremental` re-probes
-//! only hosts whose status can have changed since their last conclusive
-//! measurement; the measured data is identical, the probe volume is not.
-//! `--cache-stats` prints the policy cache's hit/miss/interned tallies.
-//! `--streaming` synthesizes the world lazily and runs the
-//! bounded-memory sweep — peak heap stays O(vulnerable) instead of
-//! O(hosts), and every measurement (including checkpoints driven by
-//! `--checkpoint`/`--resume`) is bit-for-bit identical
-//! (`tests/streaming_equivalence.rs`). The full flag vocabulary lives in
+//! The world is never materialized: it is synthesized lazily, the
+//! initial sweep streams through it, and only the vulnerable MX groups
+//! are retained for the rounds, the snapshot and the notifications —
+//! peak heap stays O(vulnerable) instead of O(hosts), and every
+//! measurement equals the eager engine's bit for bit
+//! (`tests/streaming_equivalence.rs`).
+//!
+//! `--checkpoint PATH` writes a resumable checkpoint after the initial
+//! sweep and after every round; `--resume` continues from that file
+//! (`tests/session_checkpoint.rs` proves kill-and-resume is
+//! byte-identical to an uninterrupted run). `--stop-after-round N`
+//! (with `--checkpoint`) exits after `N` rounds — `0` right after the
+//! sweep — a deterministic kill for exercising resume. `--incremental`
+//! re-probes only hosts whose status can have changed since their last
+//! conclusive measurement; the measured data is identical, the probe
+//! volume is not. `--cache-stats` prints the policy cache's
+//! hit/miss/interned tallies. The full flag vocabulary lives in
 //! `examples/campaign_args.rs`.
 
 use spfail::notify::{NotificationCampaign, PixelLog};
 use spfail::prober::{CampaignRun, CampaignState, SnapshotStatus, StreamedCampaign};
 use spfail::trace::format_us;
-use spfail::world::{Population, SparsePopulation, Timeline, World, WorldConfig};
+use spfail::world::{SparsePopulation, Timeline, WorldConfig};
 
 #[path = "campaign_args.rs"]
 mod campaign_args;
 use campaign_args::CampaignArgs;
 
-/// Drive a staged [`spfail::prober::Session`] to completion,
-/// checkpointing at every round boundary. Exits early when
-/// `--stop-after-round` says so.
-fn drive_staged(mut session: spfail::prober::Session, options: &CampaignArgs) -> CampaignRun {
-    let path = options.checkpoint.as_deref().expect("checkpoint path set");
-    while session.advance_round().is_some() {
-        session.checkpoint(path).expect("write checkpoint");
-        if options
-            .stop_after_round
-            .is_some_and(|n| session.rounds_done() >= n)
-        {
-            println!(
-                "  stopping after round {} as requested; resume with --resume",
-                session.rounds_done()
-            );
-            std::process::exit(0);
-        }
-    }
-    let stats = session.stats();
-    if options.incremental {
-        println!(
-            "  incremental rounds: {} probes issued, {} answered from carried state",
-            stats.round_probes_issued, stats.round_probes_skipped
-        );
-    }
-    session.finish()
-}
-
-/// The staged eager path: initial sweep (or resume), then rounds.
-fn run_staged(world: &World, options: &CampaignArgs) -> CampaignRun {
-    let path = options.checkpoint.as_deref().expect("checkpoint path set");
-    let session = if options.resume {
-        let session = spfail::prober::Session::restore(path, world)
-            .unwrap_or_else(|e| panic!("cannot resume from {path}: {e}"));
-        println!(
-            "  resumed from {path}: {} rounds done, {} remaining",
-            session.rounds_done(),
-            session.rounds_remaining()
-        );
-        session
-    } else {
-        let mut session = options.builder().session(world);
-        session.initial_sweep();
-        session.checkpoint(path).expect("write checkpoint");
-        session
-    };
-    drive_staged(session, options)
-}
-
-/// The streaming path: a lazy-synthesis sweep (or checkpoint adoption),
-/// then the same staged rounds over the retained population.
-fn run_streaming(config: WorldConfig, options: &CampaignArgs) -> (CampaignRun, SparsePopulation) {
+/// Sweep the lazily synthesized world (or adopt the `--resume`
+/// checkpoint), then drive the longitudinal rounds over the retained
+/// population, checkpointing at every round boundary when `--checkpoint`
+/// is given. Exits before the next round once `--stop-after-round`
+/// rounds are done.
+fn run_campaign(config: WorldConfig, options: &CampaignArgs) -> (CampaignRun, SparsePopulation) {
+    let checkpoint = options.checkpoint.as_deref();
     let streamed = if options.resume {
-        let path = options
-            .checkpoint
-            .as_deref()
-            .expect("--resume requires --checkpoint");
+        let path = checkpoint.expect("--resume requires --checkpoint");
         let text =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         let state = CampaignState::parse(&text)
@@ -116,18 +71,40 @@ fn run_streaming(config: WorldConfig, options: &CampaignArgs) -> (CampaignRun, S
         let mut session = streamed
             .session()
             .expect("a streamed handoff state is self-consistent");
-        match options.checkpoint.as_deref() {
-            Some(path) => {
-                if !options.resume {
-                    session.checkpoint(path).expect("write checkpoint");
-                }
-                drive_staged(session, options)
+        let save = |session: &mut spfail::prober::Session| {
+            if let Some(path) = checkpoint {
+                session.checkpoint(path).expect("write checkpoint");
             }
-            None => {
-                while session.advance_round().is_some() {}
-                session.finish()
-            }
+        };
+        if !options.resume {
+            save(&mut session);
         }
+        loop {
+            if options
+                .stop_after_round
+                .is_some_and(|n| session.rounds_done() >= n)
+            {
+                println!(
+                    "  stopping after round {} as requested; resume with --resume",
+                    session.rounds_done()
+                );
+                std::process::exit(0);
+            }
+            if session.advance_round().is_none() {
+                break;
+            }
+            save(&mut session);
+        }
+        // A checkpointed run reports its round probe volume; a resumed
+        // one counts only the rounds it ran itself.
+        if options.incremental && checkpoint.is_some() {
+            let stats = session.stats();
+            println!(
+                "  incremental rounds: {} probes issued, {} answered from carried state",
+                stats.round_probes_issued, stats.round_probes_skipped
+            );
+        }
+        session.finish()
     };
     (run, streamed.into_population())
 }
@@ -140,33 +117,13 @@ fn main() {
         ..WorldConfig::default()
     };
     println!(
-        "{} a 1:{:.0} scale Internet (seed 0x{:x})...",
-        if options.streaming {
-            "streaming"
-        } else {
-            "generating"
-        },
+        "streaming a 1:{:.0} scale Internet (seed 0x{:x})...",
         1.0 / config.scale,
         config.seed
     );
-    // The eager path materializes the world up front; the streaming path
-    // synthesizes hosts on demand and retains only vulnerable MX groups.
-    let world = if options.streaming {
-        None
-    } else {
-        let world = World::generate(config.clone());
-        println!(
-            "  {} domains on {} unique server addresses",
-            world.domains.len(),
-            world.hosts.len()
-        );
-        Some(world)
-    };
 
     println!("running the initial sweep ({})...", Timeline::date_label(0));
-    if options.streaming {
-        println!("  (streaming engine: lazy synthesis, bounded memory)");
-    }
+    println!("  (streaming engine: lazy synthesis, bounded memory)");
     if shards > 1 {
         println!("  (sharded engine, {shards} parallel workers)");
     }
@@ -181,25 +138,12 @@ fn main() {
             }
         );
     }
-    let (run, streamed_population) = match &world {
-        Some(world) => {
-            let run = if options.checkpoint.is_some() {
-                run_staged(world, &options)
-            } else {
-                options.builder().run(world)
-            };
-            (run, None)
-        }
-        None => {
-            let (run, population) = run_streaming(config, &options);
-            println!(
-                "  retained {} hosts across {} vulnerable MX groups (everything else dropped)",
-                population.host_count(),
-                population.domain_count()
-            );
-            (run, Some(population))
-        }
-    };
+    let (run, population) = run_campaign(config, &options);
+    println!(
+        "  retained {} hosts across {} vulnerable MX groups (everything else dropped)",
+        population.host_count(),
+        population.domain_count()
+    );
     // `run.cache` is `None` only for a resumed checkpoint whose campaign
     // ran with the cache off.
     if options.cache_stats {
@@ -271,17 +215,11 @@ fn main() {
         100.0 * vulnerable as f64 / total as f64,
     );
 
-    // The notification campaign — over the materialized world eagerly,
-    // or the retained population when streaming (identical output: every
-    // notified domain's full MX group is retained).
-    let population: &dyn Population = match (&world, &streamed_population) {
-        (Some(world), _) => world,
-        (None, Some(population)) => population,
-        (None, None) => unreachable!("streaming runs always retain a population"),
-    };
+    // The notification campaign, over the retained population: every
+    // notified domain's full MX group is retained.
     let mut pixels = PixelLog::new();
     let (_records, funnel) =
-        NotificationCampaign::run(population, &data.vulnerable_domains, &mut pixels);
+        NotificationCampaign::run(&population, &data.vulnerable_domains, &mut pixels);
     println!(
         "notifications: {} sent, {} bounced ({:.1}%), {} opened, {} patched between \
          private and public disclosure",

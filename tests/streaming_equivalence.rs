@@ -2,9 +2,10 @@
 //! bounded-memory campaigns are **bit-for-bit identical** to eager ones.
 //!
 //! 1. **The mode matrix.** Seeds × shard counts × fault profile on/off:
-//!    the streaming engine's [`CampaignSummary`] (mask column, tracked
-//!    set, rounds, snapshot, ethics audit, network totals) and trace
-//!    export equal the eager engine's, byte for byte.
+//!    the streaming engine's sweep record ([`CampaignSummary`]: mask
+//!    column, tracked set, vulnerable domains), its longitudinal
+//!    [`CampaignData`] (rounds, snapshot, ethics audit, network totals)
+//!    and trace export equal the eager engine's, byte for byte.
 //! 2. **Every exhibit.** All entries of `EXHIBIT_REGISTRY` built from a
 //!    streaming run equal the eager build — rendered text and JSON.
 //! 3. **Cross-mode kill-and-resume.** A checkpoint written by either
@@ -85,26 +86,35 @@ fn assert_rounds_well_formed(data: &CampaignData, label: &str) {
     }
 }
 
-/// The two runs' cross-mode output — summary and trace — byte for byte.
+/// `run` holds the same record as the eager `reference` data: the sweep
+/// record (mask column and tracking set) and every longitudinal field —
+/// rounds, snapshot, ethics audit, network totals. `initial` is not
+/// compared: a streamed sweep leaves it empty, the mask column is its
+/// record.
+fn assert_same_record(reference: &CampaignData, run: &CampaignRun, label: &str) {
+    assert_rounds_well_formed(&run.data, label);
+    assert_eq!(
+        CampaignSummary::from_data(reference),
+        run.summary,
+        "{label}: sweep record diverged"
+    );
+    let data = &run.data;
+    assert_eq!(reference.tracked, data.tracked, "{label}: tracked");
+    assert_eq!(reference.rounds, data.rounds, "{label}: rounds");
+    assert_eq!(reference.snapshot, data.snapshot, "{label}: snapshot");
+    assert_eq!(
+        reference.vulnerable_domains, data.vulnerable_domains,
+        "{label}: vulnerable domains"
+    );
+    assert_eq!(reference.ethics, data.ethics, "{label}: ethics audit");
+    assert_eq!(reference.network, data.network, "{label}: network totals");
+}
+
+/// The two runs' cross-mode output — sweep record, longitudinal data and
+/// trace — byte for byte.
 fn assert_same_measurement(eager: &CampaignRun, streamed: &CampaignRun, label: &str) {
     assert_rounds_well_formed(&eager.data, &format!("{label}, eager"));
-    assert_rounds_well_formed(&streamed.data, &format!("{label}, streamed"));
-    let eager_summary = CampaignSummary::from_data(&eager.data);
-    assert_eq!(
-        eager_summary, streamed.summary,
-        "{label}: campaign summary diverged"
-    );
-    // The longitudinal data agrees too, minus `initial` (deliberately
-    // empty in streaming mode: the mask column is its record).
-    assert_eq!(eager.data.tracked, streamed.data.tracked, "{label}");
-    assert_eq!(eager.data.rounds, streamed.data.rounds, "{label}");
-    assert_eq!(eager.data.snapshot, streamed.data.snapshot, "{label}");
-    assert_eq!(
-        eager.data.vulnerable_domains, streamed.data.vulnerable_domains,
-        "{label}"
-    );
-    assert_eq!(eager.data.ethics, streamed.data.ethics, "{label}");
-    assert_eq!(eager.data.network, streamed.data.network, "{label}");
+    assert_same_record(&eager.data, streamed, &format!("{label}, streamed"));
     assert!(streamed.data.initial.results.is_empty(), "{label}");
     match (&eager.trace, &streamed.trace) {
         (Some(e), Some(s)) => {
@@ -266,15 +276,11 @@ fn eager_checkpoint_resumes_under_streaming_engine() {
         assert_eq!(session.rounds_done(), kill_at);
         while session.advance_round().is_some() {}
         let resumed = session.finish();
-        assert_rounds_well_formed(&resumed.data, &format!("resumed at round {kill_at}"));
-
-        assert_eq!(
-            CampaignSummary::from_data(&reference.data),
-            resumed.summary,
-            "killed at round {kill_at}"
+        assert_same_record(
+            &reference.data,
+            &resumed,
+            &format!("killed at round {kill_at}"),
         );
-        assert_eq!(reference.data.rounds, resumed.data.rounds);
-        assert_eq!(reference.data.snapshot, resumed.data.snapshot);
     }
 }
 
@@ -306,15 +312,11 @@ fn streamed_checkpoint_resumes_under_eager_engine() {
         assert_eq!(session.rounds_done(), kill_at);
         while session.advance_round().is_some() {}
         let resumed = session.finish();
-        assert_rounds_well_formed(&resumed.data, &format!("resumed at round {kill_at}"));
-
-        assert_eq!(
-            CampaignSummary::from_data(&reference.data),
-            resumed.summary,
-            "killed at round {kill_at}"
+        assert_same_record(
+            &reference.data,
+            &resumed,
+            &format!("killed at round {kill_at}"),
         );
-        assert_eq!(reference.data.rounds, resumed.data.rounds);
-        assert_eq!(reference.data.snapshot, resumed.data.snapshot);
     }
 }
 
@@ -348,8 +350,9 @@ fn mode_toggles_across_boundaries_stay_identical() {
     assert_eq!(session.rounds_done(), 2);
     while session.advance_round().is_some() {}
     let resumed = session.finish();
-    assert_rounds_well_formed(&resumed.data, "toggled eager → streaming → eager");
-
-    assert_eq!(CampaignSummary::from_data(&reference.data), resumed.summary);
-    assert_eq!(reference.data.snapshot, resumed.data.snapshot);
+    assert_same_record(
+        &reference.data,
+        &resumed,
+        "toggled eager → streaming → eager",
+    );
 }
