@@ -12,7 +12,7 @@
 //!
 //! **One worker lifecycle for every shard count.** The initial sweep
 //! creates one worker per shard (`shards(1)` is simply one worker), each
-//! probing its [`shard_of`](crate::shard_of) partition through its own
+//! probing its [`shard_of`] partition through its own
 //! isolated [`ProbeContext`](crate::ProbeContext). After the sweep each
 //! worker forgets the per-host state of every host outside its
 //! partition of the tracked set, then keeps its prober — clock, ethics
@@ -47,7 +47,7 @@
 //! The session keeps its record in checkpoint order: the sweep's
 //! `(host, result)` pairs and each round's `(host, status)` pairs are
 //! host-sorted columns, merged from the workers' partitions by their
-//! [`shard_of`](crate::shard_of) stride. [`Session::to_state`] therefore
+//! [`shard_of`] stride. [`Session::to_state`] therefore
 //! copies them without a hash walk or a sort, [`Session::from_state`]
 //! moves the parsed columns back in, and [`Session::finish`] moves the
 //! sweep column and every round's column into [`CampaignData`] as they
@@ -95,8 +95,8 @@ use spfail_world::{DomainId, HostId, Population, Timeline};
 
 use crate::aggregate::{CampaignSummary, HostMask, Tracking};
 use crate::campaign::{
-    interleave_shards, partition_hosts, Campaign, CampaignBuilder, CampaignData, CampaignRun,
-    CampaignTiming, HostResults, InitialMeasurement, RoundStatus,
+    interleave_shards, partition_hosts, shard_of, Campaign, CampaignBuilder, CampaignData,
+    CampaignRun, CampaignTiming, HostResults, InitialMeasurement, RoundStatus,
 };
 use crate::checkpoint::{mask_column, CampaignState, WorkerState};
 use crate::column::IdColumn;
@@ -125,6 +125,9 @@ struct Worker<'w> {
     tracer: Tracer,
     counts: HashMap<HostId, u32, FxBuildHasher>,
     hosts: Vec<HostId>,
+    /// From the initial sweep (or restore) on: each of `hosts`' position
+    /// in the session's tracked list, where its carried state lives.
+    positions: Vec<u32>,
 }
 
 impl<'w> Worker<'w> {
@@ -135,8 +138,22 @@ impl<'w> Worker<'w> {
             tracer,
             counts: HashMap::default(),
             hosts,
+            positions: Vec::new(),
         }
     }
+}
+
+/// Each shard's part of `tracked` (id-sorted), in shard order: its
+/// hosts, as [`partition_hosts`] splits them, and their positions in
+/// `tracked`.
+fn partition_tracked(tracked: &[HostId], shards: usize) -> Vec<(Vec<HostId>, Vec<u32>)> {
+    let mut parts = vec![(Vec::new(), Vec::new()); shards.max(1)];
+    for (position, &host) in tracked.iter().enumerate() {
+        let (hosts, positions) = &mut parts[shard_of(host, shards)];
+        hosts.push(host);
+        positions.push(position as u32);
+    }
+    parts
 }
 
 impl WorkerState {
@@ -207,10 +224,11 @@ pub struct Session<'w> {
     /// identity-ordered merge of these with the workers' tracers, so
     /// draining points leave no mark.
     trace_parts: Vec<Trace>,
-    /// Per-host last conclusive measurement `(day, status)` — the
-    /// incremental engine's carried state. Derivable from `initial` +
-    /// `rounds`, so it is never checkpointed.
-    last_conclusive: HashMap<HostId, (u16, RoundStatus)>,
+    /// Each tracked host's last conclusive measurement `(day, status)`,
+    /// indexed by its position in `tracked` — the incremental engine's
+    /// carried state. Derivable from `masks` + `rounds`, so it is never
+    /// checkpointed.
+    last_conclusive: Vec<(u16, RoundStatus)>,
     stats: SessionStats,
     /// One per shard from the initial sweep on; retired in `finish`.
     workers: Vec<Worker<'w>>,
@@ -233,7 +251,7 @@ impl<'w> Session<'w> {
             initial_busy: SimDuration::ZERO,
             rounds_busy: SimDuration::ZERO,
             trace_parts: Vec::new(),
-            last_conclusive: HashMap::new(),
+            last_conclusive: Vec::new(),
             stats: SessionStats::default(),
             workers: Vec::new(),
         }
@@ -311,14 +329,15 @@ impl<'w> Session<'w> {
             all_hosts.iter().copied(),
         )));
         self.note_sweep(interleave_shards(masks, all_hosts.iter().copied()));
-        for (w, part) in workers
+        for (w, (part, positions)) in workers
             .iter_mut()
-            .zip(partition_hosts(&self.tracked, shards))
+            .zip(partition_tracked(&self.tracked, shards))
         {
             let keep: Vec<_> = part.iter().map(|&h| (h, world.host(h).ip)).collect();
             w.prober.retain_hosts(&keep);
             w.counts.retain(|h, _| part.binary_search(h).is_ok());
             w.hosts = part;
+            w.positions = positions;
         }
         self.workers = workers;
     }
@@ -333,21 +352,24 @@ impl<'w> Session<'w> {
             vulnerable_domains,
         } = Tracking::from_masks(&masks, self.pop);
         self.masks = masks;
-        self.last_conclusive = tracked
-            .iter()
-            .map(|&h| (h, (Timeline::INITIAL, RoundStatus::Vulnerable)))
-            .collect();
+        self.last_conclusive = vec![(Timeline::INITIAL, RoundStatus::Vulnerable); tracked.len()];
         self.tracked = tracked;
         self.vulnerable_domains = vulnerable_domains;
     }
 
-    /// Record a finished round (statuses in host order): push it onto
-    /// the results and advance the carried per-host state by its
-    /// conclusive measurements.
+    /// Record a finished round (statuses of tracked hosts, in host
+    /// order): push it onto the results and advance the carried per-host
+    /// state by its conclusive measurements.
     fn note_round(&mut self, day: u16, statuses: Vec<(HostId, RoundStatus)>) {
+        // One merge walk against the sorted tracked list.
+        let mut position = 0;
         for &(host, status) in &statuses {
+            while self.tracked[position] < host {
+                position += 1;
+            }
+            debug_assert_eq!(self.tracked[position], host, "a round names tracked hosts");
             if status != RoundStatus::Inconclusive {
-                self.last_conclusive.insert(host, (day, status));
+                self.last_conclusive[position] = (day, status);
             }
         }
         self.rounds.push((day, statuses));
@@ -377,6 +399,7 @@ impl<'w> Session<'w> {
                 &mut w.prober,
                 day,
                 &w.hosts,
+                &w.positions,
                 masks,
                 &mut w.counts,
                 last_conclusive,
@@ -667,9 +690,10 @@ impl<'w> Session<'w> {
                 state.workers.len()
             ));
         }
-        let parts = partition_hosts(&session.tracked, shards);
-        for (ws, part) in state.workers.into_iter().zip(parts) {
+        let parts = partition_tracked(&session.tracked, shards);
+        for (ws, (part, positions)) in state.workers.into_iter().zip(parts) {
             let mut w = Worker::new(world, &session.builder, part);
+            w.positions = positions;
             w.prober
                 .context()
                 .clock
@@ -743,7 +767,8 @@ fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// One longitudinal round over one worker's `hosts`. Hosts inside the
+/// One longitudinal round over one worker's `hosts`, at `positions` in
+/// the tracked list that indexes `last_conclusive`. Hosts inside the
 /// incremental skip horizon answer from carried state; with
 /// `full_rescan` every host is probed. Returns the round statuses in
 /// `hosts` order, the busy time, and the issued/skipped probe counts.
@@ -752,9 +777,10 @@ fn incremental_round_sweep(
     prober: &mut Prober<'_>,
     day: u16,
     hosts: &[HostId],
+    positions: &[u32],
     masks: &[u32],
     counts: &mut HashMap<HostId, u32, FxBuildHasher>,
-    last_conclusive: &HashMap<HostId, (u16, RoundStatus)>,
+    last_conclusive: &[(u16, RoundStatus)],
     world: &dyn Population,
     full_rescan: bool,
 ) -> (Vec<(HostId, RoundStatus)>, SimDuration, u64, u64) {
@@ -764,7 +790,8 @@ fn incremental_round_sweep(
     let mut statuses = Vec::with_capacity(hosts.len());
     let mut issued = 0u64;
     let mut skipped = 0u64;
-    for &host in hosts {
+    debug_assert_eq!(hosts.len(), positions.len());
+    for (&host, &position) in hosts.iter().zip(positions) {
         let seen = counts.entry(host).or_insert(0);
         let test = HostMask(masks[host.0 as usize]).preferred_test();
         // The skip horizon. A host's round probe can be answered from
@@ -793,11 +820,12 @@ fn incremental_round_sweep(
                 // and this round's probe would miss the host's flaky
                 // roll (replayed from the probe's identity rng without
                 // issuing it).
-                None => last_conclusive
-                    .get(&host)
-                    .filter(|(last_day, _)| !profile.status_event_in(*last_day, day))
-                    .map(|&(_, status)| status)
-                    .filter(|_| !prober.would_flake(host, day, test, *seen)),
+                None => {
+                    let (last_day, status) = last_conclusive[position as usize];
+                    (!profile.status_event_in(last_day, day)
+                        && !prober.would_flake(host, day, test, *seen))
+                    .then_some(status)
+                }
             }
         };
         if let Some(status) = carried {

@@ -95,9 +95,8 @@ fn run_campaign(config: WorldConfig, options: &CampaignArgs) -> (CampaignRun, Sp
             }
             save(&mut session);
         }
-        // A checkpointed run reports its round probe volume; a resumed
-        // one counts only the rounds it ran itself.
-        if options.incremental && checkpoint.is_some() {
+        // Every incremental run reports its round probe volume.
+        if options.incremental {
             let stats = session.stats();
             println!(
                 "  incremental rounds: {} probes issued, {} answered from carried state",
