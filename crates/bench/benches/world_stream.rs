@@ -1,8 +1,8 @@
 //! Cost of one full pass over the lazy synthesis stream.
 //!
-//! The streamed engine walks `LazyWorld` four times per run (the sweep
-//! feeder, the two retention passes and the Tables 1–4 fold), so the
-//! cost of one pass is paid four times over. This bench times whole
+//! The streamed engine walks `LazyWorld` twice per run (the sweep
+//! feeder, with retention folded in, and the Tables 1–4 fold), so the
+//! cost of one pass is paid twice over. This bench times whole
 //! passes at a fixed scale with no consumer beyond counting, and prints
 //! the best and median pass with the population it produced:
 //!
