@@ -107,29 +107,9 @@ impl QueryLog {
         before - entries.len()
     }
 
-    /// Bulk-append entries (used when folding shard logs together).
-    pub fn extend(&self, entries: Vec<QueryLogEntry>) {
-        self.entries.lock().extend(entries);
-    }
-
     /// Clear the log entirely.
     pub fn clear(&self) {
         self.entries.lock().clear();
-    }
-
-    /// Merge several logs into one, ordered by simulated arrival time.
-    ///
-    /// The sort is stable, so entries with equal timestamps keep the
-    /// order of the input logs — passing shard logs in canonical shard
-    /// order therefore yields the same merged log on every run,
-    /// regardless of the wall-clock interleaving of the shard workers.
-    pub fn merged<'a>(logs: impl IntoIterator<Item = &'a QueryLog>) -> QueryLog {
-        let mut entries: Vec<QueryLogEntry> =
-            logs.into_iter().flat_map(QueryLog::snapshot).collect();
-        entries.sort_by_key(|e| e.at);
-        let merged = QueryLog::new();
-        merged.extend(entries);
-        merged
     }
 }
 
@@ -171,29 +151,6 @@ mod tests {
         log.record(entry(2, "example.com"));
         let zone = Name::parse("spf-test.dns-lab.org").unwrap();
         assert_eq!(log.entries_under(&zone).len(), 1);
-    }
-
-    #[test]
-    fn merged_orders_by_time_and_is_stable_on_ties() {
-        let a = QueryLog::new();
-        a.record(entry(1, "a1.test"));
-        a.record(entry(5, "tie-from-a.test"));
-        let b = QueryLog::new();
-        b.record(entry(3, "b1.test"));
-        b.record(entry(5, "tie-from-b.test"));
-        let merged = QueryLog::merged([&a, &b]);
-        let names: Vec<String> = merged
-            .snapshot()
-            .iter()
-            .map(|e| e.qname.to_ascii())
-            .collect();
-        assert_eq!(
-            names,
-            ["a1.test", "b1.test", "tie-from-a.test", "tie-from-b.test"]
-        );
-        // Inputs are untouched.
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   was vulnerable at all *t' ≤ t*; one measured patched at *t* stays
 //!   patched for all *t' ≥ t*.
 
-use std::collections::HashMap;
+use std::net::IpAddr;
 
 use spfail_netsim::{FaultProfile, MetricsSnapshot, PolicyCacheStats, SimDuration, SimTime};
 use spfail_trace::{Phase, Trace, TraceConfig, Tracer};
@@ -20,7 +20,6 @@ use crate::aggregate::HostMask;
 use crate::classify::Classification;
 use crate::column::IdColumn;
 use crate::ethics::{EthicsAudit, MAX_CONCURRENT};
-use crate::fxhash::FxBuildHasher;
 use crate::probe::{
     ProbeContext, ProbeOptions, ProbeOutcome, ProbeTest, ProbeVerdict, Prober, RetryPolicy,
 };
@@ -198,6 +197,18 @@ impl InitialMeasurement {
             .map(|(&h, _)| h)
             .collect()
     }
+}
+
+/// One worker's initial sweep ([`Campaign::initial_sweep`]).
+pub(crate) struct InitialSweep {
+    /// `(host, result)` pairs in the worker's host order.
+    pub(crate) results: Vec<(HostId, HostInitialResult)>,
+    /// Each host's [`HostMask`], in the same order.
+    pub(crate) masks: Vec<u32>,
+    /// The tracked hosts with their blacklist counters, host-sorted.
+    pub(crate) tracked: Vec<(HostId, u32)>,
+    /// The sweep's simulated busy time.
+    pub(crate) busy: SimDuration,
 }
 
 /// A host's status in one longitudinal round.
@@ -515,9 +526,9 @@ pub(crate) struct Campaign;
 
 impl Campaign {
     /// Open a sweep on `prober`: label its trace records with `phase`,
-    /// move its clock to `day`, drop the query log's earlier entries
-    /// (each probe reads only its own window) and reset the ethics
-    /// guard's per-sweep dedup. Returns the sweep's start time.
+    /// move its clock to `day` and drop the query log's earlier entries
+    /// (each probe reads only its own window). Returns the sweep's start
+    /// time.
     pub(crate) fn begin_sweep(prober: &mut Prober<'_>, phase: Phase, day: u16) -> SimTime {
         prober.context().tracer.set_phase(phase);
         prober
@@ -525,8 +536,16 @@ impl Campaign {
             .clock
             .advance_to(Timeline::day_to_time(day));
         prober.context().query_log.clear();
-        prober.ethics_mut().begin_sweep();
         prober.context().clock.now()
+    }
+
+    /// Keep `prober`'s query log bounded between hosts: each probe reads
+    /// only its own window, so anything older is dead weight.
+    fn bound_query_log(prober: &Prober<'_>) {
+        let query_log = &prober.context().query_log;
+        if query_log.len() > QUERY_LOG_BOUND {
+            query_log.clear();
+        }
     }
 
     /// Both initial probes of one host: NoMsg first, then BlankMsg only
@@ -555,34 +574,56 @@ impl Campaign {
         (HostInitialResult { nomsg, blankmsg }, seen)
     }
 
+    /// One host of an initial sweep, eager or streamed: probe it, fold
+    /// its [`HostMask`], and keep of it only what a later phase reads.
+    /// A tracked host's `(host, connections spent)` goes onto `tracked`,
+    /// the worker's tracked column and blacklist counters in host order;
+    /// an untracked host's contact history is forgotten, since host
+    /// addresses are unique and no later phase on this prober contacts
+    /// it again. Either way the host is done for the sweep's day, so its
+    /// repetition counters go too.
+    pub(crate) fn sweep_host(
+        prober: &mut Prober<'_>,
+        host: HostId,
+        record: &HostRecord,
+        tracked: &mut Vec<(HostId, u32)>,
+    ) -> (HostInitialResult, HostMask) {
+        let (result, seen) = Self::probe_initial(prober, host, record);
+        let mask = HostMask::from_initial(&result);
+        if mask.tracked() {
+            tracked.push((host, seen));
+        } else {
+            prober.ethics_mut().forget(IpAddr::V4(record.ip));
+        }
+        prober.forget_repetitions();
+        Self::bound_query_log(prober);
+        (result, mask)
+    }
+
     /// The initial sweep over one worker's partition of `world`. Returns
     /// the `(host, result)` pairs and each host's [`HostMask`], both in
-    /// `hosts` order (masks folded as the host finishes, as the streamed
-    /// sweep does), and the busy time.
+    /// `hosts` order, the tracked column [`Campaign::sweep_host`] builds,
+    /// and the busy time.
     pub(crate) fn initial_sweep(
         prober: &mut Prober<'_>,
         world: &dyn Population,
-        counts: &mut HashMap<HostId, u32, FxBuildHasher>,
         hosts: &[HostId],
-    ) -> (Vec<(HostId, HostInitialResult)>, Vec<u32>, SimDuration) {
+    ) -> InitialSweep {
         let start = Self::begin_sweep(prober, Phase::Initial, Timeline::INITIAL);
-        let query_log = prober.context().query_log.clone();
         let mut results = Vec::with_capacity(hosts.len());
         let mut masks = Vec::with_capacity(hosts.len());
+        let mut tracked = Vec::new();
         for &host in hosts {
-            let (result, seen) = Self::probe_initial(prober, host, world.host(host));
-            counts.insert(host, seen);
-            masks.push(HostMask::from_initial(&result).0);
+            let (result, mask) = Self::sweep_host(prober, host, world.host(host), &mut tracked);
+            masks.push(mask.0);
             results.push((host, result));
-            // Keep the query log bounded: each probe reads only its own
-            // window, so anything older is dead weight.
-            if query_log.len() > QUERY_LOG_BOUND {
-                query_log.clear();
-            }
         }
-        prober.forget_repetitions();
-        let busy = prober.context().clock.now().since(start);
-        (results, masks, busy)
+        InitialSweep {
+            results,
+            masks,
+            tracked,
+            busy: prober.context().clock.now().since(start),
+        }
     }
 
     /// The snapshot's probe targets: for each initially vulnerable
@@ -628,6 +669,7 @@ impl Campaign {
                 (outcome, _) = prober.probe_with_retry(host, Timeline::END, test, 0);
             }
             statuses.push((host, Self::round_status(&outcome)));
+            Self::bound_query_log(prober);
         }
         let busy = prober.context().clock.now().since(start);
         (statuses, busy)
@@ -692,6 +734,42 @@ mod tests {
         });
         let data = CampaignBuilder::new().run(&world).data;
         (world, data)
+    }
+
+    /// A worker leaves its initial sweep holding per-host state for its
+    /// tracked hosts only: contact history for their addresses alone,
+    /// and one blacklist counter each, in host order.
+    #[test]
+    fn initial_sweep_keeps_per_host_state_for_tracked_hosts_only() {
+        let world = World::generate(WorldConfig {
+            scale: 0.004,
+            ..WorldConfig::small(2024)
+        });
+        let builder = CampaignBuilder::new().shards(2);
+        let all: Vec<HostId> = (0..world.hosts.len() as u32).map(HostId).collect();
+        let hosts = &partition_hosts(&all, 2)[1];
+        let tracer = spfail_trace::Tracer::new(builder.trace);
+        let mut prober = builder.worker_prober(&world, &tracer);
+        let sweep = Campaign::initial_sweep(&mut prober, &world, hosts);
+        let tracked: Vec<HostId> = hosts
+            .iter()
+            .zip(&sweep.masks)
+            .filter(|(_, &mask)| HostMask(mask).tracked())
+            .map(|(&host, _)| host)
+            .collect();
+        assert!(!tracked.is_empty(), "the partition has tracked hosts");
+        assert!(tracked.len() < hosts.len(), "and untracked ones");
+        let counted: Vec<HostId> = sweep.tracked.iter().map(|&(host, _)| host).collect();
+        assert_eq!(counted, tracked);
+        assert!(sweep.tracked.iter().all(|&(_, seen)| seen > 0));
+        let mut addresses: Vec<IpAddr> = tracked
+            .iter()
+            .map(|&host| IpAddr::V4(world.host(host).ip))
+            .collect();
+        addresses.sort_unstable();
+        let (_, contacts) = prober.ethics().export();
+        let contacted: Vec<IpAddr> = contacts.iter().map(|&(ip, _)| ip).collect();
+        assert_eq!(contacted, addresses);
     }
 
     #[test]

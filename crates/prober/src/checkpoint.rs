@@ -56,8 +56,8 @@ pub struct WorkerState {
     pub contacts: Vec<(IpAddr, SimTime)>,
     /// The worker's network counters.
     pub metrics: MetricsSnapshot,
-    /// The worker's per-host attempt counts (blacklist counters),
-    /// host-sorted.
+    /// The worker's per-host attempt counts (blacklist counters): one
+    /// per host of its partition of the tracked set, host-sorted.
     pub counts: Vec<(HostId, u32)>,
 }
 
@@ -101,7 +101,7 @@ pub struct CampaignState {
 /// and merged connection counts: every worker now lives from the
 /// initial sweep on, so its own state carries them. v3 dropped v2's
 /// per-worker `wocc` probe-repetition counters: a worker forgets them
-/// at the end of every sweep, so none is live at a round boundary.
+/// once a sweep is done with them, so none is live at a round boundary.
 const MAGIC: &str = "spfail-checkpoint v3";
 
 /// Headers of the formats this build no longer reads; each is refused

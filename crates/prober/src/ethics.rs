@@ -1,6 +1,8 @@
 //! The measurement's self-imposed restraints (paper §6.1–§6.3).
 //!
-//! * duplicate IP addresses are only tested once per sweep;
+//! * duplicate IP addresses are only tested once per sweep — by
+//!   construction: every host has an address of its own and a sweep
+//!   probes each host once, so no guard state is needed for it;
 //! * at most 250 SMTP connections are outstanding at any instant;
 //! * consecutive connections to the same address (or to addresses of the
 //!   same email domain) wait at least 90 seconds;
@@ -13,10 +15,10 @@
 //! advancing it when a wait is required. All decisions are recorded so
 //! tests (and the ethics section of the report) can audit them.
 //!
-//! Both per-address facts live in one map: the last contact time, and
-//! the stamp of the sweep that last admitted the address. Starting a
-//! sweep moves the stamp on, so "tested this sweep" needs no set of its
-//! own and an admit is a single map entry.
+//! The guard keeps one fact per address, its last contact time, and
+//! only for addresses that will be contacted again: the initial sweep
+//! [`forget`](EthicsGuard::forget)s each untracked host's address as
+//! soon as its verdict is known.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -42,7 +44,10 @@ pub struct EthicsAudit {
     pub spaced: u64,
     /// Greylist retries (each waited 8 minutes).
     pub greylist_waits: u64,
-    /// Duplicate-IP probes suppressed.
+    /// Duplicate-IP probes suppressed. Always 0: host addresses are
+    /// unique and a sweep probes each host once, so no sweep meets an
+    /// address twice. Kept because the checkpoint's `wethics` line and
+    /// the reports carry it.
     pub dedup_suppressed: u64,
     /// Maximum concurrent connections observed.
     pub peak_concurrency: usize,
@@ -67,34 +72,11 @@ impl EthicsAudit {
     }
 }
 
-/// One address's contact record: when it was last contacted, and the
-/// sweep that last admitted it ([`NEVER_ADMITTED`] when no sweep has
-/// since the last `restore`).
-#[derive(Debug, Clone, Copy)]
-struct Contact {
-    at: SimTime,
-    sweep: u32,
-}
-
-/// The sweep stamp of an address no sweep has admitted; sweeps count
-/// from 1.
-const NEVER_ADMITTED: u32 = 0;
-
-impl Contact {
-    /// A contact at `at` that marks no sweep.
-    fn unadmitted(at: SimTime) -> Contact {
-        Contact {
-            at,
-            sweep: NEVER_ADMITTED,
-        }
-    }
-}
-
 /// Enforces the measurement ethics rules.
 pub struct EthicsGuard {
     clock: SimClock,
-    last_contact: HashMap<IpAddr, Contact, FxBuildHasher>,
-    sweep: u32,
+    /// Each address's last contact time.
+    last_contact: HashMap<IpAddr, SimTime, FxBuildHasher>,
     in_flight: usize,
     max_concurrent: usize,
     audit: EthicsAudit,
@@ -113,56 +95,33 @@ impl EthicsGuard {
         EthicsGuard {
             clock,
             last_contact: HashMap::default(),
-            sweep: NEVER_ADMITTED + 1,
             in_flight: 0,
             max_concurrent: max_concurrent.clamp(1, MAX_CONCURRENT),
             audit: EthicsAudit::default(),
         }
     }
 
-    /// Begin a new sweep: duplicate-suppression state resets, contact
-    /// spacing does not.
-    pub fn begin_sweep(&mut self) {
-        self.sweep += 1;
-    }
-
-    /// Whether `ip` was already tested this sweep. Records the suppression
-    /// when it was.
-    pub fn already_tested(&mut self, ip: IpAddr) -> bool {
-        let tested = self
-            .last_contact
-            .get(&ip)
-            .is_some_and(|c| c.sweep == self.sweep);
-        if tested {
-            self.audit.dedup_suppressed += 1;
-        }
-        tested
-    }
-
     /// Admit a contact to `ip`: waits out the 90-second spacing if the
-    /// address was contacted recently, takes a concurrency slot, and
-    /// marks the address tested for this sweep.
+    /// address was contacted recently and takes a concurrency slot.
     pub fn admit(&mut self, ip: IpAddr) {
         let now = self.clock.now();
-        let contact = match self.last_contact.entry(ip) {
+        match self.last_contact.entry(ip) {
             Entry::Occupied(entry) => {
-                let contact = entry.into_mut();
-                let since = now.since(contact.at);
+                let at = entry.into_mut();
+                let since = now.since(*at);
                 if since < MIN_RECONTACT {
                     self.clock.advance(MIN_RECONTACT.saturating_sub(since));
                     self.audit.spaced += 1;
                 } else {
                     self.audit.immediate += 1;
                 }
-                contact
+                *at = self.clock.now();
             }
             Entry::Vacant(entry) => {
                 self.audit.immediate += 1;
-                entry.insert(Contact::unadmitted(now))
+                entry.insert(now);
             }
-        };
-        contact.at = self.clock.now();
-        contact.sweep = self.sweep;
+        }
         // The sequential simulation never truly overlaps connections; the
         // slot accounting documents the cap and trips if logic ever tries
         // to exceed it.
@@ -184,11 +143,15 @@ impl EthicsGuard {
     /// Release the concurrency slot when the connection ends.
     pub fn release(&mut self, ip: IpAddr) {
         self.in_flight = self.in_flight.saturating_sub(1);
-        let now = self.clock.now();
-        self.last_contact
-            .entry(ip)
-            .and_modify(|c| c.at = now)
-            .or_insert(Contact::unadmitted(now));
+        self.last_contact.insert(ip, self.clock.now());
+    }
+
+    /// Forget `ip`'s contact history. Sound only when this guard never
+    /// contacts `ip` again: the history only spaces repeat contacts, so
+    /// forgetting a one-shot address is invisible. The audit counters
+    /// are untouched.
+    pub fn forget(&mut self, ip: IpAddr) {
+        self.last_contact.remove(&ip);
     }
 
     /// Wait out the greylist period before retrying `ip`.
@@ -206,40 +169,24 @@ impl EthicsGuard {
     /// the per-address contact history, in address order.
     ///
     /// At a round boundary these are the *only* live facts — every
-    /// connection slot has been released and the next `begin_sweep`
-    /// retires the current sweep's stamps, so `in_flight` and the stamps
-    /// need no representation.
+    /// connection slot has been released, so `in_flight` needs no
+    /// representation.
     pub fn export(&self) -> (EthicsAudit, Vec<(IpAddr, SimTime)>) {
         let mut contacts: Vec<(IpAddr, SimTime)> = self
             .last_contact
             .iter()
-            .map(|(&ip, c)| (ip, c.at))
+            .map(|(&ip, &at)| (ip, at))
             .collect();
         contacts.sort();
         (self.audit.clone(), contacts)
     }
 
     /// Restore the durable state written by [`EthicsGuard::export`],
-    /// replacing this guard's audit and contact history. No restored
-    /// address counts as tested in the current sweep.
+    /// replacing this guard's audit and contact history.
     pub fn restore(&mut self, audit: EthicsAudit, contacts: Vec<(IpAddr, SimTime)>) {
         self.audit = audit;
-        self.last_contact = contacts
-            .into_iter()
-            .map(|(ip, at)| (ip, Contact::unadmitted(at)))
-            .collect();
+        self.last_contact = contacts.into_iter().collect();
         self.in_flight = 0;
-    }
-
-    /// Drop the contact history of every address not in `keep` (sorted).
-    /// Sound only when the dropped addresses will never be contacted
-    /// again by this guard: the contact history only influences spacing
-    /// decisions for repeat contacts, so forgetting one-shot addresses
-    /// is invisible. The audit counters and the kept addresses' sweep
-    /// stamps are untouched.
-    pub fn contacts_retain(&mut self, keep: &[IpAddr]) {
-        self.last_contact
-            .retain(|ip, _| keep.binary_search(ip).is_ok());
     }
 }
 
@@ -284,69 +231,49 @@ mod tests {
         assert_eq!(guard.audit().immediate, 2);
     }
 
+    /// `forget` drops exactly one address's history: the forgotten
+    /// address is admitted again without spacing, the others keep
+    /// theirs, the audit is untouched, and `restore` replaces the whole
+    /// history with the exported one.
     #[test]
-    fn dedup_within_sweep_resets_between_sweeps() {
-        let clock = SimClock::new();
-        let mut guard = EthicsGuard::new(clock);
-        guard.begin_sweep();
-        assert!(!guard.already_tested(ip(5)));
-        guard.admit(ip(5));
-        guard.release(ip(5));
-        assert!(guard.already_tested(ip(5)));
-        assert_eq!(guard.audit().dedup_suppressed, 1);
-        guard.begin_sweep();
-        assert!(!guard.already_tested(ip(5)));
-    }
-
-    /// The sweep stamp is the whole dedup state: an admit marks the
-    /// address for the current sweep only, `restore` marks nothing, and
-    /// `contacts_retain` keeps the stamps of the addresses it keeps.
-    #[test]
-    fn dedup_stamps_follow_admits_sweeps_restores_and_retains() {
+    fn forget_drops_one_address_and_restore_replaces_the_history() {
         let clock = SimClock::new();
         let mut guard = EthicsGuard::new(clock.clone());
-        guard.begin_sweep();
         for i in 1..=3 {
             guard.admit(ip(i));
             guard.release(ip(i));
         }
-        assert!(guard.already_tested(ip(1)));
-        guard.contacts_retain(&[ip(1), ip(3)]);
-        assert!(
-            guard.already_tested(ip(1)),
-            "a kept address keeps its stamp"
-        );
-        assert!(guard.already_tested(ip(3)));
-        assert!(
-            !guard.already_tested(ip(2)),
-            "a dropped address is forgotten"
-        );
-        assert_eq!(guard.audit().dedup_suppressed, 3);
+        let audit = guard.audit().clone();
+        guard.forget(ip(2));
+        guard.forget(ip(9)); // never contacted: a no-op
+        assert_eq!(guard.audit(), &audit, "forgetting audits nothing");
+        let (_, contacts) = guard.export();
+        let ips: Vec<IpAddr> = contacts.iter().map(|&(ip, _)| ip).collect();
+        assert_eq!(ips, vec![ip(1), ip(3)]);
 
-        guard.begin_sweep();
-        assert!(!guard.already_tested(ip(1)), "a new sweep starts unmarked");
+        guard.admit(ip(2));
+        guard.release(ip(2));
+        assert_eq!(guard.audit().spaced, 0, "a forgotten address is new again");
+        assert_eq!(clock.now(), SimTime::EPOCH);
         guard.admit(ip(1));
         guard.release(ip(1));
-        assert!(guard.already_tested(ip(1)));
+        assert_eq!(guard.audit().spaced, 1, "a kept address keeps its spacing");
 
         let (audit, contacts) = guard.export();
-        guard.restore(audit, contacts);
-        assert!(!guard.already_tested(ip(1)), "a restore marks nothing");
-        assert!(!guard.already_tested(ip(3)));
-        // A release without an admit records the contact time but marks
-        // no test.
-        guard.release(ip(7));
-        assert!(!guard.already_tested(ip(7)));
+        let mut restored = EthicsGuard::new(clock.clone());
+        restored.admit(ip(7));
+        restored.release(ip(7));
+        restored.restore(audit.clone(), contacts.clone());
+        assert_eq!(restored.export(), (audit, contacts), "restore replaces");
     }
 
     /// The export of a fixed contact sequence, pinned: spacing waits,
-    /// releases, sweeps and a retain produce exactly these contact times
+    /// releases and a forget produce exactly these contact times
     /// and audit counters (the values the two-map guard exported).
     #[test]
     fn export_of_a_contact_sequence_is_pinned() {
         let clock = SimClock::new();
         let mut guard = EthicsGuard::new(clock.clone());
-        guard.begin_sweep();
         guard.admit(ip(1)); // t=0, immediate
         clock.advance(SimDuration::from_secs(10));
         guard.release(ip(1)); // last contact t=10
@@ -355,7 +282,6 @@ mod tests {
         guard.admit(ip(1)); // waits to t=100, spaced
         clock.advance(SimDuration::from_secs(5));
         guard.release(ip(1)); // t=105
-        guard.begin_sweep();
         guard.admit(ip(3)); // t=105, immediate
         guard.release(ip(3));
         guard.admit(ip(2)); // t=105, 95 s after its release: immediate
@@ -363,7 +289,7 @@ mod tests {
         guard.greylist_wait(ip(2)); // t=585
         guard.admit(ip(2)); // immediate after the 8-minute wait
         guard.release(ip(2));
-        guard.contacts_retain(&[ip(1), ip(2)]);
+        guard.forget(ip(3));
         let (audit, contacts) = guard.export();
         let at = |secs| SimTime::EPOCH + SimDuration::from_secs(secs);
         assert_eq!(contacts, vec![(ip(1), at(105)), (ip(2), at(585))]);
@@ -395,7 +321,6 @@ mod tests {
     fn export_restore_preserves_spacing_and_audit() {
         let clock = SimClock::new();
         let mut guard = EthicsGuard::new(clock.clone());
-        guard.begin_sweep();
         guard.admit(ip(1));
         guard.release(ip(1));
         guard.admit(ip(2));
@@ -409,7 +334,6 @@ mod tests {
         let mut restored = EthicsGuard::new(clock.clone());
         restored.restore(audit.clone(), contacts);
         assert_eq!(restored.audit(), &audit);
-        restored.begin_sweep();
         // ip(1)'s last contact was refreshed when its spaced connection
         // released, so recontacting it immediately must wait again.
         let before = clock.now();

@@ -15,7 +15,8 @@
 //! Modules:
 //!
 //! * [`mod@classify`] — query-shape → [`spfail_libspf2::MacroBehavior`].
-//! * [`ethics`] — the §6.1 self-restraints: IP dedup, ≤250 concurrent
+//! * [`ethics`] — the §6.1 self-restraints: one test per address per
+//!   sweep (structural: addresses are unique), ≤250 concurrent
 //!   connections, 90-second per-host spacing, 8-minute greylist waits.
 //! * [`probe`] — drive one SMTP transaction against one host.
 //! * [`campaign`] — the full measurement programme: the initial sweep,

@@ -10,7 +10,7 @@
 //! classification.
 
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 
 use spfail_dns::{Directory, QueryLog, SpfTestAuthority};
@@ -381,8 +381,8 @@ pub struct Prober<'w> {
     next_id: u64,
     /// Probe-repetition counters, `(host, day, test, extra) ->
     /// occurrence`. Every key carries the day of the sweep that made
-    /// it, so a campaign drops them between hosts or at the end of each
-    /// sweep (see [`Prober::forget_repetitions`]).
+    /// it, so a campaign drops them after each host of its initial sweep
+    /// and at the end of each round (see [`Prober::forget_repetitions`]).
     occurrences: HashMap<(u32, u16, u8, u32), u64, FxBuildHasher>,
     /// The MTA the last probe ran against, rebuilt in place for the
     /// next host ([`WorldRuntime::rebuild_mta_record`]) instead of built
@@ -484,35 +484,25 @@ impl<'w> Prober<'w> {
         &self.ethics
     }
 
-    /// Mutable ethics access (campaigns call `begin_sweep`).
+    /// Mutable ethics access (campaigns `forget` and `restore`).
     pub fn ethics_mut(&mut self) -> &mut EthicsGuard {
         &mut self.ethics
     }
 
-    /// Forget every probe-repetition counter.
+    /// Forget every probe-repetition counter, keeping the map's
+    /// allocation for the next host.
     ///
     /// A counter only matters to a later probe with the same host, day,
     /// test and connection count. A campaign sweep probes each host in
     /// one stretch on one day, later sweeps on a worker use strictly
-    /// later days, and the snapshot runs on fresh workers. So the sweep
-    /// helpers call this at their end (and the streamed sweep between
-    /// hosts), and the counters never outlive a sweep: together with the
-    /// ethics guard's export, the metrics snapshot and the context
+    /// later days, and the snapshot runs on fresh workers. So the
+    /// initial sweep calls this after every host and the round sweep at
+    /// its end, and the counters never outlive a sweep: together with
+    /// the ethics guard's export, the metrics snapshot and the context
     /// clock, a prober's durable state at a round boundary is a pure
     /// function of the world seed and the suite label.
     pub(crate) fn forget_repetitions(&mut self) {
-        self.occurrences = HashMap::default();
-    }
-
-    /// Forget the ethics contact history of the hosts outside `keep`
-    /// (host-sorted). Sound only when those hosts are never probed
-    /// again on this prober: after the initial sweep a worker re-probes
-    /// only its tracked hosts, and host addresses are unique. Audit
-    /// counters and metrics are untouched.
-    pub(crate) fn retain_hosts(&mut self, keep: &[(HostId, Ipv4Addr)]) {
-        let mut ips: Vec<IpAddr> = keep.iter().map(|&(_, ip)| IpAddr::V4(ip)).collect();
-        ips.sort_unstable();
-        self.ethics.contacts_retain(&ips);
+        self.occurrences.clear();
     }
 
     /// Replace the context's compiled-policy cache with `cache` — the

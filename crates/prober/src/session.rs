@@ -13,12 +13,13 @@
 //! **One worker lifecycle for every shard count.** The initial sweep
 //! creates one worker per shard (`shards(1)` is simply one worker), each
 //! probing its [`shard_of`] partition through its own
-//! isolated [`ProbeContext`](crate::ProbeContext). After the sweep each
-//! worker forgets the per-host state of every host outside its
-//! partition of the tracked set, then keeps its prober — clock, ethics
-//! guard, policy cache — through every round. The snapshot runs on
-//! fresh per-shard workers, and `finish` mirrors the snapshot's clock
-//! and query log onto the world. Each stage runs its workers through
+//! isolated [`ProbeContext`](crate::ProbeContext). A worker keeps a
+//! host's per-host state (contact history, blacklist counter) only once
+//! the host's verdict says it is tracked, so it leaves the sweep holding
+//! exactly its partition of the tracked set, then keeps its prober —
+//! clock, ethics guard, policy cache — through every round. The snapshot
+//! runs on fresh per-shard workers, and `finish` leaves the world's
+//! clock on the snapshot day. Each stage runs its workers through
 //! one helper: inline for one worker, on scoped threads for several.
 //! Shard count is therefore only an execution strategy: the data,
 //! trace and exhibits are bit-for-bit the same for every count
@@ -41,8 +42,9 @@
 //! plus the trace records already emitted. [`CampaignState`] is exactly
 //! that inventory. A worker's probe-repetition counters are not in it:
 //! each key carries the day of the sweep that made it, later sweeps use
-//! strictly later days and the snapshot runs on fresh workers, so every
-//! sweep helper drops them at its end and none is live at a boundary.
+//! strictly later days and the snapshot runs on fresh workers, so the
+//! initial sweep drops a host's counters once the host is done and a
+//! round drops them at its end: none is live at a boundary.
 //!
 //! The session keeps its record in checkpoint order: the sweep's
 //! `(host, result)` pairs and each round's `(host, status)` pairs are
@@ -83,11 +85,9 @@
 //! (≥5× at paper scale) is the point. [`Session::full_rescan`] forces
 //! the next round to probe everything.
 
-use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use spfail_dns::QueryLog;
 use spfail_mta::PolicyCacheHandle;
 use spfail_netsim::{MetricsSnapshot, PolicyCacheStats, SimDuration, SimTime};
 use spfail_trace::{Phase, Trace, Tracer};
@@ -101,7 +101,6 @@ use crate::campaign::{
 use crate::checkpoint::{mask_column, CampaignState, WorkerState};
 use crate::column::IdColumn;
 use crate::ethics::EthicsAudit;
-use crate::fxhash::FxBuildHasher;
 use crate::probe::Prober;
 
 /// Probe-volume counters for a session's longitudinal rounds — the
@@ -123,8 +122,10 @@ pub struct SessionStats {
 struct Worker<'w> {
     prober: Prober<'w>,
     tracer: Tracer,
-    counts: HashMap<HostId, u32, FxBuildHasher>,
     hosts: Vec<HostId>,
+    /// From the initial sweep (or restore) on: each of `hosts`'
+    /// blacklist counter, the connections it has received so far.
+    counts: Vec<u32>,
     /// From the initial sweep (or restore) on: each of `hosts`' position
     /// in the session's tracked list, where its carried state lives.
     positions: Vec<u32>,
@@ -136,8 +137,8 @@ impl<'w> Worker<'w> {
         Worker {
             prober: builder.worker_prober(pop, &tracer),
             tracer,
-            counts: HashMap::default(),
             hosts,
+            counts: Vec::new(),
             positions: Vec::new(),
         }
     }
@@ -158,14 +159,10 @@ fn partition_tracked(tracked: &[HostId], shards: usize) -> Vec<(Vec<HostId>, Vec
 
 impl WorkerState {
     /// Capture a worker's durable state: its clock, ethics guard and
-    /// metrics, plus `counts`, its per-host blacklist counters.
-    pub(crate) fn capture(
-        prober: &Prober<'_>,
-        counts: &HashMap<HostId, u32, FxBuildHasher>,
-    ) -> WorkerState {
+    /// metrics, plus `counts`, its tracked hosts' blacklist counters in
+    /// host order.
+    pub(crate) fn capture(prober: &Prober<'_>, counts: Vec<(HostId, u32)>) -> WorkerState {
         let (ethics, contacts) = prober.ethics().export();
-        let mut counts: Vec<_> = counts.iter().map(|(&h, &n)| (h, n)).collect();
-        counts.sort_unstable_by_key(|(h, _)| *h);
         WorkerState {
             clock_micros: prober.context().clock.now().as_micros(),
             ethics,
@@ -292,9 +289,10 @@ impl<'w> Session<'w> {
     /// Stage 1: probe every unique server address once (day 0) and
     /// derive the longitudinal tracking set.
     ///
-    /// Each worker sweeps its partition of the world, then forgets the
-    /// per-host state of every host outside its partition of the
-    /// tracked set, which it never probes again.
+    /// Each worker sweeps its partition of the world through
+    /// `Campaign::sweep_host`, which keeps per-host state only for the
+    /// tracked hosts, so the worker leaves the sweep holding exactly its
+    /// partition of the tracked set.
     ///
     /// # Panics
     ///
@@ -314,15 +312,16 @@ impl<'w> Session<'w> {
             .into_iter()
             .map(|part| Worker::new(world, &self.builder, part))
             .collect();
+        let sweeps = on_workers(&mut workers, |w| {
+            Campaign::initial_sweep(&mut w.prober, world, &w.hosts)
+        });
         let mut results = Vec::with_capacity(shards);
         let mut masks = Vec::with_capacity(shards);
-        let outputs = on_workers(&mut workers, |w| {
-            Campaign::initial_sweep(&mut w.prober, world, &mut w.counts, &w.hosts)
-        });
-        for (part, part_masks, busy) in outputs {
-            results.push(part);
-            masks.push(part_masks);
-            self.initial_busy = self.initial_busy.max(busy);
+        for (w, sweep) in workers.iter_mut().zip(sweeps) {
+            results.push(sweep.results);
+            masks.push(sweep.masks);
+            (w.hosts, w.counts) = sweep.tracked.into_iter().unzip();
+            self.initial_busy = self.initial_busy.max(sweep.busy);
         }
         self.initial = Some(IdColumn::from_sorted(interleave_shards(
             results,
@@ -333,10 +332,7 @@ impl<'w> Session<'w> {
             .iter_mut()
             .zip(partition_tracked(&self.tracked, shards))
         {
-            let keep: Vec<_> = part.iter().map(|&h| (h, world.host(h).ip)).collect();
-            w.prober.retain_hosts(&keep);
-            w.counts.retain(|h, _| part.binary_search(h).is_ok());
-            w.hosts = part;
+            debug_assert_eq!(w.hosts, part, "a worker tracks its partition");
             w.positions = positions;
         }
         self.workers = workers;
@@ -462,22 +458,13 @@ impl<'w> Session<'w> {
         let host_statuses = IdColumn::from_sorted(interleave_shards(parts, targets));
         let snapshot = Campaign::aggregate_snapshot(&domain_hosts, &host_statuses);
 
-        // Leave the world's shared surfaces at the snapshot: clock on
-        // the snapshot day, query log holding the snapshot's queries in
-        // simulated-time order.
-        let runtime = world.runtime();
-        runtime
+        // Leave the world's clock on the snapshot day. The snapshot's
+        // query logs stay with its workers, bounded as it went: no
+        // caller reads them after the verdicts.
+        world
+            .runtime()
             .clock
             .advance_to(Timeline::day_to_time(Timeline::END));
-        runtime.query_log.clear();
-        runtime.query_log.extend(
-            QueryLog::merged(
-                snapshot_workers
-                    .iter()
-                    .map(|w| &w.prober.context().query_log),
-            )
-            .snapshot(),
-        );
 
         // Retire every worker, merging in a fixed order.
         let mut ethics = EthicsAudit::default();
@@ -558,7 +545,10 @@ impl<'w> Session<'w> {
         let workers = self
             .workers
             .iter()
-            .map(|w| WorkerState::capture(&w.prober, &w.counts))
+            .map(|w| {
+                let counts = w.hosts.iter().copied().zip(w.counts.iter().copied());
+                WorkerState::capture(&w.prober, counts.collect())
+            })
             .collect();
         // Drain the live tracers so the state holds every record
         // emitted so far; the handles stay usable for the next stage.
@@ -691,17 +681,31 @@ impl<'w> Session<'w> {
             ));
         }
         let parts = partition_tracked(&session.tracked, shards);
-        for (ws, (part, positions)) in state.workers.into_iter().zip(parts) {
+        for (i, (ws, (part, positions))) in state.workers.into_iter().zip(parts).enumerate() {
+            // Only counters the engine can write restore: one per host
+            // of the worker's partition of the tracked set, in order.
+            if !ws
+                .counts
+                .iter()
+                .map(|&(host, _)| host)
+                .eq(part.iter().copied())
+            {
+                return Err(format!(
+                    "checkpoint worker {i} keeps counters for {} hosts, not for its {} tracked \
+                     hosts in host order",
+                    ws.counts.len(),
+                    part.len()
+                ));
+            }
             let mut w = Worker::new(world, &session.builder, part);
             w.positions = positions;
+            w.counts = ws.counts.into_iter().map(|(_, n)| n).collect();
             w.prober
                 .context()
                 .clock
                 .advance_to(SimTime::from_micros(ws.clock_micros));
             w.prober.ethics_mut().restore(ws.ethics, ws.contacts);
             w.prober.metrics().add_snapshot(&ws.metrics);
-            // lint:allow(det-hash-iter) ws.counts is the checkpoint's sorted Vec, not a hash map; the name merely matches the Worker field
-            w.counts = ws.counts.into_iter().collect();
             session.workers.push(w);
         }
         Ok(session)
@@ -768,7 +772,8 @@ fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// One longitudinal round over one worker's `hosts`, at `positions` in
-/// the tracked list that indexes `last_conclusive`. Hosts inside the
+/// the tracked list that indexes `last_conclusive`, with `counts` their
+/// blacklist counters. Hosts inside the
 /// incremental skip horizon answer from carried state; with
 /// `full_rescan` every host is probed. Returns the round statuses in
 /// `hosts` order, the busy time, and the issued/skipped probe counts.
@@ -779,7 +784,7 @@ fn incremental_round_sweep(
     hosts: &[HostId],
     positions: &[u32],
     masks: &[u32],
-    counts: &mut HashMap<HostId, u32, FxBuildHasher>,
+    counts: &mut [u32],
     last_conclusive: &[(u16, RoundStatus)],
     world: &dyn Population,
     full_rescan: bool,
@@ -791,8 +796,8 @@ fn incremental_round_sweep(
     let mut issued = 0u64;
     let mut skipped = 0u64;
     debug_assert_eq!(hosts.len(), positions.len());
-    for (&host, &position) in hosts.iter().zip(positions) {
-        let seen = counts.entry(host).or_insert(0);
+    debug_assert_eq!(hosts.len(), counts.len());
+    for ((&host, &position), seen) in hosts.iter().zip(positions).zip(counts) {
         let test = HostMask(masks[host.0 as usize]).preferred_test();
         // The skip horizon. A host's round probe can be answered from
         // carried state only when nothing that can change the answer
@@ -993,5 +998,31 @@ mod tests {
         unordered.rounds[0].1.swap(0, 1);
         let err = restore_error(unordered, &world);
         assert!(err.contains("out of host order"), "{err}");
+    }
+
+    #[test]
+    fn from_state_rejects_counters_missing_a_tracked_host() {
+        let world = world();
+        let (mut state, _) = two_round_state(&world);
+        let counts = &mut state.workers[0].counts;
+        assert!(counts.len() > 1, "the worker tracks hosts");
+        counts.remove(counts.len() / 2);
+        let err = restore_error(state, &world);
+        assert!(err.contains("not for its"), "{err}");
+    }
+
+    #[test]
+    fn from_state_rejects_counters_for_an_untracked_host() {
+        let world = world();
+        let (mut state, tracked) = two_round_state(&world);
+        let outsider = (0..world.hosts.len() as u32)
+            .map(HostId)
+            .find(|h| !tracked.contains(h))
+            .expect("some host is not tracked");
+        let counts = &mut state.workers[0].counts;
+        let at = counts.partition_point(|(h, _)| *h < outsider);
+        counts.insert(at, (outsider, 1));
+        let err = restore_error(state, &world);
+        assert!(err.contains("not for its"), "{err}");
     }
 }

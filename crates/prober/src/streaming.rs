@@ -9,19 +9,20 @@
 //! 1. **Sweep, with retention folded in** — feed the host stream over
 //!    bounded channels to one worker per shard (one worker for
 //!    `shards(1)`), each the same worker an eager [`Session`] sweeps
-//!    with, folding each host's results into one [`HostMask`] the moment
-//!    they exist and recording only the vulnerable `(host, ip)` pairs.
-//!    Prober-side per-host state (contact history, blacklist counters) is
-//!    pruned to the vulnerable set as the sweep goes — the same rule an
-//!    eager session applies at the end of its sweep, and sound because
-//!    host addresses are unique and every later phase re-probes only
-//!    tracked hosts. The repetition counters are dropped at each prune:
-//!    the hosts probed so far are done for the sweep's day. Each worker
-//!    hands every probed record back to the feeder with its verdict,
-//!    and the feeder's retention fold keeps the domains with a tracked
-//!    host and every host they name: a [`SparsePopulation`] of
-//!    O(tracked) records. A host record lives from its synthesis step
-//!    until its step is decided, a bounded lag behind the stream.
+//!    with, running each host through the same per-host step
+//!    (`Campaign::sweep_host`): it folds the host's results into one
+//!    [`HostMask`] the moment they exist, appends a tracked host and
+//!    its blacklist counter to the worker's tracked column, forgets an
+//!    untracked host's contact history, and drops the host's repetition
+//!    counters. That is sound because host addresses are unique and
+//!    every later phase re-probes only tracked hosts, so a worker never
+//!    holds per-host state for more than the tracked hosts and the one
+//!    it is probing. Each worker hands every probed record back to the
+//!    feeder with its verdict, and the feeder's retention fold keeps
+//!    the domains with a tracked host and every host they name: a
+//!    [`SparsePopulation`] of O(tracked) records. A host record lives
+//!    from its synthesis step until its step is decided, a bounded lag
+//!    behind the stream.
 //! 2. **Handoff** — assemble the sweep into an in-memory
 //!    [`CampaignState`] (the same structure a checkpoint serialises,
 //!    with the mask column as its `aggregate v1` section and every
@@ -44,8 +45,7 @@
 //! of the eager engine's full population plus per-host probe outcomes
 //! (`crates/bench/tests/alloc_count.rs` pins the budget).
 
-use std::collections::{HashMap, VecDeque};
-use std::net::Ipv4Addr;
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 
 use spfail_mta::PolicyCacheHandle;
@@ -57,16 +57,9 @@ use spfail_world::{
 };
 
 use crate::aggregate::HostMask;
-use crate::campaign::{
-    interleave_shards, shard_of, Campaign, CampaignBuilder, CampaignRun, QUERY_LOG_BOUND,
-};
+use crate::campaign::{interleave_shards, shard_of, Campaign, CampaignBuilder, CampaignRun};
 use crate::checkpoint::{mask_column, CampaignState, WorkerState};
 use crate::session::{Session, SessionStats};
-
-/// How many hosts a sweep worker probes between prunes of its per-host
-/// state. Between prunes the maps hold at most this many dead entries,
-/// so the interval trades prune overhead against the high-water mark.
-const PRUNE_INTERVAL: usize = 4096;
 
 /// Bound on in-flight host records per shard channel — the streamed
 /// sweep's only buffering between synthesis and probing. A deep buffer
@@ -437,8 +430,8 @@ struct SweepOutput {
     /// One [`HostMask`] per host, index = host id — the 4-bytes-per-host
     /// column that replaces the eager engine's per-host results.
     masks: Vec<u32>,
-    /// Each worker's durable state, pruned to its tracked hosts, in
-    /// shard order.
+    /// Each worker's durable state, which names only its tracked hosts,
+    /// in shard order.
     workers: Vec<WorkerState>,
     /// Each worker's policy cache, in shard order.
     caches: Vec<Option<PolicyCacheHandle>>,
@@ -463,11 +456,10 @@ struct ShardOut {
 /// The streamed sweep: the synthesis stream is dispatched to one worker
 /// per shard over bounded channels ([`shard_of`] keys the partition, so
 /// each worker receives exactly its eager partition in id order), each
-/// worker probing through its own prober exactly as
-/// `Session::initial_sweep`'s workers do. Each worker folds every host
-/// into its [`HostMask`] the moment its probes finish, prunes its
-/// per-host state to the tracked hosts as it goes, and sends the record
-/// back with its verdict to the feeder's [`Retention`] fold.
+/// worker running every host through the per-host step
+/// `Session::initial_sweep`'s workers use (`Campaign::sweep_host`) and
+/// sending the record back with its verdict to the feeder's
+/// [`Retention`] fold.
 ///
 /// The fold's backlog is bounded: the feeder drains the verdicts after
 /// every step, and while the oldest host it has no verdict for is still
@@ -483,35 +475,19 @@ fn sweep_stream(builder: &CampaignBuilder, mut lazy: LazyWorld) -> SweepOutput {
         let pop = RuntimePopulation(runtime.clone());
         let tracer = Tracer::new(builder.trace);
         let mut prober = builder.worker_prober(&pop, &tracer);
-        let query_log = prober.context().query_log.clone();
         let start = Campaign::begin_sweep(&mut prober, Phase::Initial, Timeline::INITIAL);
         let mut masks = Vec::new();
-        let mut vulnerable: Vec<(HostId, Ipv4Addr)> = Vec::new();
-        let mut counts = HashMap::default();
+        let mut tracked = Vec::new();
         while let Ok((host, record)) = rx.recv() {
-            let (result, seen) = Campaign::probe_initial(&mut prober, host, &record);
-            let mask = HostMask::from_initial(&result);
+            let (_, mask) = Campaign::sweep_host(&mut prober, host, &record, &mut tracked);
             masks.push(mask.0);
-            if mask.tracked() {
-                vulnerable.push((host, record.ip));
-                counts.insert(host, seen);
-            }
             verdicts
                 .send((host, mask.tracked(), record))
                 .expect("the feeder drains verdicts until every worker is done");
-            if query_log.len() > QUERY_LOG_BOUND {
-                query_log.clear();
-            }
-            if masks.len() % PRUNE_INTERVAL == 0 {
-                prober.retain_hosts(&vulnerable);
-                prober.forget_repetitions();
-            }
         }
-        prober.retain_hosts(&vulnerable);
-        prober.forget_repetitions();
         ShardOut {
             masks,
-            state: WorkerState::capture(&prober, &counts),
+            state: WorkerState::capture(&prober, tracked),
             cache: prober.context().policy_cache.clone(),
             trace: tracer.finish().records,
             busy: prober.context().clock.now().since(start),

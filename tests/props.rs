@@ -1231,3 +1231,39 @@ fn lazy_world_steps_name_only_fresh_and_live_pool_hosts() {
         }
     }
 }
+
+/// Every host of a `LazyWorld` — and so of the eager `World` collected
+/// from it — has an address of its own. The initial sweep relies on
+/// this when it forgets an untracked host's contact history the moment
+/// its verdict is known: no later host of the sweep can share it.
+#[test]
+fn lazy_world_host_addresses_are_pairwise_distinct() {
+    for mut rng in cases("lazy_world_host_addresses_are_pairwise_distinct")
+        .into_iter()
+        .take(24)
+    {
+        let seed = rng.below(u64::MAX);
+        let scale = 0.001 + 0.004 * rng.below(1 << 16) as f64 / f64::from(1 << 16);
+        let shared_hosting_rate = 12.0 * rng.below(1 << 16) as f64 / f64::from(1 << 16);
+        let config = WorldConfig {
+            scale,
+            shared_hosting_rate,
+            ..WorldConfig::small(seed)
+        };
+        let mut ips: Vec<_> = LazyWorld::new(config)
+            .flat_map(|step| step.fresh)
+            .map(|record| record.ip)
+            .collect();
+        let hosts = ips.len();
+        assert!(hosts > 0, "seed {seed}, scale {scale}: the world has hosts");
+        ips.sort_unstable();
+        ips.dedup();
+        assert_eq!(
+            ips.len(),
+            hosts,
+            "seed {seed}, scale {scale}, shared hosting {shared_hosting_rate}: \
+             {} of {hosts} host addresses are repeats",
+            hosts - ips.len()
+        );
+    }
+}
