@@ -1,7 +1,4 @@
-//! Benchmark-only crate: see the `benches/` directory.
-//!
-//! * `exhibits` — one benchmark per paper table/figure, regenerating the
-//!   exhibit from a shared pipeline run, plus the full pipeline itself.
-//! * `ablations` — the design-choice ablations called out in DESIGN.md
-//!   (name compression, resolver caching, probe strategy, multi-query
-//!   classification).
+//! Test-only crate: `tests/alloc_count.rs` installs a counting global
+//! allocator, which needs a test binary of its own. It holds the
+//! allocation budgets of the hot paths and the peak-heap budgets of the
+//! streamed campaign. Timing lives in `perfbench/`.

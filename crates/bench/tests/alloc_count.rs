@@ -6,8 +6,8 @@
 //! below what the pre-compact `Name { labels: Vec<String> }`
 //! representation measured (see DESIGN.md, "Name representation and
 //! allocation budget"), so any change that reintroduces per-label or
-//! per-lookup allocation fails tier-1 here — long before criterion noise
-//! could hide it.
+//! per-lookup allocation fails tier-1 here — an exact count that
+//! wall-clock noise cannot hide.
 //!
 //! Allocation counts are per thread: only allocations made by the thread
 //! inside [`count_allocs`] are counted, so fixtures other test threads

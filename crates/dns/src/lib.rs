@@ -38,9 +38,7 @@ pub use message::{Header, Message, Opcode, Question, Rcode};
 pub use name::{Name, NameError};
 pub use querylog::{QueryLog, QueryLogEntry};
 pub use rdata::{RData, Record, RecordClass, RecordType};
-pub use resolver::{
-    Directory, LookupError, LookupOutcome, Resolver, ResolverConfig, Transcript, TranscriptStep,
-};
+pub use resolver::{Directory, LookupError, LookupOutcome, Resolver, Transcript, TranscriptStep};
 pub use spftest::SpfTestAuthority;
 pub use zone::{Zone, ZoneBuilder};
 pub use zonefile::{parse_zone, render_zone, ZoneFileError};

@@ -8,8 +8,8 @@
 //! [`Link`].
 //!
 //! The paper's probe design defeats caching deliberately (every probe uses
-//! a unique label); the resolver cache exists so that *that design choice
-//! can be measured* — see the `ablation_cache_bypass` benchmark.
+//! a unique label), so probe queries always miss; the cache answers only
+//! repeated lookups of one name within its TTL.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -146,33 +146,15 @@ impl From<&LookupError> for spfail_netsim::ProbeError {
     }
 }
 
-/// Resolver tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ResolverConfig {
-    /// Whether positive/negative caching is enabled.
-    pub cache_enabled: bool,
-    /// Per-query timeout charged when a datagram is lost.
-    pub query_timeout: SimDuration,
-    /// Retransmissions after a lost datagram.
-    pub retries: u32,
-    /// Maximum CNAME chain length.
-    pub max_cname_depth: u32,
-    /// Maximum UDP payload before the server truncates and the resolver
-    /// retries over TCP (classic 512-byte limit, RFC 1035 §4.2.1).
-    pub max_udp_payload: usize,
-}
-
-impl Default for ResolverConfig {
-    fn default() -> Self {
-        ResolverConfig {
-            cache_enabled: true,
-            query_timeout: SimDuration::from_secs(3),
-            retries: 2,
-            max_cname_depth: 8,
-            max_udp_payload: 512,
-        }
-    }
-}
+/// Per-query timeout charged when a datagram is lost.
+const QUERY_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+/// Retransmissions after a lost datagram.
+const RETRIES: u32 = 2;
+/// Maximum CNAME chain length.
+const MAX_CNAME_DEPTH: u32 = 8;
+/// Maximum UDP payload before the server truncates and the resolver
+/// retries over TCP (classic 512-byte limit, RFC 1035 §4.2.1).
+const MAX_UDP_PAYLOAD: usize = 512;
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
@@ -226,7 +208,6 @@ pub struct Resolver {
     directory: Directory,
     link: Link,
     client: IpAddr,
-    config: ResolverConfig,
     cache: HashMap<(Name, RecordType), CacheEntry>,
     metrics: Metrics,
     tracer: Tracer,
@@ -237,22 +218,11 @@ pub struct Resolver {
 impl Resolver {
     /// A resolver for `client`, querying through `link`.
     pub fn new(directory: Directory, link: Link, client: IpAddr) -> Resolver {
-        Resolver::with_config(directory, link, client, ResolverConfig::default())
-    }
-
-    /// A resolver with explicit configuration.
-    pub fn with_config(
-        directory: Directory,
-        link: Link,
-        client: IpAddr,
-        config: ResolverConfig,
-    ) -> Resolver {
         let metrics = link.metrics().clone();
         Resolver {
             directory,
             link,
             client,
-            config,
             cache: HashMap::new(),
             metrics,
             tracer: Tracer::disabled(),
@@ -278,9 +248,9 @@ impl Resolver {
     }
 
     /// Rebind this resolver to `client` in the state a fresh
-    /// [`Resolver::with_config`] has: an empty cache (its table capacity
+    /// [`Resolver::new`] has: an empty cache (its table capacity
     /// kept for reuse), query ids restarting at 1, and no transcript.
-    /// The directory, link, configuration and tracer stay.
+    /// The directory, link and tracer stay.
     pub fn rehost(&mut self, client: IpAddr) {
         self.client = client;
         self.cache.clear();
@@ -348,7 +318,7 @@ impl Resolver {
             self.metrics.inc_dns_queries();
             let _ = self
                 .link
-                .datagram(rng, estimate_query_size(name), self.config.query_timeout);
+                .datagram(rng, estimate_query_size(name), QUERY_TIMEOUT);
             if let Some(authority) = self.directory.authority_for(name) {
                 authority.log_replayed_query(name, rtype, self.client, self.link.clock().now());
             }
@@ -422,7 +392,7 @@ impl Resolver {
         let mut current = name.clone();
         // lint:allow(alloc-hot-path) Vec::new is allocation-free; it only grows if a CNAME chain actually collects records
         let mut collected: Vec<Record> = Vec::new();
-        for _depth in 0..=self.config.max_cname_depth {
+        for _depth in 0..=MAX_CNAME_DEPTH {
             let outcome = self.resolve_one(rng, &current, rtype)?;
             match &outcome {
                 LookupOutcome::Records(records) => {
@@ -467,22 +437,20 @@ impl Resolver {
         // itself is the case-insensitive cache key; cloning it is a copy
         // or refcount bump, never a heap allocation.
         let key = (name.clone(), rtype);
-        if self.config.cache_enabled {
-            if let Some(entry) = self.cache.get(&key) {
-                if entry.expires > now {
-                    self.metrics.inc_dns_cache_hits();
-                    if let Some(t) = &mut self.transcript {
-                        t.steps.push(TranscriptStep {
-                            name: name.clone(),
-                            rtype,
-                            cache_hit: true,
-                            outcome: entry.outcome.clone(),
-                        });
-                    }
-                    return Ok(entry.outcome.clone());
+        if let Some(entry) = self.cache.get(&key) {
+            if entry.expires > now {
+                self.metrics.inc_dns_cache_hits();
+                if let Some(t) = &mut self.transcript {
+                    t.steps.push(TranscriptStep {
+                        name: name.clone(),
+                        rtype,
+                        cache_hit: true,
+                        outcome: entry.outcome.clone(),
+                    });
                 }
-                self.cache.remove(&key);
+                return Ok(entry.outcome.clone());
             }
+            self.cache.remove(&key);
         }
 
         let authority = self
@@ -501,7 +469,7 @@ impl Resolver {
             self.metrics.inc_dns_queries();
             let obs = self
                 .link
-                .datagram(rng, estimate_query_size(name), self.config.query_timeout);
+                .datagram(rng, estimate_query_size(name), QUERY_TIMEOUT);
             match obs {
                 spfail_netsim::LinkObservation::Ok => {
                     break authority.answer(&query, self.client, self.link.clock().now());
@@ -518,7 +486,7 @@ impl Resolver {
                     break authority.answer(&query, self.client, self.link.clock().now());
                 }
                 _ => {
-                    if attempts > self.config.retries {
+                    if attempts > RETRIES {
                         self.metrics.inc_dns_timeouts();
                         return Err(LookupError::Timeout);
                     }
@@ -531,7 +499,7 @@ impl Resolver {
         // connection's worth of round trips, charged to the link. An
         // injected truncation fault takes the same fallback.
         let wire_len = crate::wire::encode(&response).len();
-        if forced_tc || wire_len > self.config.max_udp_payload {
+        if forced_tc || wire_len > MAX_UDP_PAYLOAD {
             self.metrics.inc_dns_truncated();
             // TCP handshake + the re-sent query and full response.
             let _ = self.link.turn(rng, estimate_query_size(name));
@@ -572,27 +540,25 @@ impl Resolver {
             });
         }
 
-        if self.config.cache_enabled {
-            let ttl = match &outcome {
-                LookupOutcome::Records(records) => records.iter().map(|r| r.ttl).min().unwrap_or(0),
-                // Negative TTL from the SOA minimum, when present.
-                _ => response
-                    .authorities
-                    .iter()
-                    .find_map(|r| match &r.rdata {
-                        RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
-                        _ => None,
-                    })
-                    .unwrap_or(60),
-            };
-            self.cache.insert(
-                key,
-                CacheEntry {
-                    expires: now + SimDuration::from_secs(u64::from(ttl)),
-                    outcome: outcome.clone(),
-                },
-            );
-        }
+        let ttl = match &outcome {
+            LookupOutcome::Records(records) => records.iter().map(|r| r.ttl).min().unwrap_or(0),
+            // Negative TTL from the SOA minimum, when present.
+            _ => response
+                .authorities
+                .iter()
+                .find_map(|r| match &r.rdata {
+                    RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
+                    _ => None,
+                })
+                .unwrap_or(60),
+        };
+        self.cache.insert(
+            key,
+            CacheEntry {
+                expires: now + SimDuration::from_secs(u64::from(ttl)),
+                outcome: outcome.clone(),
+            },
+        );
         Ok(outcome)
     }
 }
@@ -755,30 +721,6 @@ mod tests {
         r.resolve(&mut rng, &n("example.com"), RecordType::A)
             .unwrap();
         assert_eq!(metrics.dns_queries(), 2);
-    }
-
-    #[test]
-    fn cache_can_be_disabled() {
-        let (dir, clock) = setup();
-        let metrics = Metrics::new();
-        let link = Link::new(
-            LatencyModel::ZERO,
-            FaultPlan::NONE,
-            clock.clone(),
-            metrics.clone(),
-        );
-        let config = ResolverConfig {
-            cache_enabled: false,
-            ..ResolverConfig::default()
-        };
-        let mut r = Resolver::with_config(dir, link, "198.51.100.1".parse().unwrap(), config);
-        let mut rng = SimRng::new(7);
-        r.resolve(&mut rng, &n("example.com"), RecordType::A)
-            .unwrap();
-        r.resolve(&mut rng, &n("example.com"), RecordType::A)
-            .unwrap();
-        assert_eq!(metrics.dns_queries(), 2);
-        assert_eq!(metrics.dns_cache_hits(), 0);
     }
 
     #[test]

@@ -82,8 +82,8 @@ pub struct Encoder {
 }
 
 impl Encoder {
-    /// A new encoder. `compress` controls name compression (the ablation
-    /// benchmark compares both settings).
+    /// A new encoder. `compress` controls name compression
+    /// ([`encode_uncompressed`] is the uncompressed reference).
     pub fn new(compress: bool) -> Encoder {
         Encoder {
             buf: BytesMut::with_capacity(512),

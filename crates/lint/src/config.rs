@@ -12,7 +12,7 @@ use crate::engine::FileMeta;
 pub struct Config {
     /// Crates whose library code must be wall-clock- and entropy-free:
     /// every crate that participates in the deterministic simulation.
-    /// (`bench` reads real time by design; `lint` is tooling.)
+    /// (`bench` holds only allocator tests; `lint` is tooling.)
     pub sim_crates: Vec<String>,
     /// Files whose structs are mergeable aggregates: merged across
     /// shards, so sums must be integers (`u128` moment squares are the

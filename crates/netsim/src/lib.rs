@@ -12,7 +12,7 @@
 //! * [`SimClock`] — a cheaply clonable shared clock.
 //! * [`SimRng`] — a seeded, forkable deterministic random source.
 //! * [`LatencyModel`], [`FaultPlan`], [`Link`] — network path behaviour.
-//! * [`Metrics`] — cheap counters for ablation benchmarks.
+//! * [`Metrics`] — cheap counters for instrumentation and benchmarks.
 //!
 //! Higher layers (DNS, SMTP, the prober) are written sans-IO against these
 //! types; no real sockets are ever opened.

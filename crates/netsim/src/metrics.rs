@@ -1,4 +1,4 @@
-//! Cheap shared counters for instrumentation and ablation benchmarks.
+//! Cheap shared counters for instrumentation and benchmarks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -6,8 +6,8 @@ use std::sync::Arc;
 /// Counters shared across the simulation.
 ///
 /// A `Metrics` handle is cheap to clone; all clones observe the same
-/// counters. The ablation benchmarks use these to compare, e.g., DNS query
-/// volume with and without resolver caching.
+/// counters. The benchmark in `perfbench/` reads them for, e.g., DNS query
+/// volume and resolver cache hits.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     inner: Arc<MetricsInner>,

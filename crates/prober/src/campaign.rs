@@ -303,8 +303,8 @@ impl CampaignData {
 /// probers busy in *simulated* time — connection latency, SMTP
 /// round trips, contact-spacing waits, greylist retries. One worker
 /// serialises every probe on one clock, so a sweep costs the sum of its
-/// probes; with several workers a sweep costs only its busiest one. The
-/// `scaling` benchmark reports the resulting speedup.
+/// probes; with several workers a sweep costs only its busiest one.
+/// `tests/parallel.rs` asserts the resulting speedup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignTiming {
     /// Busy time of the initial sweep.
@@ -438,8 +438,8 @@ impl CampaignBuilder {
     /// shared cache is measurement-transparent: [`CampaignData`], traces,
     /// and exhibits are bit-for-bit identical either way
     /// (`tests/policy_cache.rs`), only the wall-clock cost changes — so
-    /// `false` exists as the reference for that test and for the
-    /// `campaign_throughput` bench, not as a production mode.
+    /// `false` exists as the reference for that test and its wall-clock
+    /// speedup tripwire, not as a production mode.
     pub fn policy_cache(mut self, enabled: bool) -> CampaignBuilder {
         self.no_policy_cache = !enabled;
         self
@@ -541,7 +541,7 @@ impl Campaign {
 
     /// Keep `prober`'s query log bounded between hosts: each probe reads
     /// only its own window, so anything older is dead weight.
-    fn bound_query_log(prober: &Prober<'_>) {
+    pub(crate) fn bound_query_log(prober: &Prober<'_>) {
         let query_log = &prober.context().query_log;
         if query_log.len() > QUERY_LOG_BOUND {
             query_log.clear();

@@ -846,6 +846,7 @@ fn incremental_round_sweep(
         *seen += attempts;
         issued += 1;
         statuses.push((host, Campaign::round_status(&outcome)));
+        Campaign::bound_query_log(prober);
     }
     prober.forget_repetitions();
     let busy = prober.context().clock.now().since(start);

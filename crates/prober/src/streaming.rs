@@ -45,6 +45,7 @@
 //! of the eager engine's full population plus per-host probe outcomes
 //! (`crates/bench/tests/alloc_count.rs` pins the budget).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 
@@ -87,7 +88,8 @@ pub struct StreamingRun {
 /// either vintage in streaming mode).
 pub struct StreamedCampaign {
     population: SparsePopulation,
-    state: CampaignState,
+    /// The checkpoint state, until [`StreamedCampaign::session`] takes it.
+    state: Cell<Option<CampaignState>>,
     /// Each sweep worker's warm policy cache, in shard order, handed to
     /// the session's worker for the same shard — an eager session keeps
     /// one cache per worker across the sweep and every round. Empty for
@@ -117,7 +119,7 @@ impl StreamedCampaign {
         };
         StreamedCampaign {
             population: sweep.population,
-            state,
+            state: Cell::new(Some(state)),
             caches: sweep.caches,
         }
     }
@@ -131,8 +133,17 @@ impl StreamedCampaign {
     /// at session construction).
     pub fn adopt(state: CampaignState, config: WorldConfig) -> StreamedCampaign {
         // A sweep record that does not cover the world retains nothing
-        // here; `session` then refuses it with the reason.
-        let masks = mask_column(state.masks.clone(), &state.initial, None).unwrap_or_default();
+        // here; `session` then refuses it with the reason. A streamed
+        // record is read in place; an `init`-line state derives its column.
+        let derived;
+        let masks: &[u32] = match &state.masks {
+            Some(masks) if state.initial.is_empty() => masks,
+            Some(_) => &[],
+            None => {
+                derived = mask_column(None, &state.initial, None).unwrap_or_default();
+                &derived
+            }
+        };
         let tracked = |host: HostId| {
             masks
                 .get(host.0 as usize)
@@ -149,7 +160,7 @@ impl StreamedCampaign {
         }
         StreamedCampaign {
             population: retention.finish(),
-            state,
+            state: Cell::new(Some(state)),
             // A resumed session starts with cold caches in either mode
             // (the cache is derived state, absent from checkpoints).
             caches: Vec::new(),
@@ -168,10 +179,15 @@ impl StreamedCampaign {
 
     /// Open the staged [`Session`] that continues this campaign: rounds,
     /// snapshot, and finish run exactly as the eager engine's
-    /// checkpoint-resume path. Errs when the state does not fit the
-    /// world (see [`Session::from_state`]).
+    /// checkpoint-resume path. The state moves into the session, so only
+    /// the first call can open one; it errs when the state does not fit
+    /// the world (see [`Session::from_state`]), and every later call errs.
     pub fn session(&self) -> Result<Session<'_>, String> {
-        let mut session = Session::from_state(self.state.clone(), &self.population)?;
+        let state = self
+            .state
+            .take()
+            .ok_or("the campaign state was already handed to a session")?;
+        let mut session = Session::from_state(state, &self.population)?;
         session.hand_off_caches(&self.caches);
         Ok(session)
     }
@@ -641,24 +657,12 @@ mod tests {
     }
 
     /// The provider-heavy world of the `provider_stream` benchmark
-    /// workload: heavy shared hosting, so pool hosts are named by many
-    /// later domains.
+    /// workload, at test scale.
     fn provider_heavy() -> WorldConfig {
-        let mut config = WorldConfig {
-            shared_hosting_rate: 8.0,
-            multi_impl_rate: 0.5,
-            ..config()
-        };
-        for rates in [
-            &mut config.alexa_rates,
-            &mut config.two_week_rates,
-            &mut config.top_provider_rates,
-        ] {
-            rates.refuse = 0.05;
-            rates.spf_on_mailfrom = 0.45;
-            rates.spf_on_data = 0.5;
+        WorldConfig {
+            scale: config().scale,
+            ..WorldConfig::provider_heavy(config().seed)
         }
-        config
     }
 
     /// Every retained id, record and domain, in column order.
@@ -684,7 +688,8 @@ mod tests {
             for shards in [1, 2, 4] {
                 let streamed =
                     StreamedCampaign::sweep(CampaignBuilder::new().shards(shards), config.clone());
-                let masks = streamed.state.masks.as_deref().expect("a streamed record");
+                let state = streamed.state.take().expect("a fresh handoff");
+                let masks = state.masks.as_deref().expect("a streamed record");
                 let tracked = tracked_hosts(masks);
                 assert!(!tracked.is_empty());
                 let expected = dump(&reference::retain(config.clone(), &tracked));
@@ -695,7 +700,7 @@ mod tests {
                     "sweep, {shards} shards, shared hosting {}",
                     config.shared_hosting_rate
                 );
-                let adopted = StreamedCampaign::adopt(streamed.state.clone(), config.clone());
+                let adopted = StreamedCampaign::adopt(state, config.clone());
                 assert_eq!(
                     dump(&adopted.population),
                     expected,
@@ -704,6 +709,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The handoff moves the sweep state into the first session; every
+    /// later call errs instead of resuming from a copy.
+    #[test]
+    fn second_session_errs() {
+        let streamed = StreamedCampaign::sweep(CampaignBuilder::new(), config());
+        let first = streamed.session().expect("the first handoff restores");
+        assert!(streamed.session().is_err());
+        drop(first);
+        assert!(streamed.session().is_err());
     }
 
     #[test]

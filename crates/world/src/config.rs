@@ -155,6 +155,30 @@ impl WorldConfig {
         }
     }
 
+    /// A small provider-heavy world: heavy shared hosting, many
+    /// multi-implementation MTAs, and almost every set member publishing
+    /// SPF. It is the regime of the paper's Alexa and top-provider
+    /// sweeps, where thousands of probes land on MTAs whose policies
+    /// intern to a handful of compiled programs, and pool hosts are named
+    /// by many later domains.
+    pub fn provider_heavy(seed: u64) -> WorldConfig {
+        let mut config = WorldConfig {
+            shared_hosting_rate: 8.0,
+            multi_impl_rate: 0.5,
+            ..WorldConfig::small(seed)
+        };
+        for rates in [
+            &mut config.alexa_rates,
+            &mut config.two_week_rates,
+            &mut config.top_provider_rates,
+        ] {
+            rates.refuse = 0.05;
+            rates.spf_on_mailfrom = 0.45;
+            rates.spf_on_data = 0.5;
+        }
+        config
+    }
+
     /// Scale a population count.
     pub fn scaled(&self, full: usize) -> usize {
         ((full as f64) * self.scale).round().max(1.0) as usize

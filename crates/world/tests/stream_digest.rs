@@ -43,28 +43,6 @@ fn stream_digest(config: WorldConfig) -> (u64, usize, usize) {
     (hash.0, domains, hosts)
 }
 
-/// The provider-heavy world the `provider_stream` benchmark workload
-/// streams: heavy shared hosting, many multi-implementation MTAs, and
-/// almost every set member publishing SPF.
-fn provider_heavy(seed: u64, scale: f64) -> WorldConfig {
-    let mut config = WorldConfig {
-        scale,
-        shared_hosting_rate: 8.0,
-        multi_impl_rate: 0.5,
-        ..WorldConfig::small(seed)
-    };
-    for rates in [
-        &mut config.alexa_rates,
-        &mut config.two_week_rates,
-        &mut config.top_provider_rates,
-    ] {
-        rates.refuse = 0.05;
-        rates.spf_on_mailfrom = 0.45;
-        rates.spf_on_data = 0.5;
-    }
-    config
-}
-
 #[test]
 fn small_world_stream_digest() {
     assert_eq!(
@@ -76,7 +54,7 @@ fn small_world_stream_digest() {
 #[test]
 fn provider_heavy_stream_digest() {
     assert_eq!(
-        stream_digest(provider_heavy(2024, 0.01)),
+        stream_digest(WorldConfig::provider_heavy(2024)),
         (0x8d62_2e3f_fdaf_df4f, 4_388, 1_783)
     );
 }

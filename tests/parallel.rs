@@ -156,3 +156,30 @@ fn sharded_engine_leaves_world_clock_at_snapshot_day() {
         );
     }
 }
+
+/// What sharding buys: how long the campaign keeps probers busy in
+/// simulated time. The sequential engine serialises every probe
+/// (connection latency, SMTP round trips, contact-spacing and greylist
+/// waits) on one clock; each shard runs against its own clock, so a
+/// sharded phase costs only its slowest shard. Unlike wall clock on a
+/// shared runner, this is deterministic: 4 shards must shorten the
+/// campaign at least 2x.
+#[test]
+fn four_shards_halve_the_simulated_campaign() {
+    let makespan = |builder: CampaignBuilder| {
+        builder
+            .timed()
+            .run(&build_world(2024, 0.004))
+            .timing
+            .expect("timed run")
+            .total()
+    };
+    let sequential = makespan(CampaignBuilder::new());
+    let sharded = makespan(CampaignBuilder::new().shards(4));
+    let speedup = sequential.as_secs_f64() / sharded.as_secs_f64();
+    assert!(
+        speedup >= 2.0,
+        "4 shards must shorten the simulated campaign at least 2x \
+         ({sequential} sequential vs {sharded}), got {speedup:.2}x"
+    );
+}

@@ -8,6 +8,11 @@
 //!
 //! Also pinned here: checkpoints never serialise the cache — a resumed
 //! session starts cold and still reproduces the warm run exactly.
+//!
+//! One `#[ignore]`d release test times what the cache buys: a
+//! wall-clock tripwire for a cache that stops paying for itself.
+
+use std::time::Instant;
 
 use spfail::netsim::{FaultPlan, FaultProfile, FlakyWindow, SimDuration};
 use spfail::prober::{
@@ -234,4 +239,42 @@ fn cache_tallies_match_across_modes_for_every_shard_count() {
             "{shards} shard(s): cache never hit"
         );
     }
+}
+
+/// The cache's wall-clock payoff on the provider-heavy world at 4
+/// shards, where thousands of probes land on MTAs whose policies intern
+/// to a handful of compiled programs: the cached campaign must beat
+/// `policy_cache(false)` by more than 1.2x. Wall clock is noisy, so the
+/// statistic is the best of three alternating on/off pairs, and each
+/// timed pair must still agree bit for bit. Every run gets a fresh
+/// `World`, because a campaign advances its world's clock and contact
+/// ledger. Timing needs an optimised build: `cargo test --release
+/// --test policy_cache -- --include-ignored`.
+#[test]
+#[ignore = "wall-clock tripwire; run with --include-ignored in release"]
+fn cache_speeds_up_the_provider_heavy_campaign() {
+    let timed = |builder: CampaignBuilder| {
+        let world = World::generate(WorldConfig {
+            scale: 0.02,
+            ..WorldConfig::provider_heavy(2024)
+        });
+        let start = Instant::now();
+        let run = builder.run(&world);
+        (start.elapsed().as_secs_f64(), run)
+    };
+    let (mut on_best, mut off_best) = (f64::INFINITY, f64::INFINITY);
+    for pair in 0..3 {
+        let (on_s, on) = timed(CampaignBuilder::new().shards(4));
+        let (off_s, off) = timed(CampaignBuilder::new().shards(4).policy_cache(false));
+        assert_eq!(on.data, off.data, "pair {pair}: campaign data diverged");
+        assert!(off.cache.is_none(), "pair {pair}: disabled run kept stats");
+        on_best = on_best.min(on_s);
+        off_best = off_best.min(off_s);
+    }
+    let speedup = off_best / on_best;
+    eprintln!("policy cache: cached {on_best:.3}s, uncached {off_best:.3}s, {speedup:.2}x");
+    assert!(
+        speedup > 1.2,
+        "policy cache speedup regressed to {speedup:.2}x"
+    );
 }

@@ -212,8 +212,8 @@ fn streamed_checkpoint_text_round_trips_at_every_boundary() {
 
 /// Both engines run the same workers: right after the initial sweep an
 /// eager session and a streamed session of one builder write identical
-/// worker sections — clocks, audits, contact ledgers, metrics,
-/// repetition and blacklist counters, each pruned to the shard's
+/// worker sections — clocks, audits, metrics, and the contact ledgers
+/// and blacklist counters, which the sweep keeps only for the shard's
 /// tracked hosts.
 #[test]
 fn eager_and_streamed_sweeps_write_identical_worker_sections() {
