@@ -33,5 +33,21 @@ pub use fault::{FaultOutcome, FaultPlan, FaultProfile, FlakyWindow};
 pub use latency::LatencyModel;
 pub use metrics::{Histogram, Metrics, MetricsSnapshot, PolicyCacheStats};
 pub use net::{Link, LinkObservation};
-pub use rng::SimRng;
+pub use rng::{ForkLabel, SimRng};
 pub use time::{SimClock, SimDuration, SimTime};
+
+/// The decimal digits of `n`, as `{n}` formats it, written into the end
+/// of `buf` without the formatter. Probe labels, MTA hostnames and
+/// checkpoint text spell their integers with it on hot paths.
+pub fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    &buf[at..]
+}

@@ -7,8 +7,6 @@
 //! process) forks its own stream, so iteration order and population size
 //! changes never perturb unrelated entities.
 
-use std::fmt;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -19,9 +17,10 @@ pub struct SimRng {
     seed: u64,
 }
 
-/// Incremental FNV-1a; cheap, stable label hashing for forking. As a
-/// [`fmt::Write`] sink it hashes a formatted label piece by piece, which
-/// gives the hash of the whole string without building it.
+/// Incremental FNV-1a; cheap, stable label hashing for forking. Fed a
+/// label piece by piece, it gives the hash of the whole string without
+/// building it.
+#[derive(Debug, Clone, Copy)]
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -34,13 +33,6 @@ impl Fnv1a {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
         }
-    }
-}
-
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
     }
 }
 
@@ -57,6 +49,35 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// A fork label being hashed, built by [`SimRng::fork_label`]: append
+/// its pieces in order with [`ForkLabel::str`] and [`ForkLabel::dec`],
+/// then [`ForkLabel::finish`] gives the forked stream.
+#[derive(Debug, Clone, Copy)]
+#[must_use = "a fork label gives its stream only through `finish`"]
+pub struct ForkLabel {
+    seed: u64,
+    hash: Fnv1a,
+}
+
+impl ForkLabel {
+    /// Append `piece` to the label.
+    pub fn str(mut self, piece: &str) -> ForkLabel {
+        self.hash.write(piece.as_bytes());
+        self
+    }
+
+    /// Append `n` to the label in decimal, as `{n}` formats it.
+    pub fn dec(mut self, n: impl Into<u64>) -> ForkLabel {
+        self.hash.write(crate::decimal(n.into(), &mut [0; 20]));
+        self
+    }
+
+    /// The stream [`SimRng::fork`] gives for the whole label.
+    pub fn finish(self) -> SimRng {
+        SimRng::new(splitmix64(self.seed ^ self.hash.0))
+    }
 }
 
 impl SimRng {
@@ -82,14 +103,16 @@ impl SimRng {
         SimRng::new(splitmix64(self.seed ^ fnv1a(label.as_bytes())))
     }
 
-    /// [`SimRng::fork`] with the label given as format arguments:
-    /// `fork_fmt(format_args!("probe-h{h}"))` is the stream of
+    /// [`SimRng::fork`] with the label given piece by piece:
+    /// `fork_label().str("probe-h").dec(h).finish()` is the stream of
     /// `fork(&format!("probe-h{h}"))`, but the label's bytes are hashed
-    /// as they are formatted instead of collected into a `String`.
-    pub fn fork_fmt(&self, label: fmt::Arguments<'_>) -> SimRng {
-        let mut hash = Fnv1a::new();
-        fmt::Write::write_fmt(&mut hash, label).expect("hashing a label cannot fail");
-        SimRng::new(splitmix64(self.seed ^ hash.0))
+    /// as they are given instead of collected into a `String`, and its
+    /// numbers are spelled without the formatter.
+    pub fn fork_label(&self) -> ForkLabel {
+        ForkLabel {
+            seed: self.seed,
+            hash: Fnv1a::new(),
+        }
     }
 
     /// Derive an independent stream identified by an index, e.g. per host.

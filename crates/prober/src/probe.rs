@@ -555,11 +555,19 @@ impl<'w> Prober<'w> {
         extra_connections: u32,
         occurrence: u64,
     ) -> SimRng {
-        self.base_rng.fork_fmt(format_args!(
-            "probe-h{}-d{day}-t{}-x{extra_connections}-n{occurrence}",
-            host.0,
-            test.tag()
-        ))
+        self.base_rng
+            .fork_label()
+            .str("probe-h")
+            .dec(host.0)
+            .str("-d")
+            .dec(day)
+            .str("-t")
+            .dec(test.tag())
+            .str("-x")
+            .dec(extra_connections)
+            .str("-n")
+            .dec(occurrence)
+            .finish()
     }
 
     /// Generate the next unique probe id: a 4–5 character alphanumeric
@@ -872,11 +880,20 @@ impl<'w> Prober<'w> {
                     break;
                 }
             }
-            let mut backoff_rng = self.base_rng.fork_fmt(format_args!(
-                "backoff-h{}-d{day}-t{}-x{extra_connections}-a{attempts}",
-                host.0,
-                test.tag()
-            ));
+            let mut backoff_rng = self
+                .base_rng
+                .fork_label()
+                .str("backoff-h")
+                .dec(host.0)
+                .str("-d")
+                .dec(day)
+                .str("-t")
+                .dec(test.tag())
+                .str("-x")
+                .dec(extra_connections)
+                .str("-a")
+                .dec(attempts)
+                .finish();
             self.ctx
                 .tracer
                 .enter(self.ctx.clock.now(), SpanKind::RetryWait);

@@ -46,14 +46,20 @@
 //! initial sweep drops a host's counters once the host is done and a
 //! round drops them at its end: none is live at a boundary.
 //!
-//! The session keeps its record in checkpoint order: the sweep's
-//! `(host, result)` pairs and each round's `(host, status)` pairs are
-//! host-sorted columns, merged from the workers' partitions by their
-//! [`shard_of`] stride. [`Session::to_state`] therefore
-//! copies them without a hash walk or a sort, [`Session::from_state`]
-//! moves the parsed columns back in, and [`Session::finish`] moves the
-//! sweep column and every round's column into [`CampaignData`] as they
-//! are, as [`IdColumn`]s; the snapshot is folded into one too.
+//! The session keeps its record in checkpoint order. The sweep's
+//! `(host, result)` pairs are a host-sorted column, merged from the
+//! workers' partitions by their [`shard_of`] stride. Each round is a
+//! dense column of statuses by tracked position, one byte per tracked
+//! host: every worker returns its statuses in its own host order and
+//! the session scatters them through the worker's tracked positions.
+//! A worker's blacklist counters are likewise one per host of its
+//! partition, in partition order. [`Session::to_state`] therefore
+//! copies these columns without a hash walk or a sort,
+//! [`Session::from_state`] moves the parsed columns back in once their
+//! lengths match the tracked set, and [`Session::finish`] moves the
+//! sweep column into [`CampaignData`] as it is and pairs each round's
+//! statuses with the tracked hosts into an [`IdColumn`]; the snapshot is
+//! folded into one too.
 //! [`Session::checkpoint`] writes a
 //! temporary file and renames it over the target, so a crash mid-write
 //! never destroys the last good checkpoint.
@@ -161,7 +167,7 @@ impl WorkerState {
     /// Capture a worker's durable state: its clock, ethics guard and
     /// metrics, plus `counts`, its tracked hosts' blacklist counters in
     /// host order.
-    pub(crate) fn capture(prober: &Prober<'_>, counts: Vec<(HostId, u32)>) -> WorkerState {
+    pub(crate) fn capture(prober: &Prober<'_>, counts: Vec<u32>) -> WorkerState {
         let (ethics, contacts) = prober.ethics().export();
         WorkerState {
             clock_micros: prober.context().clock.now().as_micros(),
@@ -213,8 +219,9 @@ pub struct Session<'w> {
     tracked: Vec<HostId>,
     vulnerable_domains: Vec<DomainId>,
     /// Completed rounds: `(day, statuses)`, each round's statuses one
-    /// per tracked host in host order — the checkpoint's `st` lines.
-    rounds: Vec<(u16, Vec<(HostId, RoundStatus)>)>,
+    /// per tracked host by tracked position — the checkpoint's `round`
+    /// lines.
+    rounds: Vec<(u16, Vec<RoundStatus>)>,
     initial_busy: SimDuration,
     rounds_busy: SimDuration,
     /// Trace records drained at checkpoints; the final trace is the
@@ -353,19 +360,18 @@ impl<'w> Session<'w> {
         self.vulnerable_domains = vulnerable_domains;
     }
 
-    /// Record a finished round (statuses of tracked hosts, in host
-    /// order): push it onto the results and advance the carried per-host
-    /// state by its conclusive measurements.
-    fn note_round(&mut self, day: u16, statuses: Vec<(HostId, RoundStatus)>) {
-        // One merge walk against the sorted tracked list.
-        let mut position = 0;
-        for &(host, status) in &statuses {
-            while self.tracked[position] < host {
-                position += 1;
-            }
-            debug_assert_eq!(self.tracked[position], host, "a round names tracked hosts");
+    /// Record a finished round (one status per tracked host, by tracked
+    /// position): push it onto the results and advance the carried
+    /// per-host state by its conclusive measurements.
+    fn note_round(&mut self, day: u16, statuses: Vec<RoundStatus>) {
+        debug_assert_eq!(
+            statuses.len(),
+            self.tracked.len(),
+            "a round carries exactly one status per tracked host"
+        );
+        for (last, &status) in self.last_conclusive.iter_mut().zip(&statuses) {
             if status != RoundStatus::Inconclusive {
-                self.last_conclusive[position] = (day, status);
+                *last = (day, status);
             }
         }
         self.rounds.push((day, statuses));
@@ -412,7 +418,7 @@ impl<'w> Session<'w> {
             self.stats.round_probes_skipped += skipped;
         }
         self.rounds_busy = self.rounds_busy + round_busy;
-        let statuses = interleave_shards(parts, self.tracked.iter().copied());
+        let statuses = scatter_round(&self.workers, parts, self.tracked.len());
         self.note_round(day, statuses);
         Some(day)
     }
@@ -477,11 +483,16 @@ impl<'w> Session<'w> {
             self.trace_parts.push(w.tracer.finish());
         }
 
-        // Each round's column moves into the data as it is.
+        // Each round's statuses pair up with the tracked hosts, one round
+        // at a time, so each dense column is freed as its pairs are built.
+        let tracked = &self.tracked;
         let rounds = self
             .rounds
             .into_iter()
-            .map(|(day, statuses)| (day, IdColumn::from_sorted(statuses)))
+            .map(|(day, statuses)| {
+                let pairs = tracked.iter().copied().zip(statuses).collect();
+                (day, IdColumn::from_sorted(pairs))
+            })
             .collect();
         let data = CampaignData {
             initial: InitialMeasurement {
@@ -545,10 +556,7 @@ impl<'w> Session<'w> {
         let workers = self
             .workers
             .iter()
-            .map(|w| {
-                let counts = w.hosts.iter().copied().zip(w.counts.iter().copied());
-                WorkerState::capture(&w.prober, counts.collect())
-            })
+            .map(|w| WorkerState::capture(&w.prober, w.counts.clone()))
             .collect();
         // Drain the live tracers so the state holds every record
         // emitted so far; the handles stay usable for the next stage.
@@ -619,11 +627,10 @@ impl<'w> Session<'w> {
         session.stats = state.stats;
         // Only rounds the engine can write restore: each on the
         // timeline's day for its position (so days strictly increase),
-        // naming tracked hosts in strictly ascending order (as
-        // `to_state` writes them, so no host twice). The report's
+        // carrying one status per tracked host. The report's
         // longitudinal view relies on exactly this.
         let round_days = Timeline::all_round_days();
-        for (i, (day, hosts)) in state.rounds.into_iter().enumerate() {
+        for (i, (day, statuses)) in state.rounds.into_iter().enumerate() {
             if round_days.get(i) != Some(&day) {
                 return Err(format!(
                     "checkpoint round {} is on day {day}, off the timeline's strictly \
@@ -631,28 +638,15 @@ impl<'w> Session<'w> {
                     i + 1
                 ));
             }
-            // One merge walk against the sorted tracked list.
-            let mut pos = 0;
-            let mut prev = None;
-            for &(host, _) in &hosts {
-                if prev >= Some(host) {
-                    return Err(format!(
-                        "checkpoint round on day {day} names host {} twice or out of host order",
-                        host.0
-                    ));
-                }
-                prev = Some(host);
-                while session.tracked.get(pos).is_some_and(|&t| t < host) {
-                    pos += 1;
-                }
-                if session.tracked.get(pos) != Some(&host) {
-                    return Err(format!(
-                        "checkpoint round on day {day} names host {} outside the tracked set",
-                        host.0
-                    ));
-                }
+            if statuses.len() != session.tracked.len() {
+                return Err(format!(
+                    "checkpoint round on day {day} carries {} statuses for {} tracked hosts \
+                     (one per tracked host)",
+                    statuses.len(),
+                    session.tracked.len()
+                ));
             }
-            session.note_round(day, hosts);
+            session.note_round(day, statuses);
         }
         if session.rounds_done != state.rounds_done {
             return Err(format!(
@@ -683,23 +677,18 @@ impl<'w> Session<'w> {
         let parts = partition_tracked(&session.tracked, shards);
         for (i, (ws, (part, positions))) in state.workers.into_iter().zip(parts).enumerate() {
             // Only counters the engine can write restore: one per host
-            // of the worker's partition of the tracked set, in order.
-            if !ws
-                .counts
-                .iter()
-                .map(|&(host, _)| host)
-                .eq(part.iter().copied())
-            {
+            // of the worker's partition of the tracked set.
+            if ws.counts.len() != part.len() {
                 return Err(format!(
-                    "checkpoint worker {i} keeps counters for {} hosts, not for its {} tracked \
-                     hosts in host order",
+                    "checkpoint worker {i} keeps {} counters for its {} tracked hosts \
+                     (one per host of its partition)",
                     ws.counts.len(),
                     part.len()
                 ));
             }
             let mut w = Worker::new(world, &session.builder, part);
             w.positions = positions;
-            w.counts = ws.counts.into_iter().map(|(_, n)| n).collect();
+            w.counts = ws.counts;
             w.prober
                 .context()
                 .clock
@@ -771,6 +760,28 @@ fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
+/// Scatter each worker's round statuses, in its own host order, to the
+/// tracked positions it names in `Worker::positions`: the round as one
+/// column by tracked position. One worker's statuses are that column
+/// already (its positions are `0, 1, 2, …`) and move as they are.
+fn scatter_round(
+    workers: &[Worker<'_>],
+    mut parts: Vec<Vec<RoundStatus>>,
+    tracked: usize,
+) -> Vec<RoundStatus> {
+    if parts.len() == 1 {
+        return parts.pop().unwrap_or_default();
+    }
+    let mut statuses = vec![RoundStatus::Inconclusive; tracked];
+    for (w, part) in workers.iter().zip(parts) {
+        debug_assert_eq!(w.positions.len(), part.len());
+        for (&position, status) in w.positions.iter().zip(part) {
+            statuses[position as usize] = status;
+        }
+    }
+    statuses
+}
+
 /// One longitudinal round over one worker's `hosts`, at `positions` in
 /// the tracked list that indexes `last_conclusive`, with `counts` their
 /// blacklist counters. Hosts inside the
@@ -788,7 +799,7 @@ fn incremental_round_sweep(
     last_conclusive: &[(u16, RoundStatus)],
     world: &dyn Population,
     full_rescan: bool,
-) -> (Vec<(HostId, RoundStatus)>, SimDuration, u64, u64) {
+) -> (Vec<RoundStatus>, SimDuration, u64, u64) {
     let start = Campaign::begin_sweep(prober, Phase::Round(day), day);
     let faults_active = prober.options().faults.is_active();
     let retries_active = prober.options().retry.max_attempts > 1;
@@ -839,13 +850,13 @@ fn incremental_round_sweep(
             // every probe this engine *does* issue rolls the same dice.
             *seen += 1;
             skipped += 1;
-            statuses.push((host, status));
+            statuses.push(status);
             continue;
         }
         let (outcome, attempts) = prober.probe_with_retry(host, day, test, *seen);
         *seen += attempts;
         issued += 1;
-        statuses.push((host, Campaign::round_status(&outcome)));
+        statuses.push(Campaign::round_status(&outcome));
         Campaign::bound_query_log(prober);
     }
     prober.forget_repetitions();
@@ -949,21 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn from_state_rejects_a_round_naming_an_untracked_host() {
-        let world = world();
-        let (mut state, tracked) = two_round_state(&world);
-        let outsider = (0..world.hosts.len() as u32)
-            .map(HostId)
-            .find(|h| !tracked.contains(h))
-            .expect("some host is not tracked");
-        let round = &mut state.rounds[1].1;
-        let at = round.partition_point(|(h, _)| *h < outsider);
-        round.insert(at, (outsider, RoundStatus::Patched));
-        let err = restore_error(state, &world);
-        assert!(err.contains("outside the tracked set"), "{err}");
-    }
-
-    #[test]
     fn from_state_rejects_round_days_that_do_not_strictly_increase() {
         let world = world();
         let (state, _) = two_round_state(&world);
@@ -980,50 +976,84 @@ mod tests {
         assert!(err.contains("strictly increasing"), "{err}");
     }
 
-    #[test]
-    fn from_state_rejects_a_round_naming_a_host_twice() {
+    /// A two-round checkpoint's text with the line starting `prefix`
+    /// passed through `edit`; it must still parse, and must not restore.
+    fn edited_text_error(prefix: &str, edit: impl Fn(&str) -> String) -> String {
         let world = world();
         let (state, _) = two_round_state(&world);
-        let mut twice = state.clone();
-        let (host, status) = twice.rounds[0].1[0];
-        let flipped = if status == RoundStatus::Patched {
-            RoundStatus::Vulnerable
-        } else {
-            RoundStatus::Patched
-        };
-        twice.rounds[0].1.insert(1, (host, flipped));
-        let err = restore_error(twice, &world);
-        assert!(err.contains("twice"), "{err}");
-
-        let mut unordered = state;
-        unordered.rounds[0].1.swap(0, 1);
-        let err = restore_error(unordered, &world);
-        assert!(err.contains("out of host order"), "{err}");
+        let text = state.to_text();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .expect("the checkpoint has the line");
+        let edited = text.replacen(line, &edit(line), 1);
+        assert_ne!(edited, text);
+        let state = CampaignState::parse(&edited).expect("the edited text still parses");
+        restore_error(state, &world)
     }
 
     #[test]
-    fn from_state_rejects_counters_missing_a_tracked_host() {
+    fn from_state_rejects_a_round_one_status_short() {
         let world = world();
-        let (mut state, _) = two_round_state(&world);
-        let counts = &mut state.workers[0].counts;
-        assert!(counts.len() > 1, "the worker tracks hosts");
-        counts.remove(counts.len() / 2);
-        let err = restore_error(state, &world);
-        assert!(err.contains("not for its"), "{err}");
+        let (_, tracked) = two_round_state(&world);
+        let n = tracked.len();
+        let day = Timeline::all_round_days()[1];
+        let err = edited_text_error(&format!("round {day} "), |l| l[..l.len() - 1].to_string());
+        assert!(
+            err.contains(&format!(
+                "round on day {day} carries {} statuses for {n} tracked hosts",
+                n - 1
+            )),
+            "{err}"
+        );
     }
 
     #[test]
-    fn from_state_rejects_counters_for_an_untracked_host() {
+    fn from_state_rejects_a_round_one_status_long() {
         let world = world();
-        let (mut state, tracked) = two_round_state(&world);
-        let outsider = (0..world.hosts.len() as u32)
-            .map(HostId)
-            .find(|h| !tracked.contains(h))
-            .expect("some host is not tracked");
-        let counts = &mut state.workers[0].counts;
-        let at = counts.partition_point(|(h, _)| *h < outsider);
-        counts.insert(at, (outsider, 1));
-        let err = restore_error(state, &world);
-        assert!(err.contains("not for its"), "{err}");
+        let (_, tracked) = two_round_state(&world);
+        let n = tracked.len();
+        let day = Timeline::all_round_days()[0];
+        let err = edited_text_error(&format!("round {day} "), |l| format!("{l}p"));
+        assert!(
+            err.contains(&format!(
+                "round on day {day} carries {} statuses for {n} tracked hosts",
+                n + 1
+            )),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn from_state_rejects_counters_one_short_of_the_partition() {
+        let world = world();
+        let (state, _) = two_round_state(&world);
+        let n = state.workers[0].counts.len();
+        assert!(n > 1, "the worker tracks hosts");
+        let err = edited_text_error("wcounts ", |l| {
+            l.rsplit_once(' ').expect("counters").0.to_string()
+        });
+        assert!(
+            err.contains(&format!(
+                "worker 0 keeps {} counters for its {n} tracked hosts",
+                n - 1
+            )),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn from_state_rejects_counters_one_past_the_partition() {
+        let world = world();
+        let (state, _) = two_round_state(&world);
+        let n = state.workers[0].counts.len();
+        let err = edited_text_error("wcounts ", |l| format!("{l} 1"));
+        assert!(
+            err.contains(&format!(
+                "worker 0 keeps {} counters for its {n} tracked hosts",
+                n + 1
+            )),
+            "{err}"
+        );
     }
 }

@@ -503,7 +503,7 @@ fn sweep_stream(builder: &CampaignBuilder, mut lazy: LazyWorld) -> SweepOutput {
         }
         ShardOut {
             masks,
-            state: WorkerState::capture(&prober, tracked),
+            state: WorkerState::capture(&prober, tracked.into_iter().map(|(_, n)| n).collect()),
             cache: prober.context().policy_cache.clone(),
             trace: tracer.finish().records,
             busy: prober.context().clock.now().since(start),

@@ -19,7 +19,6 @@
 //! streaming campaign's peak heap independent of population size (see
 //! DESIGN.md, "Streaming memory model").
 
-use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -143,9 +142,14 @@ impl WorldRuntime {
         reroll: Option<&str>,
     ) {
         let config = mta.config_mut();
-        config.hostname.clear();
-        write!(config.hostname, "mx{}.{}", host.0, record.primary_tld)
-            .expect("writing to a String cannot fail");
+        let hostname = &mut config.hostname;
+        hostname.clear();
+        hostname.push_str("mx");
+        let mut digits = [0; 20];
+        let digits = spfail_netsim::decimal(host.0.into(), &mut digits);
+        hostname.extend(digits.iter().map(|&d| char::from(d)));
+        hostname.push('.');
+        hostname.push_str(record.primary_tld);
         record.profile.fill_mta_config(config, day);
         mta.reset(std::net::IpAddr::V4(record.ip), self.mta_rng(host, reroll));
     }

@@ -9,7 +9,9 @@
 use spfail::dns::{wire, Message, Name, RData, Record, RecordType};
 use spfail::libspf2::{LibSpf2Expander, MemSim};
 use spfail::netsim::{Histogram, SimClock, SimDuration, SimRng};
-use spfail::prober::{partition_hosts, shard_of, IdColumn};
+use spfail::prober::{
+    partition_hosts, shard_of, CampaignBuilder, CampaignState, IdColumn, Session, StreamedCampaign,
+};
 use spfail::smtp::command::Command;
 use spfail::smtp::reply::Reply;
 use spfail::spf::expand::{
@@ -749,16 +751,16 @@ fn rng_forks_reproducible() {
     }
 }
 
-/// `fork_fmt(format_args!(..))` is `fork(&format!(..))`: the probe's
-/// identity streams are hashed while formatting, never built as strings,
-/// and must stay the streams the string labels gave. Covers the probe,
-/// dns and backoff label shapes at zero, at the `u16`/`u32`/`u64` maxima
-/// and at random values, plus random labels.
+/// `fork_label()` pieces are `fork(&format!(..))`: the probe's identity
+/// streams are hashed piece by piece, never built as strings, and must
+/// stay the streams the string labels gave. Covers the probe, dns and
+/// backoff label shapes at zero, at the `u16`/`u32`/`u64` maxima and at
+/// random values, plus random labels split at a random byte.
 #[test]
-fn fork_fmt_matches_fork_of_the_formatted_label() {
+fn fork_label_matches_fork_of_the_formatted_label() {
     use rand::RngCore;
-    fn same(parent: &SimRng, via_fmt: SimRng, label: &str) {
-        let mut a = via_fmt;
+    fn same(parent: &SimRng, via_pieces: SimRng, label: &str) {
+        let mut a = via_pieces;
         let mut b = parent.fork(label);
         for _ in 0..8 {
             assert_eq!(a.next_u64(), b.next_u64(), "label {label:?}");
@@ -768,7 +770,7 @@ fn fork_fmt_matches_fork_of_the_formatted_label() {
         (0u32, 0u16, 0u8, 0u32, 0u64),
         (u32::MAX, u16::MAX, 1, u32::MAX, u64::MAX),
     ];
-    let mut rngs = cases("fork_fmt_matches_fork_of_the_formatted_label");
+    let mut rngs = cases("fork_label_matches_fork_of_the_formatted_label");
     let random: Vec<_> = rngs
         .iter_mut()
         .map(|rng| {
@@ -784,30 +786,132 @@ fn fork_fmt_matches_fork_of_the_formatted_label() {
     for (i, &(h, d, t, x, n)) in extremes.iter().chain(&random).enumerate() {
         let parent = SimRng::new(0x5bf2_a117 ^ i as u64);
         let a = n as u32;
+        let shape = |prefix: &str, last: &str, tail: u64| {
+            parent
+                .fork_label()
+                .str(prefix)
+                .dec(h)
+                .str("-d")
+                .dec(d)
+                .str("-t")
+                .dec(t)
+                .str("-x")
+                .dec(x)
+                .str(last)
+                .dec(tail)
+                .finish()
+        };
         same(
             &parent,
-            parent.fork_fmt(format_args!("probe-h{h}-d{d}-t{t}-x{x}-n{n}")),
+            shape("probe-h", "-n", n),
             &format!("probe-h{h}-d{d}-t{t}-x{x}-n{n}"),
         );
         same(
             &parent,
-            parent.fork_fmt(format_args!("dns-h{h}-d{d}-t{t}-x{x}-n{n}")),
+            shape("dns-h", "-n", n),
             &format!("dns-h{h}-d{d}-t{t}-x{x}-n{n}"),
         );
         same(
             &parent,
-            parent.fork_fmt(format_args!("backoff-h{h}-d{d}-t{t}-x{x}-a{a}")),
+            shape("backoff-h", "-a", a.into()),
             &format!("backoff-h{h}-d{d}-t{t}-x{x}-a{a}"),
         );
     }
     for mut rng in rngs {
         let parent = SimRng::new(rng.next_u64());
         let label = gen_printable(&mut rng, 40);
-        same(&parent, parent.fork_fmt(format_args!("{label}")), &label);
+        // Printable ASCII: every byte is a char boundary.
+        let (head, tail) = label.split_at(rng.below(label.len() as u64 + 1) as usize);
+        same(
+            &parent,
+            parent.fork_label().str(head).str(tail).finish(),
+            &label,
+        );
         let len = rng.below(12) as usize;
         let label = rng.alnum_label(len);
-        same(&parent, parent.fork_fmt(format_args!("{label}")), &label);
+        same(&parent, parent.fork_label().str(&label).finish(), &label);
+        let n = rng.next_u64() >> rng.below(64);
+        same(
+            &parent,
+            parent.fork_label().str(&label).dec(n).finish(),
+            &format!("{label}{n}"),
+        );
     }
+}
+
+/// Checkpoint text is outside input: an engine-written v4 checkpoint
+/// (eager and streamed, two workers, two rounds) with one of its
+/// `round` or `wcounts` lines truncated, duplicated, byte-flipped or
+/// deleted either fails `parse` or `Session::from_state` with an error,
+/// or restores (a flip to another status or digit is well-formed);
+/// neither ever panics.
+#[test]
+fn mangled_checkpoint_columns_never_panic_the_restore() {
+    let config = WorldConfig {
+        scale: 0.002,
+        ..WorldConfig::small(2024)
+    };
+    let builder = CampaignBuilder::new().shards(2).incremental();
+    let two_rounds = |mut session: Session<'_>| {
+        session.advance_round();
+        session.advance_round();
+        session.to_state().to_text()
+    };
+    let world = World::generate(config.clone());
+    let mut eager = builder.session(&world);
+    eager.initial_sweep();
+    let eager = two_rounds(eager);
+    let streamed = StreamedCampaign::sweep(builder, config);
+    let streamed_text = two_rounds(streamed.session().expect("handoff restores"));
+    let texts: [(&str, &dyn spfail::world::Population); 2] =
+        [(&eager, &world), (&streamed_text, streamed.population())];
+    for (text, pop) in texts {
+        let state = CampaignState::parse(text).expect("an engine-written checkpoint parses");
+        assert!(Session::from_state(state, pop).is_ok(), "and restores");
+    }
+    let (mut refused, mut restored) = (0, 0);
+    for (i, mut rng) in cases("mangled_checkpoint_columns_never_panic_the_restore")
+        .into_iter()
+        .enumerate()
+    {
+        let (text, pop) = texts[i % 2];
+        let lines: Vec<&str> = text.split('\n').collect();
+        let columns: Vec<usize> = (0..lines.len())
+            .filter(|&n| lines[n].starts_with("round ") || lines[n].starts_with("wcounts"))
+            .collect();
+        assert_eq!(columns.len(), 4, "two round lines and two wcounts lines");
+        let at = *rng.pick(&columns);
+        let line = lines[at];
+        let mangled: Vec<String> = match rng.below(4) {
+            0 => vec![line[..rng.below(line.len() as u64) as usize].to_string()],
+            1 => vec![line.to_string(), line.to_string()],
+            2 => {
+                let mut bytes = line.as_bytes().to_vec();
+                let flip = rng.below(bytes.len() as u64) as usize;
+                // Half the flips stay in the columns' own alphabet, so
+                // some mangled lines still restore; any ASCII byte keeps
+                // the text UTF-8.
+                bytes[flip] = if rng.chance(0.5) {
+                    *rng.pick(b"vpi0123456789")
+                } else {
+                    rng.below(128) as u8
+                };
+                vec![String::from_utf8(bytes).expect("ASCII")]
+            }
+            _ => Vec::new(),
+        };
+        let mut edited: Vec<String> = lines[..at].iter().map(|l| l.to_string()).collect();
+        edited.extend(mangled);
+        edited.extend(lines[at + 1..].iter().map(|l| l.to_string()));
+        let outcome = CampaignState::parse(&edited.join("\n"))
+            .and_then(|state| Session::from_state(state, pop).map(drop));
+        match outcome {
+            Ok(()) => restored += 1,
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(refused > 0, "some mangled column is refused");
+    assert!(restored > 0, "some in-alphabet flip still restores");
 }
 
 /// MemSim never lets an out-of-bounds write corrupt in-bounds data.

@@ -170,8 +170,11 @@ fn text_after_three_rounds(mut session: Session<'_>) -> String {
 /// The checkpoint bytes are pinned: engine-written `to_text` output of
 /// four campaign shapes (eager on one worker, incremental on four,
 /// faulted with retries and tracing, a streamed handoff with its
-/// `aggregate v1` section) hashes to digests recorded before the codec
-/// was rewritten, so any change to the `v3` bytes fails here.
+/// `aggregate v1` section) hashes to recorded digests, so any change to
+/// the `v4` bytes fails here. They were recorded when the format became
+/// v4, from texts equal byte for byte to the v3 texts of the same runs
+/// with each round's `st` lines packed into its `round` line and each
+/// worker's `wcount` lines into one `wcounts` line.
 #[test]
 fn checkpoint_bytes_match_the_golden_digests() {
     let eager = |builder: CampaignBuilder| {
@@ -208,10 +211,10 @@ fn checkpoint_bytes_match_the_golden_digests() {
     ];
     assert!(texts[3].1.contains("\naggregate v1 "));
     let golden: [u64; 4] = [
-        0xfbec_88fb_0392_0752,
-        0xd0e5_d5f2_4512_350f,
-        0x8e1b_0c22_2ac5_0531,
-        0x631d_415a_e45c_3eeb,
+        0x702f_edf1_d32a_95cd,
+        0x2339_d98c_d9ed_5543,
+        0x5a5b_49ea_d042_58d4,
+        0xb67f_28a3_f60c_fe4d,
     ];
     let digests: Vec<u64> = texts.iter().map(|(_, t)| fnv1a(t.as_bytes())).collect();
     for ((label, text), (&digest, &want)) in texts.iter().zip(digests.iter().zip(&golden)) {
