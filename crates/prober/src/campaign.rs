@@ -11,6 +11,7 @@
 //!   patched for all *t' ≥ t*.
 
 use std::net::IpAddr;
+use std::sync::Arc;
 
 use spfail_netsim::{FaultProfile, MetricsSnapshot, PolicyCacheStats, SimDuration, SimTime};
 use spfail_trace::{Phase, Trace, TraceConfig, Tracer};
@@ -222,6 +223,49 @@ pub enum RoundStatus {
     Inconclusive,
 }
 
+/// One longitudinal round: a status per tracked host, by position in the
+/// host-sorted tracked list that every round of a campaign shares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundColumn {
+    tracked: Arc<[HostId]>,
+    statuses: Vec<RoundStatus>,
+}
+
+impl RoundColumn {
+    /// The round whose status for `tracked[i]` is `statuses[i]`; panics
+    /// if the lengths differ.
+    pub fn new(tracked: Arc<[HostId]>, statuses: Vec<RoundStatus>) -> RoundColumn {
+        assert_eq!(tracked.len(), statuses.len(), "one status per tracked host");
+        RoundColumn { tracked, statuses }
+    }
+
+    /// The statuses by tracked position.
+    pub fn statuses(&self) -> &[RoundStatus] {
+        &self.statuses
+    }
+
+    /// A host's status (binary search); `None` for an untracked host.
+    pub fn get(&self, host: &HostId) -> Option<&RoundStatus> {
+        let pos = self.tracked.binary_search(host).ok()?;
+        self.statuses.get(pos)
+    }
+
+    /// How many tracked hosts the round covers.
+    pub fn len(&self) -> usize {
+        self.statuses.len()
+    }
+
+    /// Whether the round covers no host.
+    pub fn is_empty(&self) -> bool {
+        self.statuses.is_empty()
+    }
+
+    /// Every `(host, status)`, ascending by host.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&HostId, &RoundStatus)> + '_ {
+        self.tracked.iter().zip(&self.statuses)
+    }
+}
+
 /// A domain's status in the final snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SnapshotStatus {
@@ -240,9 +284,9 @@ pub struct CampaignData {
     pub initial: InitialMeasurement,
     /// Hosts tracked longitudinally: the initially vulnerable, sorted.
     pub tracked: Vec<HostId>,
-    /// Per-round measurements: `(day, host -> status)`, one entry per
-    /// tracked host, host-sorted.
-    pub rounds: Vec<(u16, IdColumn<HostId, RoundStatus>)>,
+    /// Per-round measurements, ascending by day: `(day, statuses)` with
+    /// one status per tracked host, by tracked position.
+    pub rounds: Vec<(u16, RoundColumn)>,
     /// The final snapshot, per initially-vulnerable domain, domain-sorted.
     pub snapshot: IdColumn<DomainId, SnapshotStatus>,
     /// Initially vulnerable domains (any vulnerable host).
@@ -276,23 +320,18 @@ impl CampaignData {
 
     /// A host's status on `day` after applying the inference rules.
     pub fn inferred_status(&self, host: HostId, day: u16) -> RoundStatus {
-        // Direct measurement wins.
-        if let Some((_, statuses)) = self.rounds.iter().find(|(d, _)| *d == day) {
-            match statuses.get(&host) {
-                Some(&RoundStatus::Vulnerable) => return RoundStatus::Vulnerable,
-                Some(&RoundStatus::Patched) => return RoundStatus::Patched,
-                _ => {}
+        let round = self.rounds.iter().find(|(d, _)| *d == day);
+        match round.and_then(|(_, statuses)| statuses.get(&host)) {
+            // Direct measurement wins.
+            Some(&status) if status != RoundStatus::Inconclusive => status,
+            // Rule 1: vulnerable later => vulnerable now (no regressions).
+            _ if self.last_vulnerable_day(host).is_some_and(|d| d >= day) => {
+                RoundStatus::Vulnerable
             }
+            // Rule 2: patched earlier => patched now.
+            _ if self.first_patched_day(host).is_some_and(|d| d <= day) => RoundStatus::Patched,
+            _ => RoundStatus::Inconclusive,
         }
-        // Rule 1: vulnerable later => vulnerable now (no regressions).
-        if self.last_vulnerable_day(host).is_some_and(|d| d >= day) {
-            return RoundStatus::Vulnerable;
-        }
-        // Rule 2: patched earlier => patched now.
-        if self.first_patched_day(host).is_some_and(|d| d <= day) {
-            return RoundStatus::Patched;
-        }
-        RoundStatus::Inconclusive
     }
 }
 
@@ -654,7 +693,8 @@ impl Campaign {
     /// Probe each of one worker's snapshot targets once (with one retry
     /// when the first attempt was inconclusive) on the snapshot day and
     /// record its February status, in `hosts` order. Each host is probed
-    /// with its mask's preferred test (`masks` is indexed by host id).
+    /// with its mask's preferred test (`masks` is indexed by host id);
+    /// its repetition counters go once its probes are done.
     pub(crate) fn snapshot_sweep(
         prober: &mut Prober<'_>,
         hosts: &[HostId],
@@ -669,6 +709,7 @@ impl Campaign {
                 (outcome, _) = prober.probe_with_retry(host, Timeline::END, test, 0);
             }
             statuses.push((host, Self::round_status(&outcome)));
+            prober.forget_repetitions();
             Self::bound_query_log(prober);
         }
         let busy = prober.context().clock.now().since(start);
@@ -734,6 +775,44 @@ mod tests {
         });
         let data = CampaignBuilder::new().run(&world).data;
         (world, data)
+    }
+
+    /// Every round holds one status per tracked host, read in host order
+    /// as the tracked list zipped with the statuses; an untracked host
+    /// has none.
+    #[test]
+    fn rounds_hold_one_status_per_tracked_host() {
+        let (world, data) = campaign();
+        let untracked = (0..world.hosts.len() as u32)
+            .map(HostId)
+            .find(|h| data.tracked.binary_search(h).is_err())
+            .expect("some host is untracked");
+        assert!(!data.rounds.is_empty());
+        for (day, round) in &data.rounds {
+            assert_eq!(round.len(), data.tracked.len(), "day {day}");
+            assert!(
+                round.iter().eq(data.tracked.iter().zip(round.statuses())),
+                "day {day}: iter is tracked zipped with statuses"
+            );
+            assert!(round
+                .iter()
+                .all(|(host, status)| round.get(host) == Some(status)));
+            assert_eq!(round.get(&untracked), None, "day {day}");
+        }
+    }
+
+    /// A snapshot worker forgets each host's repetition counters once
+    /// the host's probes are done, as the initial sweep does.
+    #[test]
+    fn snapshot_sweep_leaves_no_repetition_counters() {
+        let (world, data) = campaign();
+        let builder = CampaignBuilder::new();
+        let tracer = spfail_trace::Tracer::new(builder.trace);
+        let mut prober = builder.worker_prober(&world, &tracer);
+        let masks = data.initial.masks();
+        let (statuses, _) = Campaign::snapshot_sweep(&mut prober, &data.tracked, &masks);
+        assert_eq!(statuses.len(), data.tracked.len());
+        assert_eq!(prober.repetition_counters(), 0);
     }
 
     /// A worker leaves its initial sweep holding per-host state for its

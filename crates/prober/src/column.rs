@@ -1,13 +1,7 @@
-//! Id-sorted columns: the one shape every id-keyed campaign output takes.
-//!
-//! The engine produces its per-host and per-domain records in id order —
-//! the sweep and every round walk the host-sorted tracked list, the
-//! snapshot folds the id-sorted vulnerable domains — so an output can
-//! stay the `(id, value)` column it was written as. [`IdColumn`] is that
-//! column with the map-shaped reads callers use: a binary-search
-//! [`get`](IdColumn::get), `column[&id]`, and iteration as `(&K, &V)` in
-//! key order. The finished campaign and the report read these columns
-//! in place; none of them becomes a per-host map.
+//! Id-sorted columns: the shape of the sweep's per-host results and the
+//! snapshot's per-domain verdicts. The engine writes both in id order,
+//! so each stays the `(id, value)` column it was written as, read in
+//! place like a map; none becomes a per-host map.
 
 use std::fmt;
 

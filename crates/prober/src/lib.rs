@@ -46,7 +46,8 @@ pub mod streaming;
 pub use aggregate::{CampaignSummary, HostMask, BEHAVIOR_BITS};
 pub use campaign::{
     partition_hosts, shard_of, CampaignBuilder, CampaignData, CampaignRun, CampaignTiming,
-    HostClass, HostInitialResult, HostResults, InitialMeasurement, RoundStatus, SnapshotStatus,
+    HostClass, HostInitialResult, HostResults, InitialMeasurement, RoundColumn, RoundStatus,
+    SnapshotStatus,
 };
 pub use checkpoint::{CampaignState, WorkerState};
 pub use classify::{

@@ -381,8 +381,8 @@ pub struct Prober<'w> {
     next_id: u64,
     /// Probe-repetition counters, `(host, day, test, extra) ->
     /// occurrence`. Every key carries the day of the sweep that made
-    /// it, so a campaign drops them after each host of its initial sweep
-    /// and at the end of each round (see [`Prober::forget_repetitions`]).
+    /// it, so a campaign drops them after each host it sweeps and at
+    /// the end of each round (see [`Prober::forget_repetitions`]).
     occurrences: HashMap<(u32, u16, u8, u32), u64, FxBuildHasher>,
     /// The MTA the last probe ran against, rebuilt in place for the
     /// next host ([`WorldRuntime::rebuild_mta_record`]) instead of built
@@ -496,11 +496,11 @@ impl<'w> Prober<'w> {
     /// test and connection count. A campaign sweep probes each host in
     /// one stretch on one day, later sweeps on a worker use strictly
     /// later days, and the snapshot runs on fresh workers. So the
-    /// initial sweep calls this after every host and the round sweep at
-    /// its end, and the counters never outlive a sweep: together with
-    /// the ethics guard's export, the metrics snapshot and the context
-    /// clock, a prober's durable state at a round boundary is a pure
-    /// function of the world seed and the suite label.
+    /// initial and snapshot sweeps call this after every host and the
+    /// round sweep at its end, and the counters never outlive a sweep:
+    /// together with the ethics guard's export, the metrics snapshot and
+    /// the context clock, a prober's durable state at a round boundary
+    /// is a pure function of the world seed and the suite label.
     pub(crate) fn forget_repetitions(&mut self) {
         self.occurrences.clear();
     }
@@ -1065,6 +1065,13 @@ mod tests {
     use super::*;
     use spfail_netsim::{FaultPlan, FlakyWindow};
     use spfail_world::{World, WorldConfig};
+
+    impl Prober<'_> {
+        /// How many probe-repetition counters the prober holds.
+        pub(crate) fn repetition_counters(&self) -> usize {
+            self.occurrences.len()
+        }
+    }
 
     fn world() -> World {
         World::generate(WorldConfig::small(123))

@@ -43,8 +43,8 @@
 //! that inventory. A worker's probe-repetition counters are not in it:
 //! each key carries the day of the sweep that made it, later sweeps use
 //! strictly later days and the snapshot runs on fresh workers, so the
-//! initial sweep drops a host's counters once the host is done and a
-//! round drops them at its end: none is live at a boundary.
+//! initial and snapshot sweeps drop a host's counters once the host is
+//! done and a round drops them at its end: none is live at a boundary.
 //!
 //! The session keeps its record in checkpoint order. The sweep's
 //! `(host, result)` pairs are a host-sorted column, merged from the
@@ -57,12 +57,11 @@
 //! copies these columns without a hash walk or a sort,
 //! [`Session::from_state`] moves the parsed columns back in once their
 //! lengths match the tracked set, and [`Session::finish`] moves the
-//! sweep column into [`CampaignData`] as it is and pairs each round's
-//! statuses with the tracked hosts into an [`IdColumn`]; the snapshot is
-//! folded into one too.
-//! [`Session::checkpoint`] writes a
-//! temporary file and renames it over the target, so a crash mid-write
-//! never destroys the last good checkpoint.
+//! sweep column and every round's statuses into [`CampaignData`] as they
+//! are, each round a [`RoundColumn`] sharing one copy of the tracked
+//! list; the snapshot is folded into an [`IdColumn`]. [`Session::checkpoint`]
+//! writes a temporary file and renames it over the target, so a crash
+//! mid-write never destroys the last good checkpoint.
 //!
 //! **Incremental rounds** ([`CampaignBuilder::incremental`]) re-probe
 //! only hosts whose status can have changed since their last conclusive
@@ -93,6 +92,7 @@
 
 use std::io::{self, Write as _};
 use std::path::Path;
+use std::sync::Arc;
 
 use spfail_mta::PolicyCacheHandle;
 use spfail_netsim::{MetricsSnapshot, PolicyCacheStats, SimDuration, SimTime};
@@ -102,7 +102,7 @@ use spfail_world::{DomainId, HostId, Population, Timeline};
 use crate::aggregate::{CampaignSummary, HostMask, Tracking};
 use crate::campaign::{
     interleave_shards, partition_hosts, shard_of, Campaign, CampaignBuilder, CampaignData,
-    CampaignRun, CampaignTiming, HostResults, InitialMeasurement, RoundStatus,
+    CampaignRun, CampaignTiming, HostResults, InitialMeasurement, RoundColumn, RoundStatus,
 };
 use crate::checkpoint::{mask_column, CampaignState, WorkerState};
 use crate::column::IdColumn;
@@ -364,11 +364,6 @@ impl<'w> Session<'w> {
     /// position): push it onto the results and advance the carried
     /// per-host state by its conclusive measurements.
     fn note_round(&mut self, day: u16, statuses: Vec<RoundStatus>) {
-        debug_assert_eq!(
-            statuses.len(),
-            self.tracked.len(),
-            "a round carries exactly one status per tracked host"
-        );
         for (last, &status) in self.last_conclusive.iter_mut().zip(&statuses) {
             if status != RoundStatus::Inconclusive {
                 *last = (day, status);
@@ -483,16 +478,11 @@ impl<'w> Session<'w> {
             self.trace_parts.push(w.tracer.finish());
         }
 
-        // Each round's statuses pair up with the tracked hosts, one round
-        // at a time, so each dense column is freed as its pairs are built.
-        let tracked = &self.tracked;
+        let tracked: Arc<[HostId]> = self.tracked.as_slice().into();
         let rounds = self
             .rounds
             .into_iter()
-            .map(|(day, statuses)| {
-                let pairs = tracked.iter().copied().zip(statuses).collect();
-                (day, IdColumn::from_sorted(pairs))
-            })
+            .map(|(day, statuses)| (day, RoundColumn::new(Arc::clone(&tracked), statuses)))
             .collect();
         let data = CampaignData {
             initial: InitialMeasurement {

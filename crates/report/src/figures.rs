@@ -5,20 +5,14 @@
 //! and tracked hosts, all of which the streaming pipeline keeps, so the
 //! eager and streaming exhibits share one implementation.
 //!
-//! The longitudinal builders (Figures 3 and 5–8, `attribution`) read
-//! the rounds through a `View` that is dense over the sorted
-//! `campaign.tracked` list: a tracked host is named by its *position*
-//! in that list. Each round's host-sorted status column is read in
-//! place into a position-sorted column of its conclusive measurements,
-//! and the patch timeline becomes two `u16` columns indexed by
-//! position. A figure resolves each of its domains to the positions of
-//! its tracked hosts once, then per round fills one `(direct, status)`
-//! entry per tracked host and answers every domain by slice indexing:
-//! rounds × domains slice work, not rounds × domains × map lookups.
-//!
-//! The view relies on the invariant the engine keeps and
-//! `Session::from_state` checks on restore: every host a round names is
-//! tracked, and round days strictly increase.
+//! The longitudinal builders (Figures 3 and 5–8, `attribution`) name a
+//! tracked host by its *position* in the sorted `campaign.tracked`
+//! list, the order of every round's statuses. A `View` folds the rounds
+//! into the patch timeline by position; a figure resolves its domains
+//! to positions once and answers each domain at each round by slice
+//! indexing. This relies on the invariant the engine keeps and
+//! `Session::from_state` checks on restore: every round holds one
+//! status per tracked host, and round days strictly increase.
 
 use std::collections::BTreeMap;
 
@@ -38,15 +32,11 @@ const NEVER: u16 = u16::MAX;
 /// that round, and its status after the inference rules.
 type HostState = (bool, RoundStatus);
 
-/// The campaign's longitudinal data, dense over `campaign.tracked`
-/// (sorted by [`HostId`]): position `i` in every column is the host
-/// `tracked[i]`. Rounds keep the campaign's order, ascending by day.
+/// The campaign's patch timeline, dense over `campaign.tracked` (sorted
+/// by [`HostId`]): position `i` in every column is the host
+/// `tracked[i]`, as it is in every round's statuses.
 struct View<'a> {
     tracked: &'a [HostId],
-    /// Per round: its day and its conclusive measurements as
-    /// `(position, status)`, sorted by position. An inconclusive
-    /// measurement is left out — it counts as no measurement.
-    rounds: Vec<(u16, Vec<(u32, RoundStatus)>)>,
     /// First round day each host was measured patched, or [`NEVER`].
     first_patched: Vec<u16>,
     /// Last round day each host was measured vulnerable, or [`NEVER`].
@@ -55,41 +45,19 @@ struct View<'a> {
 
 impl<'a> View<'a> {
     fn new(campaign: &'a CampaignData) -> View<'a> {
-        let tracked = campaign.tracked.as_slice();
-        debug_assert!(tracked.windows(2).all(|w| w[0] < w[1]), "tracked is sorted");
-        let mut first_patched = vec![NEVER; tracked.len()];
-        let mut last_vulnerable = vec![NEVER; tracked.len()];
-        let mut rounds = Vec::with_capacity(campaign.rounds.len());
-        for (day, statuses) in &campaign.rounds {
-            // Merge-walk the host-sorted column against the sorted
-            // tracked list; a host outside it (never written by the
-            // engine) is skipped.
-            let mut column = Vec::with_capacity(statuses.len());
-            let mut pos = 0;
-            for (&host, &status) in statuses {
-                if status == RoundStatus::Inconclusive {
-                    continue;
+        let mut first_patched = vec![NEVER; campaign.tracked.len()];
+        let mut last_vulnerable = first_patched.clone();
+        for (day, round) in &campaign.rounds {
+            for (pos, &status) in round.statuses().iter().enumerate() {
+                match status {
+                    RoundStatus::Patched => first_patched[pos] = first_patched[pos].min(*day),
+                    RoundStatus::Vulnerable => last_vulnerable[pos] = *day,
+                    RoundStatus::Inconclusive => {}
                 }
-                while pos < tracked.len() && tracked[pos] < host {
-                    pos += 1;
-                }
-                if tracked.get(pos) != Some(&host) {
-                    continue;
-                }
-                if status == RoundStatus::Patched {
-                    if first_patched[pos] == NEVER {
-                        first_patched[pos] = *day;
-                    }
-                } else {
-                    last_vulnerable[pos] = *day;
-                }
-                column.push((pos as u32, status));
             }
-            rounds.push((*day, column));
         }
         View {
-            tracked,
-            rounds,
+            tracked: &campaign.tracked,
             first_patched,
             last_vulnerable,
         }
@@ -116,28 +84,30 @@ impl<'a> View<'a> {
         DomainHosts { positions, ends }
     }
 
-    /// Every tracked host's state on round `day`, whose conclusive
-    /// measurements are `column`, written to `states` by position.
-    /// Unmeasured hosts take the inference rules: vulnerable if measured
-    /// vulnerable on this day or later, else patched if measured patched
-    /// on or before it.
-    fn fill_states(&self, day: u16, column: &[(u32, RoundStatus)], states: &mut Vec<HostState>) {
+    /// Every tracked host's state on round `day`, from the round's
+    /// `statuses`, written to `states` by position. A conclusive status
+    /// is direct; an inconclusive host takes the inference rules:
+    /// vulnerable if measured vulnerable on this day or later, else
+    /// patched if measured patched on or before it.
+    fn fill_states(&self, day: u16, statuses: &[RoundStatus], states: &mut Vec<HostState>) {
         states.clear();
-        states.extend(self.first_patched.iter().zip(&self.last_vulnerable).map(
-            |(&patched, &vulnerable)| {
-                let status = if vulnerable != NEVER && vulnerable >= day {
-                    RoundStatus::Vulnerable
-                } else if patched != NEVER && patched <= day {
-                    RoundStatus::Patched
-                } else {
-                    RoundStatus::Inconclusive
-                };
-                (false, status)
-            },
-        ));
-        for &(pos, status) in column {
-            states[pos as usize] = (true, status);
-        }
+        states.extend(
+            self.first_patched
+                .iter()
+                .zip(&self.last_vulnerable)
+                .zip(statuses)
+                .map(|((&patched, &vulnerable), &status)| {
+                    if status != RoundStatus::Inconclusive {
+                        (true, status)
+                    } else if vulnerable != NEVER && vulnerable >= day {
+                        (false, RoundStatus::Vulnerable)
+                    } else if patched != NEVER && patched <= day {
+                        (false, RoundStatus::Patched)
+                    } else {
+                        (false, RoundStatus::Inconclusive)
+                    }
+                }),
+        );
     }
 }
 
@@ -376,8 +346,8 @@ fn conclusiveness(src: &impl Source, domains: &[DomainId]) -> (Series, Series, V
     let mut measured = Series::new("successful measurements");
     let mut with_inferred = Series::new("incl. inferred");
     let mut json_rows = Vec::new();
-    for (day, column) in &view.rounds {
-        view.fill_states(*day, column, &mut states);
+    for (day, round) in &src.campaign().rounds {
+        view.fill_states(*day, round.statuses(), &mut states);
         let mut direct_count = 0usize;
         let mut inferred_count = 0usize;
         for hosts in domain_hosts.iter() {
@@ -446,11 +416,11 @@ fn vulnerability_rates(src: &impl Source, window1_only: bool) -> (Vec<Series>, V
         })
         .collect();
     let mut states = Vec::new();
-    for (day, column) in &view.rounds {
+    for (day, round) in &src.campaign().rounds {
         if window1_only && *day > Timeline::WINDOW1_END {
             break;
         }
-        view.fill_states(*day, column, &mut states);
+        view.fill_states(*day, round.statuses(), &mut states);
         let mut row = serde_json::Map::new();
         row.insert("day".into(), json!(day));
         row.insert("date".into(), json!(Timeline::date_label(*day)));
@@ -695,73 +665,37 @@ pub fn notification_funnel(src: &impl Source) -> Exhibit {
 }
 
 /// The map-based view the dense [`View`] replaced, kept as the
-/// differential reference for it: per-host maps of first-patched and
-/// last-vulnerable days, read straight from the round columns.
+/// differential reference for it: each host's status read through
+/// [`CampaignData::inferred_status`], the inference rules' one reference
+/// reading, and each domain folded from its hosts' statuses.
 #[cfg(test)]
 mod reference {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
-    use spfail_prober::{CampaignData, IdColumn, RoundStatus};
+    use spfail_prober::{CampaignData, RoundColumn, RoundStatus};
     use spfail_world::HostId;
 
-    pub(super) struct MapView {
+    pub(super) struct MapView<'a> {
+        campaign: &'a CampaignData,
         tracked: BTreeSet<HostId>,
-        pub(super) first_patched: BTreeMap<HostId, u16>,
-        last_vulnerable: BTreeMap<HostId, u16>,
     }
 
-    impl MapView {
-        pub(super) fn new(campaign: &CampaignData) -> MapView {
-            let tracked: BTreeSet<HostId> = campaign.tracked.iter().copied().collect();
-            let mut first_patched = BTreeMap::new();
-            let mut last_vulnerable = BTreeMap::new();
-            for (day, statuses) in &campaign.rounds {
-                for (&host, &status) in statuses {
-                    match status {
-                        RoundStatus::Patched => {
-                            first_patched.entry(host).or_insert(*day);
-                        }
-                        RoundStatus::Vulnerable => {
-                            last_vulnerable.insert(host, *day);
-                        }
-                        RoundStatus::Inconclusive => {}
-                    }
-                }
-            }
+    impl<'a> MapView<'a> {
+        pub(super) fn new(campaign: &'a CampaignData) -> MapView<'a> {
             MapView {
-                tracked,
-                first_patched,
-                last_vulnerable,
+                campaign,
+                tracked: campaign.tracked.iter().copied().collect(),
             }
-        }
-
-        fn host_status(
-            &self,
-            host: HostId,
-            day: u16,
-            direct: &IdColumn<HostId, RoundStatus>,
-        ) -> RoundStatus {
-            match direct.get(&host) {
-                Some(&RoundStatus::Vulnerable) => return RoundStatus::Vulnerable,
-                Some(&RoundStatus::Patched) => return RoundStatus::Patched,
-                _ => {}
-            }
-            if self.last_vulnerable.get(&host).is_some_and(|&d| d >= day) {
-                return RoundStatus::Vulnerable;
-            }
-            if self.first_patched.get(&host).is_some_and(|&d| d <= day) {
-                return RoundStatus::Patched;
-            }
-            RoundStatus::Inconclusive
         }
 
         /// `(directly_measured, status)` for a domain serving
-        /// `domain_hosts` at one round.
+        /// `domain_hosts` at the round on `day`, whose statuses are
+        /// `direct`.
         pub(super) fn domain_state(
             &self,
             domain_hosts: &[HostId],
             day: u16,
-            direct: &IdColumn<HostId, RoundStatus>,
+            direct: &RoundColumn,
         ) -> (bool, RoundStatus) {
             let hosts: Vec<HostId> = domain_hosts
                 .iter()
@@ -780,7 +714,7 @@ mod reference {
             let mut all_patched = true;
             let mut any_vulnerable = false;
             for &host in &hosts {
-                match self.host_status(host, day, direct) {
+                match self.campaign.inferred_status(host, day) {
                     RoundStatus::Vulnerable => any_vulnerable = true,
                     RoundStatus::Patched => {}
                     RoundStatus::Inconclusive => all_patched = false,
@@ -811,7 +745,8 @@ mod tests {
 
     /// The dense view answers exactly as the map-based reference: the
     /// same `(is_direct, status)` for every domain at every round, and
-    /// the same first-patched day for every tracked host.
+    /// the same first-patched and last-vulnerable day for every tracked
+    /// host as [`CampaignData`]'s own readings.
     fn assert_views_agree<'s>(
         campaign: &CampaignData,
         domains: &[DomainId],
@@ -820,24 +755,29 @@ mod tests {
         let dense = View::new(campaign);
         let reference = reference::MapView::new(campaign);
         let resolved = dense.resolve(domains, &hosts_of);
-        assert_eq!(dense.rounds.len(), campaign.rounds.len());
         let mut states = Vec::new();
-        for ((day, column), (map_day, direct)) in dense.rounds.iter().zip(&campaign.rounds) {
-            assert_eq!(day, map_day);
-            dense.fill_states(*day, column, &mut states);
+        for (day, round) in &campaign.rounds {
+            dense.fill_states(*day, round.statuses(), &mut states);
             for (&domain, hosts) in domains.iter().zip(resolved.iter()) {
                 assert_eq!(
                     domain_state(hosts, &states),
-                    reference.domain_state(hosts_of(domain), *day, direct),
+                    reference.domain_state(hosts_of(domain), *day, round),
                     "domain {domain:?} on day {day}"
                 );
             }
         }
-        for (&host, &day) in campaign.tracked.iter().zip(&dense.first_patched) {
+        let days = dense.first_patched.iter().zip(&dense.last_vulnerable);
+        for (&host, (&patched, &vulnerable)) in campaign.tracked.iter().zip(days) {
+            let day = |d: u16| (d != NEVER).then_some(d);
             assert_eq!(
-                (day != NEVER).then_some(day),
-                reference.first_patched.get(&host).copied(),
+                day(patched),
+                campaign.first_patched_day(host),
                 "first patched day of {host:?}"
+            );
+            assert_eq!(
+                day(vulnerable),
+                campaign.last_vulnerable_day(host),
+                "last vulnerable day of {host:?}"
             );
         }
     }
@@ -865,27 +805,27 @@ mod tests {
     /// vulnerable again, and a domain whose hosts were all measured.
     #[test]
     fn dense_view_matches_map_view_on_hand_built_rounds() {
-        use spfail_prober::InitialMeasurement;
+        use std::sync::Arc;
+
+        use spfail_prober::{InitialMeasurement, RoundColumn};
         use RoundStatus::{Inconclusive as I, Patched as P, Vulnerable as V};
 
         let h = HostId;
-        let round = |entries: &[(u32, RoundStatus)]| -> IdColumn<HostId, RoundStatus> {
-            entries
-                .iter()
-                .map(|&(host, status)| (h(host), status))
-                .collect()
-        };
+        let tracked = vec![h(1), h(2), h(3), h(4), h(5), h(7)];
+        let shared: Arc<[HostId]> = tracked.as_slice().into();
+        let round = |statuses: [RoundStatus; 6]| RoundColumn::new(shared.clone(), statuses.into());
         let campaign = CampaignData {
             initial: InitialMeasurement::default(),
-            tracked: vec![h(1), h(2), h(3), h(4), h(5), h(7)],
+            tracked,
             rounds: vec![
-                // Host 1 inconclusive before it is seen patched; host 2
-                // patched, later vulnerable again; hosts 3 and 4 both
-                // measured every round.
-                (15, round(&[(1, I), (2, P), (3, V), (4, P), (5, I)])),
-                (17, round(&[(1, P), (2, I), (3, V), (4, P)])),
-                (19, round(&[(1, I), (2, V), (3, P), (4, P), (7, V)])),
-                (21, round(&[(2, I), (3, P), (4, P), (5, I)])),
+                // One status per tracked host (1, 2, 3, 4, 5, 7). Host 1
+                // inconclusive before it is seen patched; host 2 patched,
+                // later vulnerable again; hosts 3 and 4 both measured
+                // every round; host 5 never measured.
+                (15, round([I, P, V, P, I, I])),
+                (17, round([P, I, V, P, I, I])),
+                (19, round([I, V, P, P, I, V])),
+                (21, round([I, I, P, P, I, I])),
             ],
             snapshot: IdColumn::default(),
             vulnerable_domains: (0..6).map(DomainId).collect(),
@@ -911,11 +851,11 @@ mod tests {
         let view = View::new(&campaign);
         let resolved = view.resolve(&campaign.vulnerable_domains, |d| domains[&d].as_slice());
         let mut states = Vec::new();
-        let by_round: Vec<Vec<HostState>> = view
+        let by_round: Vec<Vec<HostState>> = campaign
             .rounds
             .iter()
-            .map(|(day, column)| {
-                view.fill_states(*day, column, &mut states);
+            .map(|(day, round)| {
+                view.fill_states(*day, round.statuses(), &mut states);
                 resolved
                     .iter()
                     .map(|hosts| domain_state(hosts, &states))

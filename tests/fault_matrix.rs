@@ -88,7 +88,7 @@ fn assert_sound(world: &World, data: &CampaignData, label: &str) {
         );
     }
     for (day, statuses) in &data.rounds {
-        for (&host, &status) in statuses {
+        for (&host, &status) in statuses.iter() {
             if status == RoundStatus::Patched {
                 let patch_day = world.host(host).profile.patch_day;
                 assert!(

@@ -75,7 +75,8 @@ fn conclusiveness_degrades_but_campaign_completes() {
             return 0.0;
         }
         statuses
-            .values()
+            .statuses()
+            .iter()
             .filter(|s| **s == RoundStatus::Inconclusive)
             .count() as f64
             / statuses.len() as f64
