@@ -777,6 +777,40 @@ fn world_stream_allocation_budget() {
     assert_eq!(steps, 4_388);
 }
 
+/// The eager world is the stream collected: `World::generate` keeps
+/// every step's records and allocates nothing of its own per host, only
+/// the growth of its two record vectors. Counted against one bare pass
+/// over the same stream, which allocates every buffer the steps hand
+/// out. Measured: 11 more allocations for 1,955 hosts (a host-to-domains
+/// reverse index cost one more per host).
+#[test]
+fn world_generate_adds_no_per_host_allocation() {
+    let _exclusive = exclusive();
+    use spfail_world::{LazyWorld, World, WorldConfig};
+
+    let config = WorldConfig::small(41);
+    let (bare, hosts) = count_allocs(|| {
+        LazyWorld::new(config.clone())
+            .map(|step| step.fresh.len())
+            .sum::<usize>()
+    });
+    let (eager, world) = count_allocs(|| World::generate(config.clone()));
+    assert_eq!(world.hosts.len(), hosts);
+    let extra = eager.saturating_sub(bare);
+    eprintln!(
+        "alloc_count: World::generate = {eager} allocs, bare stream pass = {bare} \
+         ({extra} more for {hosts} hosts)"
+    );
+    assert!(
+        extra <= WORLD_GENERATE_EXTRA_BUDGET,
+        "World::generate allocated {extra} times beyond the stream's {bare} \
+         (budget {WORLD_GENERATE_EXTRA_BUDGET}) for {hosts} hosts"
+    );
+}
+
+/// The measured 11 plus a small margin.
+const WORLD_GENERATE_EXTRA_BUDGET: u64 = 16;
+
 /// The heap the streaming driver's retention fold leaves retained in
 /// its `SparsePopulation`, per retained host and per retained domain.
 /// `StreamedCampaign::adopt` runs that fold over one pass of the stream,

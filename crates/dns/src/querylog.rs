@@ -62,27 +62,6 @@ impl QueryLog {
         self.entries.lock().clone()
     }
 
-    /// Entries whose queried name contains `label` as one of its labels
-    /// (case-insensitively) — the lookup pattern for probe ids.
-    pub fn entries_with_label(&self, label: &str) -> Vec<QueryLogEntry> {
-        self.entries
-            .lock()
-            .iter()
-            .filter(|e| e.qname.labels().any(|l| l.eq_ignore_ascii_case(label)))
-            .cloned()
-            .collect()
-    }
-
-    /// Entries under `suffix`, e.g. all queries into the measurement zone.
-    pub fn entries_under(&self, suffix: &Name) -> Vec<QueryLogEntry> {
-        self.entries
-            .lock()
-            .iter()
-            .filter(|e| e.qname.is_subdomain_of(suffix))
-            .cloned()
-            .collect()
-    }
-
     /// Entries appended at or after index `start` — probes record the log
     /// length before the exchange and read back only their own window,
     /// keeping classification O(probe) instead of O(campaign).
@@ -96,15 +75,6 @@ impl QueryLog {
     pub fn with_entries_from<R>(&self, start: usize, f: impl FnOnce(&[QueryLogEntry]) -> R) -> R {
         let entries = self.entries.lock();
         f(entries.get(start..).unwrap_or_default())
-    }
-
-    /// Drop all entries recorded before `cutoff`; returns how many were
-    /// dropped. Long campaigns call this between rounds to bound memory.
-    pub fn prune_before(&self, cutoff: SimTime) -> usize {
-        let mut entries = self.entries.lock();
-        let before = entries.len();
-        entries.retain(|e| e.at >= cutoff);
-        before - entries.len()
     }
 
     /// Clear the log entirely.
@@ -133,35 +103,7 @@ mod tests {
         let log2 = log.clone();
         log.record(entry(1, "a.test"));
         assert_eq!(log2.len(), 1);
-    }
-
-    #[test]
-    fn filter_by_label_is_case_insensitive() {
-        let log = QueryLog::new();
-        log.record(entry(1, "com.com.example.K7Q2.suite1.spf-test.dns-lab.org"));
-        log.record(entry(2, "b.other.suite1.spf-test.dns-lab.org"));
-        assert_eq!(log.entries_with_label("k7q2").len(), 1);
-        assert_eq!(log.entries_with_label("missing").len(), 0);
-    }
-
-    #[test]
-    fn filter_by_suffix() {
-        let log = QueryLog::new();
-        log.record(entry(1, "x.spf-test.dns-lab.org"));
-        log.record(entry(2, "example.com"));
-        let zone = Name::parse("spf-test.dns-lab.org").unwrap();
-        assert_eq!(log.entries_under(&zone).len(), 1);
-    }
-
-    #[test]
-    fn prune_before_drops_old_entries() {
-        let log = QueryLog::new();
-        log.record(entry(1, "a.test"));
-        log.record(entry(100, "b.test"));
-        let dropped = log.prune_before(SimTime::EPOCH + SimDuration::from_secs(50));
-        assert_eq!(dropped, 1);
-        assert_eq!(log.len(), 1);
-        log.clear();
+        log2.clear();
         assert!(log.is_empty());
     }
 }

@@ -175,13 +175,6 @@ pub enum FaultOutcome {
     Reset,
 }
 
-impl FaultOutcome {
-    /// Whether the exchange completed cleanly on the first try.
-    pub fn is_delivered(self) -> bool {
-        matches!(self, FaultOutcome::Delivered)
-    }
-}
-
 /// A periodic reachability window: the host answers while the window is
 /// open and is dark while it is closed, keyed entirely to the simulated
 /// clock so every engine sees the same openings.
@@ -278,9 +271,13 @@ mod tests {
     fn none_plan_always_delivers() {
         let mut rng = SimRng::new(1);
         for _ in 0..100 {
-            assert!(FaultPlan::NONE.connection_outcome(&mut rng).is_delivered());
-            assert!(FaultPlan::NONE.datagram_outcome(&mut rng).is_delivered());
-            assert!(FaultPlan::NONE.smtp_outcome(&mut rng).is_delivered());
+            for outcome in [
+                FaultPlan::NONE.connection_outcome(&mut rng),
+                FaultPlan::NONE.datagram_outcome(&mut rng),
+                FaultPlan::NONE.smtp_outcome(&mut rng),
+            ] {
+                assert_eq!(outcome, FaultOutcome::Delivered);
+            }
         }
         assert!(!FaultPlan::NONE.is_active());
     }

@@ -77,12 +77,6 @@ impl Link {
         &self.latency
     }
 
-    /// Replace the link's fault plan (e.g. when a host starts refusing
-    /// connections after blacklisting the prober).
-    pub fn set_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
-    }
-
     /// The shared clock this link charges.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -249,15 +243,5 @@ mod tests {
             LinkObservation::Truncated
         );
         assert_eq!(metrics.datagrams_dropped(), 0);
-    }
-
-    #[test]
-    fn set_faults_changes_behaviour() {
-        let clock = SimClock::new();
-        let mut link = Link::ideal(clock);
-        let mut rng = SimRng::new(5);
-        assert!(link.connect(&mut rng).is_ok());
-        link.set_faults(FaultPlan::REFUSE_ALL);
-        assert_eq!(link.connect(&mut rng), LinkObservation::Refused);
     }
 }

@@ -344,8 +344,9 @@ impl NotificationCampaign {
         vulnerable_domains: &[DomainId],
         receiver: &mut Receiver,
     ) -> FormatExperiment {
-        let mut rng = world.fork_rng("notify-ab");
-        world
+        let runtime = world.runtime();
+        let mut rng = runtime.fork_rng("notify-ab");
+        runtime
             .clock
             .advance_to(Timeline::day_to_time(Timeline::PRIVATE_NOTIFICATION));
         let mut seen_hostsets: HashSet<Vec<HostId>> = HashSet::new();

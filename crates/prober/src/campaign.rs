@@ -596,15 +596,10 @@ impl Campaign {
         record: &HostRecord,
     ) -> (HostInitialResult, u32) {
         let (nomsg, mut seen) =
-            prober.probe_with_retry_record(host, record, Timeline::INITIAL, ProbeTest::NoMsg, 0);
+            prober.probe_with_retry(host, record, Timeline::INITIAL, ProbeTest::NoMsg, 0);
         let blankmsg = if !nomsg.refused() && !nomsg.smtp_failure() && !nomsg.spf_measured() {
-            let (outcome, attempts) = prober.probe_with_retry_record(
-                host,
-                record,
-                Timeline::INITIAL,
-                ProbeTest::BlankMsg,
-                seen,
-            );
+            let (outcome, attempts) =
+                prober.probe_with_retry(host, record, Timeline::INITIAL, ProbeTest::BlankMsg, seen);
             seen += attempts;
             Some(outcome)
         } else {
@@ -690,23 +685,26 @@ impl Campaign {
         (targets, domain_hosts)
     }
 
-    /// Probe each of one worker's snapshot targets once (with one retry
-    /// when the first attempt was inconclusive) on the snapshot day and
-    /// record its February status, in `hosts` order. Each host is probed
-    /// with its mask's preferred test (`masks` is indexed by host id);
-    /// its repetition counters go once its probes are done.
+    /// Probe each of one worker's snapshot targets in `world` once (with
+    /// one retry when the first attempt was inconclusive) on the
+    /// snapshot day and record its February status, in `hosts` order.
+    /// Each host is probed with its mask's preferred test (`masks` is
+    /// indexed by host id); its repetition counters go once its probes
+    /// are done.
     pub(crate) fn snapshot_sweep(
         prober: &mut Prober<'_>,
+        world: &dyn Population,
         hosts: &[HostId],
         masks: &[u32],
     ) -> (Vec<(HostId, RoundStatus)>, SimDuration) {
         let start = Self::begin_sweep(prober, Phase::Snapshot, Timeline::END);
         let mut statuses = Vec::with_capacity(hosts.len());
         for &host in hosts {
+            let record = world.host(host);
             let test = HostMask(masks[host.0 as usize]).preferred_test();
-            let (mut outcome, _) = prober.probe_with_retry(host, Timeline::END, test, 0);
+            let (mut outcome, _) = prober.probe_with_retry(host, record, Timeline::END, test, 0);
             if !outcome.spf_measured() {
-                (outcome, _) = prober.probe_with_retry(host, Timeline::END, test, 0);
+                (outcome, _) = prober.probe_with_retry(host, record, Timeline::END, test, 0);
             }
             statuses.push((host, Self::round_status(&outcome)));
             prober.forget_repetitions();
@@ -810,7 +808,7 @@ mod tests {
         let tracer = spfail_trace::Tracer::new(builder.trace);
         let mut prober = builder.worker_prober(&world, &tracer);
         let masks = data.initial.masks();
-        let (statuses, _) = Campaign::snapshot_sweep(&mut prober, &data.tracked, &masks);
+        let (statuses, _) = Campaign::snapshot_sweep(&mut prober, &world, &data.tracked, &masks);
         assert_eq!(statuses.len(), data.tracked.len());
         assert_eq!(prober.repetition_counters(), 0);
     }

@@ -30,7 +30,7 @@ use spfail_trace::{SpanKind, Tracer};
 use spfail_world::{HostId, HostRecord, MtaInstrumentation, Population, Timeline};
 
 use crate::classify::{classify, Classification, RESERVED_ID_LABELS};
-use crate::ethics::{EthicsGuard, GREYLIST_WAIT, MAX_CONCURRENT, MIN_RECONTACT};
+use crate::ethics::{EthicsGuard, GREYLIST_WAIT, MIN_RECONTACT};
 use crate::fxhash::FxBuildHasher;
 
 /// How long a connection attempt waits before giving up on a host that
@@ -42,6 +42,13 @@ pub const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 /// The local part of every probe's sender address (also the first rung
 /// of [`USERNAME_LADDER`]).
 const PROBE_MAILBOX: &str = "mmj7yzdm0tbk";
+
+/// How an attempt ends that never got an answer to its connect: a flaky
+/// host or a closed reachability window.
+const CONNECT_TIMED_OUT: TransactionOutcome = TransactionOutcome::Transient {
+    stage: "connect",
+    code: 0,
+};
 
 /// Which probe variant ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,8 +192,8 @@ pub struct ProbeOptions {
 /// [`ProbeContext::isolated`] copy, so probing on one shard never
 /// observes another shard's queries or clock waits; the session mirrors
 /// the snapshot's clock and queries back onto the world when it
-/// finishes. [`ProbeContext::shared`] serves standalone probers
-/// ([`Prober::new`]).
+/// finishes. [`ProbeContext::shared`] serves standalone probers (the
+/// layer replays of the benchmark, tests).
 #[derive(Debug, Clone)]
 pub struct ProbeContext {
     /// DNS directory the probed MTAs resolve through.
@@ -278,6 +285,25 @@ pub struct ProbeOutcome {
 }
 
 impl ProbeOutcome {
+    /// An attempt that never reached the host's SPF check: `transaction`
+    /// is how the connection ended, nothing was classified, and no DNS
+    /// fault was observed.
+    fn unmeasured(
+        host: HostId,
+        test: ProbeTest,
+        id: String,
+        transaction: TransactionOutcome,
+    ) -> ProbeOutcome {
+        ProbeOutcome {
+            host,
+            test,
+            id,
+            transaction: Some(transaction),
+            classification: Classification::default(),
+            dns_fault: None,
+        }
+    }
+
     /// Whether TCP was refused outright.
     pub fn refused(&self) -> bool {
         self.transaction.is_none()
@@ -347,8 +373,8 @@ impl ProbeOutcome {
     }
 }
 
-/// The probing client: owns the unique-label generator and the ethics
-/// guard, and drives transactions against the world's hosts.
+/// The probing client: owns the ethics guard and the reused MTA, and
+/// drives transactions against the world's hosts.
 ///
 /// Every probe draws its randomness from a stream forked off the suite's
 /// base RNG by the probe's full identity — host, day, test, replayed
@@ -371,14 +397,12 @@ pub struct Prober<'w> {
     source_ip: IpAddr,
     ctx: ProbeContext,
     base_rng: SimRng,
-    rng: SimRng,
     /// Root for per-host fault-window materialisation; depends only on
     /// the world seed and suite, so all shards agree on which hosts blink.
     fault_rng: SimRng,
     ethics: EthicsGuard,
     options: ProbeOptions,
     metrics: Metrics,
-    next_id: u64,
     /// Probe-repetition counters, `(host, day, test, extra) ->
     /// occurrence`. Every key carries the day of the sweep that made
     /// it, so a campaign drops them after each host it sweeps and at
@@ -396,29 +420,15 @@ pub struct Prober<'w> {
 
 impl<'w> Prober<'w> {
     /// A prober for `pop` with the given suite label, probing through
-    /// the population's shared context.
-    pub fn new(pop: &'w dyn Population, suite: &str) -> Prober<'w> {
-        Prober::with_context(pop, suite, ProbeContext::shared(pop), MAX_CONCURRENT)
-    }
-
-    /// A prober probing through an explicit context with an explicit
-    /// concurrency budget (a campaign splits [`MAX_CONCURRENT`] across
-    /// its workers so the fleet-wide cap still holds).
+    /// `ctx` under `options` with an explicit concurrency budget (a
+    /// campaign splits [`MAX_CONCURRENT`] across its workers so the
+    /// fleet-wide cap still holds).
     ///
     /// The base RNG depends only on the world seed and suite — never on
-    /// the context or budget — so probers on different shards draw from
-    /// the same per-probe streams.
-    pub fn with_context(
-        pop: &'w dyn Population,
-        suite: &str,
-        ctx: ProbeContext,
-        max_concurrent: usize,
-    ) -> Prober<'w> {
-        Prober::with_options(pop, suite, ctx, max_concurrent, ProbeOptions::default())
-    }
-
-    /// [`Prober::with_context`] with an explicit fault profile and retry
-    /// policy. The default options inject nothing and never retry.
+    /// the context, budget or options — so probers on different shards
+    /// draw from the same per-probe streams.
+    ///
+    /// [`MAX_CONCURRENT`]: crate::ethics::MAX_CONCURRENT
     pub fn with_options(
         pop: &'w dyn Population,
         suite: &str,
@@ -437,13 +447,11 @@ impl<'w> Prober<'w> {
             sender_suffix,
             source_ip: "203.0.113.25".parse().expect("static address"),
             ethics: EthicsGuard::with_budget(ctx.clock.clone(), max_concurrent),
-            rng: base_rng.fork("id-sequence"),
             fault_rng: base_rng.fork("fault-injector"),
             base_rng,
             ctx,
             options,
             metrics: Metrics::new(),
-            next_id: 0,
             occurrences: HashMap::default(),
             mta: None,
         }
@@ -522,7 +530,7 @@ impl<'w> Prober<'w> {
     /// incremental round engine can replay the first draws of the
     /// attempt it is about to skip: the stream from
     /// [`Prober::probe_stream`], the id draw, and the flaky roll below
-    /// mirror the opening of `probe_attempt` exactly. A `true` answer
+    /// mirror the opening of [`Prober::attempt`] exactly. A `true` answer
     /// means the attempt would fail transiently (and possibly retry), so
     /// the host must be probed for real; `false` means the attempt
     /// proceeds to the host's deterministic behaviour.
@@ -570,25 +578,6 @@ impl<'w> Prober<'w> {
             .finish()
     }
 
-    /// Generate the next unique probe id: a 4–5 character alphanumeric
-    /// label that never collides with the fingerprint's fixed labels.
-    /// The embedded base-36 counter guarantees uniqueness for the first
-    /// 46 656 ids without relying on the random prefix.
-    pub fn next_probe_id(&mut self) -> String {
-        loop {
-            self.next_id += 1;
-            let len = 4 + (self.next_id % 2) as usize;
-            let id = format!(
-                "{}{}",
-                self.rng.alnum_label(len - 3),
-                base36(self.next_id % 46_656)
-            );
-            if !RESERVED_ID_LABELS.contains(&id.as_str()) && id != self.suite {
-                return id;
-            }
-        }
-    }
-
     /// Probe one host with one test variant as of measurement day `day`.
     ///
     /// `extra_connections` is how many probe connections this host has
@@ -615,30 +604,18 @@ impl<'w> Prober<'w> {
             test.tag(),
             extra_connections,
         );
-        let outcome = self.probe_attempt(host, day, test, extra_connections);
+        let record = self.pop.host(host);
+        let outcome = self.attempt(host, record, day, test, extra_connections);
         self.ctx.tracer.end_probe(self.ctx.clock.now());
         outcome
     }
 
     /// One attempt, without opening a trace record of its own —
     /// [`Prober::probe_with_retry`] wraps a whole retried sequence in a
-    /// single probe span with the attempts and backoffs as children.
-    fn probe_attempt(
-        &mut self,
-        host: HostId,
-        day: u16,
-        test: ProbeTest,
-        extra_connections: u32,
-    ) -> ProbeOutcome {
-        let record = self.pop.host(host);
-        self.probe_attempt_record(host, record, day, test, extra_connections)
-    }
-
-    /// One attempt with the host's record passed in instead of looked up
-    /// — the streamed sweep's spelling, where the record exists only for
-    /// the lifetime of its synthesis step and the prober's population
-    /// holds no records at all.
-    fn probe_attempt_record(
+    /// single probe span with the attempts and backoffs as children. The
+    /// host's record is passed in: the streamed sweep probes each host
+    /// while its record exists, over a population that retains nothing.
+    fn attempt(
         &mut self,
         host: HostId,
         record: &HostRecord,
@@ -668,17 +645,7 @@ impl<'w> Prober<'w> {
             self.ctx
                 .tracer
                 .exit(self.ctx.clock.now(), SpanKind::Fault, "flaky");
-            return ProbeOutcome {
-                host,
-                test,
-                id,
-                transaction: Some(TransactionOutcome::Transient {
-                    stage: "connect",
-                    code: 0,
-                }),
-                classification: Classification::default(),
-                dns_fault: None,
-            };
+            return ProbeOutcome::unmeasured(host, test, id, CONNECT_TIMED_OUT);
         }
 
         // Injected reachability window: evaluated at the probe's
@@ -697,17 +664,7 @@ impl<'w> Prober<'w> {
                 self.ctx
                     .tracer
                     .exit(self.ctx.clock.now(), SpanKind::Fault, "window_closed");
-                return ProbeOutcome {
-                    host,
-                    test,
-                    id,
-                    transaction: Some(TransactionOutcome::Transient {
-                        stage: "connect",
-                        code: 0,
-                    }),
-                    classification: Classification::default(),
-                    dns_fault: None,
-                };
+                return ProbeOutcome::unmeasured(host, test, id, CONNECT_TIMED_OUT);
             }
         }
 
@@ -720,31 +677,19 @@ impl<'w> Prober<'w> {
                 let now = self.ctx.clock.now();
                 self.ctx.tracer.enter(now, SpanKind::Fault);
                 self.ctx.tracer.exit(now, SpanKind::Fault, "smtp_tempfail");
-                return ProbeOutcome {
-                    host,
-                    test,
-                    id,
-                    transaction: Some(TransactionOutcome::Transient {
-                        stage: "connect",
-                        code: 421,
-                    }),
-                    classification: Classification::default(),
-                    dns_fault: None,
+                let tempfail = TransactionOutcome::Transient {
+                    stage: "connect",
+                    code: 421,
                 };
+                return ProbeOutcome::unmeasured(host, test, id, tempfail);
             }
             FaultOutcome::Reset => {
                 self.metrics.inc_connection_resets();
                 let now = self.ctx.clock.now();
                 self.ctx.tracer.enter(now, SpanKind::Fault);
                 self.ctx.tracer.exit(now, SpanKind::Fault, "smtp_reset");
-                return ProbeOutcome {
-                    host,
-                    test,
-                    id,
-                    transaction: Some(TransactionOutcome::ConnectionReset),
-                    classification: Classification::default(),
-                    dns_fault: None,
-                };
+                let reset = TransactionOutcome::ConnectionReset;
+                return ProbeOutcome::unmeasured(host, test, id, reset);
             }
             _ => {}
         }
@@ -826,11 +771,12 @@ impl<'w> Prober<'w> {
         }
     }
 
-    /// [`Prober::probe`] under the prober's [`RetryPolicy`]: retry while
-    /// the outcome maps to a *transient* [`ProbeError`], attempts remain,
-    /// and the per-probe deadline (measured on the simulated clock from
-    /// the first attempt) has not passed. Returns the final outcome and
-    /// how many attempts ran.
+    /// [`Prober::probe`] of `host`, whose record is `record`, under the
+    /// prober's [`RetryPolicy`]: retry while the outcome maps to a
+    /// *transient* [`ProbeError`], attempts remain, and the per-probe
+    /// deadline (measured on the simulated clock from the first attempt)
+    /// has not passed. Returns the final outcome and how many attempts
+    /// ran.
     ///
     /// Each retry waits out a jittered exponential backoff drawn from a
     /// stream forked off the probe's identity, and repeats the probe with
@@ -838,20 +784,6 @@ impl<'w> Prober<'w> {
     /// (but reproducible) dice. Under [`RetryPolicy::NONE`] this is
     /// exactly one `probe` call.
     pub fn probe_with_retry(
-        &mut self,
-        host: HostId,
-        day: u16,
-        test: ProbeTest,
-        extra_connections: u32,
-    ) -> (ProbeOutcome, u32) {
-        let record = self.pop.host(host);
-        self.probe_with_retry_record(host, record, day, test, extra_connections)
-    }
-
-    /// [`Prober::probe_with_retry`] with the host's record passed in
-    /// instead of looked up — the streamed sweep probes each host while
-    /// its record exists, over a population that retains nothing.
-    pub fn probe_with_retry_record(
         &mut self,
         host: HostId,
         record: &HostRecord,
@@ -865,7 +797,7 @@ impl<'w> Prober<'w> {
         self.ctx
             .tracer
             .begin_probe(started, host.0, day, test.tag(), extra_connections);
-        let mut outcome = self.probe_attempt_record(host, record, day, test, extra_connections);
+        let mut outcome = self.attempt(host, record, day, test, extra_connections);
         let mut attempts = 1u32;
         let max_attempts = self.options.retry.max_attempts.max(1);
         while attempts < max_attempts {
@@ -904,7 +836,7 @@ impl<'w> Prober<'w> {
                 .tracer
                 .exit(self.ctx.clock.now(), SpanKind::RetryWait, "backoff");
             self.metrics.inc_probe_retries();
-            outcome = self.probe_attempt_record(host, record, day, test, extra_connections);
+            outcome = self.attempt(host, record, day, test, extra_connections);
             attempts += 1;
         }
         if attempts > 1 && outcome.spf_measured() {
@@ -1049,20 +981,10 @@ fn converse(
     }
 }
 
-fn base36(mut n: u64) -> String {
-    const DIGITS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
-    let mut out = Vec::with_capacity(3);
-    for _ in 0..3 {
-        out.push(DIGITS[(n % 36) as usize]);
-        n /= 36;
-    }
-    out.reverse();
-    String::from_utf8(out).expect("ascii")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ethics::MAX_CONCURRENT;
     use spfail_netsim::{FaultPlan, FlakyWindow};
     use spfail_world::{World, WorldConfig};
 
@@ -1075,6 +997,13 @@ mod tests {
 
     fn world() -> World {
         World::generate(WorldConfig::small(123))
+    }
+
+    /// A standalone prober: the world's shared context, the full
+    /// concurrency budget, no faults and no retries.
+    fn prober<'w>(w: &'w World, suite: &str) -> Prober<'w> {
+        let ctx = ProbeContext::shared(w);
+        Prober::with_options(w, suite, ctx, MAX_CONCURRENT, ProbeOptions::default())
     }
 
     /// What one MTA shows before and through a NoMsg and a BlankMsg
@@ -1257,7 +1186,7 @@ mod tests {
         let w = world();
         let host = w.initially_vulnerable_hosts()[0];
         let ctx = ProbeContext::isolated(&w).with_policy_cache(true);
-        let mut prober = Prober::with_context(&w, "s12", ctx, 64);
+        let mut prober = Prober::with_options(&w, "s12", ctx, 64, ProbeOptions::default());
         let _ = prober.probe(host, 0, ProbeTest::NoMsg, 0);
         assert!(prober.mta.is_some(), "a probe leaves its MTA for reuse");
         let cache = new_policy_cache();
@@ -1273,16 +1202,24 @@ mod tests {
         );
     }
 
+    /// Every probe draws its id from its own identity stream. Ids need
+    /// not be unique (a probe classifies only its own query-log window),
+    /// but each must be a 4–5 character alphanumeric label that is
+    /// neither a fixed fingerprint label nor the suite label.
     #[test]
     fn probe_ids_are_unique_and_safe() {
-        let w = world();
-        let mut prober = Prober::new(&w, "s01");
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..2_000 {
-            let id = prober.next_probe_id();
+        let root = SimRng::new(123).fork("prober-s01");
+        // A suite label the generator itself can draw: the first stream's
+        // id, which that stream must then skip.
+        let suite = Prober::probe_id(&mut root.fork_idx("probe", 0), "s01");
+        let again = Prober::probe_id(&mut root.fork_idx("probe", 0), &suite);
+        assert_ne!(again, suite, "the suite label is never an id");
+        for i in 0..4_000 {
+            let id = Prober::probe_id(&mut root.fork_idx("probe", i), &suite);
             assert!((4..=5).contains(&id.len()), "id length: {id}");
-            assert!(!RESERVED_ID_LABELS.contains(&id.as_str()));
-            assert!(seen.insert(id), "ids must be unique");
+            assert!(id.bytes().all(|b| b.is_ascii_alphanumeric()), "{id}");
+            assert!(!RESERVED_ID_LABELS.contains(&id.as_str()), "{id}");
+            assert_ne!(id, suite);
         }
     }
 
@@ -1291,7 +1228,7 @@ mod tests {
         let w = world();
         let host = w.initially_vulnerable_hosts()[0];
         // Pick the right test variant for the host's validation stage.
-        let mut prober = Prober::new(&w, "s01");
+        let mut prober = prober(&w, "s01");
         let nomsg = prober.probe(host, 0, ProbeTest::NoMsg, 0);
         let outcome = if nomsg.spf_measured() {
             nomsg
@@ -1326,7 +1263,7 @@ mod tests {
                 })
             })
             .expect("some refusing host");
-        let mut prober = Prober::new(&w, "s02");
+        let mut prober = prober(&w, "s02");
         let mut outcome = prober.probe(host, 0, ProbeTest::NoMsg, 0);
         for _ in 0..5 {
             if outcome.refused() {
@@ -1347,7 +1284,7 @@ mod tests {
             .find(|&h| w.host(h).profile.blacklist_after.is_some())
             .expect("some blacklisting host");
         let threshold = w.host(host).profile.blacklist_after.unwrap();
-        let mut prober = Prober::new(&w, "s03");
+        let mut prober = prober(&w, "s03");
         let mut outcome = prober.probe(host, 20, ProbeTest::NoMsg, threshold + 1);
         for _ in 0..5 {
             if outcome.smtp_failure() {
@@ -1375,7 +1312,7 @@ mod tests {
             })
             .expect("a cleanly patching host");
         let patch_day = w.host(host).profile.patch_day.unwrap();
-        let mut prober = Prober::new(&w, "s04");
+        let mut prober = prober(&w, "s04");
         let probe_once = |prober: &mut Prober, day: u16| {
             let mut outcome = prober.probe(host, day, ProbeTest::NoMsg, 0);
             if !outcome.spf_measured() {
@@ -1415,7 +1352,7 @@ mod tests {
         let Some(host) = host else {
             return; // tiny worlds may lack one; other tests cover the logic
         };
-        let mut prober = Prober::new(&w, "s05");
+        let mut prober = prober(&w, "s05");
         let mut outcome = prober.probe(host, 0, ProbeTest::BlankMsg, 0);
         for _ in 0..6 {
             if outcome.spf_measured() {
@@ -1470,7 +1407,7 @@ mod tests {
     fn verdicts_distinguish_unreachable_from_inconclusive() {
         let w = world();
         let host = w.initially_vulnerable_hosts()[0];
-        let mut prober = Prober::new(&w, "s06");
+        let mut prober = prober(&w, "s06");
         let mut outcome = prober.probe(host, 0, ProbeTest::BlankMsg, 0);
         for _ in 0..6 {
             if outcome.spf_measured() {
@@ -1524,7 +1461,8 @@ mod tests {
             let mut prober = Prober::with_options(&w, suite, ctx, 64, opts);
             let mut measured = 0u32;
             for _ in 0..12 {
-                let (outcome, _) = prober.probe_with_retry(host, 0, ProbeTest::BlankMsg, 0);
+                let (outcome, _) =
+                    prober.probe_with_retry(host, w.host(host), 0, ProbeTest::BlankMsg, 0);
                 if outcome.spf_measured() {
                     measured += 1;
                 }
@@ -1566,7 +1504,8 @@ mod tests {
         };
         let ctx = ProbeContext::isolated(&w);
         let mut prober = Prober::with_options(&w, "s09", ctx, 64, opts);
-        let (outcome, attempts) = prober.probe_with_retry(host, 0, ProbeTest::BlankMsg, 0);
+        let (outcome, attempts) =
+            prober.probe_with_retry(host, w.host(host), 0, ProbeTest::BlankMsg, 0);
         assert_eq!(attempts, 3);
         assert!(!outcome.spf_measured());
         assert_eq!(outcome.verdict(), ProbeVerdict::Unreachable);
@@ -1583,7 +1522,7 @@ mod tests {
         };
         let ctx = ProbeContext::isolated(&w);
         let mut prober = Prober::with_options(&w, "s10", ctx, 64, opts);
-        let (_, attempts) = prober.probe_with_retry(host, 0, ProbeTest::BlankMsg, 0);
+        let (_, attempts) = prober.probe_with_retry(host, w.host(host), 0, ProbeTest::BlankMsg, 0);
         assert_eq!(attempts, 1);
     }
 

@@ -448,7 +448,7 @@ impl<'w> Session<'w> {
                 .collect();
         let masks = &self.masks;
         let outputs = on_workers(&mut snapshot_workers, |w| {
-            Campaign::snapshot_sweep(&mut w.prober, &w.hosts, masks)
+            Campaign::snapshot_sweep(&mut w.prober, world, &w.hosts, masks)
         });
         let mut parts = Vec::with_capacity(outputs.len());
         let mut snapshot_busy = SimDuration::ZERO;
@@ -799,6 +799,7 @@ fn incremental_round_sweep(
     debug_assert_eq!(hosts.len(), positions.len());
     debug_assert_eq!(hosts.len(), counts.len());
     for ((&host, &position), seen) in hosts.iter().zip(positions).zip(counts) {
+        let record = world.host(host);
         let test = HostMask(masks[host.0 as usize]).preferred_test();
         // The skip horizon. A host's round probe can be answered from
         // carried state only when nothing that can change the answer
@@ -807,7 +808,7 @@ fn incremental_round_sweep(
         let carried = if full_rescan || faults_active {
             None
         } else {
-            let profile = &world.host(host).profile;
+            let profile = &record.profile;
             match profile.blacklist_after {
                 // A host past its blacklist threshold rejects every
                 // connection at the banner, so the round is Inconclusive
@@ -843,7 +844,7 @@ fn incremental_round_sweep(
             statuses.push(status);
             continue;
         }
-        let (outcome, attempts) = prober.probe_with_retry(host, day, test, *seen);
+        let (outcome, attempts) = prober.probe_with_retry(host, record, day, test, *seen);
         *seen += attempts;
         issued += 1;
         statuses.push(Campaign::round_status(&outcome));

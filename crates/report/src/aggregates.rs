@@ -155,7 +155,7 @@ impl WorldAggregates {
     /// Fold from a materialized world (the eager pipeline).
     pub fn from_world(world: &World, masks: &[u32]) -> WorldAggregates {
         let mut fold = Fold::new(masks.len());
-        let cutoff = world.config.top1000_cutoff();
+        let cutoff = world.runtime().config.top1000_cutoff();
         for domain in &world.domains {
             fold.domain(domain, masks, cutoff);
         }

@@ -5,8 +5,6 @@
 //! structs stay separate because the benchmark in `perfbench/` builds
 //! each one field by field and calls the registry column of its type.
 
-use std::collections::BTreeSet;
-
 use spfail_netsim::PolicyCacheStats;
 use spfail_notify::{NotificationCampaign, NotificationRecord, NotificationReport, PixelLog};
 use spfail_prober::{CampaignBuilder, CampaignData, CampaignSummary, StreamingRun};
@@ -117,15 +115,6 @@ impl Context {
             .map(DomainId)
             .filter(|&d| self.in_set(d, set))
             .collect()
-    }
-
-    /// Unique hosts serving any domain of `set`.
-    pub fn set_hosts(&self, set: SetFilter) -> Vec<HostId> {
-        let mut hosts = BTreeSet::new();
-        for d in self.set_domains(set) {
-            hosts.extend(self.world.domain(d).hosts.iter().copied());
-        }
-        hosts.into_iter().collect()
     }
 }
 
@@ -245,7 +234,7 @@ pub trait Source {
 
 impl Source for Context {
     fn config(&self) -> &WorldConfig {
-        &self.world.config
+        &self.world.runtime().config
     }
 
     fn campaign(&self) -> &CampaignData {
@@ -332,10 +321,5 @@ mod tests {
             assert!(ctx.in_set(d, SetFilter::All));
         }
         assert!(ctx.funnel.sent > 0);
-        assert_eq!(
-            ctx.set_hosts(SetFilter::All).len(),
-            ctx.world.hosts.len(),
-            "every host serves some domain"
-        );
     }
 }

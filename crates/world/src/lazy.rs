@@ -90,11 +90,10 @@ impl WorldRuntime {
     }
 
     /// Build the live MTA for `record` (the record of `host`) as of day
-    /// `day` — the record-passing core behind
-    /// [`World::build_mta_instrumented`](crate::World::build_mta_instrumented).
-    /// The MTA's RNG stream depends only on the host id, so any engine
-    /// holding the host's record builds exactly the MTA the eager world
-    /// would.
+    /// `day`, its resolver wired to `directory`, `clock` and the
+    /// instrumentation. The MTA's RNG stream depends only on the host id
+    /// (and the instrumentation's `reroll` salt), so any engine holding
+    /// the host's record builds exactly the MTA the eager world would.
     ///
     /// This is a blank MTA wired to the instrumentation, then
     /// [`WorldRuntime::rebuild_mta_record`]: the per-host derivation is
@@ -193,33 +192,14 @@ pub trait Population: Sync {
         d.hosts.clone()
     }
 
-    /// Build an instrumented MTA for `host`; see
-    /// [`WorldRuntime::build_mta_record`].
-    fn build_mta_instrumented(
-        &self,
-        host: HostId,
-        day: u16,
-        directory: Directory,
-        clock: SimClock,
-        instrumentation: MtaInstrumentation<'_>,
-    ) -> Mta {
-        self.runtime().build_mta_record(
-            host,
-            self.host(host),
-            day,
-            directory,
-            clock,
-            instrumentation,
-        )
-    }
-
     /// Build the live MTA for `host` as of day `day` against the shared
-    /// runtime surfaces — the [`Population`] spelling of
-    /// [`World::build_mta`](crate::World::build_mta).
+    /// runtime surfaces, uninstrumented; see
+    /// [`WorldRuntime::build_mta_record`].
     fn build_mta(&self, host: HostId, day: u16) -> Mta {
         let runtime = self.runtime();
-        self.build_mta_instrumented(
+        runtime.build_mta_record(
             host,
+            self.host(host),
             day,
             runtime.directory.clone(),
             runtime.clock.clone(),
@@ -1143,7 +1123,7 @@ mod tests {
         );
         assert_eq!(
             sparse.runtime().zone_origin.to_ascii(),
-            world.zone_origin.to_ascii()
+            world.runtime().zone_origin.to_ascii()
         );
     }
 }

@@ -50,11 +50,6 @@ impl Timeline {
         SimTime::EPOCH + SimDuration::from_days(u64::from(day))
     }
 
-    /// Convert simulated time back to a day number.
-    pub fn time_to_day(t: SimTime) -> u16 {
-        t.as_days() as u16
-    }
-
     /// The calendar date of a measurement day, as `YYYY-MM-DD`.
     pub fn date_label(day: u16) -> String {
         // Month lengths from 2021-10-11 onwards.
@@ -119,7 +114,7 @@ mod tests {
     #[test]
     fn day_time_round_trip() {
         for day in [0u16, 1, 50, 126] {
-            assert_eq!(Timeline::time_to_day(Timeline::day_to_time(day)), day);
+            assert_eq!(Timeline::day_to_time(day).as_days(), u64::from(day));
         }
     }
 }

@@ -1,38 +1,26 @@
 //! World assembly: the full simulated Internet, ready to probe.
 
-use spfail_dns::{Directory, Name, QueryLog};
-use spfail_mta::{Mta, PolicyCacheHandle};
-use spfail_netsim::{FaultPlan, Metrics, SimClock, SimRng};
+use spfail_mta::PolicyCacheHandle;
+use spfail_netsim::{FaultPlan, Metrics};
 use spfail_trace::Tracer;
 
 use crate::config::WorldConfig;
 use crate::domains::{DomainId, DomainRecord};
 use crate::hosting::{HostId, HostRecord};
 use crate::lazy::{LazyWorld, WorldRuntime};
-use crate::timeline::Timeline;
 
-/// The assembled simulated Internet.
+/// The assembled simulated Internet: every record of the population
+/// plus the runtime surface (configuration, clock, DNS directory, RNG
+/// root) it is probed through.
 pub struct World {
-    /// The configuration it was generated from.
-    pub config: WorldConfig,
     /// All domains, indexed by [`DomainId`].
     pub domains: Vec<DomainRecord>,
     /// All hosts, indexed by [`HostId`].
     pub hosts: Vec<HostRecord>,
-    /// Reverse index: domains served by each host.
-    pub host_domains: Vec<Vec<DomainId>>,
-    /// The shared simulation clock.
-    pub clock: SimClock,
-    /// The DNS directory (holds the measurement zone's authority).
-    pub directory: Directory,
-    /// The measurement zone's query log.
-    pub query_log: QueryLog,
-    /// The measurement zone origin (`spf-test.dns-lab.org`).
-    pub zone_origin: Name,
     runtime: WorldRuntime,
 }
 
-/// Fault-injection hooks for [`World::build_mta_instrumented`].
+/// Fault-injection hooks for [`WorldRuntime::build_mta_record`].
 #[derive(Debug, Clone)]
 pub struct MtaInstrumentation<'a> {
     /// Fault plan applied to the MTA's resolver link.
@@ -43,7 +31,9 @@ pub struct MtaInstrumentation<'a> {
     /// its probe identity here when DNS faults are active, so a *retried*
     /// probe re-rolls the fault dice instead of replaying the same
     /// timeout forever. With `None` the stream depends only on the host
-    /// id, exactly as [`World::build_mta_in`] always derived it.
+    /// id, exactly as [`Population::build_mta`] derives it.
+    ///
+    /// [`Population::build_mta`]: crate::Population::build_mta
     pub reroll: Option<&'a str>,
     /// Tracing handle installed on the MTA's resolver, so its SPF-driven
     /// DNS lookups appear as spans in the probing client's trace. The
@@ -55,45 +45,28 @@ pub struct MtaInstrumentation<'a> {
 }
 
 impl World {
-    /// Generate the world deterministically from `config`.
-    ///
-    /// This is the eager collector over [`LazyWorld`]: the streaming
-    /// synthesizer is the single source of truth for generation, so the
-    /// lazy and materialized worlds are identical by construction
-    /// (`tests/props.rs` additionally pins host-by-host equality over
-    /// random seeds and scales).
+    /// Generate the world deterministically from `config`: the eager
+    /// collector over [`LazyWorld`], so the lazy and materialized worlds
+    /// are identical by construction (`tests/props.rs` additionally pins
+    /// host-by-host equality over random seeds and scales).
     pub fn generate(config: WorldConfig) -> World {
         let mut stream = LazyWorld::new(config);
         let mut domains = Vec::with_capacity(stream.domain_count());
         let mut hosts = Vec::new();
-        let mut host_domains: Vec<Vec<DomainId>> = Vec::new();
         for step in &mut stream {
             debug_assert_eq!(step.first_fresh.0 as usize, hosts.len());
-            for record in step.fresh {
-                hosts.push(record);
-                host_domains.push(Vec::new());
-            }
-            for &h in &step.domain.hosts {
-                host_domains[h.0 as usize].push(step.id);
-            }
+            hosts.extend(step.fresh);
             domains.push(step.domain);
         }
-        let runtime = stream.into_runtime();
         World {
-            config: runtime.config.clone(),
             domains,
             hosts,
-            host_domains,
-            clock: runtime.clock.clone(),
-            directory: runtime.directory.clone(),
-            query_log: runtime.query_log.clone(),
-            zone_origin: runtime.zone_origin.clone(),
-            runtime,
+            runtime: stream.into_runtime(),
         }
     }
 
-    /// The population-free runtime surface (clock, DNS directory, RNG
-    /// root) shared with the streaming engine.
+    /// The population-free runtime surface (configuration, clock, DNS
+    /// directory, RNG root) shared with the streaming engine.
     pub fn runtime(&self) -> &WorldRuntime {
         &self.runtime
     }
@@ -106,22 +79,6 @@ impl World {
     /// Look up a host.
     pub fn host(&self, id: HostId) -> &HostRecord {
         &self.hosts[id.0 as usize]
-    }
-
-    /// The domains a host serves.
-    pub fn domains_of(&self, id: HostId) -> &[DomainId] {
-        &self.host_domains[id.0 as usize]
-    }
-
-    /// Resolve a domain's mail hosts as of measurement day `day` — the
-    /// paper's MX+A/AAAA resolution step. Short-lived spam domains lose
-    /// their MX records before the final snapshot (§7.2).
-    pub fn resolve_mail_hosts(&self, id: DomainId, day: u16) -> Vec<HostId> {
-        let d = self.domain(id);
-        if d.spam_churn && day >= Timeline::WINDOW2_START {
-            return Vec::new();
-        }
-        d.hosts.clone()
     }
 
     /// Hosts that were running vulnerable libSPF2 at the initial
@@ -145,66 +102,6 @@ impl World {
             })
             .collect()
     }
-
-    /// Build the live MTA for `host` as of day `day`.
-    pub fn build_mta(&self, host: HostId, day: u16) -> Mta {
-        self.build_mta_in(host, day, self.directory.clone(), self.clock.clone())
-    }
-
-    /// Build an MTA against an explicit DNS directory and clock instead
-    /// of the world's shared ones — the sharded campaign engine gives
-    /// each shard its own directory/clock so that probing on one worker
-    /// never observes another worker's queries or time.
-    ///
-    /// The MTA's RNG stream depends only on the host id, so a shard
-    /// builds exactly the MTA the sequential engine would.
-    pub fn build_mta_in(
-        &self,
-        host: HostId,
-        day: u16,
-        directory: Directory,
-        clock: SimClock,
-    ) -> Mta {
-        self.build_mta_instrumented(
-            host,
-            day,
-            directory,
-            clock,
-            MtaInstrumentation {
-                dns_faults: FaultPlan::NONE,
-                metrics: Metrics::new(),
-                reroll: None,
-                tracer: Tracer::disabled(),
-                policy_cache: None,
-            },
-        )
-    }
-
-    /// [`World::build_mta_in`] with the fault-injection hooks wired up:
-    /// the MTA's resolver queries over a zero-latency link carrying the
-    /// instrumentation's fault plan and recording into its metrics.
-    pub fn build_mta_instrumented(
-        &self,
-        host: HostId,
-        day: u16,
-        directory: Directory,
-        clock: SimClock,
-        instrumentation: MtaInstrumentation<'_>,
-    ) -> Mta {
-        self.runtime.build_mta_record(
-            host,
-            self.host(host),
-            day,
-            directory,
-            clock,
-            instrumentation,
-        )
-    }
-
-    /// A deterministic RNG stream for a named consumer of this world.
-    pub fn fork_rng(&self, label: &str) -> SimRng {
-        self.runtime.fork_rng(label)
-    }
 }
 
 // The sharded campaign engine shares one `&World` across worker
@@ -217,6 +114,8 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lazy::Population;
+    use crate::timeline::Timeline;
     use spfail_mta::ConnectPolicy;
 
     fn small_world() -> World {
@@ -294,7 +193,7 @@ mod tests {
                     .any(|&h| w.host(h).profile.initially_vulnerable())
             })
             .count();
-        assert_eq!(vulnerable, w.config.vulnerable_top_providers);
+        assert_eq!(vulnerable, w.runtime().config.vulnerable_top_providers);
         // Vulnerable providers never patch (§7.5).
         for d in providers {
             for &h in &d.hosts {
@@ -350,13 +249,16 @@ mod tests {
     }
 
     #[test]
-    fn reverse_index_is_consistent() {
+    fn every_host_serves_a_domain() {
         let w = small_world();
-        for (idx, d) in w.domains.iter().enumerate() {
+        let mut served = vec![false; w.hosts.len()];
+        for d in &w.domains {
             for &h in &d.hosts {
-                assert!(w.domains_of(h).contains(&DomainId(idx as u32)));
+                assert!((h.0 as usize) < w.hosts.len(), "{h:?} out of range");
+                served[h.0 as usize] = true;
             }
         }
+        assert!(served.iter().all(|&s| s), "every host serves some domain");
     }
 
     impl World {

@@ -150,7 +150,7 @@ fn sharded_engine_leaves_world_clock_at_snapshot_day() {
         let world = build_world(11, 0.002);
         let _ = CampaignBuilder::new().shards(shards).run(&world);
         assert_eq!(
-            world.clock.now(),
+            world.runtime().clock.now(),
             Timeline::day_to_time(Timeline::END),
             "{shards} shard(s)"
         );
