@@ -10,7 +10,6 @@ use spfail_netsim::SimTime;
 
 use crate::message::{Message, Rcode};
 use crate::name::Name;
-use crate::querylog::{QueryLog, QueryLogEntry};
 use crate::rdata::RecordType;
 use crate::zone::{Zone, ZoneAnswer};
 
@@ -52,25 +51,16 @@ pub trait Authority: Send + Sync {
     }
 }
 
-/// An authority serving a single static [`Zone`], optionally logging every
-/// query it receives.
+/// An authority serving a single static [`Zone`]. Answering has no side
+/// effect, so a memoized evaluation may replay its queries.
 pub struct StaticAuthority {
     zone: Zone,
-    log: Option<QueryLog>,
 }
 
 impl StaticAuthority {
-    /// Serve `zone` without logging.
+    /// Serve `zone`.
     pub fn new(zone: Zone) -> StaticAuthority {
-        StaticAuthority { zone, log: None }
-    }
-
-    /// Serve `zone`, recording every received query into `log`.
-    pub fn with_log(zone: Zone, log: QueryLog) -> StaticAuthority {
-        StaticAuthority {
-            zone,
-            log: Some(log),
-        }
+        StaticAuthority { zone }
     }
 
     /// The underlying zone.
@@ -88,30 +78,11 @@ impl Authority for StaticAuthority {
         true
     }
 
-    fn log_replayed_query(&self, qname: &Name, qtype: RecordType, source: IpAddr, now: SimTime) {
-        if let Some(log) = &self.log {
-            log.record(QueryLogEntry {
-                at: now,
-                source,
-                qname: qname.clone(),
-                qtype,
-            });
-        }
-    }
-
-    fn answer(&self, query: &Message, source: IpAddr, now: SimTime) -> Message {
+    fn answer(&self, query: &Message, _source: IpAddr, _now: SimTime) -> Message {
         let mut response = Message::respond_to(query);
         let Some(question) = query.question() else {
             return response.with_rcode(Rcode::FormErr);
         };
-        if let Some(log) = &self.log {
-            log.record(QueryLogEntry {
-                at: now,
-                source,
-                qname: question.name.clone(),
-                qtype: question.qtype,
-            });
-        }
         match self.zone.lookup(&question.name, question.qtype) {
             ZoneAnswer::Records(records) => {
                 response.answers = records;
@@ -199,21 +170,5 @@ mod tests {
         let q = Message::default();
         let r = auth.answer(&q, src(), SimTime::EPOCH);
         assert_eq!(r.header.rcode, Rcode::FormErr);
-    }
-
-    #[test]
-    fn logging_records_queries() {
-        let log = QueryLog::new();
-        let zone = ZoneBuilder::new(n("example.com"))
-            .a(&n("example.com"), 300, Ipv4Addr::new(192, 0, 2, 1))
-            .build();
-        let auth = StaticAuthority::with_log(zone, log.clone());
-        let q = Message::query(4, n("sub.example.com"), RecordType::AAAA);
-        auth.answer(&q, src(), SimTime::EPOCH);
-        let entries = log.snapshot();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].qname, n("sub.example.com"));
-        assert_eq!(entries[0].qtype, RecordType::AAAA);
-        assert_eq!(entries[0].source, src());
     }
 }

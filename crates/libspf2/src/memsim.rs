@@ -134,7 +134,8 @@ impl MemSim {
     }
 
     /// Number of use-after-free writes observed.
-    pub fn use_after_free_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn use_after_free_count(&self) -> usize {
         self.use_after_free
     }
 

@@ -206,7 +206,8 @@ impl Mta {
 
     /// Reject the first `n` recipient usernames of every envelope, forcing
     /// clients down their username ladder.
-    pub fn set_rcpt_reject_first_n(&mut self, n: u8) {
+    #[cfg(test)]
+    pub(crate) fn set_rcpt_reject_first_n(&mut self, n: u8) {
         self.rcpt_reject_first_n = n;
     }
 

@@ -432,6 +432,24 @@ impl<'w> Session<'w> {
         );
         let world = self.pop;
 
+        // Retire the round workers before the snapshot's fresh ones
+        // exist, so the two never hold memory at once. Every worker's
+        // audit, metrics, cache tallies and trace merge in a fixed
+        // order: the round workers, then the snapshot workers.
+        let mut ethics = EthicsAudit::default();
+        let mut network = MetricsSnapshot::default();
+        let mut cache = PolicyCacheStats::default();
+        let trace_parts = &mut self.trace_parts;
+        let mut retire = |workers: Vec<Worker<'w>>| {
+            for w in workers {
+                ethics = ethics.merge(w.prober.ethics().audit());
+                network = network.merge(&w.prober.metrics().snapshot());
+                cache = cache.merge(&w.prober.policy_cache_stats());
+                trace_parts.push(w.tracer.finish());
+            }
+        };
+        retire(std::mem::take(&mut self.workers));
+
         // The snapshot re-resolves addresses (§5.1, §7.2): fresh
         // resolution reaches the provider's current servers, so the
         // campaign's accumulated blacklisting does not apply. It is its
@@ -450,6 +468,7 @@ impl<'w> Session<'w> {
         let outputs = on_workers(&mut snapshot_workers, |w| {
             Campaign::snapshot_sweep(&mut w.prober, world, &w.hosts, masks)
         });
+        retire(snapshot_workers);
         let mut parts = Vec::with_capacity(outputs.len());
         let mut snapshot_busy = SimDuration::ZERO;
         for (statuses, busy) in outputs {
@@ -459,24 +478,11 @@ impl<'w> Session<'w> {
         let host_statuses = IdColumn::from_sorted(interleave_shards(parts, targets));
         let snapshot = Campaign::aggregate_snapshot(&domain_hosts, &host_statuses);
 
-        // Leave the world's clock on the snapshot day. The snapshot's
-        // query logs stay with its workers, bounded as it went: no
-        // caller reads them after the verdicts.
+        // Leave the world's clock on the snapshot day.
         world
             .runtime()
             .clock
             .advance_to(Timeline::day_to_time(Timeline::END));
-
-        // Retire every worker, merging in a fixed order.
-        let mut ethics = EthicsAudit::default();
-        let mut network = MetricsSnapshot::default();
-        let mut cache = PolicyCacheStats::default();
-        for w in self.workers.drain(..).chain(snapshot_workers) {
-            ethics = ethics.merge(w.prober.ethics().audit());
-            network = network.merge(&w.prober.metrics().snapshot());
-            cache = cache.merge(&w.prober.policy_cache_stats());
-            self.trace_parts.push(w.tracer.finish());
-        }
 
         let tracked: Arc<[HostId]> = self.tracked.as_slice().into();
         let rounds = self
